@@ -10,7 +10,6 @@ from .deformation import (
     eta,
     mirror,
     validate,
-    vector_field,
 )
 from .errors import BorelConvError, ChiGuardError, PreconditionError, ToleranceError
 from .filtered_set import (
@@ -84,5 +83,4 @@ __all__ = [
     "seen",
     "singularity_probe",
     "validate",
-    "vector_field",
 ]

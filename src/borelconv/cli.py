@@ -24,8 +24,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="filtered-set algebra, allowed paths, contour deformation "
                     "and germ convolution in the Borel plane",
     )
-    ap.add_argument("--seed", type=int, default=None,
-                    help="reserved; the core computations use no randomness")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("set-op", help="filtered-set algebra")

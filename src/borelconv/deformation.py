@@ -27,7 +27,14 @@ import numpy as np
 
 from .errors import ChiGuardError, PreconditionError, ToleranceError
 from .filtered_set import FilteredSet
-from .paths import AdmissibleLevelInterval, Path, admissible_levels, concat
+from .paths import (
+    INCIDENCE_TOL,
+    AdmissibleLevelInterval,
+    Path,
+    _dedupe_consecutive,
+    admissible_levels,
+    concat,
+)
 
 
 def eta(points, z):
@@ -58,26 +65,24 @@ class FlowField:
         self.eps_den = (1e-8 * max(1.0, self.speed)) if eps_den is None else float(eps_den)
         self.min_chi = math.inf
 
-    def gamma_at(self, t: float, seg: int) -> complex:
-        g = self.gamma
-        if g.is_constant():
-            return g.vertices[0]
-        u = t * g.length - g.cum_lengths[seg]
-        return g.vertices[seg] + g.seg_dirs[seg] * u
-
     def gamma_prime(self, seg: int) -> complex:
         g = self.gamma
         if g.is_constant():
             return 0.0 + 0.0j
         return g.seg_dirs[seg] * g.length
 
-    def chi(self, z, t: float, seg: int):
-        return eta(self.pts_a, z) + eta(self.pts_b, self.gamma_at(t, seg) - z)
+    def __call__(self, z, t: float, seg: int | None = None):
+        """The deformation field X at state z (scalar or vector) and time t,
+        on segment seg of gamma (found from t when not given).
 
-    def __call__(self, z, t: float, seg: int):
-        """X at state z (scalar or vector) and time t inside segment seg."""
-        ea = eta(self.pts_a, np.asarray(z, dtype=complex))
-        eb = eta(self.pts_b, self.gamma_at(t, seg) - np.asarray(z, dtype=complex))
+        |X| <= |gamma'| always; X vanishes on the members of A and equals
+        gamma' where gamma(t) - z is a member of B (in particular along
+        gamma itself)."""
+        if seg is None:
+            seg = self.gamma.segments_at(t)
+        z = np.asarray(z, dtype=complex)
+        ea = eta(self.pts_a, z)
+        eb = eta(self.pts_b, self.gamma.points_at(t, seg) - z)
         chi = ea + eb
         m = float(np.min(chi))
         if m < self.min_chi:
@@ -88,23 +93,6 @@ class FlowField:
                 "the path passes too close to a plain-sum point at this level"
             )
         return (ea / chi) * self.gamma_prime(seg)
-
-
-def vector_field(z, t, field: FlowField, seg: int | None = None):
-    """The deformation field X(z, t); |X| <= |gamma'| always, X vanishes on
-    the members of A and equals gamma' where gamma(t) - z is a member of B
-    (in particular along gamma itself)."""
-    if seg is None:
-        seg = _segment_of(field.gamma, t)
-    return field(z, t, seg)
-
-
-def _segment_of(gamma: Path, t: float) -> int:
-    if gamma.is_constant():
-        return 0
-    u = min(max(t, 0.0), 1.0) * gamma.length
-    k = int(np.searchsorted(gamma.cum_lengths, u, side="right")) - 1
-    return min(max(k, 0), gamma.n_segments - 1)
 
 
 def _allocate_steps(seg_lengths, n_total: int):
@@ -179,7 +167,7 @@ class DeformationGrid:
         return self.H.shape[1] - 1
 
     def gamma_values(self) -> np.ndarray:
-        return np.array([self.gamma.point_at(t) for t in self.t_nodes], dtype=complex)
+        return self.gamma.points_at(self.t_nodes)
 
 
 def mirror(H: np.ndarray | DeformationGrid) -> np.ndarray:
@@ -192,6 +180,21 @@ def mirror(H: np.ndarray | DeformationGrid) -> np.ndarray:
 
 def _row_lengths(H: np.ndarray) -> np.ndarray:
     return np.abs(np.diff(H, axis=1)).sum(axis=1)
+
+
+def seed_levels(gamma: Path, fine: FilteredSet) -> tuple[Path, AdmissibleLevelInterval]:
+    """The seed segment from the centre to gamma(0) followed by gamma, and
+    its admissible budgets against the fine sum `fine` of the two factor
+    sets; raises PreconditionError when there are none."""
+    lam0 = Path([0.0, gamma.start])
+    lam0gamma = concat(lam0, gamma) if not gamma.is_constant() else lam0
+    iv = admissible_levels(lam0gamma, fine)
+    if iv.empty:
+        raise PreconditionError(
+            "seed+gamma is not allowed for the fine sum: "
+            f"admissible interval ({iv.lower}, {iv.upper}]"
+        )
+    return lam0gamma, iv
 
 
 def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
@@ -224,10 +227,7 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
             f"|gamma(0)| = {abs(seed)} must lie in (0, {rho_min}) "
             "(inside both seed discs)"
         )
-    fine = set_a.fine_sum(set_b)
-    lam0 = Path([0.0, seed])
-    lam0gamma = concat(lam0, gamma) if not gamma.is_constant() else lam0
-    iv = admissible_levels(lam0gamma, fine)
+    lam0gamma, iv = seed_levels(gamma, set_a.fine_sum(set_b))
     if not iv.contains(level):
         raise PreconditionError(
             f"seed+gamma not allowed for the fine sum at level {level}: "
@@ -366,31 +366,12 @@ class ValidationReport:
         }
 
 
-def _dedupe_consecutive(zs, tol: float = 1e-9) -> list[complex]:
-    """Collapse consecutive vertices closer than the incidence tolerance:
+def _trajectory_path(traj: np.ndarray) -> Path:
+    """The seed segment from the centre, then the trajectory.  Vertices
+    within the incidence tolerance of the last one kept are dropped:
     sub-tolerance wiggle (integration roundoff) is below the resolution at
     which hits are even defined and must not register as movement."""
-    out = [complex(zs[0])]
-    for z in zs[1:]:
-        z = complex(z)
-        if abs(z - out[-1]) > tol:
-            out.append(z)
-    return out
-
-
-def _row_path(grid: DeformationGrid, i: int) -> Path:
-    """The factor path of row i: seed segment up to s_i, then the flow
-    trajectory of that seed point."""
-    verts = [0.0 + 0.0j] + list(grid.H[i, :])
-    return Path(_dedupe_consecutive(verts))
-
-
-def _mirror_row_path(grid: DeformationGrid, i: int) -> Path:
-    """Complementary factor path of row i: seed segment up to 1 - s_i, then
-    the mirror trajectory gamma(t) - H_i(t)."""
-    g_vals = grid.gamma_values()
-    verts = [0.0 + 0.0j] + list(g_vals - grid.H[i, :])
-    return Path(_dedupe_consecutive(verts))
+    return Path(_dedupe_consecutive([0.0 + 0.0j] + list(traj), INCIDENCE_TOL))
 
 
 def _split_levels(iv_a: AdmissibleLevelInterval, iv_b: AdmissibleLevelInterval,
@@ -428,11 +409,12 @@ def validate(grid: DeformationGrid, tol_endpoint: float = 1e-6,
                              - grid.gamma.length))
     len_resid = max(len_resid, 0.0)
 
+    # row i: the factor path up to s_i, and its complement gamma - H_i
     rows = []
     all_ok = True
     for i in range(grid.n_s + 1):
-        iv_a = admissible_levels(_row_path(grid, i), grid.set_a)
-        iv_b = admissible_levels(_mirror_row_path(grid, i), grid.set_b)
+        iv_a = admissible_levels(_trajectory_path(grid.H[i, :]), grid.set_a)
+        iv_b = admissible_levels(_trajectory_path(g_vals - grid.H[i, :]), grid.set_b)
         split = _split_levels(iv_a, iv_b, grid.level)
         ok = split is not None
         all_ok = all_ok and ok
@@ -440,14 +422,10 @@ def validate(grid: DeformationGrid, tol_endpoint: float = 1e-6,
         rows.append(RowAdmissibility(float(grid.s_nodes[i]), iv_a, iv_b, l1, l2, ok))
 
     # recheck chi on the stored grid nodes as well
-    field_chk = FlowField(grid.gamma, grid.set_a, grid.set_b, grid.level,
-                          eps_den=0.0)
     chi_grid = math.inf
     if not grid.gamma.is_constant():
-        for j in range(grid.n_t + 1):
-            seg = _segment_of(grid.gamma, grid.t_nodes[j])
-            chi_grid = min(chi_grid, float(np.min(
-                field_chk.chi(grid.H[:, j], grid.t_nodes[j], seg))))
+        chi_grid = float(np.min(eta(grid.set_a.at_level(grid.level), grid.H)
+                                + eta(grid.set_b.at_level(grid.level), g_vals - grid.H)))
     min_chi = min(grid.min_chi, chi_grid)
 
     rep = ValidationReport(

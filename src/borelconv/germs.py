@@ -19,19 +19,21 @@ telescope).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deformation import DeformationGrid, deform
+from .deformation import DeformationGrid, deform, seed_levels
 from .errors import PreconditionError, ToleranceError
 from .filtered_set import POINT_TOL, FilteredSet
 from .paths import (
     Path,
+    _dedupe_consecutive,
     _segment_distances,
     admissible_levels,
-    concat,
+    local_radii,
     local_radius,
 )
 
@@ -39,6 +41,13 @@ TWO_PI = 2.0 * math.pi
 
 
 # -- germ values -----------------------------------------------------------
+
+
+def _finite(z, what: str) -> complex:
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise PreconditionError(f"{what} must be finite, got {z}")
+    return z
 
 
 @dataclass(frozen=True)
@@ -59,18 +68,18 @@ class Germ:
 
     @classmethod
     def poly(cls, coeffs) -> "Germ":
-        return cls("poly", coeffs=tuple(complex(c) for c in coeffs))
+        return cls("poly", coeffs=tuple(_finite(c, "coefficient") for c in coeffs))
 
     @classmethod
     def pole(cls, a) -> "Germ":
-        a = complex(a)
+        a = _finite(a, "pole parameter")
         if abs(a) <= POINT_TOL:
             raise PreconditionError("pole parameter must differ from the centre")
         return cls("pole", a=a)
 
     @classmethod
     def log_pole(cls, a) -> "Germ":
-        a = complex(a)
+        a = _finite(a, "log parameter")
         if abs(a) <= POINT_TOL:
             raise PreconditionError("log parameter must differ from the centre")
         return cls("log_pole", a=a)
@@ -78,9 +87,10 @@ class Germ:
     @classmethod
     def series(cls, coeffs, radius) -> "Germ":
         radius = float(radius)
-        if not radius > 0.0:
-            raise PreconditionError("series radius must be positive")
-        return cls("series", coeffs=tuple(complex(c) for c in coeffs), radius=radius)
+        if not (radius > 0.0 and math.isfinite(radius)):
+            raise PreconditionError(f"series radius must be positive and finite, got {radius}")
+        return cls("series", coeffs=tuple(_finite(c, "coefficient") for c in coeffs),
+                   radius=radius)
 
     @property
     def validity_radius(self) -> float:
@@ -111,7 +121,7 @@ def eval_local(germ: Germ, z) -> complex:
 # -- configuration ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvolveConfig:
     """Numerical knobs for continuation and convolution."""
 
@@ -161,18 +171,16 @@ class ContinuationTrace:
 
 # -- internal frames: per-sample local data for one continuation -----------
 
-_PASCAL: dict[int, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _pascal(n: int) -> np.ndarray:
-    """Binomial matrix P[k, m] = C(k, m), 0 <= m <= k <= n."""
-    if n not in _PASCAL:
-        P = np.zeros((n + 1, n + 1))
-        P[:, 0] = 1.0
-        for k in range(1, n + 1):
-            P[k, 1:k + 1] = P[k - 1, :k] + P[k - 1, 1:k + 1]
-        _PASCAL[n] = P
-    return _PASCAL[n]
+    """Binomial matrix P[k, m] = C(k, m), 0 <= m <= k <= n (read-only,
+    shared between calls)."""
+    P = np.zeros((n + 1, n + 1))
+    P[:, 0] = 1.0
+    for k in range(1, n + 1):
+        P[k, 1:k + 1] = P[k - 1, :k] + P[k - 1, 1:k + 1]
+    P.flags.writeable = False
+    return P
 
 
 def _shift_series(coeffs: np.ndarray, delta: complex) -> np.ndarray:
@@ -242,20 +250,11 @@ class _Frames:
     coeffs: np.ndarray | None = None     # series: (n, deg+1) local coefficients
 
 
-def _sample_radii(pts: np.ndarray, prefix: np.ndarray, fset: FilteredSet) -> np.ndarray:
-    r = fset.horizon - prefix
-    if len(fset.points):
-        cand = np.maximum(np.abs(fset.points[None, :] - pts[:, None]),
-                          fset.levels[None, :] - prefix[:, None]).min(axis=1)
-        r = np.minimum(r, cand)
-    return r
-
-
 def _continue_frames(germ: Germ, pts: np.ndarray, prefix: np.ndarray,
                      fset: FilteredSet, cfg: ConvolveConfig) -> _Frames:
     if abs(pts[0]) > POINT_TOL:
         raise PreconditionError("continuation must start at the centre")
-    radii = _sample_radii(pts, prefix, fset)
+    radii = local_radii(pts, prefix, fset)
 
     if germ.kind == "poly":
         vals = np.polynomial.polynomial.polyval(pts, np.asarray(germ.coeffs))
@@ -395,9 +394,6 @@ def continue_along(germ: Germ, path: Path, fset: FilteredSet,
 
 # -- convolution ------------------------------------------------------------
 
-_CELL_CACHE: dict[tuple[int, int], tuple] = {}
-
-
 def _lagrange_basis(offsets, xs):
     """Values and derivatives of the Lagrange basis on `offsets` at `xs`."""
     vals = np.empty((len(offsets), len(xs)))
@@ -412,56 +408,35 @@ def _lagrange_basis(offsets, xs):
     return vals, ders
 
 
+@functools.lru_cache(maxsize=None)
 def _cell_rule(n_s: int, n_q: int):
     """Per-cell interpolation stencils and Gauss rule for a uniform s-grid.
 
-    Returns (xi, w, stencils, basis) where stencils[c] are the four sample
-    indices of cell c and basis[c] = (B_val, B_der) with B_* of shape
-    (4, n_q); derivatives are with respect to the cell coordinate."""
-    key = (n_s, n_q)
-    if key in _CELL_CACHE:
-        return _CELL_CACHE[key]
+    Returns (xi, w, stencils, bval, bder), read-only and shared between
+    calls: stencils[c] are the four sample indices of cell c, and bval[c],
+    bder[c] of shape (4, n_q) the values and derivatives (with respect to
+    the cell coordinate) of its interpolation basis at the Gauss nodes."""
     x, w = np.polynomial.legendre.leggauss(n_q)
     xi = 0.5 * (x + 1.0)
     w = 0.5 * w
-    kinds = {}
-    for name, offs in (("left", [0.0, 1.0, 2.0, 3.0]),
-                       ("mid", [-1.0, 0.0, 1.0, 2.0]),
-                       ("right", [-2.0, -1.0, 0.0, 1.0])):
-        kinds[name] = _lagrange_basis(offs, xi)
-    stencils = []
-    basis = []
-    for c in range(n_s):
-        if c == 0 and n_s > 1:
-            stencils.append([0, 1, 2, 3])
-            basis.append(kinds["left"])
-        elif c == n_s - 1 and n_s > 1:
-            stencils.append([c - 2, c - 1, c, c + 1])
-            basis.append(kinds["right"])
-        else:
-            lo = max(0, c - 1)
-            stencils.append([lo, lo + 1, lo + 2, lo + 3])
-            basis.append(kinds["mid"])
-    out = (xi, w, np.array(stencils), basis)
-    _CELL_CACHE[key] = out
+    # cell c interpolates on samples lo..lo+3, centred on the cell except
+    # at the two end cells; its basis nodes sit at offsets k - (c - lo)
+    lo = np.clip(np.arange(n_s) - 1, 0, n_s - 3)
+    shift = np.arange(n_s) - lo
+    vals, ders = zip(*(_lagrange_basis([k - s for k in (0.0, 1.0, 2.0, 3.0)], xi)
+                       for s in range(3)))
+    out = (xi, w, lo[:, None] + np.arange(4), np.array(vals)[shift], np.array(ders)[shift])
+    for a in out:
+        a.flags.writeable = False
     return out
 
 
 def _check_column(pts: np.ndarray, fset: FilteredSet, level: float):
     """A contour column must avoid the members of the set at the working
     level (apart from its start at the centre)."""
-    verts = [complex(pts[0])]
-    for z in pts[1:]:
-        z = complex(z)
-        if z != verts[-1]:
-            verts.append(z)
-    if len(verts) < 2:
-        return
-    starts = np.array(verts[:-1], dtype=complex)
-    ends = np.array(verts[1:], dtype=complex)
-    members = [p for p, lv in fset.entries if lv < level]
-    if members:
-        d = _segment_distances(np.array(members, dtype=complex), starts, ends)
+    members = fset.points[fset.levels < level]
+    if len(members):
+        d = _segment_distances(members, pts[:-1], pts[1:])
         if np.min(d) <= 1e-9:
             raise PreconditionError(
                 "contour column hits a filtration point at the working level"
@@ -497,10 +472,8 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j: int,
     frames_phi = _continue_frames(phi, col, pref_col, grid.set_a, cfg)
     frames_psi = _continue_frames(psi, mir, pref_mir, grid.set_b, cfg)
 
-    xi, w, stencils, basis = _cell_rule(n_s, n_q)
+    xi, w, stencils, bval, bder = _cell_rule(n_s, n_q)
     h = 1.0 / n_s
-    bval = np.stack([b[0] for b in basis])   # (n_s, 4, n_q)
-    bder = np.stack([b[1] for b in basis])
     samples = col[stencils]                  # (n_s, 4)
     Z = np.einsum("cm,cmg->cg", samples, bval)
     dZ = np.einsum("cm,cmg->cg", samples, bder) / h
@@ -530,21 +503,15 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
     """
     cfg = cfg or ConvolveConfig()
     fine = set_a.fine_sum(set_b)
-    seed = complex(gamma.start)
-    lam0gamma = (concat(Path([0.0, seed]), gamma)
-                 if not gamma.is_constant() else Path([0.0, seed]))
-    iv = admissible_levels(lam0gamma, fine)
-    if iv.empty:
-        raise PreconditionError("seed+gamma is not allowed for the fine sum")
+    _, iv = seed_levels(gamma, fine)
     level = cfg.level if cfg.level is not None else 0.5 * (iv.lower + iv.upper)
     grid = deform(gamma, set_a, set_b, level, n_s=cfg.n_s, n_t=cfg.n_t,
                   eps_den=cfg.eps_den, delta_len=cfg.delta_len)
     values = np.array(
         [convolve_at(phi, psi, grid, j, n_q=cfg.n_q, cfg=cfg)
          for j in range(grid.n_t + 1)], dtype=complex)
-    prefix = abs(seed) + grid.t_nodes * gamma.length
-    g_vals = grid.gamma_values()
-    radii = _sample_radii(g_vals, prefix, fine)
+    prefix = abs(gamma.start) + grid.t_nodes * gamma.length
+    radii = local_radii(grid.gamma_values(), prefix, fine)
     return ContinuationTrace(gamma, grid.t_nodes.copy(), values, radii, grid=grid)
 
 
@@ -592,11 +559,7 @@ def _detour_route(seed: complex, target: complex, obstacles, clearance: float,
         for k in range(arc_segments + 1):
             verts.append(o + clearance * cmath.exp(1j * (phi0 - k * math.pi / arc_segments)))
     verts.append(target)
-    out = [verts[0]]
-    for v in verts[1:]:
-        if abs(v - out[-1]) > 1e-12:
-            out.append(v)
-    return out
+    return _dedupe_consecutive(verts, 1e-12)
 
 
 def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
@@ -624,6 +587,8 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
         cfg = ConvolveConfig(n_s=256, n_t=2048, n_q=8)
     candidate = complex(candidate)
     radius = float(radius)
+    if not (radius > 0.0 and math.isfinite(radius)):
+        raise PreconditionError(f"probe radius must be positive and finite, got {radius}")
     if abs(candidate) <= radius:
         raise PreconditionError("candidate too close to the centre to loop around")
     if seed is None:

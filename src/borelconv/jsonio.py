@@ -14,6 +14,7 @@ Schemas:
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -87,11 +88,21 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _as_real(v, what: str) -> float:
+    try:
+        x = float(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{what} must be a finite number") from exc
+    if not math.isfinite(x):
+        raise ParseError(f"{what} must be finite, got {x}")
+    return x
+
+
 def _as_complex(v, what: str) -> complex:
     if (not isinstance(v, (list, tuple)) or len(v) != 2
             or not all(isinstance(x, (int, float)) for x in v)):
         raise ParseError(f"{what} must be a [re, im] pair")
-    return complex(float(v[0]), float(v[1]))
+    return complex(_as_real(v[0], what), _as_real(v[1], what))
 
 
 # -- filtered sets -----------------------------------------------------------
@@ -113,8 +124,8 @@ def set_from_doc(doc) -> FilteredSet:
     for e in doc.get("entries", []):
         if not isinstance(e, dict) or "z" not in e or "level" not in e:
             raise ParseError("each entry needs z and level")
-        entries.append((_as_complex(e["z"], "entry point"), float(e["level"])))
-    return FilteredSet(centre, entries, float(doc["horizon"]))
+        entries.append((_as_complex(e["z"], "entry point"), _as_real(e["level"], "level")))
+    return FilteredSet(centre, entries, _as_real(doc["horizon"], "horizon"))
 
 
 # -- paths -------------------------------------------------------------------
@@ -163,7 +174,7 @@ def germ_from_doc(doc) -> Germ:
         return Germ.log_pole(_as_complex(doc["a"], "log parameter"))
     if kind == "series":
         return Germ.series([_as_complex(c, "coefficient") for c in doc["coeffs"]],
-                           float(doc["radius"]))
+                           _as_real(doc["radius"], "radius"))
     raise ParseError(f"unknown germ kind {kind!r}")
 
 
@@ -171,11 +182,8 @@ def germ_from_doc(doc) -> Germ:
 
 
 def trace_csv_rows(trace: ContinuationTrace):
-    rows = []
-    for t, v, _ in trace.samples:
-        z = trace.path.point_at(t)
-        rows.append((t, z.real, z.imag, v.real, v.imag))
-    return rows
+    zs = trace.path.points_at(trace.ts)
+    return list(zip(trace.ts, zs.real, zs.imag, trace.values.real, trace.values.imag))
 
 
 def grid_csv_rows(grid):

@@ -32,11 +32,14 @@ class Path:
         vs = tuple(complex(v) for v in vertices)
         if not vs:
             raise PreconditionError("a path needs at least one vertex")
+        self._verts = np.array(vs, dtype=complex)
+        if not np.isfinite(self._verts).all():
+            raise PreconditionError("path vertices must be finite")
         for a, b in zip(vs, vs[1:]):
             if a == b:
                 raise PreconditionError("consecutive vertices must be distinct")
         self.vertices = vs
-        diffs = np.diff(np.array(vs, dtype=complex)) if len(vs) > 1 else np.zeros(0, complex)
+        diffs = np.diff(self._verts)
         self.seg_lengths = np.abs(diffs)
         self.seg_dirs = diffs / self.seg_lengths if len(vs) > 1 else diffs
         self.cum_lengths = np.concatenate([[0.0], np.cumsum(self.seg_lengths)])
@@ -63,14 +66,32 @@ class Path:
             return np.zeros(1)
         return self.cum_lengths / self.length
 
+    def segments_at(self, ts):
+        """Index of the segment holding each standardized parameter (t
+        clamped to [0, 1]); a vertex belongs to the segment it starts."""
+        u = np.clip(ts, 0.0, 1.0) * self.length
+        k = np.searchsorted(self.cum_lengths, u, side="right") - 1
+        return np.clip(k, 0, max(self.n_segments - 1, 0))
+
+    def points_at(self, ts, segs=None) -> np.ndarray:
+        """Points at standardized parameters ts (scalar or array).
+
+        Without `segs` each t is clamped to [0, 1] and located on its
+        segment.  With `segs` (same shape as ts) t is read on the line of
+        the named segment, unclamped: a flow step that ends on a vertex
+        keeps the segment it integrated on.
+        """
+        if self.is_constant():
+            return np.full(np.shape(ts), self.vertices[0], dtype=complex)
+        if segs is None:
+            segs = self.segments_at(ts)
+            ts = np.clip(ts, 0.0, 1.0)
+        u = ts * self.length - self.cum_lengths[segs]
+        return self._verts[segs] + self.seg_dirs[segs] * u
+
     def point_at(self, t: float) -> complex:
         """Point at standardized parameter t in [0, 1]."""
-        if self.is_constant():
-            return self.vertices[0]
-        u = min(max(float(t), 0.0), 1.0) * self.length
-        k = int(np.searchsorted(self.cum_lengths, u, side="right")) - 1
-        k = min(max(k, 0), self.n_segments - 1)
-        return self.vertices[k] + self.seg_dirs[k] * (u - self.cum_lengths[k])
+        return complex(self.points_at(float(t)))
 
     def prefix_length(self, t: float) -> float:
         """Arclength travelled up to standardized parameter t."""
@@ -80,7 +101,7 @@ class Path:
         """(t, z, s) arrays: n uniform parameters merged with all vertices."""
         ts = np.linspace(0.0, 1.0, max(int(n), 2))
         ts = np.unique(np.concatenate([ts, self.vertex_fractions()]))
-        zs = np.array([self.point_at(t) for t in ts], dtype=complex)
+        zs = self.points_at(ts)
         ss = ts * self.length
         return ts, zs, ss
 
@@ -95,6 +116,17 @@ def concat(a: Path, b: Path) -> Path:
 def reverse(a: Path) -> Path:
     """The inverse path, vertices in reverse order; length is preserved."""
     return Path(a.vertices[::-1])
+
+
+def _dedupe_consecutive(zs, tol: float) -> list[complex]:
+    """Vertices with each one within `tol` of the last one kept dropped,
+    so that the rest can form a Path."""
+    out = [complex(zs[0])]
+    for z in zs[1:]:
+        z = complex(z)
+        if abs(z - out[-1]) > tol:
+            out.append(z)
+    return out
 
 
 @dataclass(frozen=True)
@@ -115,13 +147,15 @@ class AdmissibleLevelInterval:
 
 def _segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Min distance of each point to the union of segments.  points (m,),
-    starts/ends (n,) complex; returns (m,)."""
+    starts/ends (n,) complex; returns (m,).  A zero-length segment counts
+    as its point."""
     if len(starts) == 0:
         return np.full(len(points), np.inf)
     d = ends - starts  # (n,)
     ap = points[:, None] - starts[None, :]  # (m, n)
-    denom = (d.real ** 2 + d.imag ** 2)[None, :]
-    tproj = (ap.real * d.real[None, :] + ap.imag * d.imag[None, :]) / denom
+    denom = d.real ** 2 + d.imag ** 2
+    tproj = np.divide(ap.real * d.real + ap.imag * d.imag, denom,
+                      out=np.zeros(ap.shape), where=denom > 0.0)
     tproj = np.clip(tproj, 0.0, 1.0)
     closest = starts[None, :] + tproj * d[None, :]
     return np.abs(points[:, None] - closest).min(axis=1)
@@ -132,8 +166,7 @@ def _hit_levels(path: Path, fset: FilteredSet) -> float:
     0.0 when the path returns to the centre after departure."""
     if path.is_constant():
         return fset.horizon
-    starts = np.array(path.vertices[:-1], dtype=complex)
-    ends = np.array(path.vertices[1:], dtype=complex)
+    starts, ends = path._verts[:-1], path._verts[1:]
     # a return to the centre on any segment after the first kills every level
     if path.n_segments > 1:
         dc = _segment_distances(np.array([fset.centre]), starts[1:], ends[1:])[0]
@@ -167,18 +200,23 @@ def is_allowed(path: Path, fset: FilteredSet) -> bool:
     return not admissible_levels(path, fset).empty
 
 
-def local_radius(z: complex, prefix: float, fset: FilteredSet) -> float:
-    """Feasible ball radius at a point reached with arclength `prefix`.
+def local_radii(zs, prefix, fset: FilteredSet) -> np.ndarray:
+    """Feasible ball radius at each point reached with arclength `prefix`
+    (arrays of one shape, or scalars).
 
     A radius r around z is feasible iff every entry within distance r has
     level at least prefix + r, and the budget stays within the horizon:
     r_max = min(horizon - prefix, min_p max(|p - z|, level(p) - prefix)).
     """
-    r = fset.horizon - prefix
-    if len(fset.points):
-        cand = np.maximum(np.abs(fset.points - z), fset.levels - prefix)
-        r = min(r, float(cand.min()))
-    return r
+    zs = np.asarray(zs)
+    prefix = np.asarray(prefix)
+    cand = np.maximum(np.abs(fset.points - zs[..., None]), fset.levels - prefix[..., None])
+    return np.minimum(fset.horizon - prefix, np.minimum.reduce(cand, axis=-1, initial=math.inf))
+
+
+def local_radius(z: complex, prefix: float, fset: FilteredSet) -> float:
+    """Feasible ball radius at one point (see `local_radii`)."""
+    return float(local_radii(z, prefix, fset))
 
 
 def distance_to_set(path: Path, fset: FilteredSet, n_samples: int | None = None) -> float:
@@ -194,14 +232,8 @@ def distance_to_set(path: Path, fset: FilteredSet, n_samples: int | None = None)
         raise PreconditionError("path is not allowed for this set")
     if n_samples is None:
         n_samples = int(math.ceil(256 * max(1.0, path.length)))
-    ts, zs, ss = path.sample(n_samples)
-    if len(fset.points):
-        cand = np.maximum(np.abs(fset.points[None, :] - zs[:, None]),
-                          fset.levels[None, :] - ss[:, None]).min(axis=1)
-        r = min(float(cand.min()), float((fset.horizon - ss).min()))
-    else:
-        r = float((fset.horizon - ss).min())
-    return r
+    _, zs, ss = path.sample(n_samples)
+    return float(local_radii(zs, ss, fset).min())
 
 
 def _wrap_angle(x: float) -> float:

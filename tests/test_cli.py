@@ -1,4 +1,7 @@
+import json
 import math
+
+import pytest
 
 from borelconv.cli import main
 from borelconv.jsonio import dumps, load_json, set_from_doc
@@ -126,6 +129,37 @@ def test_path_check_disallowed(tmp_path):
     assert "distance_lower_bound" not in doc
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_path_check_exit_2_on_non_finite_vertex(tmp_path, bad):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"vertices": [[0, 0], [bad, 0.5]]}))
+    s = write(tmp_path / "s.json", set_doc([(1 + 0j, 1.0)], 10.0))
+    assert main(["path-check", str(p), s, "-o", str(tmp_path / "out.json")]) == 2
+
+
+@pytest.mark.parametrize("field, bad", [("level", math.nan), ("horizon", math.inf),
+                                        ("radius", -math.inf)])
+def test_exit_2_on_non_finite_number(tmp_path, field, bad):
+    docs = {
+        "a": set_doc([(1 + 0j, 1.0)], 6.0),
+        "phi": {"kind": "series", "coeffs": [[1.0, 0.0]], "radius": 1.0},
+        "g": path_doc([0.25, 0.5]),
+    }
+    if field == "radius":
+        docs["phi"]["radius"] = bad
+    elif field == "horizon":
+        docs["a"]["horizon"] = bad
+    else:
+        docs["a"]["entries"][0]["level"] = bad
+    files = {}
+    for name, doc in docs.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    argv = ["convolve", files["phi"], files["phi"], files["g"], files["a"], files["a"],
+            "-o", tmp_path / "out"]
+    assert main([str(x) for x in argv]) == 2
+
+
 # -- glimpse -------------------------------------------------------------------------
 
 
@@ -204,12 +238,6 @@ def test_convolve_with_probe(tmp_path):
 
 
 # -- misc --------------------------------------------------------------------
-
-
-def test_seed_flag_is_accepted(tmp_path):
-    a = write(tmp_path / "a.json", set_doc([(1 + 0j, 1.0)], 4.5))
-    out = tmp_path / "out.json"
-    assert main(["--seed", "7", "set-op", "saturate", a, "-o", str(out)]) == 0
 
 
 def test_path_document_roundtrip():

@@ -15,8 +15,8 @@ from borelconv import (
     eta,
     mirror,
     validate,
-    vector_field,
 )
+from borelconv.deformation import _t_nodes_for
 
 
 def straight_config():
@@ -57,7 +57,7 @@ def test_field_frozen_on_members():
     gamma, s = straight_config()
     f = field_for(gamma, s, s, 2.0)
     # the entry at 1 belongs to the level-2 members: numerator vanishes there
-    assert vector_field(1.0 + 0j, 0.3, f) == 0
+    assert f(1.0 + 0j, 0.3) == 0
 
 
 def test_field_full_speed_on_gamma():
@@ -66,7 +66,7 @@ def test_field_full_speed_on_gamma():
     t = 0.5
     z = gamma.point_at(t)
     gp = gamma.seg_dirs[0] * gamma.length
-    assert abs(vector_field(z, t, f) - gp) < 1e-12
+    assert abs(f(z, t) - gp) < 1e-12
 
 
 def test_field_half_speed_at_symmetric_point():
@@ -76,7 +76,7 @@ def test_field_half_speed_at_symmetric_point():
     t = 1.0
     z = 0.5  # |z| == |gamma(1) - z|
     gp = gamma.length
-    assert abs(vector_field(z, t, f) - 0.5 * gp) < 1e-12
+    assert abs(f(z, t) - 0.5 * gp) < 1e-12
 
 
 def test_field_speed_bound():
@@ -85,8 +85,28 @@ def test_field_speed_bound():
     rng = np.random.default_rng(31)
     zs = rng.uniform(-1, 1, size=50) + 1j * rng.uniform(-1, 1, size=50)
     for t in (0.0, 0.3, 0.9):
-        x = vector_field(zs, t, f)
+        x = f(zs, t)
         assert np.all(np.abs(x) <= gamma.length * (1 + 1e-12))
+
+
+def test_field_explicit_segment_at_step_end_nodes():
+    # an RK4 step that ends on a vertex reads gamma on its own segment's
+    # line: vertices[k] + dir_k * (t * length - cum_k), unclamped
+    gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j, 0.1 + 0.35j])
+    a = FilteredSet(0, [(1, 1.0)], 6.0)
+    b = FilteredSet(0, [(2, 2.0)], 6.0)
+    f = field_for(gamma, a, b, 2.5)
+    zs = np.linspace(0.05, 0.2, 5) * (1 + 0.5j)
+    t_nodes, seg_of_step = _t_nodes_for(gamma, 64)
+    for t, k in zip(t_nodes[1:], seg_of_step):
+        g = gamma.vertices[k] + gamma.seg_dirs[k] * (t * gamma.length - gamma.cum_lengths[k])
+        ea = eta(f.pts_a, zs)
+        eb = eta(f.pts_b, g - zs)
+        want = (ea / (ea + eb)) * (gamma.seg_dirs[k] * gamma.length)
+        assert f(zs, t, k).tobytes() == want.tobytes()
+    # at one of these nodes the segment lookup picks the next segment, and
+    # its point differs in the last bits
+    assert np.any(gamma.points_at(t_nodes[1:], seg_of_step) != gamma.points_at(t_nodes[1:]))
 
 
 def test_field_guard_raises_on_plain_sum_pair():
@@ -97,9 +117,9 @@ def test_field_guard_raises_on_plain_sum_pair():
     b = FilteredSet(0, [(1, 1.0)], 6.0)
     f = field_for(gamma, a, b, 4.0)
     t = float((2.0 - 0.25) / 2.75)  # gamma(t) == 2
-    assert abs(f.gamma_at(t, 0) - 2.0) < 1e-12
+    assert abs(gamma.point_at(t) - 2.0) < 1e-12
     with pytest.raises(ChiGuardError):
-        vector_field(1.0 + 0j, t, f)
+        f(1.0 + 0j, t)
 
 
 # -- deform ---------------------------------------------------------------------------

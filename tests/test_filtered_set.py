@@ -52,6 +52,13 @@ def test_constructor_rejects_disc_violation():
         FilteredSet(0, [(2.0, 1.0)], horizon=3.0)
 
 
+def test_unhashable_because_equality_is_tolerant():
+    a = FilteredSet(0, [(1, 1.0)], horizon=3.0)
+    assert a == FilteredSet(0, [(1 + 1e-12, 1.0)], horizon=3.0)
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_duplicate_points_take_min_level():
     s = FilteredSet(0, [(1, 2.0), (1 + 1e-12, 1.5)], horizon=4.0)
     assert len(s.entries) == 1

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -74,6 +75,25 @@ def test_germ_parameter_validation():
 
 
 # -- continuation ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Germ.poly([1, math.inf]),
+    lambda: Germ.pole(math.nan),
+    lambda: Germ.pole(complex(1, math.inf)),
+    lambda: Germ.log_pole(-math.inf),
+    lambda: Germ.series([1, math.nan], 1.0),
+    lambda: Germ.series([1], math.inf),
+])
+def test_germ_rejects_non_finite(make):
+    with pytest.raises(PreconditionError):
+        make()
+
+
+def test_convolve_config_is_immutable():
+    cfg = ConvolveConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n_s = 8
 
 
 def test_continue_pole_segment():
@@ -267,6 +287,13 @@ def test_probe_regular_between_poles():
     a, b = pole_pair_sets()
     rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 1.5, 0.2)
     assert rep.classification == "regular"
+
+
+@pytest.mark.parametrize("radius", [-0.2, 0.0, math.inf, math.nan])
+def test_probe_rejects_bad_radius(radius):
+    a, b = pole_pair_sets()
+    with pytest.raises(PreconditionError, match="probe radius"):
+        singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 1.5, radius)
 
 
 def test_probe_pole_sum_point_is_singular():

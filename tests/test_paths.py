@@ -15,6 +15,7 @@ from borelconv import (
     local_radius,
     reverse,
 )
+from borelconv.paths import _dedupe_consecutive, _segment_distances, local_radii
 from conftest import brute_allowed, random_path, random_set
 
 
@@ -43,6 +44,39 @@ def test_constant_path():
     p = Path([2 + 1j])
     assert p.length == 0.0
     assert p.point_at(0.7) == 2 + 1j
+    assert p.points_at(np.array([0.0, 0.7])).tolist() == [2 + 1j, 2 + 1j]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, math.nan)])
+def test_non_finite_vertex_rejected(bad):
+    with pytest.raises(PreconditionError):
+        Path([0, bad])
+
+
+def _point_reference(p, t):
+    """Clamp t, find the last segment starting at or before it, walk along."""
+    u = min(max(float(t), 0.0), 1.0) * p.length
+    k = 0
+    while k < p.n_segments - 1 and p.cum_lengths[k + 1] <= u:
+        k += 1
+    return p.vertices[k] + p.seg_dirs[k] * (u - p.cum_lengths[k])
+
+
+def test_points_at_matches_reference_bitwise():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        p = random_path(rng)
+        ts = np.concatenate([rng.uniform(-0.1, 1.1, 300), p.vertex_fractions()])
+        want = np.array([_point_reference(p, t) for t in ts])
+        assert p.points_at(ts).tobytes() == want.tobytes()
+        assert np.array([p.point_at(t) for t in ts]).tobytes() == want.tobytes()
+
+
+def test_points_at_explicit_segments_extend_their_line():
+    p = Path([0, 1, 1 + 1j])
+    assert p.points_at(0.5, 0) == 1
+    assert p.points_at(0.75, 0) == 1.5
+    assert p.points_at(np.array([0.5, 0.5]), np.array([0, 1])).tolist() == [1, 1]
 
 
 # -- concat / reverse ------------------------------------------------------------
@@ -226,6 +260,18 @@ def test_distance_matches_feasibility_scan():
         assert abs(got - best) <= spacing + 1e-9
 
 
+def test_local_radii_match_scalar_formula():
+    rng = np.random.default_rng(43)
+    for s in [random_set(rng) for _ in range(10)] + [FilteredSet(0, [], 3.0)]:
+        zs = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
+        prefix = rng.uniform(0, 2, 40)
+        want = [min([s.horizon - pref]
+                    + [max(np.abs(p - z), lv - pref) for p, lv in s.entries])
+                for z, pref in zip(zs, prefix)]
+        assert local_radii(zs, prefix, s).tolist() == want
+        assert [local_radius(z, pref, s) for z, pref in zip(zs, prefix)] == want
+
+
 def test_local_radius_positive_along_allowed_path():
     rng = np.random.default_rng(25)
     for _ in range(20):
@@ -236,6 +282,37 @@ def test_local_radius_positive_along_allowed_path():
         ts, zs, ss = path.sample(50)
         for z, pref in zip(zs, ss):
             assert local_radius(z, pref, s) > 0
+
+
+# -- shared helpers -------------------------------------------------------------------
+
+
+def test_segment_distances_zero_length_segment_is_its_point():
+    pts = np.array([2 + 1j, 5 + 0j])
+    at = np.array([2 + 0j])
+    assert _segment_distances(pts, at, at).tolist() == [1.0, 3.0]
+    # a repeated vertex inside a polyline changes no distance
+    starts, ends = np.array([0, 1, 1 + 0j]), np.array([1, 1, 2 + 1j])
+    assert np.allclose(_segment_distances(pts, starts, ends),
+                       _segment_distances(pts, starts[[0, 2]], ends[[0, 2]]), rtol=0, atol=1e-15)
+
+
+def _dedupe_reference(zs, tol):
+    out = [complex(zs[0])]
+    for z in zs[1:]:
+        if abs(complex(z) - out[-1]) > tol:
+            out.append(complex(z))
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_dedupe_consecutive_against_last_kept(tol):
+    # each step is below the tolerance, their sum is not
+    zs = [0, 0.6 * tol, 1.2 * tol, 1, 1 + 0.1 * tol, 2]
+    assert _dedupe_consecutive(zs, tol) == [0, 1.2 * tol, 1, 2]
+    rng = np.random.default_rng(47)
+    walk = np.cumsum(rng.choice([0.3 * tol, 0.9 * tol, 2 * tol, 0.0], 200))
+    assert _dedupe_consecutive(walk, tol) == _dedupe_reference(walk, tol)
 
 
 # -- directional test -----------------------------------------------------------------
