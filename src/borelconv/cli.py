@@ -9,6 +9,7 @@ denominator guard, 5 tolerance failure.  Outputs are deterministic
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -16,6 +17,23 @@ from . import deformation, germs, jsonio, viz
 from .errors import ChiGuardError, PreconditionError, ToleranceError
 from .filtered_set import glimpsed, glimpsed_by_filtration
 from .paths import admissible_levels, distance_to_set
+
+# the documented exit code of each error class
+_EXIT_CODES = {jsonio.ParseError: 2, PreconditionError: 3, ChiGuardError: 4, ToleranceError: 5}
+
+
+def _finite_float(text: str) -> float:
+    """argparse type (argparse exits 2 on a bad value): a finite number."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _finite_pair(text: str) -> complex:
+    """argparse type: "re,im", both parts finite."""
+    re, im = map(_finite_float, text.split(","))
+    return complex(re, im)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("glimpse", help="glimpsed points along a direction")
     p.add_argument("set")
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_finite_float, required=True)
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the filtration-walk oracle")
     p.add_argument("-o", "--out", required=True)
@@ -49,11 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("gamma")
     p.add_argument("set_a")
     p.add_argument("set_b")
-    p.add_argument("--level", type=float, required=True)
+    p.add_argument("--level", type=_finite_float, required=True)
     p.add_argument("--ns", type=int, default=64)
     p.add_argument("--nt", type=int, default=512)
-    p.add_argument("--eps-den", type=float, default=None)
-    p.add_argument("--delta-len", type=float, default=None)
+    p.add_argument("--eps-den", type=_finite_float, default=None)
+    p.add_argument("--delta-len", type=_finite_float, default=None)
     p.add_argument("-o", "--outdir", required=True)
 
     p = sub.add_parser("convolve", help="convolution trace along a path")
@@ -62,14 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("gamma")
     p.add_argument("set_a")
     p.add_argument("set_b")
-    p.add_argument("--level", type=float, default=None)
+    p.add_argument("--level", type=_finite_float, default=None)
     p.add_argument("--ns", type=int, default=128)
     p.add_argument("--nt", type=int, default=256)
     p.add_argument("--nq", type=int, default=16)
     p.add_argument("--nser", type=int, default=64)
-    p.add_argument("--probe", type=str, default=None,
+    p.add_argument("--probe", type=_finite_pair, default=None,
                    help="re,im of a candidate singularity to classify")
-    p.add_argument("--probe-radius", type=float, default=0.1)
+    p.add_argument("--probe-radius", type=_finite_float, default=0.1)
     p.add_argument("-o", "--outdir", required=True)
     return ap
 
@@ -162,14 +180,10 @@ def _cmd_convolve(args) -> int:
                      ["t", "re_gamma", "im_gamma", "re_value", "im_value"],
                      jsonio.trace_csv_rows(trace))
     if args.probe is not None:
-        try:
-            re, im = (float(x) for x in args.probe.split(","))
-        except ValueError as exc:
-            raise jsonio.ParseError("--probe expects re,im") from exc
-        rep = germs.singularity_probe(phi, psi, set_a, set_b, complex(re, im),
+        rep = germs.singularity_probe(phi, psi, set_a, set_b, args.probe,
                                       args.probe_radius, seed=gamma.start)
         jsonio.write_json(os.path.join(args.outdir, "probe.json"), {
-            "candidate": [re, im],
+            "candidate": [args.probe.real, args.probe.imag],
             "radius": float(args.probe_radius),
             "classification": rep.classification,
             "defect_rel": rep.defect_rel,
@@ -193,18 +207,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except jsonio.ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ChiGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ToleranceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def entry():  # console script

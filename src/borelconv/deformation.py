@@ -36,6 +36,10 @@ from .paths import (
     concat,
 )
 
+ENDPOINT_TOL = 1e-6       # validate: top row against gamma
+SPEED_TOL = 1e-3          # validate: relative defect of |dH| + |dH_mirror| = |dgamma|
+LENGTH_BUDGET_REL = 1e-4  # default length budget, relative to |seed+gamma|
+
 
 def eta(points, z):
     """Euclidean distance of z (scalar or array) to a finite point set;
@@ -139,19 +143,16 @@ class DeformationGrid:
 
     H[i, j] is the deformed path at budget position s_i and time t_j; row 0
     is identically the centre, the last row coincides with gamma, column 0
-    is the initial straight seed segment.  The mirror satisfies
-    H_star[i, j] = H[-1, j] - H[N_s - i, j] exactly by construction.
+    is the initial straight seed segment.  The mirror is derived, never
+    stored: see `mirror`.
     """
 
     gamma: Path
     set_a: FilteredSet
     set_b: FilteredSet
     level: float
-    s_nodes: np.ndarray
     t_nodes: np.ndarray
     H: np.ndarray
-    H_star: np.ndarray
-    seed: complex
     lambda0gamma_length: float
     min_chi: float
     eps_den: float
@@ -166,20 +167,33 @@ class DeformationGrid:
     def n_t(self) -> int:
         return self.H.shape[1] - 1
 
+    @property
+    def s_nodes(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.n_s + 1)
+
     def gamma_values(self) -> np.ndarray:
         return self.gamma.points_at(self.t_nodes)
 
 
-def mirror(H: np.ndarray | DeformationGrid) -> np.ndarray:
+def mirror(H: np.ndarray) -> np.ndarray:
     """Mirror family: H_star_t(s) = H_t(1) - H_t(1 - s), exact arithmetic
-    on the grid (row i maps to row N_s - i)."""
-    if isinstance(H, DeformationGrid):
-        H = H.H
-    return H[-1, :][None, :] - H[::-1, :]
+    on the grid (row i maps to row N_s - i).  H is a whole grid or one
+    column of it; a column's mirror is that column of the grid's mirror,
+    bit for bit."""
+    return H[-1] - H[::-1]
 
 
-def _row_lengths(H: np.ndarray) -> np.ndarray:
-    return np.abs(np.diff(H, axis=1)).sum(axis=1)
+def _length_excess(grid: DeformationGrid, g_vals: np.ndarray,
+                   delta_len: float | None) -> tuple[float, float]:
+    """The length identity of a grid: the worst excess (at least 0) of
+    |row| + |mirror row| over |gamma|, and the budget it must stay within
+    (delta_len, or LENGTH_BUDGET_REL times |seed+gamma| when not given)."""
+    rows = np.abs(np.diff(grid.H, axis=1)).sum(axis=1)
+    mirrors = np.abs(np.diff(g_vals[None, :] - grid.H, axis=1)).sum(axis=1)
+    excess = float(np.max(rows + mirrors - grid.gamma.length))
+    if delta_len is None:
+        delta_len = LENGTH_BUDGET_REL * grid.lambda0gamma_length
+    return max(excess, 0.0), delta_len
 
 
 def seed_levels(gamma: Path, fine: FilteredSet) -> tuple[Path, AdmissibleLevelInterval]:
@@ -216,10 +230,10 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
         raise PreconditionError("deformation requires both sets centred at 0")
     if n_s < 8 or n_t < 8:
         raise PreconditionError("grid sizes must be at least 8")
-    if eps_den is not None and eps_den < 0.0:
-        raise PreconditionError("denominator guard must be nonnegative")
-    if delta_len is not None and delta_len <= 0.0:
-        raise PreconditionError("length budget must be positive")
+    if eps_den is not None and not (eps_den >= 0.0 and math.isfinite(eps_den)):
+        raise PreconditionError(f"denominator guard must be nonnegative and finite, got {eps_den}")
+    if delta_len is not None and not (delta_len > 0.0 and math.isfinite(delta_len)):
+        raise PreconditionError(f"length budget must be positive and finite, got {delta_len}")
     seed = complex(gamma.start)
     rho_min = min(set_a.rho, set_b.rho)
     if not (0.0 < abs(seed) < rho_min):
@@ -261,19 +275,13 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
 
     grid = DeformationGrid(
         gamma=gamma, set_a=set_a, set_b=set_b, level=float(level),
-        s_nodes=s_nodes, t_nodes=t_nodes, H=H, H_star=mirror(H),
-        seed=seed, lambda0gamma_length=lam0gamma.length,
+        t_nodes=t_nodes, H=H, lambda0gamma_length=lam0gamma.length,
         min_chi=field.min_chi, eps_den=field.eps_den,
         richardson_error=rich, length_residual=0.0,
     )
 
-    if delta_len is None:
-        delta_len = 1e-4 * lam0gamma.length
-    g_vals = grid.gamma_values()
-    len_rows = _row_lengths(H)
-    len_mirror = _row_lengths(g_vals[None, :] - H)
-    residual = float(np.max(len_rows + len_mirror - gamma.length))
-    grid.length_residual = max(residual, 0.0)
+    residual, delta_len = _length_excess(grid, grid.gamma_values(), delta_len)
+    grid.length_residual = residual
     if residual > delta_len:
         raise ToleranceError(
             f"length identity violated by {residual:.3e} > {delta_len:.3e}; "
@@ -387,9 +395,9 @@ def _split_levels(iv_a: AdmissibleLevelInterval, iv_b: AdmissibleLevelInterval,
     return l1, l2
 
 
-def validate(grid: DeformationGrid, tol_endpoint: float = 1e-6,
-             tol_speed: float = 1e-3, delta_len: float | None = None) -> ValidationReport:
-    """Check every grid contract and report residuals with pass flags."""
+def validate(grid: DeformationGrid, delta_len: float | None = None) -> ValidationReport:
+    """Check every grid contract and report residuals with pass flags.  The
+    length residual is recomputed from H, not read from the grid."""
     g_vals = grid.gamma_values()
     endpoint = float(np.max(np.abs(grid.H[-1, :] - g_vals)))
 
@@ -403,15 +411,12 @@ def validate(grid: DeformationGrid, tol_endpoint: float = 1e-6,
     else:
         speed_resid = 0.0
 
-    if delta_len is None:
-        delta_len = 1e-4 * grid.lambda0gamma_length
-    len_resid = float(np.max(_row_lengths(grid.H) + _row_lengths(g_vals[None, :] - grid.H)
-                             - grid.gamma.length))
-    len_resid = max(len_resid, 0.0)
+    len_resid, delta_len = _length_excess(grid, g_vals, delta_len)
 
     # row i: the factor path up to s_i, and its complement gamma - H_i
     rows = []
     all_ok = True
+    s_nodes = grid.s_nodes
     for i in range(grid.n_s + 1):
         iv_a = admissible_levels(_trajectory_path(grid.H[i, :]), grid.set_a)
         iv_b = admissible_levels(_trajectory_path(g_vals - grid.H[i, :]), grid.set_b)
@@ -419,7 +424,7 @@ def validate(grid: DeformationGrid, tol_endpoint: float = 1e-6,
         ok = split is not None
         all_ok = all_ok and ok
         l1, l2 = split if ok else (math.nan, math.nan)
-        rows.append(RowAdmissibility(float(grid.s_nodes[i]), iv_a, iv_b, l1, l2, ok))
+        rows.append(RowAdmissibility(float(s_nodes[i]), iv_a, iv_b, l1, l2, ok))
 
     # recheck chi on the stored grid nodes as well
     chi_grid = math.inf
@@ -433,8 +438,8 @@ def validate(grid: DeformationGrid, tol_endpoint: float = 1e-6,
         length_residual=len_resid, min_chi=min_chi, eps_den=grid.eps_den,
         richardson_error=grid.richardson_error, level=grid.level, rows=rows,
     )
-    rep.endpoint_ok = endpoint <= tol_endpoint
-    rep.speed_ok = speed_resid <= tol_speed
+    rep.endpoint_ok = endpoint <= ENDPOINT_TOL
+    rep.speed_ok = speed_resid <= SPEED_TOL
     rep.length_ok = len_resid <= delta_len
     rep.admissible_ok = all_ok
     rep.chi_ok = min_chi > grid.eps_den

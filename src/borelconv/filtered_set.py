@@ -31,8 +31,8 @@ POINT_TOL = 1e-9
 LEVEL_TOL = 1e-12
 
 
-def _dedupe_points(points, levels, tol=POINT_TOL):
-    """Cluster points within `tol`, keeping the min level per cluster.
+def _dedupe_points(points, levels):
+    """Cluster points within POINT_TOL, keeping the min level per cluster.
 
     Sort-sweep on the real part; clusters are tiny for the data sizes we
     handle (sums of at most a few dozen generators).
@@ -46,9 +46,9 @@ def _dedupe_points(points, levels, tol=POINT_TOL):
         p, lv = points[i], levels[i]
         merged = False
         for k in range(len(out_pts) - 1, -1, -1):
-            if p.real - out_pts[k].real > tol:
+            if p.real - out_pts[k].real > POINT_TOL:
                 break
-            if abs(p - out_pts[k]) <= tol:
+            if abs(p - out_pts[k]) <= POINT_TOL:
                 if lv < out_lvl[k]:
                     out_lvl[k] = lv
                 merged = True
@@ -118,24 +118,27 @@ class FilteredSet:
                 return lv
         return None
 
-    def at_level(self, L) -> list[complex]:
-        """Members at budget L: the centre plus every entry with level < L.
-
-        Monotone in L.  Raises beyond the horizon, where the truncation is
-        silent.
-        """
+    def _check_level(self, L) -> float:
+        """L as a float; raises unless 0 < L <= horizon, beyond which the
+        truncation is silent."""
         L = float(L)
         if not L > 0.0:
             raise PreconditionError("level must be positive")
         if L > self.horizon * (1.0 + 1e-12):
             raise PreconditionError(f"level {L} is beyond horizon {self.horizon}")
-        return [self.centre] + [p for p, lv in self.entries if lv < L]
+        return L
+
+    def at_level(self, L) -> list[complex]:
+        """Members at budget L: the centre plus every entry with level < L.
+
+        Monotone in L.  Raises unless 0 < L <= horizon.
+        """
+        return [self.centre] + [p for p, _ in self.entries_at(L)]
 
     def entries_at(self, L) -> list[tuple[complex, float]]:
-        """Entries with level < L (members without the centre)."""
-        L = float(L)
-        if L > self.horizon * (1.0 + 1e-12):
-            raise PreconditionError(f"level {L} is beyond horizon {self.horizon}")
+        """Entries with level < L (members without the centre).  Raises
+        unless 0 < L <= horizon."""
+        L = self._check_level(L)
         return [(p, lv) for p, lv in self.entries if lv < L]
 
     # -- algebra ---------------------------------------------------------
@@ -245,6 +248,8 @@ def _same_entries(a: FilteredSet, b: FilteredSet) -> bool:
 # -- directional glimpse -------------------------------------------------
 
 RAY_TOL = POINT_TOL
+# glimpse_angle stays this far below the angle of the nearest off-ray member.
+GLIMPSE_RESOLUTION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -339,21 +344,15 @@ def seen(fset: FilteredSet, theta: float) -> complex | None:
     return glimpsed(fset, theta).seen
 
 
-def glimpse_angle(fset: FilteredSet, theta: float, L: float,
-                  resolution: float = 1e-6) -> float:
-    """Largest half-opening alpha < pi/2 (up to `resolution`) such that the
-    open sector of radius L around direction theta meets members(L) only in
-    ray points.
+def glimpse_angle(fset: FilteredSet, theta: float, L: float) -> float:
+    """Largest half-opening alpha < pi/2 (up to GLIMPSE_RESOLUTION) such
+    that the open sector of radius L around direction theta meets
+    members(L) only in ray points.
 
     Computed from the angular offsets of the off-ray members; when a member
     hugs the ray closer than the resolution, half its offset is returned so
     the result stays positive.
     """
-    L = float(L)
-    if not L > 0.0:
-        raise PreconditionError("level must be positive")
-    if L > fset.horizon * (1.0 + 1e-12):
-        raise PreconditionError(f"level {L} is beyond horizon {fset.horizon}")
     cap = math.pi / 2
     for p, lv in fset.entries_at(L):
         along, across = _ray_offset(p, fset.centre, theta)
@@ -361,7 +360,7 @@ def glimpse_angle(fset: FilteredSet, theta: float, L: float,
             continue  # ray points are permitted in the sector
         off = abs(cmath.phase((p - fset.centre) * cmath.exp(-1j * theta)))
         cap = min(cap, off)
-    alpha = cap - resolution
+    alpha = cap - GLIMPSE_RESOLUTION
     return alpha if alpha > 0.0 else cap / 2.0
 
 

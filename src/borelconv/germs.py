@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deformation import DeformationGrid, deform, seed_levels
+from .deformation import DeformationGrid, deform, mirror, seed_levels
 from .errors import PreconditionError, ToleranceError
 from .filtered_set import POINT_TOL, FilteredSet
 from .paths import (
@@ -38,6 +38,13 @@ from .paths import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+STEP_SAFETY = 0.5           # series step <= STEP_SAFETY * feasible radius
+TOL_TAIL = 1e-9             # series tail estimate budget, relative to the value
+SAMPLES_PER_UNIT = 64       # continue_along samples per unit path length
+TOL_MONO = 1e-4             # probe threshold on the relative defect and loop integral
+PROBE_CIRCLE_SEGMENTS = 16  # sides of the polygonal probe circle
+DETOUR_ARC_SEGMENTS = 8     # segments of each semicircle dodging a point on the route
 
 
 # -- germ values -----------------------------------------------------------
@@ -130,12 +137,6 @@ class ConvolveConfig:
     n_t: int = 256                  # time steps along gamma
     n_q: int = 16                   # Gauss-Legendre order per cell
     n_ser: int = 64                 # cap on the series re-expansion degree
-    step_safety: float = 0.5        # series step <= safety * local radius
-    tol_tail: float = 1e-9          # re-expansion tail budget (relative)
-    tol_mono: float = 1e-4          # loop-defect threshold of the probe
-    samples_per_unit: int = 64      # trace sampling density
-    eps_den: float | None = None    # flow denominator guard override
-    delta_len: float | None = None  # length-identity budget override
 
 
 # -- continuation traces ----------------------------------------------------
@@ -207,7 +208,7 @@ def _log_tail_coeff(coeffs: np.ndarray, r0: float) -> float:
 
 
 def _tail_check(z: complex, germ: Germ, deg: int, log_m0: float,
-                value_scale: float, cfg: ConvolveConfig):
+                value_scale: float):
     """Truncation error of the continued series at the point z.
 
     Re-expanding a truncated series is exact polynomial composition, so the
@@ -229,7 +230,7 @@ def _tail_check(z: complex, germ: Germ, deg: int, log_m0: float,
     if q <= 0.0:
         return
     log_est = log_m0 + (deg + 1) * math.log(q) - math.log(1.0 - q)
-    if log_est > math.log(cfg.tol_tail * max(1.0, value_scale)):
+    if log_est > math.log(TOL_TAIL * max(1.0, value_scale)):
         raise ToleranceError(
             "series re-expansion tail estimate above tolerance; "
             "increase the degree or keep the path deeper inside the disc"
@@ -309,7 +310,7 @@ def _series_frames(germ: Germ, pts: np.ndarray, prefix: np.ndarray,
             dist = abs(d)
             if dist == 0.0:
                 break
-            cap = cfg.step_safety * rc
+            cap = STEP_SAFETY * rc
             if cap <= 1e-9 * scale:
                 raise ToleranceError(
                     "series step underflow: the path runs too close to the "
@@ -323,7 +324,7 @@ def _series_frames(germ: Germ, pts: np.ndarray, prefix: np.ndarray,
             cur = _shift_series(cur, delta)
             zc, sc = zn, sn
             rc = local_radius(zc, sc, fset)
-            _tail_check(zc, germ, deg, log_m0, float(abs(cur[0])), cfg)
+            _tail_check(zc, germ, deg, log_m0, float(abs(cur[0])))
             substeps += 1
             if substeps > 100000:
                 raise ToleranceError("series walk did not terminate")
@@ -385,7 +386,7 @@ def continue_along(germ: Germ, path: Path, fset: FilteredSet,
         ends = np.array(path.vertices[1:], dtype=complex)
         if _segment_distances(np.array([germ.a]), starts, ends)[0] <= POINT_TOL:
             raise PreconditionError("path passes through the germ parameter")
-    n = int(math.ceil(cfg.samples_per_unit * max(1.0, path.length)))
+    n = int(math.ceil(SAMPLES_PER_UNIT * max(1.0, path.length)))
     ts, pts, ss = path.sample(n)
     frames = _continue_frames(germ, pts, ss, fset, cfg)
     return ContinuationTrace(path, ts, frames.values, frames.radii,
@@ -462,7 +463,7 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j: int,
     if not 0 <= j <= grid.n_t:
         raise PreconditionError(f"time index {j} outside the grid")
     col = grid.H[:, j]
-    mir = grid.H_star[:, j]
+    mir = mirror(col)
     gj = col[-1]
     _check_column(col, grid.set_a, grid.level)
     _check_column(mir, grid.set_b, grid.level)
@@ -505,8 +506,7 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
     fine = set_a.fine_sum(set_b)
     _, iv = seed_levels(gamma, fine)
     level = cfg.level if cfg.level is not None else 0.5 * (iv.lower + iv.upper)
-    grid = deform(gamma, set_a, set_b, level, n_s=cfg.n_s, n_t=cfg.n_t,
-                  eps_den=cfg.eps_den, delta_len=cfg.delta_len)
+    grid = deform(gamma, set_a, set_b, level, n_s=cfg.n_s, n_t=cfg.n_t)
     values = np.array(
         [convolve_at(phi, psi, grid, j, n_q=cfg.n_q, cfg=cfg)
          for j in range(grid.n_t + 1)], dtype=complex)
@@ -535,8 +535,7 @@ class ProbeReport:
         return self.classification == "singular-like"
 
 
-def _detour_route(seed: complex, target: complex, obstacles, clearance: float,
-                  arc_segments: int = 8) -> list[complex]:
+def _detour_route(seed: complex, target: complex, obstacles, clearance: float) -> list[complex]:
     """Polyline from seed to target dodging obstacles near the straight
     segment with semicircles on the left of the travel direction (a fixed
     side keeps repeated probes on a consistent branch)."""
@@ -556,8 +555,9 @@ def _detour_route(seed: complex, target: complex, obstacles, clearance: float,
     verts = [seed]
     for _, o in near:
         phi0 = cmath.phase(-u)
-        for k in range(arc_segments + 1):
-            verts.append(o + clearance * cmath.exp(1j * (phi0 - k * math.pi / arc_segments)))
+        for k in range(DETOUR_ARC_SEGMENTS + 1):
+            angle = phi0 - k * math.pi / DETOUR_ARC_SEGMENTS
+            verts.append(o + clearance * cmath.exp(1j * angle))
     verts.append(target)
     return _dedupe_consecutive(verts, 1e-12)
 
@@ -565,8 +565,7 @@ def _detour_route(seed: complex, target: complex, obstacles, clearance: float,
 def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
                       set_b: FilteredSet, candidate: complex, radius: float,
                       seed: complex | None = None,
-                      cfg: ConvolveConfig | None = None,
-                      circle_segments: int = 16) -> ProbeReport:
+                      cfg: ConvolveConfig | None = None) -> ProbeReport:
     """Classify a candidate point as regular or singular-like for the
     convolution by continuing it around a small allowed loop.
 
@@ -604,8 +603,8 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     p0 = candidate - radius * u
     route = _detour_route(seed, p0, obstacles, clearance=radius)
     phi0 = cmath.phase(p0 - candidate)
-    circle = [candidate + radius * cmath.exp(1j * (phi0 + TWO_PI * k / circle_segments))
-              for k in range(1, circle_segments)]
+    circle = [candidate + radius * cmath.exp(1j * (phi0 + TWO_PI * k / PROBE_CIRCLE_SEGMENTS))
+              for k in range(1, PROBE_CIRCLE_SEGMENTS)]
     circle.append(p0)  # close the polygon exactly
     loop = Path(route + circle)
     start_index = len(route) - 1  # vertex where the circle begins and ends
@@ -625,7 +624,7 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     ring = complex(np.sum(0.5 * (circle_vals[1:] + circle_vals[:-1])
                           * np.diff(circle_pts)))
     ring_rel = abs(ring) / (TWO_PI * radius * scale)
-    singular = defect > cfg.tol_mono or ring_rel > cfg.tol_mono
+    singular = defect > TOL_MONO or ring_rel > TOL_MONO
     return ProbeReport(
         classification="singular-like" if singular else "regular",
         defect_rel=float(defect), ring_rel=float(ring_rel), loop=loop,

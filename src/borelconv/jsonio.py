@@ -20,6 +20,7 @@ import tempfile
 
 import numpy as np
 
+from .deformation import mirror
 from .errors import BorelConvError
 from .filtered_set import FilteredSet
 from .germs import ContinuationTrace, Germ
@@ -98,6 +99,12 @@ def _as_real(v, what: str) -> float:
     return x
 
 
+def _as_list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ParseError(f"{what} must be a list, got {type(v).__name__}")
+    return v
+
+
 def _as_complex(v, what: str) -> complex:
     if (not isinstance(v, (list, tuple)) or len(v) != 2
             or not all(isinstance(x, (int, float)) for x in v)):
@@ -121,7 +128,7 @@ def set_from_doc(doc) -> FilteredSet:
         raise ParseError("filtered set document needs centre, entries, horizon")
     centre = _as_complex(doc["centre"], "centre")
     entries = []
-    for e in doc.get("entries", []):
+    for e in _as_list(doc.get("entries", []), "entries"):
         if not isinstance(e, dict) or "z" not in e or "level" not in e:
             raise ParseError("each entry needs z and level")
         entries.append((_as_complex(e["z"], "entry point"), _as_real(e["level"], "level")))
@@ -138,7 +145,7 @@ def path_to_doc(path: Path) -> dict:
 def path_from_doc(doc) -> Path:
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise ParseError("path document needs vertices")
-    return Path([_as_complex(v, "vertex") for v in doc["vertices"]])
+    return Path([_as_complex(v, "vertex") for v in _as_list(doc["vertices"], "vertices")])
 
 
 def path_csv_rows(path: Path, n_samples: int = 256):
@@ -163,18 +170,21 @@ def germ_to_doc(germ: Germ) -> dict:
 
 
 def germ_from_doc(doc) -> Germ:
+    # a missing field reads as None, which each converter rejects
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("germ document needs a kind")
     kind = doc["kind"]
     if kind == "poly":
-        return Germ.poly([_as_complex(c, "coefficient") for c in doc["coeffs"]])
+        return Germ.poly([_as_complex(c, "coefficient")
+                          for c in _as_list(doc.get("coeffs"), "coeffs")])
     if kind == "pole":
-        return Germ.pole(_as_complex(doc["a"], "pole parameter"))
+        return Germ.pole(_as_complex(doc.get("a"), "pole parameter"))
     if kind == "log_pole":
-        return Germ.log_pole(_as_complex(doc["a"], "log parameter"))
+        return Germ.log_pole(_as_complex(doc.get("a"), "log parameter"))
     if kind == "series":
-        return Germ.series([_as_complex(c, "coefficient") for c in doc["coeffs"]],
-                           _as_real(doc["radius"], "radius"))
+        return Germ.series([_as_complex(c, "coefficient")
+                            for c in _as_list(doc.get("coeffs"), "coeffs")],
+                           _as_real(doc.get("radius"), "radius"))
     raise ParseError(f"unknown germ kind {kind!r}")
 
 
@@ -187,11 +197,12 @@ def trace_csv_rows(trace: ContinuationTrace):
 
 
 def grid_csv_rows(grid):
+    H_star = mirror(grid.H)
     rows = []
     for i, s in enumerate(grid.s_nodes):
         for j, t in enumerate(grid.t_nodes):
             h = grid.H[i, j]
-            hs = grid.H_star[i, j]
+            hs = H_star[i, j]
             rows.append((s, t, h.real, h.imag, hs.real, hs.imag))
     return rows
 

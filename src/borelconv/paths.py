@@ -93,10 +93,6 @@ class Path:
         """Point at standardized parameter t in [0, 1]."""
         return complex(self.points_at(float(t)))
 
-    def prefix_length(self, t: float) -> float:
-        """Arclength travelled up to standardized parameter t."""
-        return min(max(float(t), 0.0), 1.0) * self.length
-
     def sample(self, n: int):
         """(t, z, s) arrays: n uniform parameters merged with all vertices."""
         ts = np.linspace(0.0, 1.0, max(int(n), 2))

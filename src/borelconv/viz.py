@@ -13,6 +13,7 @@ from .deformation import DeformationGrid
 from .jsonio import atomic_write
 
 _W, _H, _PAD = 640, 480, 40
+N_CONTOURS = 6  # deformed contours drawn, evenly spaced in t
 
 
 def _fmt(x: float) -> str:
@@ -50,7 +51,7 @@ def _dots(frame, zs, colour, r):
     return out
 
 
-def grid_overlay_svg(grid: DeformationGrid, n_contours: int = 6) -> str:
+def grid_overlay_svg(grid: DeformationGrid) -> str:
     fine = grid.set_a.fine_sum(grid.set_b)
     cloud = list(grid.H.flatten()) + list(fine.points) + [0.0 + 0.0j]
     frame = _Frame(cloud)
@@ -59,7 +60,7 @@ def grid_overlay_svg(grid: DeformationGrid, n_contours: int = 6) -> str:
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
     ]
-    idx = np.unique(np.linspace(0, grid.n_t, n_contours).astype(int))
+    idx = np.unique(np.linspace(0, grid.n_t, N_CONTOURS).astype(int))
     for j in idx:
         parts.append(_polyline(frame, grid.H[:, j], "#9ecae1", 1.0))
     parts.append(_polyline(frame, grid.gamma_values(), "#d62728", 1.8))
@@ -71,5 +72,5 @@ def grid_overlay_svg(grid: DeformationGrid, n_contours: int = 6) -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_grid_overlay(path: str, grid: DeformationGrid, n_contours: int = 6):
-    atomic_write(path, grid_overlay_svg(grid, n_contours))
+def write_grid_overlay(path: str, grid: DeformationGrid):
+    atomic_write(path, grid_overlay_svg(grid))

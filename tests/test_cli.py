@@ -160,6 +160,54 @@ def test_exit_2_on_non_finite_number(tmp_path, field, bad):
     assert main([str(x) for x in argv]) == 2
 
 
+@pytest.mark.parametrize("doc", [{"kind": "pole"}, {"kind": "poly", "coeffs": 5},
+                                 {"kind": "series", "coeffs": [[1.0, 0.0]]}])
+def test_exit_2_on_malformed_germ(tmp_path, doc):
+    phi = write(tmp_path / "phi.json", doc)
+    one = write(tmp_path / "one.json", {"kind": "poly", "coeffs": [[1.0, 0.0]]})
+    t = write(tmp_path / "t.json", set_doc([], 5.0))
+    g = write(tmp_path / "g.json", path_doc([0.2 + 0.1j, 0.6 + 0.3j]))
+    assert main(["convolve", phi, one, g, t, t, "-o", str(tmp_path / "out")]) == 2
+
+
+def test_exit_2_on_non_list_vertices_or_entries(tmp_path):
+    p = write(tmp_path / "p.json", {"vertices": 5})
+    s = write(tmp_path / "s.json", set_doc([], 5.0))
+    bad = write(tmp_path / "bad.json", {"centre": [0.0, 0.0], "entries": 5, "horizon": 5.0})
+    assert main(["path-check", p, s, "-o", str(tmp_path / "o1.json")]) == 2
+    assert main(["set-op", "saturate", bad, "-o", str(tmp_path / "o2.json")]) == 2
+
+
+@pytest.mark.parametrize("cmd, option, value", [
+    ("glimpse", "--theta", "nan"),
+    ("deform", "--level", "nan"),
+    ("deform", "--eps-den", "nan"),
+    ("deform", "--delta-len", "inf"),
+    ("convolve", "--level", "inf"),
+    ("convolve", "--probe-radius", "inf"),
+    ("convolve", "--probe", "nan,0"),
+    ("convolve", "--probe", "1.5,inf"),
+    ("convolve", "--probe", "1.5"),
+])
+def test_exit_2_on_non_finite_option(tmp_path, cmd, option, value):
+    a = write(tmp_path / "a.json", set_doc([(1 + 0j, 1.0)], 6.0))
+    g = write(tmp_path / "g.json", path_doc([0.25, 0.5]))
+    phi = write(tmp_path / "phi.json", {"kind": "pole", "a": [1.0, 0.0]})
+    out = str(tmp_path / "out")
+    argv = {
+        "glimpse": ["glimpse", a, "-o", out],
+        "deform": ["deform", g, a, a, "--level", "2", "-o", out],
+        "convolve": ["convolve", phi, phi, g, a, a, "-o", out],
+    }[cmd]
+    if option in argv:
+        argv[argv.index(option) + 1] = value
+    else:
+        argv += [option, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 # -- glimpse -------------------------------------------------------------------------
 
 

@@ -181,6 +181,14 @@ def test_deform_preconditions():
         deform(Path([0.25, 1.0]), s, s, 2.5)  # gamma ends on a fine-sum point
 
 
+@pytest.mark.parametrize("kw", [{"eps_den": math.nan}, {"eps_den": math.inf},
+                                {"delta_len": math.nan}, {"delta_len": math.inf}])
+def test_deform_rejects_non_finite_guards(kw):
+    gamma, s = straight_config()
+    with pytest.raises(PreconditionError):
+        deform(gamma, s, s, 2.0, n_s=16, n_t=64, **kw)
+
+
 def test_deform_guard_trips_near_fine_sum_point():
     a = FilteredSet(0, [(1, 1.0)], 6.0)
     b = FilteredSet(0, [], 6.0)
@@ -211,12 +219,27 @@ def test_deform_constant_gamma():
 def test_mirror_identities():
     gamma, s = straight_config()
     grid = deform(gamma, s, s, 2.0, n_s=16, n_t=64)
-    m = mirror(grid)
+    m = mirror(grid.H)
     assert np.all(m[0, :] == 0)
     g_vals = grid.H[-1, :]
     assert np.all(m[-1, :] == g_vals)
     i = 5
     assert np.all(m[i, :] == g_vals - grid.H[grid.n_s - i, :])
+
+
+def test_mirror_of_a_column_is_that_column_of_the_mirror():
+    a = FilteredSet(0, [(0.26j, 0.3)], 3.0)
+    b = FilteredSet(0, [(2.0, 2.0)], 3.0)
+    grid = deform(Path([0.2 + 0.2j, 0.8 + 0.2j, 0.9 + 0.5j]), a, b, 1.5, n_s=16, n_t=64)
+    m = mirror(grid.H)
+    for j in range(grid.n_t + 1):
+        assert mirror(grid.H[:, j]).tobytes() == m[:, j].tobytes()
+
+
+def test_s_nodes_are_the_uniform_budget_grid():
+    gamma, s = straight_config()
+    grid = deform(gamma, s, s, 2.0, n_s=16, n_t=64)
+    assert grid.s_nodes.tobytes() == np.linspace(0, 1, grid.n_s + 1).tobytes()
 
 
 # -- validation -------------------------------------------------------------------------
@@ -239,8 +262,7 @@ def test_validate_flags_entry_on_trajectory():
     bad = FilteredSet(0, [(p, abs(p))], 3.0)
     tampered = DeformationGrid(
         gamma=grid.gamma, set_a=bad, set_b=grid.set_b, level=grid.level,
-        s_nodes=grid.s_nodes, t_nodes=grid.t_nodes, H=grid.H,
-        H_star=grid.H_star, seed=grid.seed,
+        t_nodes=grid.t_nodes, H=grid.H,
         lambda0gamma_length=grid.lambda0gamma_length, min_chi=grid.min_chi,
         eps_den=grid.eps_den, richardson_error=grid.richardson_error,
         length_residual=grid.length_residual,

@@ -109,6 +109,16 @@ def test_at_level_beyond_horizon_errors():
         s.at_level(3.5)
 
 
+@pytest.mark.parametrize("L", [-1.0, 0.0, 3.5, math.nan])
+@pytest.mark.parametrize("query", ["at_level", "entries_at", "glimpse_angle"])
+def test_level_queries_reject_levels_outside_the_horizon(query, L):
+    s = FilteredSet(0, [(1, 1.0)], horizon=3.0)
+    run = {"at_level": lambda: s.at_level(L), "entries_at": lambda: s.entries_at(L),
+           "glimpse_angle": lambda: glimpse_angle(s, 0.0, L)}[query]
+    with pytest.raises(PreconditionError):
+        run()
+
+
 def test_at_level_monotone():
     rng = np.random.default_rng(7)
     for _ in range(20):
