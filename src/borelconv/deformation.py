@@ -39,6 +39,7 @@ from .paths import (
 ENDPOINT_TOL = 1e-6       # validate: top row against gamma
 SPEED_TOL = 1e-3          # validate: relative defect of |dH| + |dH_mirror| = |dgamma|
 LENGTH_BUDGET_REL = 1e-4  # default length budget, relative to |seed+gamma|
+LENGTH_ROWS = 16          # grid rows per block of the length identity check
 
 
 def eta(points, z):
@@ -48,7 +49,9 @@ def eta(points, z):
     z = np.asarray(z, dtype=complex)
     if pts.size == 0:
         return np.full(z.shape, np.inf) if z.shape else math.inf
-    d = np.abs(z[..., None] - pts).min(axis=-1)
+    # reduce over the points on the leading axis: a minimum over a short
+    # inner axis per element costs several times more
+    d = np.abs(pts.reshape((-1,) + (1,) * z.ndim) - z).min(axis=0)
     return d if z.shape else float(d)
 
 
@@ -75,9 +78,11 @@ class FlowField:
             return 0.0 + 0.0j
         return g.seg_dirs[seg] * g.length
 
-    def __call__(self, z, t: float, seg: int | None = None):
-        """The deformation field X at state z (scalar or vector) and time t,
-        on segment seg of gamma (found from t when not given).
+    def __call__(self, z, t, seg: int | None = None):
+        """The deformation field X at state z (scalar or array) and time t,
+        on segment seg of gamma (found from t when not given).  t is a
+        scalar, or a 1-D array with one time per leading row of z (stacked
+        RK4 stages).
 
         |X| <= |gamma'| always; X vanishes on the members of A and equals
         gamma' where gamma(t) - z is a member of B (in particular along
@@ -85,16 +90,21 @@ class FlowField:
         if seg is None:
             seg = self.gamma.segments_at(t)
         z = np.asarray(z, dtype=complex)
+        g = self.gamma.points_at(t, seg)
+        if np.ndim(t):
+            g = g.reshape(g.shape + (1,) * (z.ndim - 1))
         ea = eta(self.pts_a, z)
-        eb = eta(self.pts_b, self.gamma.points_at(t, seg) - z)
+        eb = eta(self.pts_b, g - z)
         chi = ea + eb
         m = float(np.min(chi))
         if m < self.min_chi:
             self.min_chi = m
         if m <= self.eps_den:
+            t_min = t[np.unravel_index(np.argmin(chi), chi.shape)[0]] if np.ndim(t) else t
             raise ChiGuardError(
-                f"flow denominator {m:.3e} <= {self.eps_den:.3e} at t={t:.6f}: "
-                "the path passes too close to a plain-sum point at this level"
+                f"flow denominator {m:.3e} <= {self.eps_den:.3e} at t={t_min:.6f}: "
+                "the path passes too close to a plain-sum point at this level",
+                t=float(t_min), value=m, bound=self.eps_den,
             )
         return (ea / chi) * self.gamma_prime(seg)
 
@@ -188,9 +198,14 @@ def _length_excess(grid: DeformationGrid, g_vals: np.ndarray,
     """The length identity of a grid: the worst excess (at least 0) of
     |row| + |mirror row| over |gamma|, and the budget it must stay within
     (delta_len, or LENGTH_BUDGET_REL times |seed+gamma| when not given)."""
-    rows = np.abs(np.diff(grid.H, axis=1)).sum(axis=1)
-    mirrors = np.abs(np.diff(g_vals[None, :] - grid.H, axis=1)).sum(axis=1)
-    excess = float(np.max(rows + mirrors - grid.gamma.length))
+    # a few rows at a time: whole-grid temporaries would be twice the grid
+    worst = []
+    for i in range(0, grid.n_s + 1, LENGTH_ROWS):
+        H = grid.H[i:i + LENGTH_ROWS]
+        rows = np.abs(np.diff(H, axis=1)).sum(axis=1)
+        mirrors = np.abs(np.diff(g_vals[None, :] - H, axis=1)).sum(axis=1)
+        worst.append(np.max(rows + mirrors - grid.gamma.length))
+    excess = float(np.max(worst))
     if delta_len is None:
         delta_len = LENGTH_BUDGET_REL * grid.lambda0gamma_length
     return max(excess, 0.0), delta_len
@@ -265,8 +280,7 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
             t0, t1 = t_nodes[j], t_nodes[j + 1]
             seg = int(seg_of_step[j])
             h = t1 - t0
-            z_full = _rk4_step(field, Z, t0, h, seg)
-            z_half = _rk4_step(field, Z, t0, h / 2, seg)
+            z_full, z_half = _rk4_pair(field, Z, t0, h, seg)
             z_half = _rk4_step(field, z_half, t0 + h / 2, h / 2, seg)
             rich = max(rich, float(np.max(np.abs(z_full - z_half))) * 16.0 / 15.0)
             Z = z_full
@@ -296,6 +310,20 @@ def _rk4_step(field: FlowField, Z, t0: float, h: float, seg: int):
     k3 = field(Z + 0.5 * h * k2, t0 + 0.5 * h, seg)
     k4 = field(Z + h * k3, t0 + h, seg)
     return Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_pair(field: FlowField, Z, t0: float, h: float, seg: int):
+    """The RK4 steps of length h and h/2 from the same state Z, as rows 0
+    and 1 of one stacked state: one field call per stage, with k1 shared
+    and each row at its own stage time.  Each row has the bits of the
+    `_rk4_step` it replaces."""
+    hs = np.array([h, h / 2])
+    hc = hs[:, None]
+    k1 = field(Z, t0, seg)
+    k2 = field(Z + 0.5 * hc * k1, t0 + 0.5 * hs, seg)
+    k3 = field(Z + 0.5 * hc * k2, t0 + 0.5 * hs, seg)
+    k4 = field(Z + hc * k3, t0 + hs, seg)
+    return Z + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass

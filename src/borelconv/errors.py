@@ -18,7 +18,16 @@ class PreconditionError(BorelConvError):
 class ChiGuardError(BorelConvError):
     """The flow denominator came too close to zero: the target path passes
     too close to a point of the plain sum set at the working level.  The
-    caller should reroute the path or lower the level."""
+    caller should reroute the path or lower the level.
+
+    `t` is the flow time at which the guard tripped, `value` the smallest
+    denominator met there and `bound` the guard it fell to."""
+
+    def __init__(self, message: str, t: float, value: float, bound: float):
+        super().__init__(message)
+        self.t = t
+        self.value = value
+        self.bound = bound
 
 
 class ToleranceError(BorelConvError):

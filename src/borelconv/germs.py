@@ -45,6 +45,7 @@ SAMPLES_PER_UNIT = 64       # continue_along samples per unit path length
 TOL_MONO = 1e-4             # probe threshold on the relative defect and loop integral
 PROBE_CIRCLE_SEGMENTS = 16  # sides of the polygonal probe circle
 DETOUR_ARC_SEGMENTS = 8     # segments of each semicircle dodging a point on the route
+BLOCK_NODES = 1 << 14       # quadrature nodes per block of columns in convolve_along
 
 
 # -- germ values -----------------------------------------------------------
@@ -55,6 +56,13 @@ def _finite(z, what: str) -> complex:
     if not cmath.isfinite(z):
         raise PreconditionError(f"{what} must be finite, got {z}")
     return z
+
+
+def _coefficients(coeffs) -> tuple[complex, ...]:
+    out = tuple(_finite(c, "coefficient") for c in coeffs)
+    if not out:
+        raise PreconditionError("a germ needs at least one coefficient")
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,7 +83,7 @@ class Germ:
 
     @classmethod
     def poly(cls, coeffs) -> "Germ":
-        return cls("poly", coeffs=tuple(_finite(c, "coefficient") for c in coeffs))
+        return cls("poly", coeffs=_coefficients(coeffs))
 
     @classmethod
     def pole(cls, a) -> "Germ":
@@ -96,8 +104,7 @@ class Germ:
         radius = float(radius)
         if not (radius > 0.0 and math.isfinite(radius)):
             raise PreconditionError(f"series radius must be positive and finite, got {radius}")
-        return cls("series", coeffs=tuple(_finite(c, "coefficient") for c in coeffs),
-                   radius=radius)
+        return cls("series", coeffs=_coefficients(coeffs), radius=radius)
 
     @property
     def validity_radius(self) -> float:
@@ -237,6 +244,11 @@ def _tail_check(z: complex, germ: Germ, deg: int, log_m0: float,
         )
 
 
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """0 followed by the running sums of x along its last axis."""
+    return np.concatenate([np.zeros(x.shape[:-1] + (1,)), np.cumsum(x, axis=-1)], axis=-1)
+
+
 @dataclass
 class _Frames:
     """Local data of a germ continued along a sampled polyline."""
@@ -253,7 +265,10 @@ class _Frames:
 
 def _continue_frames(germ: Germ, pts: np.ndarray, prefix: np.ndarray,
                      fset: FilteredSet, cfg: ConvolveConfig) -> _Frames:
-    if abs(pts[0]) > POINT_TOL:
+    """Frames of a germ continued along the polyline pts (last axis, with
+    arclength prefixes `prefix`).  Closed forms take any leading axes, one
+    polyline per row; a series walks one polyline."""
+    if np.any(np.abs(pts[..., 0]) > POINT_TOL):
         raise PreconditionError("continuation must start at the centre")
     radii = local_radii(pts, prefix, fset)
 
@@ -272,12 +287,11 @@ def _continue_frames(germ: Germ, pts: np.ndarray, prefix: np.ndarray,
         if np.min(np.abs(u)) <= POINT_TOL / abs(germ.a):
             raise PreconditionError("path passes through the log parameter")
         du = np.abs(np.diff(u))
-        if np.any(du >= 0.95 * np.abs(u[:-1])):
+        if np.any(du >= 0.95 * np.abs(u[..., :-1])):
             raise ToleranceError(
                 "sampling too coarse near the branch point for branch tracking"
             )
-        theta = np.angle(u[0]) + np.concatenate(
-            [[0.0], np.cumsum(np.angle(u[1:] / u[:-1]))])
+        theta = np.angle(u[..., :1]) + _prefix_sums(np.angle(u[..., 1:] / u[..., :-1]))
         vals = np.log(np.abs(u)) + 1j * theta
         wind = np.rint((theta - np.angle(u)) / TWO_PI).astype(int)
         return _Frames(germ, pts, prefix, vals, radii, u=u, windings=wind)
@@ -336,8 +350,9 @@ def _series_frames(germ: Germ, pts: np.ndarray, prefix: np.ndarray,
 
 def _frames_eval(frames: _Frames, z: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Evaluate the continued germ at points z, each near its anchor sample
-    (same shape arrays); branches and local series are taken from the
-    anchor."""
+    (anchors index the last axis of the frames; z has the frames' leading
+    axes followed by the shape of anchors); branches and local series are
+    taken from the anchor."""
     g = frames.germ
     if g.kind == "poly":
         return np.polynomial.polynomial.polyval(z, np.asarray(g.coeffs))
@@ -345,10 +360,10 @@ def _frames_eval(frames: _Frames, z: np.ndarray, anchors: np.ndarray) -> np.ndar
         return 1.0 / (g.a - z)
     if g.kind == "log_pole":
         u = 1.0 - z / g.a
-        ua = frames.u[anchors]
+        ua = np.take(frames.u, anchors, axis=-1)
         if np.any(np.abs(u - ua) >= 0.95 * np.abs(ua)):
             raise ToleranceError("grid too coarse near the branch point")
-        return frames.values[anchors] + np.log(u / ua)
+        return np.take(frames.values, anchors, axis=-1) + np.log(u / ua)
     if g.kind == "series":
         dz = z - frames.pts[anchors]
         if np.any(np.abs(dz) >= np.maximum(frames.radii[anchors], 0.0)):
@@ -357,7 +372,9 @@ def _frames_eval(frames: _Frames, z: np.ndarray, anchors: np.ndarray) -> np.ndar
         powers = np.ones(z.shape + (deg + 1,), dtype=complex)
         for m in range(1, deg + 1):
             powers[..., m] = powers[..., m - 1] * dz
-        return np.sum(frames.coeffs[anchors] * powers, axis=-1)
+        terms = frames.coeffs[anchors]
+        terms *= powers  # in place: one array of terms fewer alive
+        return np.sum(terms, axis=-1)
     raise PreconditionError(f"unknown germ kind {g.kind!r}")
 
 
@@ -432,20 +449,35 @@ def _cell_rule(n_s: int, n_q: int):
     return out
 
 
-def _check_column(pts: np.ndarray, fset: FilteredSet, level: float):
-    """A contour column must avoid the members of the set at the working
-    level (apart from its start at the centre)."""
+def _check_columns(pts: np.ndarray, fset: FilteredSet, level: float):
+    """Contour columns (pts[:, k] is column k) must avoid the members of
+    the set at the working level (apart from their start at the centre)."""
     members = fset.points[fset.levels < level]
     if len(members):
-        d = _segment_distances(members, pts[:-1], pts[1:])
+        d = _segment_distances(members, pts[:-1].ravel(), pts[1:].ravel())
         if np.min(d) <= 1e-9:
             raise PreconditionError(
                 "contour column hits a filtration point at the working level"
             )
 
 
-def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j: int,
-                n_q: int = 16, cfg: ConvolveConfig | None = None) -> complex:
+def _germ_on_columns(germ: Germ, pts: np.ndarray, fset: FilteredSet,
+                     cfg: ConvolveConfig, z: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """A germ continued along each row of pts (one column of the contour
+    per row) and evaluated at that row's quadrature points z[k]."""
+    prefix = _prefix_sums(np.abs(np.diff(pts)))
+    if germ.kind != "series":
+        return _frames_eval(_continue_frames(germ, pts, prefix, fset, cfg), z, anchors)
+    # the re-expansion walk follows one column at a time
+    out = np.empty(z.shape, dtype=complex)
+    for k in range(len(pts)):
+        frames = _continue_frames(germ, pts[k], prefix[k], fset, cfg)
+        out[k] = _frames_eval(frames, z[k], anchors)
+    return out
+
+
+def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j,
+                n_q: int = 16, cfg: ConvolveConfig | None = None):
     """Value of the convolution at gamma(t_j) on a deformation grid.
 
     Integrates phi(H(s)) * psi(gamma(t_j) - H(s)) * dH/ds over the column
@@ -453,6 +485,9 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j: int,
     first set, psi along the mirror column against the second; between
     samples the contour is a local cubic and the quadrature is composite
     Gauss-Legendre of order n_q per cell.
+
+    j is one time index (the value is a complex) or a 1-D array of them
+    (the values are an array, one per index, integrated as one block).
     """
     cfg = cfg or ConvolveConfig()
     n_s = grid.n_s
@@ -460,35 +495,46 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j: int,
         # order >= 2 integrates the interpolant derivative exactly per cell,
         # which keeps constant integrands telescoping to the endpoint
         raise PreconditionError("quadrature order must be at least 2")
-    if not 0 <= j <= grid.n_t:
-        raise PreconditionError(f"time index {j} outside the grid")
-    col = grid.H[:, j]
-    mir = mirror(col)
-    gj = col[-1]
-    _check_column(col, grid.set_a, grid.level)
-    _check_column(mir, grid.set_b, grid.level)
-
-    pref_col = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(col)))])
-    pref_mir = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(mir)))])
-    frames_phi = _continue_frames(phi, col, pref_col, grid.set_a, cfg)
-    frames_psi = _continue_frames(psi, mir, pref_mir, grid.set_b, cfg)
+    js = np.asarray(j)
+    if js.ndim > 1 or not np.issubdtype(js.dtype, np.integer):
+        raise PreconditionError(f"time index must be an integer or a 1-D integer array, got {j!r}")
+    js = js.reshape(-1)
+    bad = js[(js < 0) | (js > grid.n_t)]
+    if len(bad):
+        raise PreconditionError(f"time index {bad[0]} outside the grid")
+    if not len(js):
+        return np.empty(0, dtype=complex)
+    cols = grid.H[:, js]
+    mirs = mirror(cols)
+    gj = cols[-1]
+    _check_columns(cols, grid.set_a, grid.level)
+    _check_columns(mirs, grid.set_b, grid.level)
+    cols, mirs = cols.T, mirs.T  # one column per row
 
     xi, w, stencils, bval, bder = _cell_rule(n_s, n_q)
     h = 1.0 / n_s
-    samples = col[stencils]                  # (n_s, 4)
-    Z = np.einsum("cm,cmg->cg", samples, bval)
-    dZ = np.einsum("cm,cmg->cg", samples, bder) / h
+    samples = cols[:, stencils]              # (J, n_s, 4)
+    Z = np.einsum("jcm,cmg->jcg", samples, bval)
 
     cells = np.arange(n_s)[:, None]
     anchor_phi = np.where(xi[None, :] < 0.5, cells, cells + 1)
     anchor_psi = n_s - anchor_phi
 
-    phi_vals = _frames_eval(frames_phi, Z, anchor_phi)
-    psi_vals = _frames_eval(frames_psi, gj - Z, anchor_psi)
-    value = complex(np.sum(w[None, :] * phi_vals * psi_vals * dZ) * h)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+    # the integrand w * phi * psi * dZ is built in place, in that order, so
+    # that few (J, n_s, n_q) arrays are alive at once
+    psi_vals = _germ_on_columns(psi, mirs, grid.set_b, cfg, gj[:, None, None] - Z, anchor_psi)
+    integrand = _germ_on_columns(phi, cols, grid.set_a, cfg, Z, anchor_phi)
+    del Z
+    np.multiply(w, integrand, out=integrand)
+    integrand *= psi_vals
+    del psi_vals
+    dZ = np.einsum("jcm,cmg->jcg", samples, bder)
+    dZ /= h
+    integrand *= dZ
+    values = integrand.reshape(len(js), -1).sum(axis=1) * h
+    if not np.all(np.isfinite(values)):
         raise ToleranceError("non-finite convolution quadrature")
-    return value
+    return values if np.ndim(j) else complex(values[0])
 
 
 def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
@@ -498,18 +544,25 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
 
     Builds the deformation grid for (gamma, set_a, set_b) at the working
     level (midpoint of the admissible interval of seed+gamma against the
-    fine sum when not configured), then integrates every time column.  The
-    radius estimates in the returned trace are feasibility radii against
-    the fine sum.
+    fine sum when not configured), then integrates the time columns in
+    blocks of about BLOCK_NODES quadrature nodes.  The radius estimates in
+    the returned trace are feasibility radii against the fine sum.
     """
     cfg = cfg or ConvolveConfig()
     fine = set_a.fine_sum(set_b)
     _, iv = seed_levels(gamma, fine)
     level = cfg.level if cfg.level is not None else 0.5 * (iv.lower + iv.upper)
     grid = deform(gamma, set_a, set_b, level, n_s=cfg.n_s, n_t=cfg.n_t)
-    values = np.array(
-        [convolve_at(phi, psi, grid, j, n_q=cfg.n_q, cfg=cfg)
-         for j in range(grid.n_t + 1)], dtype=complex)
+    js = np.arange(grid.n_t + 1)
+    # a series germ is walked and evaluated one column at a time, so a
+    # block of such columns would only hold more memory
+    if "series" in (phi.kind, psi.kind):
+        block = 1
+    else:
+        block = max(1, BLOCK_NODES // (grid.n_s * cfg.n_q))
+    values = np.concatenate(
+        [convolve_at(phi, psi, grid, js[k:k + block], n_q=cfg.n_q, cfg=cfg)
+         for k in range(0, len(js), block)])
     prefix = abs(gamma.start) + grid.t_nodes * gamma.length
     radii = local_radii(grid.gamma_values(), prefix, fine)
     return ContinuationTrace(gamma, grid.t_nodes.copy(), values, radii, grid=grid)

@@ -170,6 +170,16 @@ def test_exit_2_on_malformed_germ(tmp_path, doc):
     assert main(["convolve", phi, one, g, t, t, "-o", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("doc", [{"kind": "poly", "coeffs": []},
+                                 {"kind": "series", "coeffs": [], "radius": 1.0}])
+def test_exit_3_on_germ_without_coefficients(tmp_path, doc):
+    phi = write(tmp_path / "phi.json", doc)
+    one = write(tmp_path / "one.json", {"kind": "poly", "coeffs": [[1.0, 0.0]]})
+    t = write(tmp_path / "t.json", set_doc([], 5.0))
+    g = write(tmp_path / "g.json", path_doc([0.2 + 0.1j, 0.6 + 0.3j]))
+    assert main(["convolve", phi, one, g, t, t, "-o", str(tmp_path / "out")]) == 3
+
+
 def test_exit_2_on_non_list_vertices_or_entries(tmp_path):
     p = write(tmp_path / "p.json", {"vertices": 5})
     s = write(tmp_path / "s.json", set_doc([], 5.0))

@@ -16,7 +16,7 @@ from borelconv import (
     mirror,
     validate,
 )
-from borelconv.deformation import _t_nodes_for
+from borelconv.deformation import _rk4_pair, _rk4_step, _t_nodes_for
 
 
 def straight_config():
@@ -44,6 +44,29 @@ def test_eta_single_point():
 def test_eta_vectorized():
     d = eta([0, 1], np.array([0.25, 0.75, 2.0]))
     assert np.allclose(d, [0.25, 0.25, 1.0])
+
+
+def eta_reference(points, z):
+    """Distance to the nearest point, reduced over a trailing points axis."""
+    pts = np.asarray(points, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    if pts.size == 0:
+        return np.full(z.shape, np.inf)
+    return np.abs(z[..., None] - pts).min(axis=-1)
+
+
+@pytest.mark.parametrize("n_points", [0, 1, 2, 50])
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+def test_eta_bits_equal_reference(n_points, shape):
+    rng = np.random.default_rng(n_points + len(shape))
+    pts = rng.normal(size=n_points) + 1j * rng.normal(size=n_points)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = eta(pts, z)
+    if shape:
+        assert got.shape == shape
+    else:
+        assert isinstance(got, float)
+    assert np.asarray(got).tobytes() == eta_reference(pts, z).tobytes()
 
 
 # -- vector field -------------------------------------------------------------------
@@ -109,6 +132,35 @@ def test_field_explicit_segment_at_step_end_nodes():
     assert np.any(gamma.points_at(t_nodes[1:], seg_of_step) != gamma.points_at(t_nodes[1:]))
 
 
+def test_field_takes_one_time_per_row():
+    gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j])
+    f = field_for(gamma, FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [(2, 2.0)], 6.0), 2.5)
+    zs = np.linspace(0.05, 0.2, 6) * (1 + 0.5j)
+    ts = np.array([0.1, 0.3])
+    got = f(np.stack([zs, 2 * zs]), ts, 0)
+    assert got[0].tobytes() == f(zs, ts[0], 0).tobytes()
+    assert got[1].tobytes() == f(2 * zs, ts[1], 0).tobytes()
+
+
+def test_rk4_pair_bits_equal_two_steps():
+    gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j, 0.1 + 0.35j])
+    a = FilteredSet(0, [(1, 1.0)], 6.0)
+    b = FilteredSet(0, [(2, 2.0)], 6.0)
+    t_nodes, seg_of_step = _t_nodes_for(gamma, 32)
+    Z = np.linspace(0.0, 1.0, 17) * gamma.start
+    for j in (0, 9, 31):
+        t0, h, seg = t_nodes[j], t_nodes[j + 1] - t_nodes[j], int(seg_of_step[j])
+        paired, stepped = field_for(gamma, a, b, 2.5), field_for(gamma, a, b, 2.5)
+        calls = []
+        counted = lambda *args: calls.append(1) or paired(*args)  # noqa: E731
+        z_full, z_half = _rk4_pair(counted, Z, t0, h, seg)
+        assert len(calls) == 4
+        assert z_full.tobytes() == _rk4_step(stepped, Z, t0, h, seg).tobytes()
+        assert z_half.tobytes() == _rk4_step(stepped, Z, t0, h / 2, seg).tobytes()
+        assert paired.min_chi == stepped.min_chi
+        Z = z_full
+
+
 def test_field_guard_raises_on_plain_sum_pair():
     # state at the first set's entry while gamma(t) - state sits at the
     # second set's entry: denominator exactly zero
@@ -120,6 +172,10 @@ def test_field_guard_raises_on_plain_sum_pair():
     assert abs(gamma.point_at(t) - 2.0) < 1e-12
     with pytest.raises(ChiGuardError):
         f(1.0 + 0j, t)
+    # stacked rows: the error names the time of the row that tripped
+    with pytest.raises(ChiGuardError) as info:
+        f(np.array([[0.1 + 0j], [1.0 + 0j]]), np.array([0.5, t]))
+    assert info.value.t == t and info.value.value == 0.0
 
 
 # -- deform ---------------------------------------------------------------------------
@@ -197,12 +253,39 @@ def test_deform_guard_trips_near_fine_sum_point():
         deform(gamma, a, b, 2.2, n_s=16, n_t=64, eps_den=1e-2)
 
 
+def test_guard_error_names_time_value_and_bound():
+    a = FilteredSet(0, [(1, 1.0)], 6.0)
+    b = FilteredSet(0, [], 6.0)
+    gamma = Path([0.25, 1 + 1e-3j, 1.75])
+    with pytest.raises(ChiGuardError) as info:
+        deform(gamma, a, b, 2.2, n_s=16, n_t=64, eps_den=1e-2)
+    err = info.value
+    assert all(isinstance(x, float) for x in (err.t, err.value, err.bound))
+    assert err.bound == 1e-2
+    assert err.value <= err.bound
+    assert 0.0 <= err.t <= 1.0
+    assert f"t={err.t:.6f}" in str(err)
+
+
 def test_deform_length_tolerance_violation():
     a = FilteredSet(0, [(0.26j, 0.3)], 3.0)
     b = FilteredSet(0, [(2.0, 2.0)], 3.0)
     gamma = Path([0.2 + 0.2j, 0.8 + 0.2j])
     with pytest.raises(ToleranceError):
         deform(gamma, a, b, 1.5, n_s=16, n_t=32, delta_len=1e-18)
+
+
+def test_length_residual_bits_equal_whole_grid_formula():
+    gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j, 0.1 + 0.35j])
+    a = FilteredSet(0, [(1, 1.0)], 6.0)
+    b = FilteredSet(0, [(2, 2.0)], 6.0)
+    grid = deform(gamma, a, b, 2.5, n_s=40, n_t=128)  # 41 rows: a short last block
+    g_vals = grid.gamma_values()
+    rows = np.abs(np.diff(grid.H, axis=1)).sum(axis=1)
+    mirrors = np.abs(np.diff(g_vals[None, :] - grid.H, axis=1)).sum(axis=1)
+    want = max(float(np.max(rows + mirrors - gamma.length)), 0.0)
+    assert grid.length_residual == want
+    assert validate(grid).length_residual == want
 
 
 def test_deform_constant_gamma():

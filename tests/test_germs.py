@@ -74,6 +74,12 @@ def test_germ_parameter_validation():
         Germ.series([1], 0.0)
 
 
+@pytest.mark.parametrize("make", [lambda: Germ.poly([]), lambda: Germ.series([], 1.0)])
+def test_germ_rejects_empty_coefficients(make):
+    with pytest.raises(PreconditionError, match="at least one coefficient"):
+        make()
+
+
 # -- continuation ----------------------------------------------------------------
 
 
@@ -207,6 +213,84 @@ def test_convolve_at_rejects_bad_index():
     grid = deform(Path([0.25, 0.5]), a, b, 2.5, n_s=16, n_t=16)
     with pytest.raises(PreconditionError):
         convolve_at(Germ.poly([1]), Germ.poly([1]), grid, 99)
+
+
+BLOCK_GERMS = {
+    "poly": (Germ.poly([1, 0.5j, -0.25]), Germ.poly([0.3, 1])),
+    "pole": (Germ.pole(1), Germ.pole(2)),
+    "log_pole": (Germ.log_pole(1), Germ.log_pole(2)),
+    "series": (Germ.series([1.0] * 48, 1.0),
+               Germ.series([0.5 ** (k + 1) for k in range(48)], 2.0)),
+}
+
+
+def block_grid():
+    a, b = pole_pair_sets()
+    return deform(Path([0.25, 0.4 + 0.1j, 0.5]), a, b, 2.5, n_s=16, n_t=16)
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_GERMS))
+def test_convolve_at_block_equals_columns(kind):
+    phi, psi = BLOCK_GERMS[kind]
+    grid = block_grid()
+    js = np.arange(grid.n_t + 1)
+    # blocks of 5 columns over 17: the last block holds 2
+    blocks = [convolve_at(phi, psi, grid, js[k:k + 5], n_q=6) for k in range(0, len(js), 5)]
+    assert [len(v) for v in blocks] == [5, 5, 5, 2]
+    single = np.array([convolve_at(phi, psi, grid, int(j), n_q=6) for j in js])
+    assert np.concatenate(blocks).tobytes() == single.tobytes()
+    shuffled = js[::-3]
+    assert convolve_at(phi, psi, grid, shuffled, n_q=6).tobytes() == single[shuffled].tobytes()
+    assert convolve_at(phi, psi, grid, js[:0], n_q=6).shape == (0,)
+
+
+def unblocked_pole_column(a, b, grid, j, n_q):
+    """The one-column quadrature of a pole pair, written out: local cubics
+    per cell, Gauss nodes, anchors unused by closed forms."""
+    from borelconv.germs import _cell_rule
+
+    col = grid.H[:, j]
+    xi, w, stencils, bval, bder = _cell_rule(grid.n_s, n_q)
+    h = 1.0 / grid.n_s
+    samples = col[stencils]
+    Z = np.einsum("cm,cmg->cg", samples, bval)
+    dZ = np.einsum("cm,cmg->cg", samples, bder) / h
+    return complex(np.sum(w[None, :] * (1.0 / (a - Z)) * (1.0 / (b - (col[-1] - Z))) * dZ) * h)
+
+
+def test_convolve_at_block_matches_unblocked_column_formula():
+    grid = block_grid()
+    js = np.arange(grid.n_t + 1)
+    got = convolve_at(Germ.pole(1), Germ.pole(2), grid, js, n_q=6)
+    want = np.array([unblocked_pole_column(1.0, 2.0, grid, j, 6) for j in js])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("j", [np.array([0, 3, 17]), np.array([-1, 2]), [0, 99],
+                               np.array([[0, 1]]), np.array([0.0, 1.0])])
+def test_convolve_at_rejects_bad_index_in_block(j):
+    grid = block_grid()
+    with pytest.raises(PreconditionError):
+        convolve_at(Germ.pole(1), Germ.pole(2), grid, j, n_q=6)
+
+
+# blocks of 3 columns over 17 (the last holds 2); a series goes column by column
+@pytest.mark.parametrize("kind, sizes", [("log_pole", [3] * 5 + [2]), ("series", [1] * 17)])
+def test_convolve_along_blocks_equal_columns(monkeypatch, kind, sizes):
+    from borelconv import germs
+
+    phi, psi = BLOCK_GERMS[kind]
+    a, b = pole_pair_sets()
+    cfg = ConvolveConfig(n_s=16, n_t=16, n_q=6)
+    monkeypatch.setattr(germs, "BLOCK_NODES", 3 * 16 * 6 + 5)
+    calls = []
+    block_kernel = germs.convolve_at
+    monkeypatch.setattr(germs, "convolve_at",
+                        lambda *args, **kw: calls.append(len(args[3])) or block_kernel(*args, **kw))
+    tr = convolve_along(phi, psi, Path([0.25, 0.4 + 0.1j, 0.5]), a, b, cfg)
+    assert calls == sizes
+    single = np.array([block_kernel(phi, psi, tr.grid, j, n_q=6) for j in range(17)])
+    assert tr.values.tobytes() == single.tobytes()
 
 
 # -- convolve_along -----------------------------------------------------------------
