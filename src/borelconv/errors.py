@@ -32,4 +32,4 @@ class ChiGuardError(BorelConvError):
 
 class ToleranceError(BorelConvError):
     """A numerical tolerance could not be met (length identity violated,
-    series step underflow, re-expansion tail too large, ...)."""
+    series evaluated outside its assured disc or with too large a tail, ...)."""

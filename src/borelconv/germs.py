@@ -2,8 +2,8 @@
 
 Germ backends: closed forms (polynomials, simple poles 1/(a - z),
 logarithms log(1 - z/a) with branch tracking) give exact reference values;
-truncated power series exercise the re-expansion walk whose step length is
-driven by the feasible ball radius along the path.
+truncated power series are evaluated directly inside their assured disc,
+with the Taylor tail estimate checked at every evaluation point.
 
 The convolution of two germs at a point gamma(t) is the contour integral
 of phi(h) * psi(gamma(t) - h) over a deformed contour h = H_t(s) produced
@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,12 +35,11 @@ from .paths import (
     _segment_distances,
     admissible_levels,
     local_radii,
-    local_radius,
+    local_radius,  # noqa: F401  (no caller here; perfbench counts calls through germs.local_radius)
 )
 
 TWO_PI = 2.0 * math.pi
 
-STEP_SAFETY = 0.5           # series step <= STEP_SAFETY * feasible radius
 TOL_TAIL = 1e-9             # series tail estimate budget, relative to the value
 SAMPLES_PER_UNIT = 64       # continue_along samples per unit path length
 TOL_MONO = 1e-4             # probe threshold on the relative defect and loop integral
@@ -143,7 +143,11 @@ class ConvolveConfig:
     n_s: int = 128                  # contour cells per time node
     n_t: int = 256                  # time steps along gamma
     n_q: int = 16                   # Gauss-Legendre order per cell
-    n_ser: int = 64                 # cap on the series re-expansion degree
+    n_ser: int = 64                 # cap on the series degree
+
+    def __post_init__(self):
+        if not isinstance(self.n_ser, numbers.Integral) or self.n_ser < 0:
+            raise PreconditionError(f"n_ser must be a non-negative integer, got {self.n_ser!r}")
 
 
 # -- continuation traces ----------------------------------------------------
@@ -179,29 +183,6 @@ class ContinuationTrace:
 
 # -- internal frames: per-sample local data for one continuation -----------
 
-@functools.lru_cache(maxsize=None)
-def _pascal(n: int) -> np.ndarray:
-    """Binomial matrix P[k, m] = C(k, m), 0 <= m <= k <= n (read-only,
-    shared between calls)."""
-    P = np.zeros((n + 1, n + 1))
-    P[:, 0] = 1.0
-    for k in range(1, n + 1):
-        P[k, 1:k + 1] = P[k - 1, :k] + P[k - 1, 1:k + 1]
-    P.flags.writeable = False
-    return P
-
-
-def _shift_series(coeffs: np.ndarray, delta: complex) -> np.ndarray:
-    """Taylor coefficients re-expanded at centre + delta (same degree)."""
-    n = len(coeffs) - 1
-    P = _pascal(n)
-    dp = np.power(delta, np.arange(n + 1))
-    out = np.empty(n + 1, dtype=complex)
-    for m in range(n + 1):
-        out[m] = np.dot(coeffs[m:] * P[m:, m], dp[: n + 1 - m])
-    return out
-
-
 def _log_tail_coeff(coeffs: np.ndarray, r0: float) -> float:
     """log of the Cauchy-style tail scale max |c_k| r0^k over the top
     coefficients; -inf for a plain polynomial tail of zeros."""
@@ -214,34 +195,48 @@ def _log_tail_coeff(coeffs: np.ndarray, r0: float) -> float:
     return float(np.max(np.log(tail[tail > 0.0]) + ks * math.log(r0)))
 
 
-def _tail_check(z: complex, germ: Germ, deg: int, log_m0: float,
-                value_scale: float):
-    """Truncation error of the continued series at the point z.
+def _log_tail(log_m0: float, deg: int, q):
+    """log of the truncation tail estimate M0 q^(deg+1) / (1 - q) at
+    q = |z| / radius < 1 (a scalar or an array); it grows with q."""
+    with np.errstate(divide="ignore"):
+        return log_m0 + (deg + 1) * np.log(q) - np.log(1.0 - q)
 
-    Re-expanding a truncated series is exact polynomial composition, so the
-    walk reproduces the original degree-N polynomial everywhere; the error
-    against the underlying function is the original Taylor tail at the
-    current point, estimated as M0 * q^(N+1) / (1 - q) with q = |z| / r0.
-    Beyond the assured radius the truncated germ carries no information at
-    all and the continuation must refuse.
+
+def _series_values(germ: Germ, deg: int, z: np.ndarray) -> np.ndarray:
+    """A series germ truncated to degree deg, evaluated at the points z.
+
+    The truncated series at the centre is the continuation along every path
+    inside the assured disc, so it is evaluated directly (Horner, in place).
+    Beyond the disc a truncated series carries no information and the
+    evaluation refuses; inside it, the error against the underlying function
+    is the Taylor tail, which must stay within TOL_TAIL * max(1, |value|) at
+    every point.
     """
-    if log_m0 == -math.inf:
-        return
-    q = abs(z) / germ.radius
-    if q >= 1.0:
+    c = np.asarray(germ.coeffs[: deg + 1], dtype=complex)
+    r_max = float(np.max(np.abs(z)))
+    q_max = r_max / germ.radius
+    if q_max >= 1.0:
         raise ToleranceError(
-            f"series continuation left the assured disc (|z| = {abs(z):.6g}, "
+            f"series continuation left the assured disc (|z| = {r_max:.6g}, "
             f"radius {germ.radius:.6g}); a truncated series carries no "
             "information beyond its disc of convergence"
         )
-    if q <= 0.0:
-        return
-    log_est = log_m0 + (deg + 1) * math.log(q) - math.log(1.0 - q)
-    if log_est > math.log(TOL_TAIL * max(1.0, value_scale)):
-        raise ToleranceError(
-            "series re-expansion tail estimate above tolerance; "
-            "increase the degree or keep the path deeper inside the disc"
-        )
+    v = np.full(z.shape, c[-1])
+    for ck in c[-2::-1]:
+        v *= z
+        v += ck
+    log_m0 = _log_tail_coeff(c, germ.radius)
+    # the estimate grows with q and the budget is at least log TOL_TAIL, so
+    # the largest q passing means every point passes
+    if _log_tail(log_m0, deg, q_max) > math.log(TOL_TAIL):
+        over = _log_tail(log_m0, deg, np.abs(z) / germ.radius) > np.log(
+            TOL_TAIL * np.maximum(1.0, np.abs(v)))
+        if np.any(over):
+            raise ToleranceError(
+                "series tail estimate above tolerance; increase the degree "
+                "or keep the path deeper inside the disc"
+            )
+    return v
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
@@ -254,33 +249,31 @@ class _Frames:
     """Local data of a germ continued along a sampled polyline."""
 
     germ: Germ
-    pts: np.ndarray
-    prefix: np.ndarray
     values: np.ndarray
     radii: np.ndarray
     u: np.ndarray | None = None          # log_pole: 1 - pts/a
     windings: np.ndarray | None = None   # log_pole: integer branch counts
-    coeffs: np.ndarray | None = None     # series: (n, deg+1) local coefficients
+    deg: int | None = None               # series: truncation degree
 
 
 def _continue_frames(germ: Germ, pts: np.ndarray, prefix: np.ndarray,
                      fset: FilteredSet, cfg: ConvolveConfig) -> _Frames:
     """Frames of a germ continued along the polyline pts (last axis, with
-    arclength prefixes `prefix`).  Closed forms take any leading axes, one
-    polyline per row; a series walks one polyline."""
+    arclength prefixes `prefix`), with any leading axes, one polyline per
+    row."""
     if np.any(np.abs(pts[..., 0]) > POINT_TOL):
         raise PreconditionError("continuation must start at the centre")
     radii = local_radii(pts, prefix, fset)
 
     if germ.kind == "poly":
         vals = np.polynomial.polynomial.polyval(pts, np.asarray(germ.coeffs))
-        return _Frames(germ, pts, prefix, np.asarray(vals, complex), radii)
+        return _Frames(germ, np.asarray(vals, complex), radii)
 
     if germ.kind == "pole":
         d = germ.a - pts
         if np.min(np.abs(d)) <= POINT_TOL:
             raise PreconditionError("path passes through the pole parameter")
-        return _Frames(germ, pts, prefix, 1.0 / d, radii)
+        return _Frames(germ, 1.0 / d, radii)
 
     if germ.kind == "log_pole":
         u = 1.0 - pts / germ.a
@@ -294,65 +287,20 @@ def _continue_frames(germ: Germ, pts: np.ndarray, prefix: np.ndarray,
         theta = np.angle(u[..., :1]) + _prefix_sums(np.angle(u[..., 1:] / u[..., :-1]))
         vals = np.log(np.abs(u)) + 1j * theta
         wind = np.rint((theta - np.angle(u)) / TWO_PI).astype(int)
-        return _Frames(germ, pts, prefix, vals, radii, u=u, windings=wind)
+        return _Frames(germ, vals, radii, u=u, windings=wind)
 
     if germ.kind == "series":
-        return _series_frames(germ, pts, prefix, fset, cfg, radii)
+        deg = min(len(germ.coeffs) - 1, cfg.n_ser)
+        return _Frames(germ, _series_values(germ, deg, pts), radii, deg=deg)
 
     raise PreconditionError(f"unknown germ kind {germ.kind!r}")
-
-
-def _series_frames(germ: Germ, pts: np.ndarray, prefix: np.ndarray,
-                   fset: FilteredSet, cfg: ConvolveConfig,
-                   radii: np.ndarray) -> _Frames:
-    deg = min(len(germ.coeffs) - 1, cfg.n_ser)
-    cur = np.asarray(germ.coeffs[: deg + 1], dtype=complex)
-    log_m0 = _log_tail_coeff(cur, germ.radius)
-    n = len(pts)
-    coeffs = np.empty((n, deg + 1), dtype=complex)
-    coeffs[0] = cur
-    zc = complex(pts[0])
-    sc = float(prefix[0])
-    rc = min(local_radius(zc, sc, fset), germ.radius)
-    scale = max(1.0, float(pts[-1].real ** 2 + pts[-1].imag ** 2) ** 0.5,
-                float(prefix[-1]))
-    substeps = 0
-    for k in range(1, n):
-        target, starget = complex(pts[k]), float(prefix[k])
-        while True:
-            d = target - zc
-            dist = abs(d)
-            if dist == 0.0:
-                break
-            cap = STEP_SAFETY * rc
-            if cap <= 1e-9 * scale:
-                raise ToleranceError(
-                    "series step underflow: the path runs too close to the "
-                    "boundary for the configured degree"
-                )
-            if dist <= cap:
-                delta, zn, sn = d, target, starget
-            else:
-                f = cap / dist
-                delta, zn, sn = d * f, zc + d * f, sc + (starget - sc) * f
-            cur = _shift_series(cur, delta)
-            zc, sc = zn, sn
-            rc = local_radius(zc, sc, fset)
-            _tail_check(zc, germ, deg, log_m0, float(abs(cur[0])))
-            substeps += 1
-            if substeps > 100000:
-                raise ToleranceError("series walk did not terminate")
-            if zc == target:
-                break
-        coeffs[k] = cur
-    return _Frames(germ, pts, prefix, coeffs[:, 0].copy(), radii, coeffs=coeffs)
 
 
 def _frames_eval(frames: _Frames, z: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Evaluate the continued germ at points z, each near its anchor sample
     (anchors index the last axis of the frames; z has the frames' leading
-    axes followed by the shape of anchors); branches and local series are
-    taken from the anchor."""
+    axes followed by the shape of anchors); logarithm branches are taken
+    from the anchor."""
     g = frames.germ
     if g.kind == "poly":
         return np.polynomial.polynomial.polyval(z, np.asarray(g.coeffs))
@@ -365,16 +313,7 @@ def _frames_eval(frames: _Frames, z: np.ndarray, anchors: np.ndarray) -> np.ndar
             raise ToleranceError("grid too coarse near the branch point")
         return np.take(frames.values, anchors, axis=-1) + np.log(u / ua)
     if g.kind == "series":
-        dz = z - frames.pts[anchors]
-        if np.any(np.abs(dz) >= np.maximum(frames.radii[anchors], 0.0)):
-            raise ToleranceError("evaluation point outside the local series disc")
-        deg = frames.coeffs.shape[1] - 1
-        powers = np.ones(z.shape + (deg + 1,), dtype=complex)
-        for m in range(1, deg + 1):
-            powers[..., m] = powers[..., m - 1] * dz
-        terms = frames.coeffs[anchors]
-        terms *= powers  # in place: one array of terms fewer alive
-        return np.sum(terms, axis=-1)
+        return _series_values(g, frames.deg, z)
     raise PreconditionError(f"unknown germ kind {g.kind!r}")
 
 
@@ -387,10 +326,11 @@ def continue_along(germ: Germ, path: Path, fset: FilteredSet,
 
     Closed-form germs are evaluated directly with branch tracking for the
     logarithm (the winding accumulates the signed angle swept around the
-    parameter per step).  Series germs are continued by re-expansion steps
-    bounded by half the feasible ball radius at the current prefix.  The
-    path must start at the centre and, for pole and log germs, avoid the
-    parameter exactly.
+    parameter per step).  A series germ, truncated to degree n_ser, is its
+    own continuation inside the assured disc and is evaluated there
+    directly; a sample outside the disc, or one where the tail estimate
+    exceeds TOL_TAIL, is refused.  The path must start at the centre and,
+    for pole and log germs, avoid the parameter exactly.
     """
     cfg = cfg or ConvolveConfig()
     if abs(fset.centre) > POINT_TOL:
@@ -466,14 +406,7 @@ def _germ_on_columns(germ: Germ, pts: np.ndarray, fset: FilteredSet,
     """A germ continued along each row of pts (one column of the contour
     per row) and evaluated at that row's quadrature points z[k]."""
     prefix = _prefix_sums(np.abs(np.diff(pts)))
-    if germ.kind != "series":
-        return _frames_eval(_continue_frames(germ, pts, prefix, fset, cfg), z, anchors)
-    # the re-expansion walk follows one column at a time
-    out = np.empty(z.shape, dtype=complex)
-    for k in range(len(pts)):
-        frames = _continue_frames(germ, pts[k], prefix[k], fset, cfg)
-        out[k] = _frames_eval(frames, z[k], anchors)
-    return out
+    return _frames_eval(_continue_frames(germ, pts, prefix, fset, cfg), z, anchors)
 
 
 def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j,
@@ -554,12 +487,7 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
     level = cfg.level if cfg.level is not None else 0.5 * (iv.lower + iv.upper)
     grid = deform(gamma, set_a, set_b, level, n_s=cfg.n_s, n_t=cfg.n_t)
     js = np.arange(grid.n_t + 1)
-    # a series germ is walked and evaluated one column at a time, so a
-    # block of such columns would only hold more memory
-    if "series" in (phi.kind, psi.kind):
-        block = 1
-    else:
-        block = max(1, BLOCK_NODES // (grid.n_s * cfg.n_q))
+    block = max(1, BLOCK_NODES // (grid.n_s * cfg.n_q))
     values = np.concatenate(
         [convolve_at(phi, psi, grid, js[k:k + block], n_q=cfg.n_q, cfg=cfg)
          for k in range(0, len(js), block)])

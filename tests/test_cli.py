@@ -180,6 +180,15 @@ def test_exit_3_on_germ_without_coefficients(tmp_path, doc):
     assert main(["convolve", phi, one, g, t, t, "-o", str(tmp_path / "out")]) == 3
 
 
+@pytest.mark.parametrize("nser", ["-1", "-60"])
+def test_exit_3_on_negative_nser(tmp_path, nser):
+    ser = write(tmp_path / "ser.json", {"kind": "series", "coeffs": [[1.0, 0.0]] * 4, "radius": 1.0})
+    t = write(tmp_path / "t.json", set_doc([], 5.0))
+    g = write(tmp_path / "g.json", path_doc([0.2 + 0.1j, 0.4 + 0.2j]))
+    assert main(["convolve", ser, ser, g, t, t, "--ns", "16", "--nt", "16", "--nq", "4",
+                 "--nser", nser, "-o", str(tmp_path / "out")]) == 3
+
+
 def test_exit_2_on_non_list_vertices_or_entries(tmp_path):
     p = write(tmp_path / "p.json", {"vertices": 5})
     s = write(tmp_path / "s.json", set_doc([], 5.0))

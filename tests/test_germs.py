@@ -141,6 +141,74 @@ def test_continue_series_refuses_outside_assured_disc():
         continue_along(Germ.series([1.0] * 64, 1.0), Path([0, 0.5j, 1.4 + 0.5j]), s)
 
 
+def test_series_with_zero_tail_refuses_outside_assured_disc():
+    # a zero tail has no truncation error, but the disc still bounds the germ
+    ser = Germ.series([1.0] + [0.0] * 8, 0.5)
+    s = FilteredSet(0, [(1, 1.0)], 10.0)
+    with pytest.raises(PreconditionError):
+        eval_local(ser, 0.9)
+    with pytest.raises(ToleranceError):
+        continue_along(ser, Path([0, 0.9]), s)
+    a, b = pole_pair_sets()
+    with pytest.raises(ToleranceError):
+        convolve_along(ser, Germ.pole(2), Path([0.25, 0.9]), a, b,
+                       ConvolveConfig(n_s=16, n_t=16, n_q=6))
+
+
+def test_convolve_series_refuses_large_tail():
+    a, b = pole_pair_sets()
+    with pytest.raises(ToleranceError, match="tail estimate"):
+        convolve_along(Germ.series([1.0] * 8, 1.0), Germ.pole(2), Path([0.25, 0.5]), a, b,
+                       ConvolveConfig(n_s=16, n_t=16, n_q=6))
+
+
+def test_series_tail_precheck_agrees_with_per_point_check():
+    from borelconv.germs import TOL_TAIL, _log_tail, _log_tail_coeff, _series_values
+
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(8, 65))
+        ser = Germ.series([1.0] * n, 1.0)
+        deg = min(n - 1, int(rng.integers(4, 70)))
+        z = rng.uniform(0.0, rng.uniform(0.2, 0.95), 6) * np.exp(2j * math.pi * rng.uniform(size=6))
+        v = np.polynomial.polynomial.polyval(z, np.ones(deg + 1))
+        log_m0 = _log_tail_coeff(np.ones(deg + 1), 1.0)
+        pre_pass = _log_tail(log_m0, deg, np.max(np.abs(z))) <= math.log(TOL_TAIL)
+        refuse = np.any(_log_tail(log_m0, deg, np.abs(z))
+                        > np.log(TOL_TAIL * np.maximum(1.0, np.abs(v))))
+        assert not (pre_pass and refuse)
+        seen.add((bool(pre_pass), bool(refuse)))
+        if refuse:
+            with pytest.raises(ToleranceError):
+                _series_values(ser, deg, z)
+        else:
+            assert np.allclose(_series_values(ser, deg, z), v, rtol=1e-14, atol=0)
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
+def test_series_horner_matches_polyval_bits():
+    from borelconv.germs import _series_values
+
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 17, 48):
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ser = Germ.series(c * 1e-12, 1.0)
+        z = 0.4 * (rng.uniform(-1, 1, (5, 7)) + 1j * rng.uniform(-1, 1, (5, 7)))
+        want = np.polynomial.polynomial.polyval(z, c * 1e-12)
+        assert _series_values(ser, n - 1, z).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_ser", [-1, -60, 2.5, "64", None])
+def test_convolve_config_rejects_bad_n_ser(n_ser):
+    with pytest.raises(PreconditionError, match="n_ser"):
+        ConvolveConfig(n_ser=n_ser)
+
+
+def test_convolve_config_accepts_numpy_integer_n_ser():
+    assert ConvolveConfig(n_ser=np.int64(0)).n_ser == 0
+
+
 def test_trace_samples_ordered_and_finite():
     s = FilteredSet(0, [(1, 1.0)], 6.0)
     tr = continue_along(Germ.pole(1), Path([0, 0.3, 0.5 - 0.2j]), s)
@@ -274,8 +342,8 @@ def test_convolve_at_rejects_bad_index_in_block(j):
         convolve_at(Germ.pole(1), Germ.pole(2), grid, j, n_q=6)
 
 
-# blocks of 3 columns over 17 (the last holds 2); a series goes column by column
-@pytest.mark.parametrize("kind, sizes", [("log_pole", [3] * 5 + [2]), ("series", [1] * 17)])
+# blocks of 3 columns over 17 (the last holds 2), for closed forms and series alike
+@pytest.mark.parametrize("kind, sizes", [("log_pole", [3] * 5 + [2]), ("series", [3] * 5 + [2])])
 def test_convolve_along_blocks_equal_columns(monkeypatch, kind, sizes):
     from borelconv import germs
 
@@ -348,6 +416,26 @@ def test_convolve_series_backend_matches_pole_backend():
     psi_series = Germ.series([0.5 * 0.5 ** k for k in range(64)], 2.0)
     tr_mixed = convolve_along(Germ.pole(1), psi_series, gamma, a, b, cfg)
     assert np.max(np.abs(tr_pole.values - tr_mixed.values)) < 1e-8
+
+
+def series_series_oracle(a, b, z):
+    """Exact convolution of two polynomials: z^m * z^n = m! n! / (m+n+1)! z^(m+n+1)."""
+    c = np.zeros(len(a) + len(b), dtype=complex)
+    for m, am in enumerate(a):
+        for n, bn in enumerate(b):
+            c[m + n + 1] += am * bn * (math.factorial(m) * math.factorial(n)
+                                       / math.factorial(m + n + 1))
+    return np.polynomial.polynomial.polyval(z, c)
+
+
+@pytest.mark.parametrize("vertices", [[0.25, 0.3j, -0.3 + 0.3j, -0.45],
+                                      [0.25, 0.35 + 0.15j, 0.5 - 0.1j]])
+def test_convolve_series_series_matches_taylor_oracle(vertices):
+    phi, psi = BLOCK_GERMS["series"]
+    a, b = pole_pair_sets()
+    tr = convolve_along(phi, psi, Path(vertices), a, b, ConvolveConfig(n_s=16, n_t=16, n_q=6))
+    want = series_series_oracle(phi.coeffs, psi.coeffs, tr.grid.gamma_values())
+    assert np.max(np.abs(tr.values - want) / np.abs(want)) <= 1e-12
 
 
 def test_convolve_log_pole_matches_quadrature_and_commutes():
