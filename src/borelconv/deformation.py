@@ -72,17 +72,18 @@ class FlowField:
         self.eps_den = (1e-8 * max(1.0, self.speed)) if eps_den is None else float(eps_den)
         self.min_chi = math.inf
 
-    def gamma_prime(self, seg: int) -> complex:
+    def gamma_prime(self, seg):
+        """gamma' on segment seg (an int, or an array of them)."""
         g = self.gamma
         if g.is_constant():
             return 0.0 + 0.0j
         return g.seg_dirs[seg] * g.length
 
-    def __call__(self, z, t, seg: int | None = None):
+    def __call__(self, z, t, seg=None):
         """The deformation field X at state z (scalar or array) and time t,
         on segment seg of gamma (found from t when not given).  t is a
         scalar, or a 1-D array with one time per leading row of z (stacked
-        RK4 stages).
+        RK4 stages); seg is then one segment for all rows or one per row.
 
         |X| <= |gamma'| always; X vanishes on the members of A and equals
         gamma' where gamma(t) - z is a member of B (in particular along
@@ -91,8 +92,11 @@ class FlowField:
             seg = self.gamma.segments_at(t)
         z = np.asarray(z, dtype=complex)
         g = self.gamma.points_at(t, seg)
+        dg = self.gamma_prime(seg)
         if np.ndim(t):
-            g = g.reshape(g.shape + (1,) * (z.ndim - 1))
+            rows = (1,) * (z.ndim - 1)
+            g = g.reshape(g.shape + rows)
+            dg = np.reshape(dg, np.shape(dg) + rows)
         ea = eta(self.pts_a, z)
         eb = eta(self.pts_b, g - z)
         chi = ea + eb
@@ -106,7 +110,7 @@ class FlowField:
                 "the path passes too close to a plain-sum point at this level",
                 t=float(t_min), value=m, bound=self.eps_den,
             )
-        return (ea / chi) * self.gamma_prime(seg)
+        return (ea / chi) * dg
 
 
 def _allocate_steps(seg_lengths, n_total: int):
@@ -276,16 +280,7 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
         for j in range(1, n_t_eff + 1):
             H[:, j] = Z
     else:
-        for j in range(n_t_eff):
-            t0, t1 = t_nodes[j], t_nodes[j + 1]
-            seg = int(seg_of_step[j])
-            h = t1 - t0
-            z_full, z_half = _rk4_pair(field, Z, t0, h, seg)
-            z_half = _rk4_step(field, z_half, t0 + h / 2, h / 2, seg)
-            rich = max(rich, float(np.max(np.abs(z_full - z_half))) * 16.0 / 15.0)
-            Z = z_full
-            Z[0] = 0.0  # the centre trajectory is frozen exactly
-            H[:, j + 1] = Z
+        rich = _rk4_stacked(field, H, t_nodes, seg_of_step)
 
     grid = DeformationGrid(
         gamma=gamma, set_a=set_a, set_b=set_b, level=float(level),
@@ -304,26 +299,54 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
     return grid
 
 
-def _rk4_step(field: FlowField, Z, t0: float, h: float, seg: int):
-    k1 = field(Z, t0, seg)
-    k2 = field(Z + 0.5 * h * k1, t0 + 0.5 * h, seg)
-    k3 = field(Z + 0.5 * h * k2, t0 + 0.5 * h, seg)
-    k4 = field(Z + h * k3, t0 + h, seg)
-    return Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float:
+    """Classical RK4 from the state H[:, 0] over the time nodes, writing the
+    state after step j into H[:, j + 1] with the centre frozen at 0, and
+    returning the Richardson estimate: the largest 16/15 |full step - two
+    half steps| over all steps.
 
-
-def _rk4_pair(field: FlowField, Z, t0: float, h: float, seg: int):
-    """The RK4 steps of length h and h/2 from the same state Z, as rows 0
-    and 1 of one stacked state: one field call per stage, with k1 shared
-    and each row at its own stage time.  Each row has the bits of the
-    `_rk4_step` it replaces."""
-    hs = np.array([h, h / 2])
-    hc = hs[:, None]
-    k1 = field(Z, t0, seg)
-    k2 = field(Z + 0.5 * hc * k1, t0 + 0.5 * hs, seg)
-    k3 = field(Z + 0.5 * hc * k2, t0 + 0.5 * hs, seg)
-    k4 = field(Z + hc * k3, t0 + hs, seg)
-    return Z + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    One field call per stage evaluates every row of a stacked state.  Step
+    j stacks its full step and its first half step (rows 0 and 1, sharing
+    k1) with the second half step of step j - 1 (row 2), which needs only
+    that step's first half; a last call set after the final step takes the
+    second half of it.  So a step costs 4 field calls, where its three
+    single-state steps take 12, and each row has the bits of the
+    single-state step it replaces: its own
+    start time, step size and segment, and the same operations in the same
+    order.
+    """
+    n_t = len(t_nodes) - 1
+    rich = 0.0
+    pending = None  # step j - 1: its unfrozen full step and its second half step
+    for j in range(n_t + 1):
+        starts = []  # (state, time, segment): one k1 each
+        rows = []    # (index of the start, step size)
+        if j < n_t:
+            t0, seg = t_nodes[j], int(seg_of_step[j])
+            h = t_nodes[j + 1] - t0
+            starts.append((H[:, j], t0, seg))
+            rows += [(0, h), (0, h / 2)]
+        if pending is not None:
+            z_full, half_start, h_half = pending
+            starts.append(half_start)
+            rows.append((len(starts) - 1, h_half))
+        Z, ts, segs = (np.array(x) for x in zip(*starts))
+        k1 = field(Z, ts, segs)
+        idx = [i for i, _ in rows]
+        Z, ts, segs, k1 = Z[idx], ts[idx], segs[idx], k1[idx]
+        hs = np.array([step for _, step in rows])
+        hc = hs[:, None]
+        k2 = field(Z + 0.5 * hc * k1, ts + 0.5 * hs, segs)
+        k3 = field(Z + 0.5 * hc * k2, ts + 0.5 * hs, segs)
+        k4 = field(Z + hc * k3, ts + hs, segs)
+        out = Z + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if pending is not None:
+            rich = max(rich, float(np.max(np.abs(z_full - out[-1]))) * 16.0 / 15.0)
+        if j < n_t:
+            pending = out[0], (out[1], t0 + h / 2, seg), h / 2
+            H[:, j + 1] = out[0]
+            H[0, j + 1] = 0.0  # the centre trajectory is frozen exactly
+    return rich
 
 
 @dataclass
@@ -429,15 +452,22 @@ def validate(grid: DeformationGrid, delta_len: float | None = None) -> Validatio
     g_vals = grid.gamma_values()
     endpoint = float(np.max(np.abs(grid.H[-1, :] - g_vals)))
 
+    # the speed identity and chi on the grid nodes, LENGTH_ROWS rows at a
+    # time as in _length_excess
     d_gamma = np.abs(np.diff(g_vals))
-    d_rows = np.abs(np.diff(grid.H, axis=1))
-    d_mirror = np.abs(np.diff(g_vals[None, :] - grid.H, axis=1))
     mask = d_gamma > 0
-    if mask.any():
-        resid = np.abs(d_rows[:, mask] + d_mirror[:, mask] - d_gamma[mask]) / d_gamma[mask]
-        speed_resid = float(np.max(resid))
-    else:
-        speed_resid = 0.0
+    pts_a = grid.set_a.at_level(grid.level)
+    pts_b = grid.set_b.at_level(grid.level)
+    resid, chi = [], []
+    for i in range(0, grid.n_s + 1, LENGTH_ROWS):
+        H = grid.H[i:i + LENGTH_ROWS]
+        d_rows = np.abs(np.diff(H, axis=1))[:, mask]
+        d_rows += np.abs(np.diff(g_vals[None, :] - H, axis=1))[:, mask]
+        resid.append(np.max(np.abs(d_rows - d_gamma[mask]) / d_gamma[mask], initial=-math.inf))
+        chi.append(np.min(eta(pts_a, H) + eta(pts_b, g_vals - H)))
+    speed_resid = float(np.max(resid)) if mask.any() else 0.0
+    chi_grid = float(np.min(chi)) if not grid.gamma.is_constant() else math.inf
+    min_chi = min(grid.min_chi, chi_grid)
 
     len_resid, delta_len = _length_excess(grid, g_vals, delta_len)
 
@@ -453,13 +483,6 @@ def validate(grid: DeformationGrid, delta_len: float | None = None) -> Validatio
         all_ok = all_ok and ok
         l1, l2 = split if ok else (math.nan, math.nan)
         rows.append(RowAdmissibility(float(s_nodes[i]), iv_a, iv_b, l1, l2, ok))
-
-    # recheck chi on the stored grid nodes as well
-    chi_grid = math.inf
-    if not grid.gamma.is_constant():
-        chi_grid = float(np.min(eta(grid.set_a.at_level(grid.level), grid.H)
-                                + eta(grid.set_b.at_level(grid.level), g_vals - grid.H)))
-    min_chi = min(grid.min_chi, chi_grid)
 
     rep = ValidationReport(
         endpoint_error=endpoint, speed_residual=speed_resid,

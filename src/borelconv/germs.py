@@ -250,30 +250,26 @@ class _Frames:
 
     germ: Germ
     values: np.ndarray
-    radii: np.ndarray
     u: np.ndarray | None = None          # log_pole: 1 - pts/a
     windings: np.ndarray | None = None   # log_pole: integer branch counts
     deg: int | None = None               # series: truncation degree
 
 
-def _continue_frames(germ: Germ, pts: np.ndarray, prefix: np.ndarray,
-                     fset: FilteredSet, cfg: ConvolveConfig) -> _Frames:
-    """Frames of a germ continued along the polyline pts (last axis, with
-    arclength prefixes `prefix`), with any leading axes, one polyline per
-    row."""
+def _continue_frames(germ: Germ, pts: np.ndarray, cfg: ConvolveConfig) -> _Frames:
+    """Frames of a germ continued along the polyline pts (last axis), with
+    any leading axes, one polyline per row."""
     if np.any(np.abs(pts[..., 0]) > POINT_TOL):
         raise PreconditionError("continuation must start at the centre")
-    radii = local_radii(pts, prefix, fset)
 
     if germ.kind == "poly":
         vals = np.polynomial.polynomial.polyval(pts, np.asarray(germ.coeffs))
-        return _Frames(germ, np.asarray(vals, complex), radii)
+        return _Frames(germ, np.asarray(vals, complex))
 
     if germ.kind == "pole":
         d = germ.a - pts
         if np.min(np.abs(d)) <= POINT_TOL:
             raise PreconditionError("path passes through the pole parameter")
-        return _Frames(germ, 1.0 / d, radii)
+        return _Frames(germ, 1.0 / d)
 
     if germ.kind == "log_pole":
         u = 1.0 - pts / germ.a
@@ -287,11 +283,11 @@ def _continue_frames(germ: Germ, pts: np.ndarray, prefix: np.ndarray,
         theta = np.angle(u[..., :1]) + _prefix_sums(np.angle(u[..., 1:] / u[..., :-1]))
         vals = np.log(np.abs(u)) + 1j * theta
         wind = np.rint((theta - np.angle(u)) / TWO_PI).astype(int)
-        return _Frames(germ, vals, radii, u=u, windings=wind)
+        return _Frames(germ, vals, u=u, windings=wind)
 
     if germ.kind == "series":
         deg = min(len(germ.coeffs) - 1, cfg.n_ser)
-        return _Frames(germ, _series_values(germ, deg, pts), radii, deg=deg)
+        return _Frames(germ, _series_values(germ, deg, pts), deg=deg)
 
     raise PreconditionError(f"unknown germ kind {germ.kind!r}")
 
@@ -345,8 +341,8 @@ def continue_along(germ: Germ, path: Path, fset: FilteredSet,
             raise PreconditionError("path passes through the germ parameter")
     n = int(math.ceil(SAMPLES_PER_UNIT * max(1.0, path.length)))
     ts, pts, ss = path.sample(n)
-    frames = _continue_frames(germ, pts, ss, fset, cfg)
-    return ContinuationTrace(path, ts, frames.values, frames.radii,
+    frames = _continue_frames(germ, pts, cfg)
+    return ContinuationTrace(path, ts, frames.values, local_radii(pts, ss, fset),
                              windings=frames.windings)
 
 
@@ -401,12 +397,32 @@ def _check_columns(pts: np.ndarray, fset: FilteredSet, level: float):
             )
 
 
-def _germ_on_columns(germ: Germ, pts: np.ndarray, fset: FilteredSet,
-                     cfg: ConvolveConfig, z: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+def _germ_on_columns(germ: Germ, pts: np.ndarray, cfg: ConvolveConfig,
+                     z: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """A germ continued along each row of pts (one column of the contour
     per row) and evaluated at that row's quadrature points z[k]."""
-    prefix = _prefix_sums(np.abs(np.diff(pts)))
-    return _frames_eval(_continue_frames(germ, pts, prefix, fset, cfg), z, anchors)
+    return _frames_eval(_continue_frames(germ, pts, cfg), z, anchors)
+
+
+def _checked_columns(grid: DeformationGrid, js: np.ndarray):
+    """Columns js of the grid and their mirrors, one per row, after the
+    check that each avoids the members of its set."""
+    cols = grid.H[:, js]
+    mirs = mirror(cols)
+    _check_columns(cols, grid.set_a, grid.level)
+    _check_columns(mirs, grid.set_b, grid.level)
+    return cols.T, mirs.T
+
+
+def _local_cubic(cols: np.ndarray, stencils: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The local cubics of each column (one per row) at the Gauss nodes of
+    every cell: the four stencil samples of the cell times their basis
+    values, summed in stencil order."""
+    lo = stencils[:, 0]
+    out = cols[:, lo, None] * basis[:, 0]
+    for m in range(1, 4):
+        out += cols[:, lo + m, None] * basis[:, m]
+    return out
 
 
 def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j,
@@ -437,17 +453,12 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j,
         raise PreconditionError(f"time index {bad[0]} outside the grid")
     if not len(js):
         return np.empty(0, dtype=complex)
-    cols = grid.H[:, js]
-    mirs = mirror(cols)
-    gj = cols[-1]
-    _check_columns(cols, grid.set_a, grid.level)
-    _check_columns(mirs, grid.set_b, grid.level)
-    cols, mirs = cols.T, mirs.T  # one column per row
+    cols, mirs = _checked_columns(grid, js)
+    gj = cols[:, -1]
 
     xi, w, stencils, bval, bder = _cell_rule(n_s, n_q)
     h = 1.0 / n_s
-    samples = cols[:, stencils]              # (J, n_s, 4)
-    Z = np.einsum("jcm,cmg->jcg", samples, bval)
+    Z = _local_cubic(cols, stencils, bval)     # (J, n_s, n_q)
 
     cells = np.arange(n_s)[:, None]
     anchor_phi = np.where(xi[None, :] < 0.5, cells, cells + 1)
@@ -455,13 +466,13 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j,
 
     # the integrand w * phi * psi * dZ is built in place, in that order, so
     # that few (J, n_s, n_q) arrays are alive at once
-    psi_vals = _germ_on_columns(psi, mirs, grid.set_b, cfg, gj[:, None, None] - Z, anchor_psi)
-    integrand = _germ_on_columns(phi, cols, grid.set_a, cfg, Z, anchor_phi)
+    psi_vals = _germ_on_columns(psi, mirs, cfg, gj[:, None, None] - Z, anchor_psi)
+    integrand = _germ_on_columns(phi, cols, cfg, Z, anchor_phi)
     del Z
     np.multiply(w, integrand, out=integrand)
     integrand *= psi_vals
     del psi_vals
-    dZ = np.einsum("jcm,cmg->jcg", samples, bder)
+    dZ = _local_cubic(cols, stencils, bder)
     dZ /= h
     integrand *= dZ
     values = integrand.reshape(len(js), -1).sum(axis=1) * h
@@ -471,8 +482,8 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j,
 
 
 def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
-                   set_b: FilteredSet,
-                   cfg: ConvolveConfig | None = None) -> ContinuationTrace:
+                   set_b: FilteredSet, cfg: ConvolveConfig | None = None,
+                   t_from: float = 0.0) -> ContinuationTrace:
     """Convolution of two germs continued along gamma.
 
     Builds the deformation grid for (gamma, set_a, set_b) at the working
@@ -480,20 +491,40 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
     fine sum when not configured), then integrates the time columns in
     blocks of about BLOCK_NODES quadrature nodes.  The radius estimates in
     the returned trace are feasibility radii against the fine sum.
+
+    The trace starts at the time node nearest the parameter t_from.  The
+    columns before it are not integrated, but they still pass every check
+    their samples decide: each set against its column or mirror column, and
+    each germ continued along it.  Pole and poly germs check nothing else
+    (the finiteness of the integrated value aside); log and series germs
+    also check their quadrature nodes, so with one of those every column is
+    integrated.
     """
     cfg = cfg or ConvolveConfig()
+    if not 0.0 <= t_from <= 1.0:
+        raise PreconditionError(f"t_from must lie in [0, 1], got {t_from}")
     fine = set_a.fine_sum(set_b)
     _, iv = seed_levels(gamma, fine)
     level = cfg.level if cfg.level is not None else 0.5 * (iv.lower + iv.upper)
     grid = deform(gamma, set_a, set_b, level, n_s=cfg.n_s, n_t=cfg.n_t)
+    first = int(np.argmin(np.abs(grid.t_nodes - t_from)))
+    n_skip = first if {phi.kind, psi.kind} <= {"pole", "poly"} else 0
     js = np.arange(grid.n_t + 1)
     block = max(1, BLOCK_NODES // (grid.n_s * cfg.n_q))
-    values = np.concatenate(
-        [convolve_at(phi, psi, grid, js[k:k + block], n_q=cfg.n_q, cfg=cfg)
-         for k in range(0, len(js), block)])
-    prefix = abs(gamma.start) + grid.t_nodes * gamma.length
-    radii = local_radii(grid.gamma_values(), prefix, fine)
-    return ContinuationTrace(gamma, grid.t_nodes.copy(), values, radii, grid=grid)
+    values = []
+    for k in range(0, len(js), block):
+        b = js[k:k + block]
+        if b[0] < n_skip:
+            cols, mirs = _checked_columns(grid, b[b < n_skip])
+            _continue_frames(psi, mirs, cfg)
+            _continue_frames(phi, cols, cfg)
+            b = b[b >= n_skip]
+        if len(b):
+            values.append(convolve_at(phi, psi, grid, b, n_q=cfg.n_q, cfg=cfg))
+    values = np.concatenate(values)[first - n_skip:]
+    ts = grid.t_nodes[first:]
+    radii = local_radii(grid.gamma_values()[first:], abs(gamma.start) + ts * gamma.length, fine)
+    return ContinuationTrace(gamma, ts.copy(), values, radii, grid=grid)
 
 
 # -- singularity probe -------------------------------------------------------
@@ -501,6 +532,10 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
 
 @dataclass
 class ProbeReport:
+    """Outcome of a loop probe.  `trace` holds the circle only: its times,
+    values and radii run from the circle's first vertex to the end of the
+    loop, while its `path` and `grid` are the whole loop's."""
+
     classification: str
     defect_rel: float
     ring_rel: float
@@ -590,26 +625,20 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     loop = Path(route + circle)
     start_index = len(route) - 1  # vertex where the circle begins and ends
 
-    trace = convolve_along(phi, psi, loop, set_a, set_b, cfg)
-    fracs = loop.vertex_fractions()
-    t_start = fracs[start_index]
-    k_start = int(np.argmin(np.abs(trace.ts - t_start)))
-    if abs(trace.ts[k_start] - t_start) > 1e-9:
+    t_start = loop.vertex_fractions()[start_index]
+    trace = convolve_along(phi, psi, loop, set_a, set_b, cfg, t_from=t_start)
+    if abs(trace.ts[0] - t_start) > 1e-9:
         raise PreconditionError("circle start did not land on a time node")
 
-    circle_vals = trace.values[k_start:]
-    circle_pts = trace.grid.gamma_values()[k_start:]
-    scale = float(np.max(np.abs(circle_vals)))
-    scale = max(scale, 1e-300)
-    defect = abs(trace.values[-1] - trace.values[k_start]) / scale
-    ring = complex(np.sum(0.5 * (circle_vals[1:] + circle_vals[:-1])
-                          * np.diff(circle_pts)))
+    vals = trace.values  # the circle only
+    scale = max(float(np.max(np.abs(vals))), 1e-300)
+    defect = abs(vals[-1] - vals[0]) / scale
+    ring = complex(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(loop.points_at(trace.ts))))
     ring_rel = abs(ring) / (TWO_PI * radius * scale)
     singular = defect > TOL_MONO or ring_rel > TOL_MONO
     return ProbeReport(
         classification="singular-like" if singular else "regular",
         defect_rel=float(defect), ring_rel=float(ring_rel), loop=loop,
         level=trace.grid.level, scale=scale,
-        value_before=complex(trace.values[k_start]),
-        value_after=complex(trace.values[-1]), trace=trace,
+        value_before=complex(vals[0]), value_after=complex(vals[-1]), trace=trace,
     )

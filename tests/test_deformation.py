@@ -16,7 +16,7 @@ from borelconv import (
     mirror,
     validate,
 )
-from borelconv.deformation import _rk4_pair, _rk4_step, _t_nodes_for
+from borelconv.deformation import _rk4_stacked, _t_nodes_for
 
 
 def straight_config():
@@ -142,23 +142,88 @@ def test_field_takes_one_time_per_row():
     assert got[1].tobytes() == f(2 * zs, ts[1], 0).tobytes()
 
 
+def rk4_step(field, Z, t0, h, seg):
+    """One classical RK4 step of a single state, the reference for the
+    stacked stepper."""
+    k1 = field(Z, t0, seg)
+    k2 = field(Z + 0.5 * h * k1, t0 + 0.5 * h, seg)
+    k3 = field(Z + 0.5 * h * k2, t0 + 0.5 * h, seg)
+    k4 = field(Z + h * k3, t0 + h, seg)
+    return Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def counted_field(field, calls):
+    return lambda *args: calls.append(1) or field(*args)
+
+
 def test_rk4_pair_bits_equal_two_steps():
+    # the stacked stepper against a full step and two half steps per step,
+    # each a separate single-state RK4 step
     gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j, 0.1 + 0.35j])
     a = FilteredSet(0, [(1, 1.0)], 6.0)
     b = FilteredSet(0, [(2, 2.0)], 6.0)
     t_nodes, seg_of_step = _t_nodes_for(gamma, 32)
-    Z = np.linspace(0.0, 1.0, 17) * gamma.start
-    for j in (0, 9, 31):
+    stacked, stepped = field_for(gamma, a, b, 2.5), field_for(gamma, a, b, 2.5)
+    H = np.empty((17, 33), dtype=complex)
+    H[:, 0] = np.linspace(0.0, 1.0, 17) * gamma.start
+    want = H.copy()
+    calls = []
+    rich = _rk4_stacked(counted_field(stacked, calls), H, t_nodes, seg_of_step)
+    assert len(calls) == 4 * 32 + 4
+    want_rich = 0.0
+    for j in range(32):
         t0, h, seg = t_nodes[j], t_nodes[j + 1] - t_nodes[j], int(seg_of_step[j])
-        paired, stepped = field_for(gamma, a, b, 2.5), field_for(gamma, a, b, 2.5)
-        calls = []
-        counted = lambda *args: calls.append(1) or paired(*args)  # noqa: E731
-        z_full, z_half = _rk4_pair(counted, Z, t0, h, seg)
-        assert len(calls) == 4
-        assert z_full.tobytes() == _rk4_step(stepped, Z, t0, h, seg).tobytes()
-        assert z_half.tobytes() == _rk4_step(stepped, Z, t0, h / 2, seg).tobytes()
-        assert paired.min_chi == stepped.min_chi
-        Z = z_full
+        z_full = rk4_step(stepped, want[:, j], t0, h, seg)
+        z_half = rk4_step(stepped, want[:, j], t0, h / 2, seg)
+        z_half = rk4_step(stepped, z_half, t0 + h / 2, h / 2, seg)
+        want_rich = max(want_rich, float(np.max(np.abs(z_full - z_half))) * 16.0 / 15.0)
+        want[:, j + 1] = z_full
+        want[0, j + 1] = 0.0
+    assert H.tobytes() == want.tobytes()
+    assert rich == want_rich and rich > 0.0
+    assert stacked.min_chi == stepped.min_chi
+
+
+def test_deform_makes_four_field_calls_per_step(monkeypatch):
+    calls = []
+    call = FlowField.__call__
+    monkeypatch.setattr(FlowField, "__call__",
+                        lambda self, *args: calls.append(1) or call(self, *args))
+    gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j])
+    a, b = FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [(2, 2.0)], 6.0)
+    deform(gamma, a, b, 2.5, n_s=16, n_t=64)
+    assert len(calls) == 4 * 64 + 4
+
+
+def test_stacked_stepper_guard_raises_on_plain_sum_pair():
+    # the configuration of test_field_guard_raises_on_plain_sum_pair: a
+    # state at the first set's entry when gamma(t) - state sits at the
+    # second set's entry
+    gamma = Path([0.25, 3.0])
+    a = FilteredSet(0, [(1, 1.0)], 6.0)
+    b = FilteredSet(0, [(1, 1.0)], 6.0)
+    t = float((2.0 - 0.25) / 2.75)
+    H = np.zeros((3, 3), dtype=complex)
+    H[:, 0] = [0.0, 0.5, 1.0]
+    t_nodes = np.array([t, t + 0.01, t + 0.02])
+    with pytest.raises(ChiGuardError):
+        rk4_step(field_for(gamma, a, b, 4.0), H[:, 0], t, 0.01, 0)
+    with pytest.raises(ChiGuardError):
+        _rk4_stacked(field_for(gamma, a, b, 4.0), H, t_nodes, np.zeros(2, dtype=int))
+
+
+def test_field_takes_one_segment_per_row():
+    gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j, 0.1 + 0.35j])
+    f = field_for(gamma, FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [(2, 2.0)], 6.0), 2.5)
+    zs = np.linspace(0.05, 0.2, 6) * (1 + 0.5j)
+    ts = np.array([0.1, 0.5, 0.8])
+    segs = np.array([0, 2, 3])
+    got = f(np.stack([zs, 2 * zs, 0.5 * zs]), ts, segs)
+    for row, z in enumerate([zs, 2 * zs, 0.5 * zs]):
+        assert got[row].tobytes() == f(z, ts[row], int(segs[row])).tobytes()
+    # without segments each row looks its own up
+    got = f(np.stack([zs, 2 * zs, 0.5 * zs]), ts)
+    assert got[1].tobytes() == f(2 * zs, ts[1]).tobytes()
 
 
 def test_field_guard_raises_on_plain_sum_pair():
@@ -286,6 +351,28 @@ def test_length_residual_bits_equal_whole_grid_formula():
     want = max(float(np.max(rows + mirrors - gamma.length)), 0.0)
     assert grid.length_residual == want
     assert validate(grid).length_residual == want
+
+
+def test_validate_residuals_bits_equal_whole_grid_formulas():
+    gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j, 0.1 + 0.35j])
+    a = FilteredSet(0, [(1, 1.0)], 6.0)
+    b = FilteredSet(0, [(2, 2.0)], 6.0)
+    grid = deform(gamma, a, b, 2.5, n_s=40, n_t=128)  # 41 rows: three blocks and a short one
+    g_vals = grid.gamma_values()
+    d_gamma = np.abs(np.diff(g_vals))
+    d_rows = np.abs(np.diff(grid.H, axis=1))
+    d_mirror = np.abs(np.diff(g_vals[None, :] - grid.H, axis=1))
+    speed = np.max(np.abs(d_rows + d_mirror - d_gamma) / d_gamma)
+    assert validate(grid).speed_residual == float(speed)
+    # the node re-check alone, against sets that put a plain-sum pair on
+    # node (20, 64), in the second block of rows: chi is 0 there only
+    z = grid.H[20, 64]
+    a2 = FilteredSet(0, [(z, 0.5)], 6.0)
+    b2 = FilteredSet(0, [(g_vals[64] - z, 0.5)], 6.0)
+    tampered = DeformationGrid(**{**vars(grid), "set_a": a2, "set_b": b2, "min_chi": math.inf})
+    chi = eta(a2.at_level(2.5), grid.H) + eta(b2.at_level(2.5), g_vals - grid.H)
+    assert np.min(chi) == 0.0 and np.sum(chi == 0.0) == 1
+    assert validate(tampered).min_chi == 0.0
 
 
 def test_deform_constant_gamma():

@@ -498,6 +498,87 @@ def test_probe_entire_convolution_regular_everywhere():
     assert rep.classification == "regular"
 
 
+PROBE_CFG = ConvolveConfig(n_s=64, n_t=256, n_q=8)
+
+
+@pytest.mark.parametrize("candidate", [1.5, 3.0])
+def test_probe_circle_equals_slice_of_full_trace(candidate):
+    a, b = pole_pair_sets()
+    phi, psi = Germ.pole(1), Germ.pole(2)
+    rep = singularity_probe(phi, psi, a, b, candidate, 0.2, cfg=PROBE_CFG)
+    full = convolve_along(phi, psi, rep.loop, a, b,
+                          dataclasses.replace(PROBE_CFG, level=rep.level))
+    # the trace holds the circle only: from its first vertex to the end
+    k = len(full.values) - len(rep.trace.values)
+    assert full.ts[k] == rep.loop.vertex_fractions()[-17]
+    assert rep.trace.ts.tobytes() == full.ts[k:].tobytes()
+    assert rep.trace.values.tobytes() == full.values[k:].tobytes()
+    assert rep.trace.radii.tobytes() == full.radii[k:].tobytes()
+    vals, pts = full.values[k:], full.grid.gamma_values()[k:]
+    scale = max(float(np.max(np.abs(vals))), 1e-300)
+    defect = abs(vals[-1] - vals[0]) / scale
+    ring = complex(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(pts)))
+    ring_rel = abs(ring) / (2 * math.pi * 0.2 * scale)
+    assert rep.defect_rel == float(defect) and rep.ring_rel == float(ring_rel)
+    want = "singular-like" if max(defect, ring_rel) > 1e-4 else "regular"
+    assert rep.classification == want == ("regular" if candidate == 1.5 else "singular-like")
+
+
+@pytest.mark.parametrize("t_from", [-0.1, 1.5, math.nan])
+def test_convolve_along_rejects_t_from_outside_the_path(t_from):
+    a, b = pole_pair_sets()
+    with pytest.raises(PreconditionError, match="t_from"):
+        convolve_along(Germ.pole(1), Germ.pole(2), Path([0.25, 0.5]), a, b,
+                       ConvolveConfig(n_s=16, n_t=16, n_q=4), t_from=t_from)
+
+
+def count_columns(monkeypatch):
+    """Columns each set's check sees and columns integrated, per probe."""
+    from borelconv import germs
+
+    seen = {"a": 0, "b": 0, "integrated": 0}
+    check, integrate = germs._check_columns, germs.convolve_at
+
+    def counted_check(pts, fset, level):
+        seen["a" if fset.points[0] == 1 else "b"] += pts.shape[1]
+        return check(pts, fset, level)
+
+    def counted_integrate(phi, psi, grid, j, **kw):
+        seen["integrated"] += len(j)
+        return integrate(phi, psi, grid, j, **kw)
+
+    monkeypatch.setattr(germs, "_check_columns", counted_check)
+    monkeypatch.setattr(germs, "convolve_at", counted_integrate)
+    return seen
+
+
+def test_probe_checks_every_column_and_integrates_the_circle(monkeypatch):
+    a, b = pole_pair_sets()
+    seen = count_columns(monkeypatch)
+    rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 3.0, 0.2, cfg=PROBE_CFG)
+    assert seen["a"] == seen["b"] == 257
+    assert seen["integrated"] == len(rep.trace.values) < 257
+
+
+def test_probe_with_log_factor_integrates_every_column(monkeypatch):
+    # log germs also check their quadrature nodes, so no column is skipped
+    a, b = pole_pair_sets()
+    seen = count_columns(monkeypatch)
+    rep = singularity_probe(Germ.pole(1), Germ.log_pole(2), a, b, 1.5, 0.2, cfg=PROBE_CFG)
+    assert seen["a"] == seen["b"] == seen["integrated"] == 257
+    assert len(rep.trace.values) < 257
+
+
+def test_probe_refuses_route_column_through_pole_parameter(monkeypatch):
+    # the seed column's middle sample is the pole parameter of phi; the
+    # column lies on the route, so it is continued but not integrated
+    a, b = pole_pair_sets()
+    seen = count_columns(monkeypatch)
+    with pytest.raises(PreconditionError, match="pole parameter"):
+        singularity_probe(Germ.pole(0.125), Germ.pole(2), a, b, 1.5, 0.2, cfg=PROBE_CFG)
+    assert seen["integrated"] == 0
+
+
 # -- serialization helpers ----------------------------------------------------------
 
 

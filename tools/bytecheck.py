@@ -1,0 +1,216 @@
+"""Dump the raw bytes of borelconv's outputs, for a byte-identity check.
+
+Usage:
+    python tools/bytecheck.py OUTDIR [--src SRC]
+
+Writes, one file per output, into OUTDIR:
+
+* deform grids for a straight, a five-vertex and a curved gamma: the bytes
+  of H and t_nodes, and min_chi, richardson_error, length_residual and
+  eps_den as exact hex floats;
+* the validate report of each grid (17-digit JSON);
+* convolve_along values, times and radii for poly, pole, log_pole and
+  series germs;
+* the five criterion-7 probes at 64x256x8: the circle's values and times,
+  defect_rel, ring_rel, scale, level and classification;
+* every file of the README command-line sequence (with `convolve --probe`),
+  `set-op saturate` of a lattice and `path-check` of a walk against it,
+  with the exit codes;
+* the error class raised, or "ok", for inputs on which a guard trips.
+
+The package is imported from SRC (default: the `src` directory of the
+checkout holding this script), so a copy of the script can dump any
+checkout.  Dump two checkouts and compare them with `diff -r`; an empty
+diff means every output kept its bits.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+SETS = {"a": ([(1, 1.0)], 6.0), "b": ([(2, 2.0)], 6.0)}
+FIVE_VERTEX = [0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j, 0.1 + 0.35j]
+CANDIDATES = (1.0, 1.5, 2.0, 2.5, 3.0)
+CIRCLE_SIDES = 16  # the probe circle's vertices end the loop
+
+
+def _hex(x) -> str:
+    return float(x).hex()
+
+
+class Dump:
+    def __init__(self, outdir: str):
+        self.outdir = outdir
+        os.makedirs(outdir, exist_ok=True)
+
+    def raw(self, name: str, arr) -> None:
+        with open(os.path.join(self.outdir, name), "wb") as f:
+            f.write(np.ascontiguousarray(arr).tobytes())
+
+    def text(self, name: str, lines) -> None:
+        with open(os.path.join(self.outdir, name), "w") as f:
+            f.write("\n".join(lines) + "\n")
+
+
+def _deform_and_validate(bc, dump: Dump) -> None:
+    from borelconv.jsonio import dumps
+
+    a = bc.FilteredSet(0, *SETS["a"])
+    b = bc.FilteredSet(0, *SETS["b"])
+    cases = {
+        "straight": (bc.Path([0.25, 0.5]), a, b, 2.5, 64, 256),
+        "five_vertex": (bc.Path(FIVE_VERTEX), a, b, 2.5, 40, 128),
+        "curved": (bc.Path([0.2 + 0.2j, 0.8 + 0.2j]),
+                   bc.FilteredSet(0, [(0.26j, 0.3)], 3.0),
+                   bc.FilteredSet(0, [(2.0, 2.0)], 3.0), 1.5, 16, 64),
+    }
+    for name, (gamma, sa, sb, level, n_s, n_t) in cases.items():
+        grid = bc.deform(gamma, sa, sb, level, n_s=n_s, n_t=n_t)
+        dump.raw(f"deform_{name}_H.bin", grid.H)
+        dump.raw(f"deform_{name}_t_nodes.bin", grid.t_nodes)
+        dump.text(f"deform_{name}_scalars.txt", [
+            f"{k} {_hex(getattr(grid, k))}"
+            for k in ("min_chi", "richardson_error", "length_residual", "eps_den")])
+        dump.text(f"validate_{name}.json", [dumps(bc.validate(grid).to_dict())])
+        if name == "five_vertex":
+            rep = bc.validate(grid, delta_len=1e-3)
+            dump.text(f"validate_{name}_delta.json", [dumps(rep.to_dict())])
+
+
+def _convolutions(bc, dump: Dump) -> None:
+    a = bc.FilteredSet(0, *SETS["a"])
+    b = bc.FilteredSet(0, *SETS["b"])
+    G = bc.Germ
+    series_phi = G.series([1.0] * 48, 1.0)
+    series_psi = G.series([0.5 ** (k + 1) for k in range(48)], 2.0)
+    cases = {
+        "poly": (G.poly([1.0, 2.0, 0.5j]), G.pole(2), bc.Path([0.25, 0.5 + 0.1j]), (32, 64, 8)),
+        "pole": (G.pole(1), G.pole(2), bc.Path(FIVE_VERTEX[:3]), (32, 64, 16)),
+        "log_pole": (G.log_pole(1), G.pole(2), bc.Path(FIVE_VERTEX), (32, 64, 8)),
+        "series": (series_phi, series_psi, bc.Path([0.25, 0.5]), (16, 16, 8)),
+    }
+    for name, (phi, psi, gamma, (n_s, n_t, n_q)) in cases.items():
+        cfg = bc.ConvolveConfig(n_s=n_s, n_t=n_t, n_q=n_q)
+        trace = bc.convolve_along(phi, psi, gamma, a, b, cfg)
+        for field in ("values", "ts", "radii"):
+            dump.raw(f"convolve_{name}_{field}.bin", getattr(trace, field))
+
+
+def _probes(bc, dump: Dump) -> None:
+    a = bc.FilteredSet(0, *SETS["a"])
+    b = bc.FilteredSet(0, *SETS["b"])
+    cfg = bc.ConvolveConfig(n_s=64, n_t=256, n_q=8)
+    for c in CANDIDATES:
+        rep = bc.singularity_probe(bc.Germ.pole(1), bc.Germ.pole(2), a, b, c, 0.2, cfg=cfg)
+        # the circle runs from the loop's 17th-last vertex to its end
+        t_start = rep.loop.vertex_fractions()[-CIRCLE_SIDES - 1]
+        k = int(np.argmin(np.abs(rep.trace.ts - t_start)))
+        dump.raw(f"probe_{c}_circle_values.bin", rep.trace.values[k:])
+        dump.raw(f"probe_{c}_circle_ts.bin", rep.trace.ts[k:])
+        dump.text(f"probe_{c}.txt", [
+            rep.classification,
+            *(f"{k} {_hex(getattr(rep, k))}"
+              for k in ("defect_rel", "ring_rel", "scale", "level")),
+            *(f"{k} {_hex(getattr(rep, k).real)} {_hex(getattr(rep, k).imag)}"
+              for k in ("value_before", "value_after")),
+        ])
+
+
+def _guards(bc, dump: Dump) -> None:
+    """The error class each guard case raises, or "ok"."""
+    F, P, G = bc.FilteredSet, bc.Path, bc.Germ
+    a, b = F(0, *SETS["a"]), F(0, *SETS["b"])
+    empty = F(0, [], 6.0)
+    tiny = bc.ConvolveConfig(n_s=64, n_t=256, n_q=8)
+    cases = {
+        "deform_chi_guard": lambda: bc.deform(P([0.25, 1 + 1e-3j, 1.75]), a, empty, 2.2,
+                                              n_s=16, n_t=64, eps_den=1e-2),
+        "deform_length_budget": lambda: bc.deform(
+            P([0.2 + 0.2j, 0.8 + 0.2j]), F(0, [(0.26j, 0.3)], 3.0),
+            F(0, [(2.0, 2.0)], 3.0), 1.5, n_s=16, n_t=32, delta_len=1e-18),
+        "deform_not_allowed": lambda: bc.deform(P([0.25, 1.0]), a, a, 2.5),
+        "convolve_series_disc": lambda: bc.convolve_along(
+            G.series([1.0] + [0.0] * 8, 0.5), G.pole(2), P([0.25, 0.9]), a, b, tiny),
+        **{f"probe_pole_log_{c}": (lambda c=c: bc.singularity_probe(
+            G.pole(1), G.log_pole(2), a, b, c, 0.2, cfg=tiny)) for c in CANDIDATES},
+        **{f"probe_log_pole_{c}": (lambda c=c: bc.singularity_probe(
+            G.log_pole(1), G.pole(2), a, b, c, 0.2, cfg=tiny)) for c in CANDIDATES},
+    }
+    lines = []
+    for name, run in cases.items():
+        try:
+            run()
+            outcome = "ok"
+        except bc.BorelConvError as exc:
+            outcome = type(exc).__name__
+        lines.append(f"{name} {outcome}")
+    dump.text("guards.txt", lines)
+
+
+def _cli(src: str, dump: Dump) -> None:
+    work = os.path.join(dump.outdir, "cli")
+    os.makedirs(work, exist_ok=True)
+
+    def write(name, doc):
+        with open(os.path.join(work, name), "w") as f:
+            json.dump(doc, f)
+
+    def set_doc(entries, horizon):
+        return {"centre": [0, 0], "horizon": horizon,
+                "entries": [{"z": [z.real, z.imag], "level": lv} for z, lv in entries]}
+
+    write("a.json", set_doc([(1, 1.0)], 6.0))
+    write("b.json", set_doc([(2, 2.0)], 6.0))
+    write("gamma.json", {"vertices": [[0.25, 0], [0.5, 0]]})
+    write("lam.json", {"vertices": [[0, 0], [0.5, 0]]})
+    write("phi.json", {"kind": "pole", "a": [1, 0]})
+    write("lattice.json", set_doc([(1, 1.0), (-0.5 + 0.8660254037844386j, 1.0),
+                                   (-0.5 - 0.8660254037844386j, 1.0), (1.5j, 1.5)], 16.0))
+    write("walk.json", {"vertices": [[0, 0], [0.3, 0.1], [0.6, 0.45], [0.2, 0.7], [-0.3, 0.4]]})
+    commands = [
+        ["set-op", "fine-sum", "a.json", "b.json", "-o", "fine.json"],
+        ["path-check", "lam.json", "fine.json", "-o", "check.json", "--csv", "lam.csv"],
+        ["glimpse", "a.json", "--theta", "0", "--verify", "-o", "glimpse.json"],
+        ["deform", "gamma.json", "a.json", "b.json", "--level", "2.5", "-o", "deform_out"],
+        ["convolve", "phi.json", "phi.json", "gamma.json", "a.json", "a.json",
+         "--probe", "2.0,0", "--probe-radius", "0.2", "-o", "conv_out"],
+        ["set-op", "saturate", "lattice.json", "-o", "saturated.json"],
+        ["path-check", "walk.json", "saturated.json", "-o", "walk_check.json"],
+    ]
+    env = dict(os.environ, PYTHONPATH=src)
+    codes = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "borelconv.cli", *argv],
+                              cwd=work, env=env, stdout=subprocess.DEVNULL)
+        codes.append(f"{' '.join(argv[:2])} {proc.returncode}")
+    dump.text("cli_exit_codes.txt", codes)
+
+
+def main(argv=None) -> int:
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("outdir")
+    ap.add_argument("--src", default=os.path.join(here, "src"),
+                    help="directory that holds the borelconv package")
+    args = ap.parse_args(argv)
+    src = os.path.abspath(args.src)
+    sys.path.insert(0, src)
+    import borelconv as bc
+
+    dump = Dump(args.outdir)
+    _deform_and_validate(bc, dump)
+    _convolutions(bc, dump)
+    _probes(bc, dump)
+    _guards(bc, dump)
+    _cli(src, dump)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
