@@ -15,7 +15,7 @@ import sys
 
 from . import deformation, germs, jsonio, viz
 from .errors import ChiGuardError, PreconditionError, ToleranceError
-from .filtered_set import glimpsed, glimpsed_by_filtration
+from .filtered_set import POINT_TOL, glimpsed, glimpsed_by_filtration
 from .paths import admissible_levels, distance_to_set
 
 # the documented exit code of each error class
@@ -137,7 +137,7 @@ def _cmd_glimpse(args) -> int:
     if args.verify:
         o = glimpsed_by_filtration(fset, args.theta)
         agree = (len(o.points) == len(g.points)
-                 and all(abs(p - q) <= 1e-9
+                 and all(abs(p - q) <= POINT_TOL
                          for (p, _), (q, _) in zip(g.points, o.points)))
         doc["verified"] = bool(agree)
         if not agree:

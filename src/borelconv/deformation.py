@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ChiGuardError, PreconditionError, ToleranceError
 from .filtered_set import FilteredSet
 from .paths import (
+    CONCAT_TOL,
     INCIDENCE_TOL,
     AdmissibleLevelInterval,
     Path,
@@ -245,7 +246,7 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
     delta_len is checked for every row; a violation signals an
     under-resolved integration and raises ToleranceError.
     """
-    if abs(set_a.centre) > 1e-12 or abs(set_b.centre) > 1e-12:
+    if abs(set_a.centre) > CONCAT_TOL or abs(set_b.centre) > CONCAT_TOL:
         raise PreconditionError("deformation requires both sets centred at 0")
     if n_s < 8 or n_t < 8:
         raise PreconditionError("grid sizes must be at least 8")

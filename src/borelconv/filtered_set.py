@@ -31,38 +31,42 @@ POINT_TOL = 1e-9
 LEVEL_TOL = 1e-12
 
 
-def _dedupe_points(points, levels):
+def _modulus(z: np.ndarray) -> np.ndarray:
+    # the bits of abs(complex); np.abs of a complex array rounds differently
+    return np.hypot(z.real, z.imag)
+
+
+def _dedupe_points(points: np.ndarray, levels: np.ndarray):
     """Cluster points within POINT_TOL, keeping the min level per cluster.
 
     Sort-sweep on the real part; clusters are tiny for the data sizes we
     handle (sums of at most a few dozen generators).
     """
-    if not points:
-        return [], []
-    order = sorted(range(len(points)), key=lambda i: (points[i].real, points[i].imag))
+    order = np.lexsort((points.imag, points.real))
     out_pts: list[complex] = []
     out_lvl: list[float] = []
-    for i in order:
-        p, lv = points[i], levels[i]
+    for p, lv in zip(points[order].tolist(), levels[order].tolist()):
         merged = False
         for k in range(len(out_pts) - 1, -1, -1):
             if p.real - out_pts[k].real > POINT_TOL:
                 break
             if abs(p - out_pts[k]) <= POINT_TOL:
-                if lv < out_lvl[k]:
-                    out_lvl[k] = lv
+                out_lvl[k] = min(out_lvl[k], lv)
                 merged = True
                 break
         if not merged:
             out_pts.append(p)
             out_lvl.append(lv)
-    return out_pts, out_lvl
+    return np.array(out_pts, dtype=complex), np.array(out_lvl, dtype=float)
 
 
 class FilteredSet:
     """Truncated discrete filtered set: centre, (point, level) entries, horizon.
 
-    Invariants enforced at construction:
+    Entries come as (point, level) pairs or an (n, 2) complex array of them
+    and are held as the arrays `points` and `levels`, sorted by (level, re,
+    im); `entries` is derived from them.  Invariants enforced at construction:
+      * centre, points and levels are finite;
       * the centre is not an entry; entries are pairwise distinct (1e-9);
       * ``|p - centre| <= level(p)`` for every entry, so members(L) lies in
         the open disc D(centre, L) under the strict membership rule;
@@ -71,33 +75,42 @@ class FilteredSet:
     """
 
     def __init__(self, centre, entries=(), horizon=1.0):
+        pairs = np.array(entries if isinstance(entries, np.ndarray) else list(entries), dtype=complex)
+        if pairs.size and pairs.shape[1:] != (2,) or pairs[..., 1:].imag.any():
+            raise PreconditionError("entries must be (point, real level) pairs")
+        points, levels = pairs.reshape(-1, 2).T
+        levels = levels.real
         centre = complex(centre)
         horizon = float(horizon)
+        if not cmath.isfinite(centre):
+            raise PreconditionError(f"centre must be finite, got {centre}")
         if not (horizon > 0.0 and math.isfinite(horizon)):
             raise PreconditionError("horizon must be a positive finite real")
-        pts, lvls = [], []
-        for p, lv in entries:
-            p, lv = complex(p), float(lv)
-            if not (lv > 0.0 and math.isfinite(lv)):
-                raise PreconditionError(f"entry level must be positive and finite, got {lv}")
-            if lv >= horizon:
-                continue
-            if abs(p - centre) <= POINT_TOL:
-                raise PreconditionError("centre cannot be an entry point")
-            if abs(p - centre) > lv * (1.0 + 1e-12) + 1e-15:
-                raise PreconditionError(
-                    f"entry {p} at level {lv} lies outside the closed disc of radius level"
-                )
-            pts.append(p)
-            lvls.append(lv)
-        pts, lvls = _dedupe_points(pts, lvls)
-        order = sorted(range(len(pts)), key=lambda i: (lvls[i], pts[i].real, pts[i].imag))
+        if not np.isfinite(points).all():
+            raise PreconditionError("entry points must be finite")
+        bad = ~((levels > 0.0) & np.isfinite(levels))
+        if bad.any():
+            raise PreconditionError(f"entry level must be positive and finite, got {levels[bad][0]}")
+        keep = levels < horizon
+        points, levels = points[keep], levels[keep]
+        dist = _modulus(points - centre)
+        if (dist <= POINT_TOL).any():
+            raise PreconditionError("centre cannot be an entry point")
+        out = dist > levels * (1.0 + 1e-12) + 1e-15
+        if out.any():
+            raise PreconditionError(f"entry {points[out][0]} at level {levels[out][0]} "
+                                    "lies outside the closed disc of radius level")
+        points, levels = _dedupe_points(points, levels)
+        order = np.lexsort((points.imag, points.real, levels))
         self.centre = centre
-        self.entries = tuple((pts[i], lvls[i]) for i in order)
         self.horizon = horizon
-        # cached arrays for vectorised consumers
-        self.points = np.array([p for p, _ in self.entries], dtype=complex)
-        self.levels = np.array([lv for _, lv in self.entries], dtype=float)
+        self.points = points[order]
+        self.levels = levels[order]
+        self.points.flags.writeable = self.levels.flags.writeable = False
+
+    @property
+    def entries(self) -> tuple[tuple[complex, float], ...]:
+        return tuple(zip(self.points.tolist(), self.levels.tolist()))
 
     # -- basic queries ---------------------------------------------------
 
@@ -105,7 +118,7 @@ class FilteredSet:
     def rho(self) -> float:
         """Distance of the centre to the filtered set: min entry level, or
         the horizon when there are no entries."""
-        return float(self.levels.min()) if len(self.entries) else self.horizon
+        return float(self.levels.min()) if len(self.levels) else self.horizon
 
     def level_of(self, p) -> float | None:
         """Level at which `p` enters the filtration: 0 for the centre,
@@ -113,10 +126,8 @@ class FilteredSet:
         p = complex(p)
         if abs(p - self.centre) <= POINT_TOL:
             return 0.0
-        for q, lv in self.entries:
-            if abs(p - q) <= POINT_TOL:
-                return lv
-        return None
+        hit = self.levels[_modulus(self.points - p) <= POINT_TOL]
+        return float(hit[0]) if len(hit) else None
 
     def _check_level(self, L) -> float:
         """L as a float; raises unless 0 < L <= horizon, beyond which the
@@ -133,13 +144,13 @@ class FilteredSet:
 
         Monotone in L.  Raises unless 0 < L <= horizon.
         """
-        return [self.centre] + [p for p, _ in self.entries_at(L)]
+        return [self.centre] + self.points[self.levels < self._check_level(L)].tolist()
 
     def entries_at(self, L) -> list[tuple[complex, float]]:
         """Entries with level < L (members without the centre).  Raises
         unless 0 < L <= horizon."""
-        L = self._check_level(L)
-        return [(p, lv) for p, lv in self.entries if lv < L]
+        below = self.levels < self._check_level(L)
+        return list(zip(self.points[below].tolist(), self.levels[below].tolist()))
 
     # -- algebra ---------------------------------------------------------
 
@@ -153,35 +164,30 @@ class FilteredSet:
         """Pointwise union of the filtrations; shared points take the min
         level, horizon is the min of the horizons."""
         self._check_same_centre(other)
-        pts = list(self.points) + list(other.points)
-        lvls = list(self.levels) + list(other.levels)
-        return FilteredSet(self.centre, zip(pts, lvls), min(self.horizon, other.horizon))
+        pairs = np.column_stack([np.append(self.points, other.points),
+                                 np.append(self.levels, other.levels)])
+        return FilteredSet(self.centre, pairs, min(self.horizon, other.horizon))
 
-    def _pair_candidates(self, other: "FilteredSet", fine: bool):
-        """Candidate points -centre + p + q over member pairs, with the
-        level of each representation.  Levels: max(lp, lq, |c-centre|) for
-        the plain sum (both factors and the result must fit in the same
-        budget), lp + lq for the fine sum (the budget splits)."""
+    def _pair_sum(self, other: "FilteredSet", fine: bool) -> "FilteredSet":
+        """The set of candidate points -centre + p + q over member pairs,
+        each with the level of its representation.  Levels: max(lp, lq,
+        |c-centre|) for the plain sum (both factors and the result must fit
+        in the same budget), lp + lq for the fine sum (the budget splits)."""
+        self._check_same_centre(other)
         w = self.centre
-        mem_a = [(w, 0.0)] + list(self.entries)
-        mem_b = [(w, 0.0)] + list(other.entries)
-        pts, lvls = [], []
-        for p, lp in mem_a:
-            for q, lq in mem_b:
-                c = p + q - w
-                if abs(c - w) <= POINT_TOL:
-                    continue  # the centre is never an entry
-                lv = (lp + lq) if fine else max(lp, lq, abs(c - w))
-                pts.append(c)
-                lvls.append(lv)
-        return pts, lvls
+        # members of self down the rows, of other along the columns
+        pa, la = np.append(w, self.points)[:, None], np.append(0.0, self.levels)[:, None]
+        pb, lb = np.append(w, other.points), np.append(0.0, other.levels)
+        c = (pa + pb) - w
+        dist = _modulus(c - w)
+        lv = la + lb if fine else np.maximum(np.maximum(la, lb), dist)
+        keep = dist > POINT_TOL  # the centre is never an entry
+        return FilteredSet(w, np.column_stack([c[keep], lv[keep]]), min(self.horizon, other.horizon))
 
     def sum(self, other: "FilteredSet") -> "FilteredSet":
         """Plain sum: members at L are the pairwise sums of members at L
         that land inside the open disc of radius L."""
-        self._check_same_centre(other)
-        pts, lvls = self._pair_candidates(other, fine=False)
-        return FilteredSet(self.centre, zip(pts, lvls), min(self.horizon, other.horizon))
+        return self._pair_sum(other, fine=False)
 
     def fine_sum(self, other: "FilteredSet") -> "FilteredSet":
         """Fine sum: members at L are sums p + q reachable with split
@@ -189,9 +195,7 @@ class FilteredSet:
         the stored level.  Note lp + lq >= max(lp, lq, |c-centre|), so the
         fine sum refines the plain sum and the disc invariant holds for
         free."""
-        self._check_same_centre(other)
-        pts, lvls = self._pair_candidates(other, fine=True)
-        return FilteredSet(self.centre, zip(pts, lvls), min(self.horizon, other.horizon))
+        return self._pair_sum(other, fine=True)
 
     def saturate(self) -> "FilteredSet":
         """Stabilised iterated fine sums within the horizon.
@@ -200,7 +204,7 @@ class FilteredSet:
         k*rho, so ceil(horizon/rho) rounds suffice; we additionally stop as
         soon as a round adds nothing and lowers no level.
         """
-        if not self.entries:
+        if not len(self.levels):
             return self
         max_rounds = int(math.ceil(self.horizon / self.rho)) + 1
         acc = self
@@ -214,7 +218,7 @@ class FilteredSet:
     # -- misc ------------------------------------------------------------
 
     def __repr__(self):
-        return (f"FilteredSet(centre={self.centre}, entries={len(self.entries)}, "
+        return (f"FilteredSet(centre={self.centre}, entries={len(self.levels)}, "
                 f"horizon={self.horizon})")
 
     def __eq__(self, other):
@@ -230,17 +234,16 @@ class FilteredSet:
 
 def _same_entries(a: FilteredSet, b: FilteredSet) -> bool:
     """Equal entry lists up to order: points within 1e-9, levels within 1e-12."""
-    if len(a.entries) != len(b.entries):
+    ea, eb = a.entries, b.entries
+    if len(ea) != len(eb):
         return False
-    used = [False] * len(b.entries)
-    for p, lv in a.entries:
-        ok = False
-        for k, (q, lw) in enumerate(b.entries):
+    used = [False] * len(eb)
+    for p, lv in ea:
+        for k, (q, lw) in enumerate(eb):
             if not used[k] and abs(p - q) <= POINT_TOL and abs(lv - lw) <= max(LEVEL_TOL, LEVEL_TOL * lv):
                 used[k] = True
-                ok = True
                 break
-        if not ok:
+        else:
             return False
     return True
 
@@ -294,6 +297,9 @@ def _ray_entries(fset: FilteredSet, theta: float):
 
 
 def _wrap_direction(theta: float) -> float:
+    """theta reduced to [0, 2 pi); raises unless it is finite."""
+    if not math.isfinite(theta):
+        raise PreconditionError(f"direction must be finite, got {theta}")
     return float(theta) % (2 * math.pi)
 
 
@@ -306,9 +312,10 @@ def glimpsed(fset: FilteredSet, theta: float) -> DirectionalGlimpse:
     behind a larger level are removable for ray-hugging paths.  The
     boundary case level == distance is classified glimpsed.
     """
+    direction = _wrap_direction(theta)
     pts = [(p, lv) for along, p, lv in _ray_entries(fset, theta)
            if lv <= along + RAY_TOL]
-    return DirectionalGlimpse(fset.centre, _wrap_direction(theta), tuple(pts))
+    return DirectionalGlimpse(fset.centre, direction, tuple(pts))
 
 
 def glimpsed_by_filtration(fset: FilteredSet, theta: float) -> DirectionalGlimpse:
@@ -320,9 +327,10 @@ def glimpsed_by_filtration(fset: FilteredSet, theta: float) -> DirectionalGlimps
     every other newcomer is strictly inside the already-cleared disc and
     stays removable.
     """
+    direction = _wrap_direction(theta)
     ray = _ray_entries(fset, theta)
     if not ray:
-        return DirectionalGlimpse(fset.centre, _wrap_direction(theta), ())
+        return DirectionalGlimpse(fset.centre, direction, ())
     breakpoints = sorted({lv for _, _, lv in ray})
     picked: list[tuple[complex, float]] = []
     # block above breakpoints[i] has ray members with level <= breakpoints[i]
@@ -336,7 +344,7 @@ def glimpsed_by_filtration(fset: FilteredSet, theta: float) -> DirectionalGlimps
                 picked.append((p, lv))
                 break
     picked.sort(key=lambda t: abs(t[0] - fset.centre))
-    return DirectionalGlimpse(fset.centre, _wrap_direction(theta), tuple(picked))
+    return DirectionalGlimpse(fset.centre, direction, tuple(picked))
 
 
 def seen(fset: FilteredSet, theta: float) -> complex | None:
@@ -353,6 +361,7 @@ def glimpse_angle(fset: FilteredSet, theta: float, L: float) -> float:
     hugs the ray closer than the resolution, half its offset is returned so
     the result stays positive.
     """
+    _wrap_direction(theta)  # refuses a non-finite theta
     cap = math.pi / 2
     for p, lv in fset.entries_at(L):
         along, across = _ray_offset(p, fset.centre, theta)

@@ -30,6 +30,7 @@ from .deformation import DeformationGrid, deform, mirror, seed_levels
 from .errors import PreconditionError, ToleranceError
 from .filtered_set import POINT_TOL, FilteredSet
 from .paths import (
+    INCIDENCE_TOL,
     Path,
     _dedupe_consecutive,
     _segment_distances,
@@ -335,9 +336,7 @@ def continue_along(germ: Germ, path: Path, fset: FilteredSet,
     if iv.empty:
         raise PreconditionError("path is not allowed for this set")
     if germ.kind in ("pole", "log_pole") and not path.is_constant():
-        starts = np.array(path.vertices[:-1], dtype=complex)
-        ends = np.array(path.vertices[1:], dtype=complex)
-        if _segment_distances(np.array([germ.a]), starts, ends)[0] <= POINT_TOL:
+        if _segment_distances(np.array([germ.a]), path._verts[:-1], path._verts[1:])[0] <= POINT_TOL:
             raise PreconditionError("path passes through the germ parameter")
     n = int(math.ceil(SAMPLES_PER_UNIT * max(1.0, path.length)))
     ts, pts, ss = path.sample(n)
@@ -389,12 +388,11 @@ def _check_columns(pts: np.ndarray, fset: FilteredSet, level: float):
     """Contour columns (pts[:, k] is column k) must avoid the members of
     the set at the working level (apart from their start at the centre)."""
     members = fset.points[fset.levels < level]
-    if len(members):
-        d = _segment_distances(members, pts[:-1].ravel(), pts[1:].ravel())
-        if np.min(d) <= 1e-9:
-            raise PreconditionError(
-                "contour column hits a filtration point at the working level"
-            )
+    d = _segment_distances(members, pts[:-1].ravel(), pts[1:].ravel())
+    if (d <= INCIDENCE_TOL).any():
+        raise PreconditionError(
+            "contour column hits a filtration point at the working level"
+        )
 
 
 def _germ_on_columns(germ: Germ, pts: np.ndarray, cfg: ConvolveConfig,

@@ -31,12 +31,11 @@ class ParseError(BorelConvError):
     """Malformed input document."""
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if x != x or x in (float("inf"), float("-inf")):
-            raise ValueError("non-finite float in output document")
-        return format(x, ".17g")
-    raise TypeError(type(x))
+def _finite(x):
+    """x (a float or a float array) unchanged; raises if any value is not finite."""
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite float in output document")
+    return x
 
 
 def dumps(doc) -> str:
@@ -53,7 +52,7 @@ def dumps(doc) -> str:
         if isinstance(obj, (int, np.integer)):
             return str(int(obj))
         if isinstance(obj, (float, np.floating)):
-            return _fmt(float(obj))
+            return format(_finite(float(obj)), ".17g")
         if isinstance(obj, str):
             return json.dumps(obj)
         raise TypeError(f"cannot serialize {type(obj)}")
@@ -78,10 +77,11 @@ def write_json(path: str, doc):
     atomic_write(path, dumps(doc))
 
 
-def write_csv(path: str, header: list[str], rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(float(x)) for x in row))
+def write_csv(path: str, header: list[str], table):
+    """One line per row of the 2-D float array `table`, 17 digits a value."""
+    table = _finite(np.asarray(table, dtype=float))
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(header)] + [row % r for r in map(tuple, table.tolist())]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -150,7 +150,7 @@ def path_from_doc(doc) -> Path:
 
 def path_csv_rows(path: Path, n_samples: int = 256):
     ts, zs, ss = path.sample(n_samples)
-    return [(t, z.real, z.imag, s) for t, z, s in zip(ts, zs, ss)]
+    return np.column_stack([ts, zs.real, zs.imag, ss])
 
 
 # -- germs -------------------------------------------------------------------
@@ -193,18 +193,13 @@ def germ_from_doc(doc) -> Germ:
 
 def trace_csv_rows(trace: ContinuationTrace):
     zs = trace.path.points_at(trace.ts)
-    return list(zip(trace.ts, zs.real, zs.imag, trace.values.real, trace.values.imag))
+    return np.column_stack([trace.ts, zs.real, zs.imag, trace.values.real, trace.values.imag])
 
 
 def grid_csv_rows(grid):
-    H_star = mirror(grid.H)
-    rows = []
-    for i, s in enumerate(grid.s_nodes):
-        for j, t in enumerate(grid.t_nodes):
-            h = grid.H[i, j]
-            hs = H_star[i, j]
-            rows.append((s, t, h.real, h.imag, hs.real, hs.imag))
-    return rows
+    H, H_star = grid.H, mirror(grid.H)
+    s, t = np.broadcast_arrays(grid.s_nodes[:, None], grid.t_nodes[None, :])
+    return np.column_stack([a.ravel() for a in (s, t, H.real, H.imag, H_star.real, H_star.imag)])
 
 
 def load_json(path: str):

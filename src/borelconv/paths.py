@@ -21,7 +21,7 @@ from .filtered_set import FilteredSet
 # An entry within this distance of the path counts as hit (conservative
 # for admissibility); concatenation endpoints must agree to 1e-12.
 INCIDENCE_TOL = 1e-9
-ENDPOINT_TOL = 1e-12
+CONCAT_TOL = 1e-12
 
 
 class Path:
@@ -29,36 +29,38 @@ class Path:
     vertices distinct."""
 
     def __init__(self, vertices):
-        vs = tuple(complex(v) for v in vertices)
-        if not vs:
-            raise PreconditionError("a path needs at least one vertex")
-        self._verts = np.array(vs, dtype=complex)
+        self._verts = np.array(vertices if isinstance(vertices, np.ndarray) else list(vertices),
+                               dtype=complex)
+        if self._verts.ndim != 1 or not len(self._verts):
+            raise PreconditionError("a path needs a sequence of at least one vertex")
         if not np.isfinite(self._verts).all():
             raise PreconditionError("path vertices must be finite")
-        for a, b in zip(vs, vs[1:]):
-            if a == b:
-                raise PreconditionError("consecutive vertices must be distinct")
-        self.vertices = vs
         diffs = np.diff(self._verts)
+        if (diffs == 0).any():
+            raise PreconditionError("consecutive vertices must be distinct")
         self.seg_lengths = np.abs(diffs)
-        self.seg_dirs = diffs / self.seg_lengths if len(vs) > 1 else diffs
+        self.seg_dirs = diffs / self.seg_lengths if len(diffs) else diffs
         self.cum_lengths = np.concatenate([[0.0], np.cumsum(self.seg_lengths)])
         self.length = float(self.cum_lengths[-1])
 
     @property
+    def vertices(self) -> tuple[complex, ...]:
+        return tuple(self._verts.tolist())
+
+    @property
     def start(self) -> complex:
-        return self.vertices[0]
+        return complex(self._verts[0])
 
     @property
     def end(self) -> complex:
-        return self.vertices[-1]
+        return complex(self._verts[-1])
 
     @property
     def n_segments(self) -> int:
-        return len(self.vertices) - 1
+        return len(self._verts) - 1
 
     def is_constant(self) -> bool:
-        return len(self.vertices) == 1
+        return len(self._verts) == 1
 
     def vertex_fractions(self) -> np.ndarray:
         """Standardized t of each vertex (arclength fractions)."""
@@ -82,7 +84,7 @@ class Path:
         keeps the segment it integrated on.
         """
         if self.is_constant():
-            return np.full(np.shape(ts), self.vertices[0], dtype=complex)
+            return np.full(np.shape(ts), self._verts[0])
         if segs is None:
             segs = self.segments_at(ts)
             ts = np.clip(ts, 0.0, 1.0)
@@ -104,14 +106,14 @@ class Path:
 
 def concat(a: Path, b: Path) -> Path:
     """Concatenation; b must start where a ends (1e-12)."""
-    if abs(a.end - b.start) > ENDPOINT_TOL:
+    if abs(a.end - b.start) > CONCAT_TOL:
         raise PreconditionError(f"paths do not meet: {a.end} vs {b.start}")
-    return Path(a.vertices + b.vertices[1:])
+    return Path(np.concatenate([a._verts, b._verts[1:]]))
 
 
 def reverse(a: Path) -> Path:
     """The inverse path, vertices in reverse order; length is preserved."""
-    return Path(a.vertices[::-1])
+    return Path(a._verts[::-1])
 
 
 def _dedupe_consecutive(zs, tol: float) -> list[complex]:
@@ -168,13 +170,8 @@ def _hit_levels(path: Path, fset: FilteredSet) -> float:
         dc = _segment_distances(np.array([fset.centre]), starts[1:], ends[1:])[0]
         if dc <= INCIDENCE_TOL:
             return 0.0
-    h = fset.horizon
-    if len(fset.points):
-        dmin = _segment_distances(fset.points, starts, ends)
-        hit = dmin <= INCIDENCE_TOL
-        if hit.any():
-            h = min(h, float(fset.levels[hit].min()))
-    return h
+    hit = _segment_distances(fset.points, starts, ends) <= INCIDENCE_TOL
+    return min(fset.horizon, float(fset.levels[hit].min(initial=math.inf)))
 
 
 def admissible_levels(path: Path, fset: FilteredSet) -> AdmissibleLevelInterval:

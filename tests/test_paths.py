@@ -26,11 +26,18 @@ def test_path_length_is_sum_of_segments():
     p = Path([0, 1, 1 + 1j])
     assert p.length == 2.0
     assert np.allclose(p.seg_lengths, [1.0, 1.0])
+    assert Path(v for v in [0, 1, 1 + 1j]).vertices == p.vertices  # any iterable
 
 
 def test_consecutive_duplicates_rejected():
     with pytest.raises(PreconditionError):
         Path([0, 0, 1])
+
+
+@pytest.mark.parametrize("bad", [[], [[0, 1], [1, 2]]])
+def test_empty_or_non_flat_vertices_rejected(bad):
+    with pytest.raises(PreconditionError):
+        Path(bad)
 
 
 def test_point_at_standardized():

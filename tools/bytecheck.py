@@ -16,7 +16,11 @@ Writes, one file per output, into OUTDIR:
 * every file of the README command-line sequence (with `convolve --probe`),
   `set-op saturate` of a lattice and `path-check` of a walk against it,
   with the exit codes;
-* the error class raised, or "ok", for inputs on which a guard trips.
+* the error class raised, or "ok", for inputs on which a guard trips;
+* union, sum, fine_sum and saturate of sets holding near-duplicate points
+  (closer than POINT_TOL, in both sort orders, with tied and untied
+  levels), `level_of` and `entries_at` on the results, and the vertices of
+  paths built by `concat` and `reverse`, all as exact hex floats.
 
 The package is imported from SRC (default: the `src` directory of the
 checkout holding this script), so a copy of the script can dump any
@@ -153,6 +157,53 @@ def _guards(bc, dump: Dump) -> None:
     dump.text("guards.txt", lines)
 
 
+def _hex_pair(z) -> str:
+    return f"{_hex(z.real)} {_hex(z.imag)}"
+
+
+def _set_algebra_and_paths(bc, dump: Dump) -> None:
+    F, P = bc.FilteredSet, bc.Path
+    d = 4e-10  # under POINT_TOL: one point, whichever way the sort meets it
+    third = complex(-0.5, 0.8660254037844386)
+    sets = {
+        "a": F(0, [(0.8, 1.0), (0.8 + d, 1.0), (1j, 1.5), (1j - d + d * 1j, 1.2),
+                   (third, 1.0), (-0.7 - 0.1j, 0.9)], 6.0),
+        "b": F(0, [(0.8 - d, 1.0), (0.8 + d * 1j, 1.3), (1j + d, 1.4), (1j + d * 1j, 1.4),
+                   (third.conjugate(), 1.0), (2.0, 2.0)], 5.0),
+        "hex": F(0, [(1.0, 1.0), (third, 1.0), (third.conjugate(), 1.0)], 3.5),
+    }
+    a, b, hx = sets["a"], sets["b"], sets["hex"]
+    sets.update({
+        "union": a.union(b), "union_ba": b.union(a),
+        "sum": a.sum(b), "sum_ba": b.sum(a),
+        "fine_sum": a.fine_sum(b), "fine_sum_ba": b.fine_sum(a),
+        "hex_sum": hx.sum(hx), "hex_fine_sum": hx.fine_sum(hx).fine_sum(hx),
+        "hex_saturate": hx.saturate(),
+    })
+    queries = [0.8, 0.8 + d, 0.8 - d, 1.0, 1j, 1j + d, 2.0, 2.0 + 2 * d, 1.0 + 1j, 0.0, d, 0.5]
+    for name, s in sets.items():
+        lines = [f"centre {_hex_pair(s.centre)} horizon {_hex(s.horizon)}"]
+        lines += [f"entry {_hex_pair(p)} {_hex(lv)}" for p, lv in s.entries]
+        for q in queries:
+            lv = s.level_of(q)
+            lines.append(f"level_of {_hex_pair(complex(q))} {None if lv is None else _hex(lv)}")
+        for L in (0.95, 1.0, 1.2 + d, 1.4, 2.0, s.horizon):
+            lines.append(f"entries_at {_hex(L)} " + " ".join(
+                f"{_hex_pair(p)}/{_hex(lv)}" for p, lv in s.entries_at(L)))
+        dump.text(f"set_{name}.txt", lines)
+    walk = P([0, 0.3 + 0.1j, 0.6 + 0.45j, 0.2 + 0.7j])
+    paths = {
+        "concat": bc.concat(walk, P([0.2 + 0.7j, -0.3 + 0.4j, -0.3 + 0.4j + 1e-13])),
+        "concat_constant": bc.concat(P([0]), walk),
+        "reverse": bc.reverse(walk),
+        "reverse_concat": bc.reverse(bc.concat(walk, bc.reverse(walk))),
+        "from_array": P(np.array([0.25, 0.5 + 0.1j, 1j])),
+    }
+    for name, path in paths.items():
+        dump.text(f"path_{name}.txt", [f"length {_hex(path.length)}"]
+                  + [_hex_pair(v) for v in path.vertices])
+
+
 def _cli(src: str, dump: Dump) -> None:
     work = os.path.join(dump.outdir, "cli")
     os.makedirs(work, exist_ok=True)
@@ -208,6 +259,7 @@ def main(argv=None) -> int:
     _convolutions(bc, dump)
     _probes(bc, dump)
     _guards(bc, dump)
+    _set_algebra_and_paths(bc, dump)
     _cli(src, dump)
     return 0
 
