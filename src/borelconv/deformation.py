@@ -52,7 +52,7 @@ def eta(points, z):
         return np.full(z.shape, np.inf) if z.shape else math.inf
     # reduce over the points on the leading axis: a minimum over a short
     # inner axis per element costs several times more
-    d = np.abs(pts.reshape((-1,) + (1,) * z.ndim) - z).min(axis=0)
+    d = np.minimum.reduce(np.abs(pts.reshape((-1,) + (1,) * z.ndim) - z), axis=0)
     return d if z.shape else float(d)
 
 
@@ -80,20 +80,23 @@ class FlowField:
             return 0.0 + 0.0j
         return g.seg_dirs[seg] * g.length
 
-    def __call__(self, z, t, seg=None):
+    def __call__(self, z, t, seg=None, at=None):
         """The deformation field X at state z (scalar or array) and time t,
         on segment seg of gamma (found from t when not given).  t is a
         scalar, or a 1-D array with one time per leading row of z (stacked
         RK4 stages); seg is then one segment for all rows or one per row.
+        `at` is gamma's point and gamma' at t, when the caller has them
+        (deform computes both for every stage once); seg is then not read.
 
         |X| <= |gamma'| always; X vanishes on the members of A and equals
         gamma' where gamma(t) - z is a member of B (in particular along
         gamma itself)."""
-        if seg is None:
-            seg = self.gamma.segments_at(t)
+        if at is None:
+            if seg is None:
+                seg = self.gamma.segments_at(t)
+            at = self.gamma.points_at(t, seg), self.gamma_prime(seg)
+        g, dg = at
         z = np.asarray(z, dtype=complex)
-        g = self.gamma.points_at(t, seg)
-        dg = self.gamma_prime(seg)
         if np.ndim(t):
             rows = (1,) * (z.ndim - 1)
             g = g.reshape(g.shape + rows)
@@ -101,7 +104,7 @@ class FlowField:
         ea = eta(self.pts_a, z)
         eb = eta(self.pts_b, g - z)
         chi = ea + eb
-        m = float(np.min(chi))
+        m = float(np.minimum.reduce(chi, axis=None))
         if m < self.min_chi:
             self.min_chi = m
         if m <= self.eps_den:
@@ -315,37 +318,49 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
     single-state step it replaces: its own
     start time, step size and segment, and the same operations in the same
     order.
+
+    Every call's start times, step sizes and segments are known before the
+    first step, so gamma's point and gamma' at every stage time are
+    computed in one pass; the loop only slices them.
     """
     n_t = len(t_nodes) - 1
+    # call j, rows 0 and 1: step j's full and first half step; row 2: the
+    # second half of step j - 1.  Call 0 has no row 2, call n_t only row 2.
+    h = np.diff(t_nodes)
+    ts, hs = np.zeros((n_t + 1, 3)), np.zeros((n_t + 1, 3))
+    segs = np.zeros((n_t + 1, 3), dtype=int)
+    ts[:-1, 0] = ts[:-1, 1] = t_nodes[:-1]
+    ts[1:, 2] = t_nodes[:-1] + h / 2
+    hs[:-1, 0], hs[:-1, 1], hs[1:, 2] = h, h / 2, h / 2
+    segs[:-1, 0] = segs[:-1, 1] = segs[1:, 2] = seg_of_step
+    stage_ts = np.stack([ts, ts + 0.5 * hs, ts + hs])  # k1, k2 and k3, k4
+    g = field.gamma.points_at(stage_ts, segs)
+    dg = field.gamma_prime(segs)
+    hc = hs[..., None]
+    hc_half, hc_sixth = 0.5 * hc, hc / 6.0
+
+    Z = np.empty((3, H.shape[0]), dtype=complex)  # the start of each row
+    k1 = np.empty_like(Z)
     rich = 0.0
-    pending = None  # step j - 1: its unfrozen full step and its second half step
     for j in range(n_t + 1):
-        starts = []  # (state, time, segment): one k1 each
-        rows = []    # (index of the start, step size)
+        lo, hi = (0 if j < n_t else 2), (3 if j else 2)
         if j < n_t:
-            t0, seg = t_nodes[j], int(seg_of_step[j])
-            h = t_nodes[j + 1] - t0
-            starts.append((H[:, j], t0, seg))
-            rows += [(0, h), (0, h / 2)]
-        if pending is not None:
-            z_full, half_start, h_half = pending
-            starts.append(half_start)
-            rows.append((len(starts) - 1, h_half))
-        Z, ts, segs = (np.array(x) for x in zip(*starts))
-        k1 = field(Z, ts, segs)
-        idx = [i for i, _ in rows]
-        Z, ts, segs, k1 = Z[idx], ts[idx], segs[idx], k1[idx]
-        hs = np.array([step for _, step in rows])
-        hc = hs[:, None]
-        k2 = field(Z + 0.5 * hc * k1, ts + 0.5 * hs, segs)
-        k3 = field(Z + 0.5 * hc * k2, ts + 0.5 * hs, segs)
-        k4 = field(Z + hc * k3, ts + hs, segs)
-        out = Z + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if pending is not None:
+            Z[0] = Z[1] = H[:, j]
+        # k1 once per distinct start: rows 0 and 1 share theirs
+        a = max(lo, 1)
+        k1[a:hi] = field(Z[a:hi], ts[j, a:hi], None, (g[0, j, a:hi], dg[j, a:hi]))
+        k1[0] = k1[1]
+        z, k1_j, dg_j = Z[lo:hi], k1[lo:hi], dg[j, lo:hi]
+        t_mid, at_mid = stage_ts[1, j, lo:hi], (g[1, j, lo:hi], dg_j)
+        k2 = field(z + hc_half[j, lo:hi] * k1_j, t_mid, None, at_mid)
+        k3 = field(z + hc_half[j, lo:hi] * k2, t_mid, None, at_mid)
+        k4 = field(z + hc[j, lo:hi] * k3, stage_ts[2, j, lo:hi], None, (g[2, j, lo:hi], dg_j))
+        out = z + hc_sixth[j, lo:hi] * (k1_j + 2.0 * k2 + 2.0 * k3 + k4)
+        if j:
             rich = max(rich, float(np.max(np.abs(z_full - out[-1]))) * 16.0 / 15.0)
         if j < n_t:
-            pending = out[0], (out[1], t0 + h / 2, seg), h / 2
-            H[:, j + 1] = out[0]
+            z_full, Z[2] = out[0], out[1]
+            H[:, j + 1] = z_full
             H[0, j + 1] = 0.0  # the centre trajectory is frozen exactly
     return rich
 
@@ -431,7 +446,7 @@ def _trajectory_path(traj: np.ndarray) -> Path:
     within the incidence tolerance of the last one kept are dropped:
     sub-tolerance wiggle (integration roundoff) is below the resolution at
     which hits are even defined and must not register as movement."""
-    return Path(_dedupe_consecutive([0.0 + 0.0j] + list(traj), INCIDENCE_TOL))
+    return Path(_dedupe_consecutive(np.concatenate([[0.0 + 0.0j], traj]), INCIDENCE_TOL))
 
 
 def _split_levels(iv_a: AdmissibleLevelInterval, iv_b: AdmissibleLevelInterval,

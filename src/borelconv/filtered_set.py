@@ -36,28 +36,47 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _dedupe_points(points: np.ndarray, levels: np.ndarray):
+def _outside_disc(dist, level):
+    """The disc test of an entry at distance `dist` from the centre (arrays
+    or floats): it lies outside the closed disc of radius `level`."""
+    return dist > level * (1.0 + 1e-12) + 1e-15
+
+
+def _dedupe_points(points: np.ndarray, levels: np.ndarray, centre: complex):
     """Cluster points within POINT_TOL, keeping the min level per cluster.
 
     Sort-sweep on the real part; clusters are tiny for the data sizes we
-    handle (sums of at most a few dozen generators).
+    handle (sums of at most a few dozen generators).  A cluster is the
+    points within POINT_TOL of its first point in (re, im) order, and keeps
+    that point unless it lies outside the disc of the cluster's level; it
+    then keeps the point that came with that level, which can lie within
+    POINT_TOL of another cluster's point, so the kept points are clustered
+    again.
     """
     order = np.lexsort((points.imag, points.real))
+    firsts: list[complex] = []
     out_pts: list[complex] = []
     out_lvl: list[float] = []
+    moved = False
     for p, lv in zip(points[order].tolist(), levels[order].tolist()):
         merged = False
-        for k in range(len(out_pts) - 1, -1, -1):
-            if p.real - out_pts[k].real > POINT_TOL:
+        for k in range(len(firsts) - 1, -1, -1):
+            if p.real - firsts[k].real > POINT_TOL:
                 break
-            if abs(p - out_pts[k]) <= POINT_TOL:
-                out_lvl[k] = min(out_lvl[k], lv)
+            if abs(p - firsts[k]) <= POINT_TOL:
+                if lv < out_lvl[k]:
+                    out_lvl[k] = lv
+                    outside = _outside_disc(abs(firsts[k] - centre), lv)
+                    out_pts[k] = p if outside else firsts[k]
+                    moved = moved or outside
                 merged = True
                 break
         if not merged:
+            firsts.append(p)
             out_pts.append(p)
             out_lvl.append(lv)
-    return np.array(out_pts, dtype=complex), np.array(out_lvl, dtype=float)
+    points, levels = np.array(out_pts, dtype=complex), np.array(out_lvl, dtype=float)
+    return _dedupe_points(points, levels, centre) if moved else (points, levels)
 
 
 class FilteredSet:
@@ -96,11 +115,11 @@ class FilteredSet:
         dist = _modulus(points - centre)
         if (dist <= POINT_TOL).any():
             raise PreconditionError("centre cannot be an entry point")
-        out = dist > levels * (1.0 + 1e-12) + 1e-15
+        out = _outside_disc(dist, levels)
         if out.any():
             raise PreconditionError(f"entry {points[out][0]} at level {levels[out][0]} "
                                     "lies outside the closed disc of radius level")
-        points, levels = _dedupe_points(points, levels)
+        points, levels = _dedupe_points(points, levels, centre)
         order = np.lexsort((points.imag, points.real, levels))
         self.centre = centre
         self.horizon = horizon

@@ -79,9 +79,10 @@ class Path:
         """Points at standardized parameters ts (scalar or array).
 
         Without `segs` each t is clamped to [0, 1] and located on its
-        segment.  With `segs` (same shape as ts) t is read on the line of
-        the named segment, unclamped: a flow step that ends on a vertex
-        keeps the segment it integrated on.
+        segment.  With `segs` (same shape as ts, or one that broadcasts
+        against it) t is read on the line of the named segment, unclamped:
+        a flow step that ends on a vertex keeps the segment it integrated
+        on.
         """
         if self.is_constant():
             return np.full(np.shape(ts), self._verts[0])
@@ -119,9 +120,14 @@ def reverse(a: Path) -> Path:
 def _dedupe_consecutive(zs, tol: float) -> list[complex]:
     """Vertices with each one within `tol` of the last one kept dropped,
     so that the rest can form a Path."""
+    zs = np.asarray(zs, dtype=complex)
+    d = np.diff(zs)
+    # every step longer than tol: each vertex is kept, its last kept vertex
+    # being its predecessor (np.hypot has the bits of abs(complex))
+    if (np.hypot(d.real, d.imag) > tol).all():
+        return zs.tolist()
     out = [complex(zs[0])]
-    for z in zs[1:]:
-        z = complex(z)
+    for z in zs[1:].tolist():
         if abs(z - out[-1]) > tol:
             out.append(z)
     return out

@@ -152,11 +152,41 @@ def rk4_step(field, Z, t0, h, seg):
     return Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def counted_field(field, calls):
-    return lambda *args: calls.append(1) or field(*args)
+def count_calls(monkeypatch, field):
+    """The evaluations of one field, counted by wrapping FlowField.__call__
+    (as the benchmark's tracer does), so that the stepper still sees the
+    field's gamma."""
+    calls = []
+    call = FlowField.__call__
+
+    def counted(self, *args):
+        if self is field:
+            calls.append(1)
+        return call(self, *args)
+
+    monkeypatch.setattr(FlowField, "__call__", counted)
+    return calls
 
 
-def test_rk4_pair_bits_equal_two_steps():
+def single_state_steps(field, Z0, t_nodes, seg_of_step):
+    """A full step and two half steps per time step, each a separate
+    single-state RK4 step: the grid of full steps (centre frozen) and the
+    Richardson estimate."""
+    want = np.empty((len(Z0), len(t_nodes)), dtype=complex)
+    want[:, 0] = Z0
+    want_rich = 0.0
+    for j in range(len(t_nodes) - 1):
+        t0, h, seg = t_nodes[j], t_nodes[j + 1] - t_nodes[j], int(seg_of_step[j])
+        z_full = rk4_step(field, want[:, j], t0, h, seg)
+        z_half = rk4_step(field, want[:, j], t0, h / 2, seg)
+        z_half = rk4_step(field, z_half, t0 + h / 2, h / 2, seg)
+        want_rich = max(want_rich, float(np.max(np.abs(z_full - z_half))) * 16.0 / 15.0)
+        want[:, j + 1] = z_full
+        want[0, j + 1] = 0.0
+    return want, want_rich
+
+
+def test_rk4_pair_bits_equal_two_steps(monkeypatch):
     # the stacked stepper against a full step and two half steps per step,
     # each a separate single-state RK4 step
     gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j, 0.1 + 0.35j])
@@ -166,19 +196,10 @@ def test_rk4_pair_bits_equal_two_steps():
     stacked, stepped = field_for(gamma, a, b, 2.5), field_for(gamma, a, b, 2.5)
     H = np.empty((17, 33), dtype=complex)
     H[:, 0] = np.linspace(0.0, 1.0, 17) * gamma.start
-    want = H.copy()
-    calls = []
-    rich = _rk4_stacked(counted_field(stacked, calls), H, t_nodes, seg_of_step)
+    calls = count_calls(monkeypatch, stacked)
+    rich = _rk4_stacked(stacked, H, t_nodes, seg_of_step)
     assert len(calls) == 4 * 32 + 4
-    want_rich = 0.0
-    for j in range(32):
-        t0, h, seg = t_nodes[j], t_nodes[j + 1] - t_nodes[j], int(seg_of_step[j])
-        z_full = rk4_step(stepped, want[:, j], t0, h, seg)
-        z_half = rk4_step(stepped, want[:, j], t0, h / 2, seg)
-        z_half = rk4_step(stepped, z_half, t0 + h / 2, h / 2, seg)
-        want_rich = max(want_rich, float(np.max(np.abs(z_full - z_half))) * 16.0 / 15.0)
-        want[:, j + 1] = z_full
-        want[0, j + 1] = 0.0
+    want, want_rich = single_state_steps(stepped, H[:, 0], t_nodes, seg_of_step)
     assert H.tobytes() == want.tobytes()
     assert rich == want_rich and rich > 0.0
     assert stacked.min_chi == stepped.min_chi
@@ -206,10 +227,46 @@ def test_stacked_stepper_guard_raises_on_plain_sum_pair():
     H = np.zeros((3, 3), dtype=complex)
     H[:, 0] = [0.0, 0.5, 1.0]
     t_nodes = np.array([t, t + 0.01, t + 0.02])
-    with pytest.raises(ChiGuardError):
-        rk4_step(field_for(gamma, a, b, 4.0), H[:, 0], t, 0.01, 0)
-    with pytest.raises(ChiGuardError):
-        _rk4_stacked(field_for(gamma, a, b, 4.0), H, t_nodes, np.zeros(2, dtype=int))
+    stepped, stacked = field_for(gamma, a, b, 4.0), field_for(gamma, a, b, 4.0)
+    with pytest.raises(ChiGuardError) as want:
+        rk4_step(stepped, H[:, 0], t, 0.01, 0)
+    with pytest.raises(ChiGuardError) as got:
+        _rk4_stacked(stacked, H, t_nodes, np.zeros(2, dtype=int))
+    # the same diagnostics: the stage time and the denominator that tripped
+    assert (got.value.t, got.value.value, got.value.bound) == (
+        want.value.t, want.value.value, want.value.bound)
+    assert stacked.min_chi == stepped.min_chi
+
+
+# on this hairpin the guard at 1e-2 trips at the end of a step (a k4 time),
+# at 2e-2 between time nodes
+@pytest.mark.parametrize("eps_den, between_nodes", [(1e-2, False), (2e-2, True)])
+def test_stacked_stepper_guard_on_hairpin_matches_single_steps(eps_den, between_nodes):
+    # the stacked stepper reports the time, the denominator and min_chi of
+    # the single-state steps
+    gamma = Path([0.25, 0.6 + 0.01j, 1.3 + 0.002j, 1.75])
+    a, empty = FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [], 6.0)
+    t_nodes, seg_of_step = _t_nodes_for(gamma, 64)
+    stacked, stepped = (FlowField(gamma, a, empty, 2.2, eps_den) for _ in range(2))
+    H = np.empty((17, 65), dtype=complex)
+    H[:, 0] = np.linspace(0.0, 1.0, 17) * gamma.start
+    with pytest.raises(ChiGuardError) as want:
+        single_state_steps(stepped, H[:, 0], t_nodes, seg_of_step)
+    with pytest.raises(ChiGuardError) as got:
+        _rk4_stacked(stacked, H, t_nodes, seg_of_step)
+    assert (want.value.t not in t_nodes) == between_nodes
+    assert (got.value.t, got.value.value, got.value.bound) == (
+        want.value.t, want.value.value, want.value.bound)
+    assert stacked.min_chi == stepped.min_chi
+
+
+def test_field_with_gamma_given_equals_lookup():
+    gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j, 0.1 + 0.35j])
+    f = field_for(gamma, FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [(2, 2.0)], 6.0), 2.5)
+    zs = np.stack([np.linspace(0.05, 0.2, 6) * (1 + 0.5j)] * 3)
+    ts, segs = np.array([0.1, 0.5, 0.8]), np.array([0, 2, 3])
+    at = gamma.points_at(ts, segs), f.gamma_prime(segs)
+    assert f(zs, ts, None, at).tobytes() == f(zs, ts, segs).tobytes()
 
 
 def test_field_takes_one_segment_per_row():

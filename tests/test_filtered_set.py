@@ -85,6 +85,43 @@ def test_duplicate_points_take_min_level():
     assert s.level_of(1) == 1.5
 
 
+def test_merged_entry_stays_inside_its_disc():
+    # the first point in (re, im) order lies outside the disc of the smaller
+    # level it merges with, so the entry is the point that came with it
+    s = FilteredSet(0, [(-1 - 4e-10, 1 + 4e-10), (-1, 1.0)], 3.0)
+    assert s.entries == ((-1 + 0j, 1.0),)
+    assert s.union(FilteredSet(0, [], 3.0)).entries == s.entries
+    # inside that disc the first point stays
+    s = FilteredSet(0, [(-1 - 4e-10, 1 + 6e-10), (-1, 1.0 + 5e-10)], 3.0)
+    assert s.entries == ((-1 - 4e-10 + 0j, 1.0 + 5e-10),)
+
+
+def test_merged_entries_stay_apart():
+    # the first cluster keeps its second point, which lies within POINT_TOL
+    # of the third point, the first of another cluster
+    s = FilteredSet(0, [(-1 - 6e-10, 1 + 6e-10), (-1 - 1e-10, 1 + 1e-10),
+                        (-1 + 7e-10, 1 + 8e-10)], 3.0)
+    assert s.entries == ((-1 - 1e-10 + 0j, 1 + 1e-10),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.floats(-6e-10, 6e-10),
+                          st.floats(-6e-10, 6e-10), st.floats(0.0, 1e-9)),
+                min_size=1, max_size=8))
+def test_set_rebuilt_from_its_entries_is_the_same(draws):
+    # points within a few POINT_TOL of each other, each on or just inside
+    # the rim of its own disc
+    entries = []
+    for k, dx, dy, slack in draws:
+        p = (0.8 + 0.15 * k) * cmath.exp(2j * math.pi * k / 7) + complex(dx, dy)
+        entries.append((p, abs(p) * (1.0 + slack)))
+    s = FilteredSet(0, entries, 3.0)
+    gaps = np.abs(s.points[:, None] - s.points[None, :])[np.triu_indices(len(s.points), 1)]
+    assert (gaps > POINT_TOL).all()
+    assert FilteredSet(0, s.entries, 3.0).entries == s.entries
+    assert s.union(FilteredSet(0, [], 3.0)).entries == s.entries
+
+
 # -- level_of -----------------------------------------------------------------
 
 

@@ -322,6 +322,22 @@ def test_dedupe_consecutive_against_last_kept(tol):
     assert _dedupe_consecutive(walk, tol) == _dedupe_reference(walk, tol)
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("sub_tol_steps", [0, 1, 5])
+def test_dedupe_consecutive_matches_reference_with_and_without_short_steps(tol, sub_tol_steps):
+    # a 2-D walk of steps longer than tol (every vertex kept, without a
+    # loop), with some steps shortened to within tol (the sequential loop)
+    rng = np.random.default_rng(53 + sub_tol_steps)
+    steps = (1 + rng.random(400)) * tol * np.exp(2j * np.pi * rng.random(400))
+    steps[rng.choice(400, sub_tol_steps, replace=False)] *= 0.4
+    walk = np.cumsum(steps)
+    got = _dedupe_consecutive(walk, tol)
+    assert got == _dedupe_reference(walk, tol)
+    assert (len(got) == len(walk)) == (sub_tol_steps == 0)
+    # a step of exactly tol is dropped
+    assert _dedupe_consecutive([0.0, tol, 3 * tol], tol) == [0, 3 * tol]
+
+
 # -- directional test -----------------------------------------------------------------
 
 

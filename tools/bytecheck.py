@@ -11,12 +11,16 @@ Writes, one file per output, into OUTDIR:
 * the validate report of each grid (17-digit JSON);
 * convolve_along values, times and radii for poly, pole, log_pole and
   series germs;
-* the five criterion-7 probes at 64x256x8: the circle's values and times,
-  defect_rel, ring_rel, scale, level and classification;
+* the five criterion-7 probes at 64x256x8, and candidate 3.0 at the default
+  grid 256x2048x8: the circle's values and times, defect_rel, ring_rel,
+  scale, level, classification, and the loop grid's min_chi,
+  richardson_error and a SHA-256 of its H;
 * every file of the README command-line sequence (with `convolve --probe`),
   `set-op saturate` of a lattice and `path-check` of a walk against it,
   with the exit codes;
-* the error class raised, or "ok", for inputs on which a guard trips;
+* the error class raised, or "ok", for inputs on which a guard trips or
+  nearly trips, with a ChiGuardError's t, value and bound, or the min_chi
+  of the grid a run returned, as exact hex floats;
 * union, sum, fine_sum and saturate of sets holding near-duplicate points
   (closer than POINT_TOL, in both sort orders, with tied and untied
   levels), `level_of` and `entries_at` on the results, and the vertices of
@@ -31,6 +35,7 @@ diff means every output kept its bits.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -109,32 +114,56 @@ def _convolutions(bc, dump: Dump) -> None:
 def _probes(bc, dump: Dump) -> None:
     a = bc.FilteredSet(0, *SETS["a"])
     b = bc.FilteredSet(0, *SETS["b"])
-    cfg = bc.ConvolveConfig(n_s=64, n_t=256, n_q=8)
-    for c in CANDIDATES:
+    small = bc.ConvolveConfig(n_s=64, n_t=256, n_q=8)
+    runs = [(f"probe_{c}", c, small) for c in CANDIDATES]
+    runs.append(("probe_default_3.0", 3.0, None))  # singularity_probe's default grid
+    for name, c, cfg in runs:
         rep = bc.singularity_probe(bc.Germ.pole(1), bc.Germ.pole(2), a, b, c, 0.2, cfg=cfg)
         # the circle runs from the loop's 17th-last vertex to its end
         t_start = rep.loop.vertex_fractions()[-CIRCLE_SIDES - 1]
         k = int(np.argmin(np.abs(rep.trace.ts - t_start)))
-        dump.raw(f"probe_{c}_circle_values.bin", rep.trace.values[k:])
-        dump.raw(f"probe_{c}_circle_ts.bin", rep.trace.ts[k:])
-        dump.text(f"probe_{c}.txt", [
+        dump.raw(f"{name}_circle_values.bin", rep.trace.values[k:])
+        dump.raw(f"{name}_circle_ts.bin", rep.trace.ts[k:])
+        grid = rep.trace.grid
+        dump.text(f"{name}.txt", [
             rep.classification,
             *(f"{k} {_hex(getattr(rep, k))}"
               for k in ("defect_rel", "ring_rel", "scale", "level")),
             *(f"{k} {_hex(getattr(rep, k).real)} {_hex(getattr(rep, k).imag)}"
               for k in ("value_before", "value_after")),
+            *(f"grid_{k} {_hex(getattr(grid, k))}" for k in ("min_chi", "richardson_error")),
+            f"grid_H_sha256 {hashlib.sha256(grid.H.tobytes()).hexdigest()}",
         ])
 
 
+def _outcome(bc, run) -> str:
+    """The error class a guard case raises, with a ChiGuardError's t, value
+    and bound; or "ok", with the min_chi of the grid the run returned."""
+    try:
+        result = run()
+    except bc.ChiGuardError as exc:
+        return f"ChiGuardError t={_hex(exc.t)} value={_hex(exc.value)} bound={_hex(exc.bound)}"
+    except bc.BorelConvError as exc:
+        return type(exc).__name__
+    grid = getattr(getattr(result, "trace", None), "grid", result)
+    return f"ok min_chi={_hex(grid.min_chi)}" if hasattr(grid, "min_chi") else "ok"
+
+
 def _guards(bc, dump: Dump) -> None:
-    """The error class each guard case raises, or "ok"."""
+    """The outcome of each guard case (see `_outcome`)."""
     F, P, G = bc.FilteredSet, bc.Path, bc.Germ
     a, b = F(0, *SETS["a"]), F(0, *SETS["b"])
     empty = F(0, [], 6.0)
     tiny = bc.ConvolveConfig(n_s=64, n_t=256, n_q=8)
+    hairpin = P([0.25, 0.6 + 0.01j, 1.3 + 0.002j, 1.75])  # trips between time nodes
     cases = {
         "deform_chi_guard": lambda: bc.deform(P([0.25, 1 + 1e-3j, 1.75]), a, empty, 2.2,
                                               n_s=16, n_t=64, eps_den=1e-2),
+        "deform_chi_near": lambda: bc.deform(P([0.25, 1 + 1e-3j, 1.75]), a, empty, 2.2,
+                                             n_s=16, n_t=64),
+        "deform_chi_guard_mid_step": lambda: bc.deform(hairpin, a, empty, 2.2,
+                                                       n_s=16, n_t=64, eps_den=2e-2),
+        "deform_chi_near_mid_step": lambda: bc.deform(hairpin, a, empty, 2.2, n_s=16, n_t=64),
         "deform_length_budget": lambda: bc.deform(
             P([0.2 + 0.2j, 0.8 + 0.2j]), F(0, [(0.26j, 0.3)], 3.0),
             F(0, [(2.0, 2.0)], 3.0), 1.5, n_s=16, n_t=32, delta_len=1e-18),
@@ -146,15 +175,7 @@ def _guards(bc, dump: Dump) -> None:
         **{f"probe_log_pole_{c}": (lambda c=c: bc.singularity_probe(
             G.log_pole(1), G.pole(2), a, b, c, 0.2, cfg=tiny)) for c in CANDIDATES},
     }
-    lines = []
-    for name, run in cases.items():
-        try:
-            run()
-            outcome = "ok"
-        except bc.BorelConvError as exc:
-            outcome = type(exc).__name__
-        lines.append(f"{name} {outcome}")
-    dump.text("guards.txt", lines)
+    dump.text("guards.txt", [f"{name} {_outcome(bc, run)}" for name, run in cases.items()])
 
 
 def _hex_pair(z) -> str:
