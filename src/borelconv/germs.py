@@ -549,7 +549,7 @@ class ProbeReport:
         return self.classification == "singular-like"
 
 
-def _detour_route(seed: complex, target: complex, obstacles, clearance: float) -> list[complex]:
+def _detour_route(seed: complex, target: complex, obstacles, clearance: float) -> np.ndarray:
     """Polyline from seed to target dodging obstacles near the straight
     segment with semicircles on the left of the travel direction (a fixed
     side keeps repeated probes on a consistent branch)."""
@@ -620,7 +620,7 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     circle = [candidate + radius * cmath.exp(1j * (phi0 + TWO_PI * k / PROBE_CIRCLE_SEGMENTS))
               for k in range(1, PROBE_CIRCLE_SEGMENTS)]
     circle.append(p0)  # close the polygon exactly
-    loop = Path(route + circle)
+    loop = Path(np.concatenate([route, circle]))
     start_index = len(route) - 1  # vertex where the circle begins and ends
 
     t_start = loop.vertex_fractions()[start_index]

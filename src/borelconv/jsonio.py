@@ -27,6 +27,11 @@ from .germs import ContinuationTrace, Germ
 from .paths import Path
 
 
+# CSV rows formatted and written at a time: the text and the Python floats
+# held at once are bounded by this, not by the table's length
+CSV_BLOCK_ROWS = 4096
+
+
 class ParseError(BorelConvError):
     """Malformed input document."""
 
@@ -60,12 +65,16 @@ def dumps(doc) -> str:
     return render(doc) + "\n"
 
 
-def atomic_write(path: str, text: str):
+def atomic_write(path: str, chunks):
+    """Write the strings of the iterable `chunks` to `path`, atomically:
+    into a temp file in the same directory, then renamed over `path`.  On
+    any error the temp file is removed and `path` is left as it was."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -74,15 +83,26 @@ def atomic_write(path: str, text: str):
 
 
 def write_json(path: str, doc):
-    atomic_write(path, dumps(doc))
+    atomic_write(path, (dumps(doc),))
 
 
 def write_csv(path: str, header: list[str], table):
-    """One line per row of the 2-D float array `table`, 17 digits a value."""
+    """One line per row of the 2-D float array `table`, 17 digits a value.
+
+    Every value is checked to be finite before the file is opened; the rows
+    are then formatted and written CSV_BLOCK_ROWS at a time, so the text
+    held at once stays bounded whatever the table's length."""
     table = _finite(np.asarray(table, dtype=float))
-    row = ",".join(["%.17g"] * table.shape[1])
-    lines = [",".join(header)] + [row % r for r in map(tuple, table.tolist())]
-    atomic_write(path, "\n".join(lines) + "\n")
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for i in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[i:i + CSV_BLOCK_ROWS]
+            # the row template once per row, filled by one %-format
+            yield line * len(block) % tuple(block.ravel().tolist())
+
+    atomic_write(path, chunks())
 
 
 def _pair(z: complex) -> list[float]:
@@ -197,9 +217,15 @@ def trace_csv_rows(trace: ContinuationTrace):
 
 
 def grid_csv_rows(grid):
+    """One row (s, t, H, H*) per grid node, filled in place: the only
+    grid-sized arrays are H, its mirror and the table."""
     H, H_star = grid.H, mirror(grid.H)
-    s, t = np.broadcast_arrays(grid.s_nodes[:, None], grid.t_nodes[None, :])
-    return np.column_stack([a.ravel() for a in (s, t, H.real, H.imag, H_star.real, H_star.imag)])
+    table = np.empty(H.shape + (6,))
+    table[..., 0] = grid.s_nodes[:, None]
+    table[..., 1] = grid.t_nodes[None, :]
+    table[..., 2], table[..., 3] = H.real, H.imag
+    table[..., 4], table[..., 5] = H_star.real, H_star.imag
+    return table.reshape(-1, 6)
 
 
 def load_json(path: str):

@@ -22,6 +22,9 @@ from .filtered_set import FilteredSet
 # for admissibility); concatenation endpoints must agree to 1e-12.
 INCIDENCE_TOL = 1e-9
 CONCAT_TOL = 1e-12
+# (point, entry) pairs per block of `local_radii`: its temporaries are
+# bounded by this, not by the number of points
+RADII_BLOCK = 1 << 16
 
 
 class Path:
@@ -117,7 +120,7 @@ def reverse(a: Path) -> Path:
     return Path(a._verts[::-1])
 
 
-def _dedupe_consecutive(zs, tol: float) -> list[complex]:
+def _dedupe_consecutive(zs, tol: float) -> np.ndarray:
     """Vertices with each one within `tol` of the last one kept dropped,
     so that the rest can form a Path."""
     zs = np.asarray(zs, dtype=complex)
@@ -125,12 +128,12 @@ def _dedupe_consecutive(zs, tol: float) -> list[complex]:
     # every step longer than tol: each vertex is kept, its last kept vertex
     # being its predecessor (np.hypot has the bits of abs(complex))
     if (np.hypot(d.real, d.imag) > tol).all():
-        return zs.tolist()
+        return zs
     out = [complex(zs[0])]
     for z in zs[1:].tolist():
         if abs(z - out[-1]) > tol:
             out.append(z)
-    return out
+    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -201,16 +204,24 @@ def is_allowed(path: Path, fset: FilteredSet) -> bool:
 
 def local_radii(zs, prefix, fset: FilteredSet) -> np.ndarray:
     """Feasible ball radius at each point reached with arclength `prefix`
-    (arrays of one shape, or scalars).
+    (arrays that broadcast together, or scalars).
 
     A radius r around z is feasible iff every entry within distance r has
     level at least prefix + r, and the budget stays within the horizon:
     r_max = min(horizon - prefix, min_p max(|p - z|, level(p) - prefix)).
+    Points are taken in blocks of about RADII_BLOCK (point, entry) pairs,
+    so the temporaries stay bounded whatever the number of points.
     """
-    zs = np.asarray(zs)
-    prefix = np.asarray(prefix)
-    cand = np.maximum(np.abs(fset.points - zs[..., None]), fset.levels - prefix[..., None])
-    return np.minimum(fset.horizon - prefix, np.minimum.reduce(cand, axis=-1, initial=math.inf))
+    zs, prefix = np.broadcast_arrays(np.asarray(zs), np.asarray(prefix))
+    z, pre = zs.ravel(), prefix.ravel()
+    out = np.empty(z.shape)
+    step = max(1, RADII_BLOCK // max(len(fset.points), 1))
+    for i in range(0, len(z), step):
+        zb, pb = z[i:i + step], pre[i:i + step]
+        cand = np.maximum(np.abs(fset.points - zb[:, None]), fset.levels - pb[:, None])
+        out[i:i + step] = np.minimum(fset.horizon - pb,
+                                     np.minimum.reduce(cand, axis=-1, initial=math.inf))
+    return out.reshape(zs.shape)
 
 
 def local_radius(z: complex, prefix: float, fset: FilteredSet) -> float:

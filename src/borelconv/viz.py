@@ -21,8 +21,7 @@ def _fmt(x: float) -> str:
 
 
 class _Frame:
-    def __init__(self, points):
-        pts = np.asarray(points, dtype=complex)
+    def __init__(self, pts: np.ndarray):
         x0, x1 = float(pts.real.min()), float(pts.real.max())
         y0, y1 = float(pts.imag.min()), float(pts.imag.max())
         span = max(x1 - x0, y1 - y0, 1e-9)
@@ -53,8 +52,7 @@ def _dots(frame, zs, colour, r):
 
 def grid_overlay_svg(grid: DeformationGrid) -> str:
     fine = grid.set_a.fine_sum(grid.set_b)
-    cloud = list(grid.H.flatten()) + list(fine.points) + [0.0 + 0.0j]
-    frame = _Frame(cloud)
+    frame = _Frame(np.concatenate([grid.H.ravel(), fine.points, [0.0 + 0.0j]]))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -73,4 +71,4 @@ def grid_overlay_svg(grid: DeformationGrid) -> str:
 
 
 def write_grid_overlay(path: str, grid: DeformationGrid):
-    atomic_write(path, grid_overlay_svg(grid))
+    atomic_write(path, (grid_overlay_svg(grid),))

@@ -1,10 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from borelconv.cli import main
-from borelconv.jsonio import dumps, load_json, set_from_doc
+from borelconv.jsonio import CSV_BLOCK_ROWS, atomic_write, dumps, load_json, set_from_doc, write_csv
 
 from conftest import sets_equal
 from borelconv import FilteredSet
@@ -302,6 +303,54 @@ def test_convolve_with_probe(tmp_path):
     assert code == 0
     probe = load_json(str(outdir / "probe.json"))
     assert probe["classification"] == "regular"
+
+
+# -- writers -----------------------------------------------------------------
+
+
+def _csv_one_shot(header, table):
+    """Reference: the whole table formatted as one string."""
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(header)] + [row % r for r in map(tuple, table.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_streams_the_bytes_of_one_shot(tmp_path):
+    rng = np.random.default_rng(61)
+    n = 2 * CSV_BLOCK_ROWS + 5  # three chunks, the last one short
+    table = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    table[0] = [-0.0, 5e-324, 1.7976931348623157e308]
+    table[-1] = [0.1, 1 / 3, -2.0]
+    out = tmp_path / "t.csv"
+    write_csv(str(out), ["a", "b", "c"], table)
+    data = out.read_bytes()
+    assert data == _csv_one_shot(["a", "b", "c"], table).encode()
+    assert data.startswith(b"a,b,c\n") and data.endswith(b"\n0.10000000000000001,0.33333333333333331,-2\n")
+    assert data.count(b"\n") == n + 1
+    write_csv(str(out), ["x"], np.empty((0, 1)))
+    assert out.read_bytes() == b"x\n"
+
+
+def test_write_csv_refuses_non_finite_before_writing(tmp_path):
+    table = np.ones((2 * CSV_BLOCK_ROWS + 5, 2))
+    table[-1, 1] = math.nan  # in the last chunk
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "t.csv"), ["a", "b"], table)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_failing_mid_stream_keeps_the_old_file(tmp_path):
+    out = tmp_path / "t.txt"
+    out.write_text("old\n")
+
+    def chunks():
+        yield "new\n"
+        raise RuntimeError("formatter failed")
+
+    with pytest.raises(RuntimeError):
+        atomic_write(str(out), chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["t.txt"]
+    assert out.read_text() == "old\n"
 
 
 # -- misc --------------------------------------------------------------------

@@ -15,7 +15,7 @@ from borelconv import (
     local_radius,
     reverse,
 )
-from borelconv.paths import _dedupe_consecutive, _segment_distances, local_radii
+from borelconv.paths import RADII_BLOCK, _dedupe_consecutive, _segment_distances, local_radii
 from conftest import brute_allowed, random_path, random_set
 
 
@@ -279,6 +279,31 @@ def test_local_radii_match_scalar_formula():
         assert [local_radius(z, pref, s) for z, pref in zip(zs, prefix)] == want
 
 
+def _radii_one_shot(zs, prefix, s):
+    """The unblocked formula: every (point, entry) pair in one array."""
+    zs, prefix = np.asarray(zs), np.asarray(prefix)
+    cand = np.maximum(np.abs(s.points - zs[..., None]), s.levels - prefix[..., None])
+    return np.minimum(s.horizon - prefix, np.minimum.reduce(cand, axis=-1, initial=math.inf))
+
+
+def test_local_radii_blocks_keep_the_bits_of_one_shot():
+    # 600 entries: a block holds 109 points, so 4 097 samples span 38 blocks
+    # and the 2-D inputs several, with a short last block
+    rng = np.random.default_rng(59)
+    pts = rng.uniform(-3, 3, 600) + 1j * rng.uniform(-3, 3, 600)
+    s = FilteredSet(0, list(zip(pts.tolist(), (np.abs(pts) + rng.uniform(0, 2, 600)).tolist())),
+                    8.0)
+    assert RADII_BLOCK // len(s.points) < 4097
+    for shape in [(), (4097,), (61, 37)]:
+        zs = rng.uniform(-3, 3, shape) + 1j * rng.uniform(-3, 3, shape)
+        prefix = rng.uniform(0, 3, shape)
+        for pre in (prefix, 0.75):  # a prefix per point, or one broadcast
+            got, want = local_radii(zs, pre, s), _radii_one_shot(zs, pre, s)
+            assert got.shape == np.shape(want) and got.dtype == want.dtype
+            assert got.tobytes() == np.asarray(want).tobytes()
+    assert local_radius(0.5j, 0.25, s) == float(_radii_one_shot(0.5j, 0.25, s))
+
+
 def test_local_radius_positive_along_allowed_path():
     rng = np.random.default_rng(25)
     for _ in range(20):
@@ -316,10 +341,10 @@ def _dedupe_reference(zs, tol):
 def test_dedupe_consecutive_against_last_kept(tol):
     # each step is below the tolerance, their sum is not
     zs = [0, 0.6 * tol, 1.2 * tol, 1, 1 + 0.1 * tol, 2]
-    assert _dedupe_consecutive(zs, tol) == [0, 1.2 * tol, 1, 2]
+    assert _dedupe_consecutive(zs, tol).tolist() == [0, 1.2 * tol, 1, 2]
     rng = np.random.default_rng(47)
     walk = np.cumsum(rng.choice([0.3 * tol, 0.9 * tol, 2 * tol, 0.0], 200))
-    assert _dedupe_consecutive(walk, tol) == _dedupe_reference(walk, tol)
+    assert _dedupe_consecutive(walk, tol).tolist() == _dedupe_reference(walk, tol)
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-12])
@@ -332,10 +357,10 @@ def test_dedupe_consecutive_matches_reference_with_and_without_short_steps(tol, 
     steps[rng.choice(400, sub_tol_steps, replace=False)] *= 0.4
     walk = np.cumsum(steps)
     got = _dedupe_consecutive(walk, tol)
-    assert got == _dedupe_reference(walk, tol)
+    assert got.tolist() == _dedupe_reference(walk, tol)
     assert (len(got) == len(walk)) == (sub_tol_steps == 0)
     # a step of exactly tol is dropped
-    assert _dedupe_consecutive([0.0, tol, 3 * tol], tol) == [0, 3 * tol]
+    assert _dedupe_consecutive([0.0, tol, 3 * tol], tol).tolist() == [0, 3 * tol]
 
 
 # -- directional test -----------------------------------------------------------------

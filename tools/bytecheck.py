@@ -16,8 +16,8 @@ Writes, one file per output, into OUTDIR:
   scale, level, classification, and the loop grid's min_chi,
   richardson_error and a SHA-256 of its H;
 * every file of the README command-line sequence (with `convolve --probe`),
-  `set-op saturate` of a lattice and `path-check` of a walk against it,
-  with the exit codes;
+  `set-op saturate` of a lattice and `path-check` of a walk against it
+  (with the default and with 4096 samples), with the exit codes;
 * the error class raised, or "ok", for inputs on which a guard trips or
   nearly trips, with a ChiGuardError's t, value and bound, or the min_chi
   of the grid a run returned, as exact hex floats;
@@ -254,6 +254,9 @@ def _cli(src: str, dump: Dump) -> None:
          "--probe", "2.0,0", "--probe-radius", "0.2", "-o", "conv_out"],
         ["set-op", "saturate", "lattice.json", "-o", "saturated.json"],
         ["path-check", "walk.json", "saturated.json", "-o", "walk_check.json"],
+        # 4 096 samples against 1 495 entries: about 96 blocks of local_radii
+        ["path-check", "walk.json", "saturated.json", "-o", "walk_check_4096.json",
+         "--samples", "4096"],
     ]
     env = dict(os.environ, PYTHONPATH=src)
     codes = []
