@@ -188,7 +188,13 @@ def _cmd_convolve(args) -> int:
             "classification": rep.classification,
             "defect_rel": rep.defect_rel,
             "ring_rel": rep.ring_rel,
+            "tol_mono": germs.TOL_MONO,
+            # null where the estimate is nan or inf (see ProbeReport)
+            "s_error_rel": rep.s_error_rel if math.isfinite(rep.s_error_rel) else None,
             "level": rep.level,
+            "n_s": rep.trace.grid.n_s,
+            "n_t": rep.trace.grid.n_t,
+            "n_q": rep.n_q,
         })
     return 0
 

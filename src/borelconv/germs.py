@@ -22,7 +22,7 @@ import cmath
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -479,6 +479,19 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j,
     return values if np.ndim(j) else complex(values[0])
 
 
+def _block_columns(grid: DeformationGrid, cfg: ConvolveConfig) -> int:
+    """Columns per block: about BLOCK_NODES quadrature nodes."""
+    return max(1, BLOCK_NODES // (grid.n_s * cfg.n_q))
+
+
+def _convolve_columns(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
+                      cfg: ConvolveConfig) -> np.ndarray:
+    """convolve_at over the (non-empty) time indices js, a block at a time."""
+    block = _block_columns(grid, cfg)
+    return np.concatenate([convolve_at(phi, psi, grid, js[k:k + block], n_q=cfg.n_q, cfg=cfg)
+                           for k in range(0, len(js), block)])
+
+
 def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
                    set_b: FilteredSet, cfg: ConvolveConfig | None = None,
                    t_from: float = 0.0) -> ContinuationTrace:
@@ -507,19 +520,13 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
     grid = deform(gamma, set_a, set_b, level, n_s=cfg.n_s, n_t=cfg.n_t)
     first = int(np.argmin(np.abs(grid.t_nodes - t_from)))
     n_skip = first if {phi.kind, psi.kind} <= {"pole", "poly"} else 0
-    js = np.arange(grid.n_t + 1)
-    block = max(1, BLOCK_NODES // (grid.n_s * cfg.n_q))
-    values = []
-    for k in range(0, len(js), block):
-        b = js[k:k + block]
-        if b[0] < n_skip:
-            cols, mirs = _checked_columns(grid, b[b < n_skip])
-            _continue_frames(psi, mirs, cfg)
-            _continue_frames(phi, cols, cfg)
-            b = b[b >= n_skip]
-        if len(b):
-            values.append(convolve_at(phi, psi, grid, b, n_q=cfg.n_q, cfg=cfg))
-    values = np.concatenate(values)[first - n_skip:]
+    block = _block_columns(grid, cfg)
+    for k in range(0, n_skip, block):
+        cols, mirs = _checked_columns(grid, np.arange(k, min(k + block, n_skip)))
+        _continue_frames(psi, mirs, cfg)
+        _continue_frames(phi, cols, cfg)
+    values = _convolve_columns(phi, psi, grid, np.arange(n_skip, grid.n_t + 1), cfg)
+    values = values[first - n_skip:]
     ts = grid.t_nodes[first:]
     radii = local_radii(grid.gamma_values()[first:], abs(gamma.start) + ts * gamma.length, fine)
     return ContinuationTrace(gamma, ts.copy(), values, radii, grid=grid)
@@ -532,7 +539,14 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
 class ProbeReport:
     """Outcome of a loop probe.  `trace` holds the circle only: its times,
     values and radii run from the circle's first vertex to the end of the
-    loop, while its `path` and `grid` are the whole loop's."""
+    loop, while its `path` and `grid` are the whole loop's.
+
+    `s_error_rel` estimates the error of the circle's values from the
+    s-resolution of the grid: the largest change of those values when the
+    same columns are integrated on every other row of the grid, relative to
+    `scale`.  It is nan when n_s is odd (every other row would drop gamma's
+    row) and inf when the half-resolution pass refuses with ToleranceError.
+    `n_q` is the Gauss-Legendre order per cell of the circle's columns."""
 
     classification: str
     defect_rel: float
@@ -542,6 +556,8 @@ class ProbeReport:
     scale: float
     value_before: complex
     value_after: complex
+    s_error_rel: float
+    n_q: int
     trace: ContinuationTrace | None = field(repr=False, default=None)
 
     @property
@@ -576,6 +592,24 @@ def _detour_route(seed: complex, target: complex, obstacles, clearance: float) -
     return _dedupe_consecutive(verts, 1e-12)
 
 
+def _half_s_error(phi: Germ, psi: Germ, trace: ContinuationTrace,
+                  cfg: ConvolveConfig) -> float:
+    """Largest change of the trace's values (the last columns of its grid)
+    when they are integrated on every other row of the grid.
+
+    Rows integrate independently, so every other row is bit for bit the
+    grid at half the s-resolution, and the estimate needs no field calls."""
+    grid = trace.grid
+    if grid.n_s % 2:
+        return math.nan
+    js = np.arange(grid.n_t + 1 - len(trace.values), grid.n_t + 1)
+    try:
+        coarse = _convolve_columns(phi, psi, replace(grid, H=grid.H[::2]), js, cfg)
+    except ToleranceError:
+        return math.inf
+    return float(np.max(np.abs(coarse - trace.values)))
+
+
 def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
                       set_b: FilteredSet, candidate: complex, radius: float,
                       seed: complex | None = None,
@@ -590,14 +624,18 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     over the circle is checked as well: it vanishes for a regular point but
     picks up the residue of a pole-type singularity, which a pure value
     defect cannot see.  Thresholds are relative to the value scale on the
-    circle.
+    circle.  The report also carries an estimate of the values' error from
+    the s-resolution of the grid (`ProbeReport.s_error_rel`).
     """
     if cfg is None:
-        # a loop drags a hairpin of the contour around the candidate whose
-        # clearance is well below the loop radius; the flow parametrization
-        # bunches samples there, but it still needs more cells than a
-        # straight trace
-        cfg = ConvolveConfig(n_s=256, n_t=2048, n_q=8)
+        # n_s decides the accuracy.  A loop drags a hairpin of the contour
+        # around the candidate, and a few long cells at the contour's ends
+        # pass close to a set's point, where a local cubic needs many cells.
+        # At radius 0.2 around the pole pair's candidates, 1024 cells match
+        # the closed form within 1e-11 of the values' scale and 256 are off
+        # by order 1; n_t barely matters.  Each halving of the radius needs
+        # about 4x n_s, which ProbeReport.s_error_rel flags.
+        cfg = ConvolveConfig(n_s=1024, n_t=256, n_q=8)
     candidate = complex(candidate)
     radius = float(radius)
     if not (radius > 0.0 and math.isfinite(radius)):
@@ -638,5 +676,6 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
         classification="singular-like" if singular else "regular",
         defect_rel=float(defect), ring_rel=float(ring_rel), loop=loop,
         level=trace.grid.level, scale=scale,
-        value_before=complex(vals[0]), value_after=complex(vals[-1]), trace=trace,
+        value_before=complex(vals[0]), value_after=complex(vals[-1]),
+        s_error_rel=_half_s_error(phi, psi, trace, cfg) / scale, n_q=cfg.n_q, trace=trace,
     )

@@ -2,16 +2,18 @@
 
 The oracles deliberately avoid the library code paths they check: set
 membership is decided by enumerating pair decompositions per budget value,
-path admissibility by a direct avoid-the-members test, and point-segment
-distances by a naive scalar routine.
+path admissibility by a direct avoid-the-members test, point-segment
+distances by a naive scalar routine, and the convolution of two poles by
+its closed form continued along a dense polyline.
 """
 
 import cmath
 import math
 
 import numpy as np
+import pytest
 
-from borelconv import FilteredSet, Path
+from borelconv import FilteredSet, Germ, Path, singularity_probe
 
 
 # -- random data -------------------------------------------------------------
@@ -204,3 +206,59 @@ def random_directional_config(rng):
         p = r * cmath.exp(1j * ang)
         entries.append((p, max(lv, r + 1e-9)))
     return FilteredSet(0.0, entries, horizon), theta, expected
+
+
+# -- closed-form convolution ----------------------------------------------------
+
+
+def _polyline_points(verts, ts):
+    """Points at arclength fractions ts of the polyline through verts."""
+    cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(verts)))])
+    u = np.asarray(ts, dtype=float) * cum[-1]
+    return np.interp(u, cum, verts.real) + 1j * np.interp(u, cum, verts.imag)
+
+
+def _continued_log(u):
+    """log u along the sampled curve u (starting at u[0] = 1), the argument
+    tracked step by step."""
+    ratio = u[1:] / u[:-1]
+    assert np.all(np.abs(ratio - 1.0) < 0.5), "polyline too coarse to track the logarithm"
+    theta = np.concatenate([[0.0], np.cumsum(np.angle(ratio))])
+    return np.log(np.abs(u)) + 1j * theta
+
+
+def pole_pole_oracle(path, ts=1.0, a=1.0, b=2.0):
+    """The convolution of 1/(a - z) and 1/(b - z), continued from 0 along
+    the segment to path's start and then along path, at the path's
+    parameters ts (arclength fractions).
+
+    The partial fraction 1/((a-h)(b-z+h)) = [1/(a+b-z)] [1/(a-h) + 1/(b-z+h)]
+    integrates to [log(a/(a-z)) + log(b/(b-z))] / (a+b-z).  Both logarithms
+    are continued by summing the principal angle of each step on a polyline
+    of 400 001 points along path (plus ts), after 1 024 on the lead-in
+    segment."""
+    a, b = complex(a), complex(b)
+    verts = np.asarray(path.vertices, dtype=complex)
+    ts = np.asarray(ts, dtype=float)
+    t_all = np.unique(np.concatenate([np.linspace(0.0, 1.0, 400_001), ts.ravel()]))
+    z = np.concatenate([np.linspace(0.0, verts[0], 1024, endpoint=False),
+                        _polyline_points(verts, t_all)])
+    f = -(_continued_log(1.0 - z / a) + _continued_log(1.0 - z / b)) / (a + b - z)
+    return f[1024 + np.searchsorted(t_all, ts)]
+
+
+def circle_oracle_error(rep, a=1.0, b=2.0):
+    """Largest error of a pole(a)*pole(b) probe's circle values against the
+    continued closed form, relative to the largest exact value."""
+    want = pole_pole_oracle(rep.loop, rep.trace.ts, a, b)
+    return float(np.max(np.abs(rep.trace.values - want)) / np.max(np.abs(want)))
+
+
+@pytest.fixture(scope="session")
+def pole_pair_probes():
+    """The criterion-7 probes of pole(1)*pole(2), A = {1 @ 1}, B = {2 @ 2},
+    at radius 0.2 on the probe's default grid, by candidate."""
+    a = FilteredSet(0, [(1, 1.0)], 6.0)
+    b = FilteredSet(0, [(2, 2.0)], 6.0)
+    return {c: singularity_probe(Germ.pole(1), Germ.pole(2), a, b, c, 0.2)
+            for c in (1.0, 1.5, 2.0, 2.5, 3.0)}

@@ -20,22 +20,20 @@ from borelconv import (
     deform,
     glimpsed,
     glimpsed_by_filtration,
-    singularity_probe,
     validate,
 )
-from conftest import random_directional_config, random_set, sets_equal
-
-TWO_PI_I = 2j * math.pi
+from conftest import (
+    circle_oracle_error,
+    pole_pole_oracle,
+    random_directional_config,
+    random_set,
+    sets_equal,
+)
 
 
 def report(n, ok, detail):
     print(f"\nACCEPTANCE {n}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {n}: {detail}"
-
-
-def pole_pole_oracle(z, a=1.0, b=2.0, branch_shift=0.0):
-    return (np.log(a) + np.log(b) - (np.log(a - z) + branch_shift * TWO_PI_I)
-            - np.log(b - z)) / (a + b - z)
 
 
 def _cluster_ids(points, tol=1e-9):
@@ -204,7 +202,7 @@ def test_criterion_5_convolution_oracles():
     ok_mono = err_mono <= 1e-9
 
     tr_pp = convolve_along(Germ.pole(1), Germ.pole(2), Path([0.25, 0.5]), a, b, cfg)
-    want = pole_pole_oracle(0.5)
+    want = pole_pole_oracle(tr_pp.path)
     err_pp = abs(tr_pp.end_value - want) / abs(want)
     ok_pp = err_pp <= 1e-6
 
@@ -224,26 +222,26 @@ def test_criterion_6_branch_continuation():
     loop = Path([0.25, 1 - r] + circle + [0.5])
     cfg = ConvolveConfig(n_s=128, n_t=1024, n_q=8)
     tr = convolve_along(Germ.pole(1), Germ.pole(2), loop, a, b, cfg)
-    want = pole_pole_oracle(0.5, branch_shift=1.0)
+    want = pole_pole_oracle(loop)
     err = abs(tr.end_value - want) / abs(want)
     report(6, err <= 1e-5,
            f"loop around 1 back to 0.5: rel err {err:.1e} <= 1e-5 against the "
-           "2*pi*i-shifted closed form")
+           "closed form continued along the loop")
 
 
-def test_criterion_7_singularity_containment():
-    a = FilteredSet(0, [(1, 1.0)], 6.0)
-    b = FilteredSet(0, [(2, 2.0)], 6.0)
-    phi, psi = Germ.pole(1), Germ.pole(2)
-    got, details = {}, []
-    for cand in (1.0, 1.5, 2.0, 2.5, 3.0):
-        rep = singularity_probe(phi, psi, a, b, cand, 0.2)
+def test_criterion_7_singularity_containment(pole_pair_probes):
+    got, details, worst = {}, [], 0.0
+    for cand, rep in pole_pair_probes.items():
         got[cand] = rep.classification
+        err = circle_oracle_error(rep)
+        worst = max(worst, err)
         details.append(f"{cand}:{rep.classification[:4]}"
-                       f"(d={rep.defect_rel:.0e},r={rep.ring_rel:.0e})")
+                       f"(d={rep.defect_rel:.0e},r={rep.ring_rel:.0e},e={err:.0e})")
     ok = (all(got[c] == "singular-like" for c in (1.0, 2.0, 3.0))
-          and all(got[c] == "regular" for c in (1.5, 2.5)))
-    report(7, ok, "probes " + " ".join(details))
+          and all(got[c] == "regular" for c in (1.5, 2.5))
+          and worst <= 1e-9)
+    report(7, ok, "probes " + " ".join(details)
+           + f"; circle values within {worst:.1e} <= 1e-9 of the continued closed form")
 
 
 def test_criterion_8_series_backend_parity():

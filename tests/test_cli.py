@@ -291,7 +291,8 @@ def test_convolve_ones_trace(tmp_path):
         assert math.hypot(rv - rg, iv - ig) < 1e-12
 
 
-def test_convolve_with_probe(tmp_path):
+def convolve_with_probe(tmp_path):
+    """probe.json of `convolve --probe 1.5,0` on the pole pair."""
     phi = write(tmp_path / "phi.json", {"kind": "pole", "a": [1.0, 0.0]})
     psi = write(tmp_path / "psi.json", {"kind": "pole", "a": [2.0, 0.0]})
     a = write(tmp_path / "a.json", set_doc([(1 + 0j, 1.0)], 6.0))
@@ -301,8 +302,25 @@ def test_convolve_with_probe(tmp_path):
     code = main(["convolve", phi, psi, g, a, b, "--ns", "64", "--nt", "64",
                  "--probe", "1.5,0", "--probe-radius", "0.2", "-o", str(outdir)])
     assert code == 0
-    probe = load_json(str(outdir / "probe.json"))
+    return load_json(str(outdir / "probe.json"))
+
+
+def test_convolve_with_probe(tmp_path):
+    probe = convolve_with_probe(tmp_path)
+    assert set(probe) == {"candidate", "radius", "classification", "defect_rel", "ring_rel",
+                          "tol_mono", "s_error_rel", "level", "n_s", "n_t", "n_q"}
     assert probe["classification"] == "regular"
+    assert probe["tol_mono"] == 1e-4
+    assert 0.0 <= probe["s_error_rel"] <= 1e-5
+    # the probe's own grid, not the trace's --ns and --nt
+    assert (probe["n_s"], probe["n_t"], probe["n_q"]) == (1024, 256, 8)
+
+
+def test_convolve_with_probe_writes_null_for_a_non_finite_s_error(tmp_path, monkeypatch):
+    from borelconv import germs
+
+    monkeypatch.setattr(germs, "_half_s_error", lambda *args: math.inf)
+    assert convolve_with_probe(tmp_path)["s_error_rel"] is None
 
 
 # -- writers -----------------------------------------------------------------

@@ -20,6 +20,8 @@ from borelconv import (
     eval_local,
     singularity_probe,
 )
+from borelconv.germs import TOL_MONO
+from conftest import circle_oracle_error, pole_pole_oracle
 
 TWO_PI_I = 2j * math.pi
 
@@ -27,15 +29,6 @@ TWO_PI_I = 2j * math.pi
 def pole_pair_sets(horizon=6.0):
     return (FilteredSet(0, [(1, 1.0)], horizon),
             FilteredSet(0, [(2, 2.0)], horizon))
-
-
-def pole_pole_oracle(z, a=1.0, b=2.0, branch_shift=0.0):
-    """Convolution of 1/(a - z) and 1/(b - z): the partial fraction
-    1/((a-h)(b-z+h)) = [1/(a+b-z)] * [1/(a-h) + 1/(b-z+h)] integrates to
-    log(a*b / ((a-z)(b-z))) / (a+b-z); branch_shift adds 2*pi*i windings
-    picked up around a."""
-    return (np.log(a) + np.log(b) - (np.log(a - z) + branch_shift * TWO_PI_I)
-            - np.log(b - z)) / (a + b - z)
 
 
 def circle_vertices(centre, radius, segments=16, start_angle=math.pi):
@@ -245,7 +238,7 @@ def test_convolve_pole_pole_closed_form():
     a, b = pole_pair_sets()
     grid = deform(Path([0.25, 0.5]), a, b, 2.5, n_s=128, n_t=128)
     got = convolve_at(Germ.pole(1), Germ.pole(2), grid, grid.n_t, n_q=16)
-    want = pole_pole_oracle(0.5)
+    want = pole_pole_oracle(grid.gamma)
     assert abs(got - want) / abs(want) < 1e-9
 
 
@@ -386,20 +379,33 @@ def test_trace_branch_shift_around_first_pole():
     loop = Path([0.25, 0.7] + circle_vertices(1.0, 0.3) + [0.7, 0.5])
     cfg = ConvolveConfig(n_s=128, n_t=1024, n_q=8)
     tr = convolve_along(Germ.pole(1), Germ.pole(2), loop, a, b, cfg)
-    want = pole_pole_oracle(0.5, branch_shift=1.0)
+    want = pole_pole_oracle(loop)
     assert abs(tr.end_value - want) / abs(want) < 1e-6
 
 
 def test_quadrature_error_decreases_with_resolution():
     a, b = pole_pair_sets()
     gamma = Path([0.25, 0.5])
-    want = pole_pole_oracle(0.5)
+    want = pole_pole_oracle(gamma)
     errs = []
     for n_s, n_q in ((32, 4), (64, 8), (128, 16)):
         tr = convolve_along(Germ.pole(1), Germ.pole(2), gamma, a, b,
                             ConvolveConfig(n_s=n_s, n_t=32, n_q=n_q))
         errs.append(abs(tr.end_value - want))
     assert errs[2] <= errs[1] <= errs[0] or errs[2] < 1e-12
+
+
+@pytest.mark.parametrize("vertices", [
+    [0.25, 0.5 + 0.2j, 0.6 + 0.5j, 0.3 + 0.6j],
+    [0.25, 0.4 - 0.3j, 1.0 - 0.5j, 1.6 - 0.2j],
+    # once around 1, clockwise, and back below it
+    [0.25, 0.8 + 0.3j, 1.3 + 0.1j, 1.2 - 0.3j, 0.8 - 0.2j, 0.6],
+])
+def test_convolve_along_default_grid_matches_continued_closed_form(vertices):
+    a, b = pole_pair_sets()
+    tr = convolve_along(Germ.pole(1), Germ.pole(2), Path(vertices), a, b)
+    want = pole_pole_oracle(tr.path, tr.ts)
+    assert np.max(np.abs(tr.values - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_convolve_rejects_disallowed_gamma():
@@ -484,10 +490,12 @@ def test_probe_rotated_configuration():
     a = FilteredSet(0, [(w, 1.0)], 6.0)
     b = FilteredSet(0, [(2 * w, 2.0)], 6.0)
     phi, psi = Germ.pole(w), Germ.pole(2 * w)
-    expected = {w: "singular-like", 1.5 * w: "regular", 3 * w: "singular-like"}
+    expected = {w: "singular-like", 1.5 * w: "regular", 2 * w: "singular-like",
+                3 * w: "singular-like"}
     for cand, want in expected.items():
         rep = singularity_probe(phi, psi, a, b, cand, 0.2)
         assert rep.classification == want
+        assert circle_oracle_error(rep, w, 2 * w) <= 1e-9, cand
 
 
 def test_probe_entire_convolution_regular_everywhere():
@@ -499,6 +507,39 @@ def test_probe_entire_convolution_regular_everywhere():
 
 
 PROBE_CFG = ConvolveConfig(n_s=64, n_t=256, n_q=8)
+
+
+def test_probe_s_error_bounds_the_oracle_error_at_the_default_grid(pole_pair_probes):
+    for cand, rep in pole_pair_probes.items():
+        assert rep.s_error_rel <= 1e-5, cand
+        assert circle_oracle_error(rep) <= max(rep.s_error_rel, 1e-10), cand
+
+
+@pytest.mark.parametrize("candidate, radius, cfg", [
+    (1.0, 0.2, PROBE_CFG), (2.0, 0.2, PROBE_CFG), (2.5, 0.2, PROBE_CFG),
+    (3.0, 0.2, PROBE_CFG),
+    (2.0, 0.1, None),  # the default grid at half the radius: about 4x n_s short
+])
+def test_probe_s_error_flags_an_under_resolved_grid(candidate, radius, cfg):
+    a, b = pole_pair_sets()
+    rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, candidate, radius, cfg=cfg)
+    assert rep.s_error_rel > TOL_MONO or circle_oracle_error(rep) <= TOL_MONO
+
+
+def test_probe_s_error_is_nan_for_odd_n_s():
+    a, b = pole_pair_sets()
+    rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 1.5, 0.2,
+                            cfg=dataclasses.replace(PROBE_CFG, n_s=63))
+    assert math.isnan(rep.s_error_rel)
+    assert rep.classification == "regular"
+
+
+def test_probe_s_error_is_inf_when_the_half_pass_refuses():
+    # the full grid resolves the log's branch point; every other row does not
+    a, b = pole_pair_sets()
+    rep = singularity_probe(Germ.log_pole(1), Germ.pole(2), a, b, 1.0, 0.2)
+    assert rep.s_error_rel == math.inf
+    assert rep.classification == "singular-like"
 
 
 @pytest.mark.parametrize("candidate", [1.5, 3.0])
@@ -533,18 +574,21 @@ def test_convolve_along_rejects_t_from_outside_the_path(t_from):
 
 
 def count_columns(monkeypatch):
-    """Columns each set's check sees and columns integrated, per probe."""
+    """Columns each set's check sees and columns integrated, per probe, on
+    the loop's grid (64 cells) and on every other row of it (the s-error
+    estimate's half pass)."""
     from borelconv import germs
 
-    seen = {"a": 0, "b": 0, "integrated": 0}
+    seen = {"a": 0, "b": 0, "integrated": 0, "half a": 0, "half b": 0, "half": 0}
     check, integrate = germs._check_columns, germs.convolve_at
 
     def counted_check(pts, fset, level):
-        seen["a" if fset.points[0] == 1 else "b"] += pts.shape[1]
+        half = "half " if pts.shape[0] == PROBE_CFG.n_s // 2 + 1 else ""
+        seen[half + ("a" if fset.points[0] == 1 else "b")] += pts.shape[1]
         return check(pts, fset, level)
 
     def counted_integrate(phi, psi, grid, j, **kw):
-        seen["integrated"] += len(j)
+        seen["half" if grid.n_s == PROBE_CFG.n_s // 2 else "integrated"] += len(j)
         return integrate(phi, psi, grid, j, **kw)
 
     monkeypatch.setattr(germs, "_check_columns", counted_check)
@@ -558,6 +602,7 @@ def test_probe_checks_every_column_and_integrates_the_circle(monkeypatch):
     rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 3.0, 0.2, cfg=PROBE_CFG)
     assert seen["a"] == seen["b"] == 257
     assert seen["integrated"] == len(rep.trace.values) < 257
+    assert seen["half a"] == seen["half b"] == seen["half"] == len(rep.trace.values)
 
 
 def test_probe_with_log_factor_integrates_every_column(monkeypatch):
@@ -567,6 +612,8 @@ def test_probe_with_log_factor_integrates_every_column(monkeypatch):
     rep = singularity_probe(Germ.pole(1), Germ.log_pole(2), a, b, 1.5, 0.2, cfg=PROBE_CFG)
     assert seen["a"] == seen["b"] == seen["integrated"] == 257
     assert len(rep.trace.values) < 257
+    assert math.isfinite(rep.s_error_rel)
+    assert seen["half a"] == seen["half b"] == seen["half"] == len(rep.trace.values)
 
 
 def test_probe_refuses_route_column_through_pole_parameter(monkeypatch):

@@ -12,8 +12,8 @@ Writes, one file per output, into OUTDIR:
 * convolve_along values, times and radii for poly, pole, log_pole and
   series germs;
 * the five criterion-7 probes at 64x256x8, and candidate 3.0 at the default
-  grid 256x2048x8: the circle's values and times, defect_rel, ring_rel,
-  scale, level, classification, and the loop grid's min_chi,
+  grid 1024x256x8: the circle's values and times, defect_rel, ring_rel,
+  s_error_rel, scale, level, classification, and the loop grid's min_chi,
   richardson_error and a SHA-256 of its H;
 * every file of the README command-line sequence (with `convolve --probe`),
   `set-op saturate` of a lattice and `path-check` of a walk against it
@@ -116,7 +116,7 @@ def _probes(bc, dump: Dump) -> None:
     b = bc.FilteredSet(0, *SETS["b"])
     small = bc.ConvolveConfig(n_s=64, n_t=256, n_q=8)
     runs = [(f"probe_{c}", c, small) for c in CANDIDATES]
-    runs.append(("probe_default_3.0", 3.0, None))  # singularity_probe's default grid
+    runs.append(("probe_default_3.0", 3.0, None))  # singularity_probe's default, 1024x256x8
     for name, c, cfg in runs:
         rep = bc.singularity_probe(bc.Germ.pole(1), bc.Germ.pole(2), a, b, c, 0.2, cfg=cfg)
         # the circle runs from the loop's 17th-last vertex to its end
@@ -128,7 +128,7 @@ def _probes(bc, dump: Dump) -> None:
         dump.text(f"{name}.txt", [
             rep.classification,
             *(f"{k} {_hex(getattr(rep, k))}"
-              for k in ("defect_rel", "ring_rel", "scale", "level")),
+              for k in ("defect_rel", "ring_rel", "s_error_rel", "scale", "level")),
             *(f"{k} {_hex(getattr(rep, k).real)} {_hex(getattr(rep, k).imag)}"
               for k in ("value_before", "value_after")),
             *(f"grid_{k} {_hex(getattr(grid, k))}" for k in ("min_chi", "richardson_error")),
