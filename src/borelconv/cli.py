@@ -196,6 +196,10 @@ def _cmd_convolve(args) -> int:
             "n_t": rep.trace.grid.n_t,
             "n_q": rep.n_q,
         })
+        if rep.s_error_rel > germs.TOL_MONO:  # inf too, not nan
+            print(f"warning: probe s-error estimate s_error_rel = {rep.s_error_rel:.3g} is above "
+                  f"tol_mono = {germs.TOL_MONO:g} at n_s = {rep.trace.grid.n_s}; the "
+                  "classification is not resolved on this grid", file=sys.stderr)
     return 0
 
 

@@ -147,6 +147,12 @@ class ConvolveConfig:
     n_ser: int = 64                 # cap on the series degree
 
     def __post_init__(self):
+        for name in ("n_s", "n_t", "n_q"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise PreconditionError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.n_q < 2:
+            # see convolve_at
+            raise PreconditionError(f"quadrature order n_q must be at least 2, got {self.n_q}")
         if not isinstance(self.n_ser, numbers.Integral) or self.n_ser < 0:
             raise PreconditionError(f"n_ser must be a non-negative integer, got {self.n_ser!r}")
 
@@ -361,24 +367,45 @@ def _lagrange_basis(offsets, xs):
     return vals, ders
 
 
+def _planes(basis: np.ndarray) -> np.ndarray:
+    """A real (4, n_q) basis acting on four complex samples stored as eight
+    floats (re, im, re, im, ...): an (8, 2 n_q) real matrix whose product
+    with the eight floats is the n_q complex values, stored the same way."""
+    out = np.zeros((4, 2, basis.shape[1], 2))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = basis
+    return out.reshape(8, -1)
+
+
 @functools.lru_cache(maxsize=None)
 def _cell_rule(n_s: int, n_q: int):
-    """Per-cell interpolation stencils and Gauss rule for a uniform s-grid.
+    """The rule of composite Gauss-Legendre of order n_q on local cubics
+    over n_s uniform cells, read-only and shared between calls.
 
-    Returns (xi, w, stencils, bval, bder), read-only and shared between
-    calls: stencils[c] are the four sample indices of cell c, and bval[c],
-    bder[c] of shape (4, n_q) the values and derivatives (with respect to
-    the cell coordinate) of its interpolation basis at the Gauss nodes."""
+    Returns (stencils, val, wder, end_val, end_wder, anchor_phi,
+    anchor_psi): stencils[c] are the four sample indices of cell c; val and
+    wder the interior cells' basis values and derivatives at the Gauss
+    nodes, as _planes; end_val and end_wder, of shape (2, 4, n_q), the same
+    for the first and last cell; anchor_phi and anchor_psi, of shape
+    (n_s, n_q), the sample whose branch each node takes along the column
+    and its mirror.
+
+    Cell c interpolates on samples lo..lo+3, centred on the cell except at
+    the two end cells, so every interior cell has the same basis.  The
+    derivatives are taken with respect to the cell coordinate and carry the
+    Gauss weights, so that the integral of f dZ is the plain sum over the
+    nodes of f times (w dZ): the cell length cancels."""
     x, w = np.polynomial.legendre.leggauss(n_q)
     xi = 0.5 * (x + 1.0)
     w = 0.5 * w
-    # cell c interpolates on samples lo..lo+3, centred on the cell except
-    # at the two end cells; its basis nodes sit at offsets k - (c - lo)
-    lo = np.clip(np.arange(n_s) - 1, 0, n_s - 3)
-    shift = np.arange(n_s) - lo
+    # the basis nodes of a cell sit at offsets k - (c - lo)
     vals, ders = zip(*(_lagrange_basis([k - s for k in (0.0, 1.0, 2.0, 3.0)], xi)
                        for s in range(3)))
-    out = (xi, w, lo[:, None] + np.arange(4), np.array(vals)[shift], np.array(ders)[shift])
+    vals, wders = np.array(vals), np.array(ders) * w
+    lo = np.clip(np.arange(n_s) - 1, 0, n_s - 3)
+    cells = np.arange(n_s)[:, None]
+    anchor_phi = np.where(xi[None, :] < 0.5, cells, cells + 1)
+    out = (lo[:, None] + np.arange(4), _planes(vals[1]), _planes(wders[1]),
+           vals[::2], wders[::2], anchor_phi, n_s - anchor_phi)
     for a in out:
         a.flags.writeable = False
     return out
@@ -412,14 +439,20 @@ def _checked_columns(grid: DeformationGrid, js: np.ndarray):
     return cols.T, mirs.T
 
 
-def _local_cubic(cols: np.ndarray, stencils: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _cubics(cols: np.ndarray, stencils: np.ndarray, basis: np.ndarray,
+            end_basis: np.ndarray) -> np.ndarray:
     """The local cubics of each column (one per row) at the Gauss nodes of
-    every cell: the four stencil samples of the cell times their basis
-    values, summed in stencil order."""
-    lo = stencils[:, 0]
-    out = cols[:, lo, None] * basis[:, 0]
-    for m in range(1, 4):
-        out += cols[:, lo + m, None] * basis[:, m]
+    every cell, with the given basis: the stencil windows times the basis,
+    one BLAS product of the same shape per column, so that a column's bits
+    do not depend on its block; then the two end cells with their own
+    basis, summed in stencil order."""
+    windows = np.take(cols, stencils, axis=1)  # (J, n_s, 4)
+    planes = windows.view(float).reshape(windows.shape[:2] + (8,))
+    out = np.empty(windows.shape[:2] + (basis.shape[1] // 2,), complex)
+    for k in range(len(cols)):
+        np.matmul(planes[k], basis, out=out[k].view(float))
+    for c, b in zip((0, -1), end_basis):
+        out[:, c] = (windows[:, c, :, None] * b).sum(axis=1)
     return out
 
 
@@ -454,26 +487,17 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j,
     cols, mirs = _checked_columns(grid, js)
     gj = cols[:, -1]
 
-    xi, w, stencils, bval, bder = _cell_rule(n_s, n_q)
-    h = 1.0 / n_s
-    Z = _local_cubic(cols, stencils, bval)     # (J, n_s, n_q)
-
-    cells = np.arange(n_s)[:, None]
-    anchor_phi = np.where(xi[None, :] < 0.5, cells, cells + 1)
-    anchor_psi = n_s - anchor_phi
-
-    # the integrand w * phi * psi * dZ is built in place, in that order, so
+    stencils, val, wder, end_val, end_wder, anchor_phi, anchor_psi = _cell_rule(n_s, n_q)
+    # the integrand phi * psi * (w dZ) is built in place, in that order, so
     # that few (J, n_s, n_q) arrays are alive at once
+    Z = _cubics(cols, stencils, val, end_val)
     psi_vals = _germ_on_columns(psi, mirs, cfg, gj[:, None, None] - Z, anchor_psi)
     integrand = _germ_on_columns(phi, cols, cfg, Z, anchor_phi)
     del Z
-    np.multiply(w, integrand, out=integrand)
     integrand *= psi_vals
     del psi_vals
-    dZ = _local_cubic(cols, stencils, bder)
-    dZ /= h
-    integrand *= dZ
-    values = integrand.reshape(len(js), -1).sum(axis=1) * h
+    integrand *= _cubics(cols, stencils, wder, end_wder)
+    values = integrand.reshape(len(js), -1).sum(axis=1)
     if not np.all(np.isfinite(values)):
         raise ToleranceError("non-finite convolution quadrature")
     return values if np.ndim(j) else complex(values[0])

@@ -211,6 +211,12 @@ def random_directional_config(rng):
 # -- closed-form convolution ----------------------------------------------------
 
 
+# A 4-vertex gamma that passes above the point 1 of the pole pair's first
+# set {1 @ 1}: the flow bends its contour columns by up to 0.38 away from the
+# straight segments [0, gamma(t)].
+CURVED_GAMMA = [0.25, 0.7 + 0.3j, 1.3 + 0.3j, 1.6 - 0.1j]
+
+
 def _polyline_points(verts, ts):
     """Points at arclength fractions ts of the polyline through verts."""
     cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(verts)))])

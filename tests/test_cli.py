@@ -190,6 +190,17 @@ def test_exit_3_on_negative_nser(tmp_path, nser):
                  "--nser", nser, "-o", str(tmp_path / "out")]) == 3
 
 
+@pytest.mark.parametrize("nq", ["0", "1", "-3"])
+def test_exit_3_on_bad_quadrature_order(tmp_path, capsys, nq):
+    one = write(tmp_path / "one.json", {"kind": "poly", "coeffs": [[1.0, 0.0]]})
+    t = write(tmp_path / "t.json", set_doc([], 5.0))
+    g = write(tmp_path / "g.json", path_doc([0.2 + 0.1j, 0.4 + 0.2j]))
+    assert main(["convolve", one, one, g, t, t, "--ns", "16", "--nt", "16", "--nq", nq,
+                 "-o", str(tmp_path / "out")]) == 3
+    assert "n_q" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_2_on_non_list_vertices_or_entries(tmp_path):
     p = write(tmp_path / "p.json", {"vertices": 5})
     s = write(tmp_path / "s.json", set_doc([], 5.0))
@@ -291,8 +302,9 @@ def test_convolve_ones_trace(tmp_path):
         assert math.hypot(rv - rg, iv - ig) < 1e-12
 
 
-def convolve_with_probe(tmp_path):
-    """probe.json of `convolve --probe 1.5,0` on the pole pair."""
+def convolve_with_probe(tmp_path, candidate="1.5,0", radius="0.2"):
+    """probe.json of `convolve --probe` on the pole pair (1.5 at radius 0.2
+    by default)."""
     phi = write(tmp_path / "phi.json", {"kind": "pole", "a": [1.0, 0.0]})
     psi = write(tmp_path / "psi.json", {"kind": "pole", "a": [2.0, 0.0]})
     a = write(tmp_path / "a.json", set_doc([(1 + 0j, 1.0)], 6.0))
@@ -300,12 +312,12 @@ def convolve_with_probe(tmp_path):
     g = write(tmp_path / "g.json", path_doc([0.25, 0.5]))
     outdir = tmp_path / "out"
     code = main(["convolve", phi, psi, g, a, b, "--ns", "64", "--nt", "64",
-                 "--probe", "1.5,0", "--probe-radius", "0.2", "-o", str(outdir)])
+                 "--probe", candidate, "--probe-radius", radius, "-o", str(outdir)])
     assert code == 0
     return load_json(str(outdir / "probe.json"))
 
 
-def test_convolve_with_probe(tmp_path):
+def test_convolve_with_probe(tmp_path, capsys):
     probe = convolve_with_probe(tmp_path)
     assert set(probe) == {"candidate", "radius", "classification", "defect_rel", "ring_rel",
                           "tol_mono", "s_error_rel", "level", "n_s", "n_t", "n_q"}
@@ -314,13 +326,27 @@ def test_convolve_with_probe(tmp_path):
     assert 0.0 <= probe["s_error_rel"] <= 1e-5
     # the probe's own grid, not the trace's --ns and --nt
     assert (probe["n_s"], probe["n_t"], probe["n_q"]) == (1024, 256, 8)
+    assert capsys.readouterr().err == ""
 
 
-def test_convolve_with_probe_writes_null_for_a_non_finite_s_error(tmp_path, monkeypatch):
+def test_convolve_with_probe_writes_null_for_a_non_finite_s_error(tmp_path, monkeypatch, capsys):
     from borelconv import germs
 
     monkeypatch.setattr(germs, "_half_s_error", lambda *args: math.inf)
     assert convolve_with_probe(tmp_path)["s_error_rel"] is None
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "s_error_rel = inf" in err[0] and "n_s = 1024" in err[0]
+
+
+def test_convolve_with_probe_warns_when_the_s_error_is_above_tol_mono(tmp_path, capsys):
+    # at radius 0.1 the default grid does not resolve candidate 2: the
+    # estimate reads about 1.4; the run still exits 0 and writes probe.json
+    probe = convolve_with_probe(tmp_path, candidate="2.0,0", radius="0.1")
+    assert probe["s_error_rel"] > probe["tol_mono"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ")
+    assert f"s_error_rel = {probe['s_error_rel']:.3g}" in err[0]
+    assert "tol_mono = 0.0001" in err[0] and "n_s = 1024" in err[0]
 
 
 # -- writers -----------------------------------------------------------------

@@ -21,7 +21,7 @@ from borelconv import (
     singularity_probe,
 )
 from borelconv.germs import TOL_MONO
-from conftest import circle_oracle_error, pole_pole_oracle
+from conftest import CURVED_GAMMA, circle_oracle_error, pole_pole_oracle
 
 TWO_PI_I = 2j * math.pi
 
@@ -202,6 +202,19 @@ def test_convolve_config_accepts_numpy_integer_n_ser():
     assert ConvolveConfig(n_ser=np.int64(0)).n_ser == 0
 
 
+@pytest.mark.parametrize("field, value", [("n_s", 16.5), ("n_t", 64.0), ("n_q", 2.5),
+                                          ("n_s", "128"), ("n_t", None), ("n_q", 1),
+                                          ("n_q", 0), ("n_q", -4)])
+def test_convolve_config_rejects_bad_grid_sizes(field, value):
+    with pytest.raises(PreconditionError, match=field):
+        ConvolveConfig(**{field: value})
+
+
+def test_convolve_config_accepts_numpy_integer_grid_sizes():
+    cfg = ConvolveConfig(n_s=np.int64(16), n_t=np.int32(16), n_q=np.int64(2))
+    assert (cfg.n_s, cfg.n_t, cfg.n_q) == (16, 16, 2)
+
+
 def test_trace_samples_ordered_and_finite():
     s = FilteredSet(0, [(1, 1.0)], 6.0)
     tr = continue_along(Germ.pole(1), Path([0, 0.3, 0.5 - 0.2j]), s)
@@ -269,6 +282,54 @@ def test_convolve_commutes():
     assert np.max(np.abs(t1.values - t2.values)) < 1e-8
 
 
+# one pair of each kind whose factors stay valid on the columns of
+# CURVED_GAMMA (|H| reaches 1.6): the series are 1/(4 - z) and exp truncated
+CURVED_GERMS = {
+    "poly": (Germ.poly([1, 0.5j, -0.25]), Germ.poly([0.3, 1])),
+    "pole": (Germ.pole(1), Germ.pole(2)),
+    "log_pole": (Germ.log_pole(1), Germ.log_pole(2)),
+    "series": (Germ.series([0.25 ** (k + 1) for k in range(48)], 4.0),
+               Germ.series([1 / math.factorial(k) for k in range(40)], 8.0)),
+}
+
+
+def curved_grids():
+    """Grids of CURVED_GAMMA for the pole pair's sets, and with them swapped."""
+    a, b = pole_pair_sets()
+    gamma = Path(CURVED_GAMMA)
+    return deform(gamma, a, b, 2.5, n_s=32, n_t=32), deform(gamma, b, a, 2.5, n_s=32, n_t=32)
+
+
+@pytest.mark.parametrize("kind", sorted(CURVED_GERMS))
+def test_convolve_commutes_on_a_curved_gamma(kind):
+    phi, psi = CURVED_GERMS[kind]
+    grid, swapped = curved_grids()
+    js = np.arange(grid.n_t + 1)
+    v = convolve_at(phi, psi, grid, js, n_q=8)
+    w = convolve_at(psi, phi, swapped, js, n_q=8)
+    # measured at most 2.4e-15 over the four kinds
+    assert np.max(np.abs(v - w)) <= 1e-12 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("kind", sorted(CURVED_GERMS))
+def test_convolve_bilinear_on_a_curved_gamma(kind):
+    # each germ of the kind against combinations of polynomials in the other
+    # slot (a pole or log germ has no combinations of its own)
+    phi, psi = CURVED_GERMS[kind]
+    grid, _ = curved_grids()
+    js = np.arange(grid.n_t + 1)
+    rng = np.random.default_rng(43)
+    c1, c2 = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    al, be = 1.3 - 0.2j, -0.7 + 0.4j
+    P = Germ.poly
+    for conv in (lambda g: convolve_at(phi, g, grid, js, n_q=8),
+                 lambda g: convolve_at(g, psi, grid, js, n_q=8)):
+        lhs = conv(P(al * c1 + be * c2))
+        rhs = al * conv(P(c1)) + be * conv(P(c2))
+        # measured at most 3.8e-16 over the four kinds
+        assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
+
+
 def test_convolve_at_rejects_bad_index():
     a, b = pole_pair_sets()
     grid = deform(Path([0.25, 0.5]), a, b, 2.5, n_s=16, n_t=16)
@@ -305,26 +366,49 @@ def test_convolve_at_block_equals_columns(kind):
     assert convolve_at(phi, psi, grid, js[:0], n_q=6).shape == (0,)
 
 
-def unblocked_pole_column(a, b, grid, j, n_q):
-    """The one-column quadrature of a pole pair, written out: local cubics
-    per cell, Gauss nodes, anchors unused by closed forms."""
-    from borelconv.germs import _cell_rule
+@pytest.mark.parametrize("kind", sorted(BLOCK_GERMS))
+def test_convolve_at_blocks_keep_the_bits_of_one_column_at_the_probe_shape(kind):
+    # the probe's n_s and n_q: each column's cubics are one BLAS product of
+    # the same shape, whatever the block
+    phi, psi = BLOCK_GERMS[kind]
+    a, b = pole_pair_sets()
+    grid = deform(Path([0.25, 0.4 + 0.1j, 0.5]), a, b, 2.5, n_s=1024, n_t=8)
+    js = np.arange(grid.n_t + 1)
+    single = np.array([convolve_at(phi, psi, grid, int(j), n_q=8) for j in js])
+    for size in range(1, 10):
+        blocks = [convolve_at(phi, psi, grid, js[k:k + size], n_q=8)
+                  for k in range(0, len(js), size)]
+        assert np.concatenate(blocks).tobytes() == single.tobytes(), size
 
+
+def unblocked_pole_column(a, b, grid, j, n_q):
+    """The one-column quadrature of a pole pair, written out: each cell's
+    cubic through its four stencil samples (centred on the cell, shifted at
+    the two end cells), Gauss nodes and weights, anchors unused by closed
+    forms."""
+    from borelconv.germs import _lagrange_basis
+
+    n_s = grid.n_s
     col = grid.H[:, j]
-    xi, w, stencils, bval, bder = _cell_rule(grid.n_s, n_q)
-    h = 1.0 / grid.n_s
-    samples = col[stencils]
+    x, w = np.polynomial.legendre.leggauss(n_q)
+    xi, w, h = 0.5 * (x + 1.0), 0.5 * w, 1.0 / n_s
+    lo = np.clip(np.arange(n_s) - 1, 0, n_s - 3)
+    bval, bder = map(np.array, zip(*(_lagrange_basis([k - (c - l) for k in range(4)], xi)
+                                     for c, l in enumerate(lo))))
+    samples = col[lo[:, None] + np.arange(4)]
     Z = np.einsum("cm,cmg->cg", samples, bval)
     dZ = np.einsum("cm,cmg->cg", samples, bder) / h
     return complex(np.sum(w[None, :] * (1.0 / (a - Z)) * (1.0 / (b - (col[-1] - Z))) * dZ) * h)
 
 
 def test_convolve_at_block_matches_unblocked_column_formula():
+    # the kernel sums the cubics by BLAS, in an order of its own: the two
+    # agree to rounding, not bit for bit
     grid = block_grid()
     js = np.arange(grid.n_t + 1)
     got = convolve_at(Germ.pole(1), Germ.pole(2), grid, js, n_q=6)
     want = np.array([unblocked_pole_column(1.0, 2.0, grid, j, 6) for j in js])
-    assert got.tobytes() == want.tobytes()
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("j", [np.array([0, 3, 17]), np.array([-1, 2]), [0, 99],

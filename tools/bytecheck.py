@@ -2,6 +2,7 @@
 
 Usage:
     python tools/bytecheck.py OUTDIR [--src SRC]
+    python tools/bytecheck.py --compare OLD NEW
 
 Writes, one file per output, into OUTDIR:
 
@@ -30,6 +31,14 @@ The package is imported from SRC (default: the `src` directory of the
 checkout holding this script), so a copy of the script can dump any
 checkout.  Dump two checkouts and compare them with `diff -r`; an empty
 diff means every output kept its bits.
+
+`--compare OLD NEW` compares two dumps file by file and prints, for each,
+"identical" or the largest difference of its floats, relative to the
+largest magnitude among the file's old floats.  A `.bin` file is read as
+float64 (a complex array as its real and imaginary parts); any other file is
+split into tokens, its hex and decimal floats compared as numbers and every
+other token exactly.  The exit code is 1 when a file is in one dump only, 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -37,7 +46,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -267,13 +278,93 @@ def _cli(src: str, dump: Dump) -> None:
     dump.text("cli_exit_codes.txt", codes)
 
 
+_SPLIT = re.compile(r'[\s,\[\]{}:"<>=/()]+')
+_DECIMAL = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|[-+]?(inf|nan|Infinity|NaN)")
+
+
+def _floats_and_text(data: bytes):
+    """The hex and decimal floats of a text dump file, in order, and its
+    other tokens."""
+    floats, text = [], []
+    for token in _SPLIT.split(data.decode()):
+        if token.lstrip("+-").startswith("0x"):
+            floats.append(float.fromhex(token))
+        elif _DECIMAL.fullmatch(token):
+            floats.append(float(token))
+        else:
+            text.append(token)
+    return np.array(floats), text
+
+
+def _relative_difference(old: np.ndarray, new: np.ndarray) -> tuple[float, int]:
+    """Largest |old - new| over the largest |old| (or the absolute
+    difference when old is all zero), and how many floats differ; nan and
+    inf count as equal to themselves and as infinitely far from anything
+    else."""
+    same = (old == new) | (np.isnan(old) & np.isnan(new))
+    n_differ = int(np.count_nonzero(~same))
+    if not n_differ:
+        return 0.0, 0
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(old[~same] - new[~same])
+    if not np.all(np.isfinite(diff)):
+        return math.inf, n_differ
+    scale = np.max(np.abs(old[np.isfinite(old)]), initial=0.0)
+    return float(np.max(diff) / scale) if scale > 0.0 else float(np.max(diff)), n_differ
+
+
+def _compare_file(old_path: str, new_path: str) -> str:
+    with open(old_path, "rb") as f:
+        old = f.read()
+    with open(new_path, "rb") as f:
+        new = f.read()
+    if old == new:
+        return "identical"
+    if old_path.endswith(".bin"):
+        if len(old) != len(new) or len(old) % 8:
+            return f"differs: {len(old)} against {len(new)} bytes"
+        a, b = np.frombuffer(old), np.frombuffer(new)
+    else:
+        (a, text_a), (b, text_b) = _floats_and_text(old), _floats_and_text(new)
+        if text_a != text_b or len(a) != len(b):
+            return "differs in text"
+    rel, n_differ = _relative_difference(a, b)
+    if not n_differ:
+        return "identical floats, other bytes differ"
+    return f"floats differ by {rel:.2e} relative ({n_differ} of {len(a)})"
+
+
+def _files(root: str) -> set[str]:
+    return {os.path.relpath(os.path.join(d, name), root)
+            for d, _, names in os.walk(root) for name in names}
+
+
+def compare(old: str, new: str) -> int:
+    """Print one line per file of either dump; 1 when a file is in one only."""
+    old_files, new_files = _files(old), _files(new)
+    for name in sorted(old_files | new_files):
+        if name not in new_files:
+            print(f"{name}: only in {old}")
+        elif name not in old_files:
+            print(f"{name}: only in {new}")
+        else:
+            print(f"{name}: {_compare_file(os.path.join(old, name), os.path.join(new, name))}")
+    return int(old_files != new_files)
+
+
 def main(argv=None) -> int:
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("outdir")
+    ap.add_argument("outdir", nargs="?")
     ap.add_argument("--src", default=os.path.join(here, "src"),
                     help="directory that holds the borelconv package")
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two dumps instead of writing one")
     args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.outdir is None:
+        ap.error("OUTDIR is required unless --compare is given")
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
     import borelconv as bc
