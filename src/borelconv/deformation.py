@@ -11,6 +11,11 @@ denominator vanishes exactly on pairs realizing a plain-sum point, which an
 allowed gamma avoids; numerically we refuse to integrate through
 near-singular denominators (chi guard) and ask the caller to reroute.
 
+The family is sampled at graded rows s_k (`row_nodes`, Chebyshev-Lobatto on
+[0, 1]), dense at both ends of the contour: the centre is a member of A at
+every level, so the field goes like |z| there and the rows leave it
+geometrically; the mirror does the same at the far end.
+
 The resulting family H_t(s) fixes the centre (H_t(0) = 0), ends on gamma
 (H_t(1) = gamma(t)), and the ratio structure of X makes the speeds of a
 deformed path and of its mirror complement add up exactly to the speed of
@@ -117,6 +122,14 @@ class FlowField:
         return (ea / chi) * dg
 
 
+def row_nodes(n_s: int) -> np.ndarray:
+    """The grid's rows on [0, 1]: Chebyshev-Lobatto nodes (1 - cos(pi k /
+    n_s)) / 2, k = 0..n_s.  The ends are exactly 0 and 1, and k / n_s is a
+    true division, so for even n_s every other node is bit for bit the
+    nodes at n_s / 2."""
+    return 0.5 * (1.0 - np.cos(np.pi * (np.arange(n_s + 1) / n_s)))
+
+
 def _allocate_steps(seg_lengths, n_total: int):
     """Distribute n_total steps over segments proportionally to length,
     at least one per segment (largest remainder rounding)."""
@@ -159,9 +172,10 @@ def _t_nodes_for(gamma: Path, n_t: int):
 class DeformationGrid:
     """Sampled deformation family and its mirror.
 
-    H[i, j] is the deformed path at budget position s_i and time t_j; row 0
-    is identically the centre, the last row coincides with gamma, column 0
-    is the initial straight seed segment.  The mirror is derived, never
+    H[i, j] is the deformed path at budget position s_i and time t_j, the
+    s_i graded toward both ends (`row_nodes`); row 0 is identically the
+    centre, the last row coincides with gamma, column 0 is the initial
+    straight seed segment s_i * gamma(0).  The mirror is derived, never
     stored: see `mirror`.
     """
 
@@ -187,7 +201,7 @@ class DeformationGrid:
 
     @property
     def s_nodes(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_s + 1)
+        return row_nodes(self.n_s)
 
     def gamma_values(self) -> np.ndarray:
         return self.gamma.points_at(self.t_nodes)
@@ -271,13 +285,12 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
             f"admissible interval ({iv.lower}, {iv.upper}]"
         )
 
-    s_nodes = np.linspace(0.0, 1.0, n_s + 1)
     t_nodes, seg_of_step = _t_nodes_for(gamma, n_t)
     n_t_eff = len(t_nodes) - 1
 
     field = FlowField(gamma, set_a, set_b, level, eps_den)
     H = np.empty((n_s + 1, n_t_eff + 1), dtype=complex)
-    Z = s_nodes.astype(complex) * seed
+    Z = row_nodes(n_s).astype(complex) * seed
     H[:, 0] = Z
     rich = 0.0
     if gamma.is_constant():

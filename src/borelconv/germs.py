@@ -379,7 +379,9 @@ def _planes(basis: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _cell_rule(n_s: int, n_q: int):
     """The rule of composite Gauss-Legendre of order n_q on local cubics
-    over n_s uniform cells, read-only and shared between calls.
+    over the n_s cells of a column, read-only and shared between calls.
+    The cubics interpolate in the row index, whatever the rows' s: the
+    contour integral does not depend on the parametrisation.
 
     Returns (stencils, val, wder, end_val, end_wder, anchor_phi,
     anchor_psi): stencils[c] are the four sample indices of cell c; val and
@@ -413,9 +415,26 @@ def _cell_rule(n_s: int, n_q: int):
 
 def _check_columns(pts: np.ndarray, fset: FilteredSet, level: float):
     """Contour columns (pts[:, k] is column k) must avoid the members of
-    the set at the working level (apart from their start at the centre)."""
+    the set at the working level (apart from their start at the centre).
+
+    Every point of a segment [z0, z1] lies at least (|p - z0| + |p - z1| -
+    |z1 - z0|) / 2 from p, by the triangle inequality.  Only the segments
+    where that bound comes within INCIDENCE_TOL of a member, with a margin
+    of 64 ulps of the largest coordinate for the rounding of both
+    computations (each is within about 10), go through the exact distance,
+    so the check raises exactly when the exact distance alone would."""
     members = fset.points[fset.levels < level]
-    d = _segment_distances(members, pts[:-1].ravel(), pts[1:].ravel())
+    if not len(members):
+        return
+    r = np.abs(members[:, None, None] - pts)  # (members, rows, columns)
+    bound = r[:, :-1] + r[:, 1:]
+    bound -= np.abs(pts[1:] - pts[:-1])
+    # every coordinate is at most 2 max |member| + max r in magnitude
+    scale = 2.0 * float(np.max(np.abs(members))) + float(np.max(r))
+    near = (bound <= 2.0 * (INCIDENCE_TOL + 64 * np.finfo(float).eps * scale)).any(axis=0)
+    if not near.any():
+        return
+    d = _segment_distances(members, pts[:-1][near], pts[1:][near])
     if (d <= INCIDENCE_TOL).any():
         raise PreconditionError(
             "contour column hits a filtration point at the working level"
@@ -567,9 +586,10 @@ class ProbeReport:
 
     `s_error_rel` estimates the error of the circle's values from the
     s-resolution of the grid: the largest change of those values when the
-    same columns are integrated on every other row of the grid, relative to
-    `scale`.  It is nan when n_s is odd (every other row would drop gamma's
-    row) and inf when the half-resolution pass refuses with ToleranceError.
+    same columns are integrated on every other row of the grid (the graded
+    grid at n_s / 2), relative to `scale`.  It is nan when n_s is odd (every
+    other row would drop gamma's row) and inf when the half-resolution pass
+    refuses with ToleranceError.
     `n_q` is the Gauss-Legendre order per cell of the circle's columns."""
 
     classification: str
@@ -621,8 +641,9 @@ def _half_s_error(phi: Germ, psi: Germ, trace: ContinuationTrace,
     """Largest change of the trace's values (the last columns of its grid)
     when they are integrated on every other row of the grid.
 
-    Rows integrate independently, so every other row is bit for bit the
-    grid at half the s-resolution, and the estimate needs no field calls."""
+    Rows integrate independently and every other graded node is bit for
+    bit a node at n_s / 2, so every other row is bit for bit the grid at
+    half the s-resolution, and the estimate needs no field calls."""
     grid = trace.grid
     if grid.n_s % 2:
         return math.nan
@@ -653,13 +674,14 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     """
     if cfg is None:
         # n_s decides the accuracy.  A loop drags a hairpin of the contour
-        # around the candidate, and a few long cells at the contour's ends
-        # pass close to a set's point, where a local cubic needs many cells.
-        # At radius 0.2 around the pole pair's candidates, 1024 cells match
-        # the closed form within 1e-11 of the values' scale and 256 are off
-        # by order 1; n_t barely matters.  Each halving of the radius needs
-        # about 4x n_s, which ProbeReport.s_error_rel flags.
-        cfg = ConvolveConfig(n_s=1024, n_t=256, n_q=8)
+        # around the candidate, and the cells at the contour's ends pass
+        # close to a set's point, where a local cubic needs short cells;
+        # the graded rows make them short.  Around the pole pair's
+        # candidates, 512 rows match the closed form within 3e-13 of the
+        # values' scale at radius 0.2 and 6e-13 at radius 0.1 (256 rows:
+        # 2e-12 and 1.6e-9); n_t barely matters.  A smaller radius needs
+        # more rows, which ProbeReport.s_error_rel flags.
+        cfg = ConvolveConfig(n_s=512, n_t=256, n_q=8)
     candidate = complex(candidate)
     radius = float(radius)
     if not (radius > 0.0 and math.isfinite(radius)):

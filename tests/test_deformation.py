@@ -16,7 +16,8 @@ from borelconv import (
     mirror,
     validate,
 )
-from borelconv.deformation import _rk4_stacked, _t_nodes_for
+from borelconv.deformation import _rk4_stacked, _t_nodes_for, row_nodes
+from conftest import CURVED_GAMMA
 
 
 def straight_config():
@@ -463,10 +464,32 @@ def test_mirror_of_a_column_is_that_column_of_the_mirror():
         assert mirror(grid.H[:, j]).tobytes() == m[:, j].tobytes()
 
 
-def test_s_nodes_are_the_uniform_budget_grid():
-    gamma, s = straight_config()
-    grid = deform(gamma, s, s, 2.0, n_s=16, n_t=64)
-    assert grid.s_nodes.tobytes() == np.linspace(0, 1, grid.n_s + 1).tobytes()
+@pytest.mark.parametrize("n_s", [8, 9, 16, 63, 96, 512, 4096])
+def test_s_nodes_are_graded_toward_both_ends(n_s):
+    s = row_nodes(n_s)
+    assert s[0] == 0.0 and s[-1] == 1.0
+    assert np.all(np.diff(s) > 0)
+    # symmetric about 1/2, so row i and its mirror row n_s - i sit at s and 1 - s
+    assert np.max(np.abs(s + s[::-1] - 1.0)) <= np.spacing(1.0)
+    # Chebyshev-Lobatto: the end cells are about pi^2 / (4 n_s^2) long
+    assert s[1] == pytest.approx((1.0 - math.cos(math.pi / n_s)) / 2.0, rel=1e-12)
+    gamma, fset = straight_config()
+    grid = deform(gamma, fset, fset, 2.0, n_s=n_s, n_t=8)
+    assert grid.s_nodes.tobytes() == s.tobytes()
+    assert grid.H[:, 0].tobytes() == (s.astype(complex) * gamma.start).tobytes()
+
+
+@pytest.mark.parametrize("n_s", [96, 512])
+def test_every_other_row_is_the_grid_at_half_n_s(n_s):
+    # the half-s error estimate of the probe integrates H[::2] as the grid
+    # at n_s / 2: the nodes and every row's flow keep their bits
+    a = FilteredSet(0, [(1, 1.0)], 6.0)
+    b = FilteredSet(0, [(2, 2.0)], 6.0)
+    gamma = Path(CURVED_GAMMA)
+    fine = deform(gamma, a, b, 2.5, n_s=n_s, n_t=64)
+    half = deform(gamma, a, b, 2.5, n_s=n_s // 2, n_t=64)
+    assert fine.s_nodes[::2].tobytes() == half.s_nodes.tobytes()
+    assert fine.H[::2].tobytes() == half.H.tobytes()
 
 
 # -- validation -------------------------------------------------------------------------

@@ -590,6 +590,26 @@ def test_probe_entire_convolution_regular_everywhere():
     assert rep.classification == "regular"
 
 
+def test_probe_matches_the_closed_form_at_the_cli_default_radius():
+    # radius 0.1 (`convolve --probe-radius`'s default) on the default grid:
+    # the graded rows resolve the contour's ends at every candidate
+    a, b = pole_pair_sets()
+    for cand in (1.0, 1.5, 2.0, 2.5, 3.0):
+        rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, cand, 0.1)
+        assert circle_oracle_error(rep) <= 1e-9, cand
+        assert rep.classification == ("regular" if cand in (1.5, 2.5) else "singular-like")
+
+
+@pytest.mark.parametrize("phi", [Germ.pole(1), Germ.log_pole(1)], ids=["pole", "log_pole"])
+def test_probe_with_log_factor_runs_at_the_plain_sum_point(phi):
+    # the default grid is fine enough near B's point 2 for the branch
+    # tracking of log(1 - z/2) along every column
+    a, b = pole_pair_sets()
+    rep = singularity_probe(phi, Germ.log_pole(2), a, b, 2.0, 0.2)
+    assert rep.classification == "singular-like"
+    assert min(rep.defect_rel, rep.ring_rel) > 1e-3
+
+
 PROBE_CFG = ConvolveConfig(n_s=64, n_t=256, n_q=8)
 
 
@@ -602,7 +622,8 @@ def test_probe_s_error_bounds_the_oracle_error_at_the_default_grid(pole_pair_pro
 @pytest.mark.parametrize("candidate, radius, cfg", [
     (1.0, 0.2, PROBE_CFG), (2.0, 0.2, PROBE_CFG), (2.5, 0.2, PROBE_CFG),
     (3.0, 0.2, PROBE_CFG),
-    (2.0, 0.1, None),  # the default grid at half the radius: about 4x n_s short
+    (2.0, 0.1, None),  # the default grid at the CLI's default radius
+    (2.0, 0.025, None),  # the default grid at an eighth of the radius: not resolved
 ])
 def test_probe_s_error_flags_an_under_resolved_grid(candidate, radius, cfg):
     a, b = pole_pair_sets()
@@ -621,7 +642,7 @@ def test_probe_s_error_is_nan_for_odd_n_s():
 def test_probe_s_error_is_inf_when_the_half_pass_refuses():
     # the full grid resolves the log's branch point; every other row does not
     a, b = pole_pair_sets()
-    rep = singularity_probe(Germ.log_pole(1), Germ.pole(2), a, b, 1.0, 0.2)
+    rep = singularity_probe(Germ.pole(1), Germ.log_pole(2), a, b, 2.0, 0.2)
     assert rep.s_error_rel == math.inf
     assert rep.classification == "singular-like"
 
@@ -708,6 +729,48 @@ def test_probe_refuses_route_column_through_pole_parameter(monkeypatch):
     with pytest.raises(PreconditionError, match="pole parameter"):
         singularity_probe(Germ.pole(0.125), Germ.pole(2), a, b, 1.5, 0.2, cfg=PROBE_CFG)
     assert seen["integrated"] == 0
+
+
+def unfiltered_check_raises(pts, fset, level):
+    """The column check without its prefilter: the exact distance of every
+    segment to every member at the level."""
+    from borelconv.paths import INCIDENCE_TOL, _segment_distances
+
+    members = fset.points[fset.levels < level]
+    return bool((_segment_distances(members, pts[:-1].ravel(), pts[1:].ravel())
+                 <= INCIDENCE_TOL).any())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_check_columns_prefilter_keeps_the_outcome_of_the_exact_check(seed):
+    from borelconv.germs import _check_columns
+
+    rng = np.random.default_rng(seed)
+    members = rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3)
+    fset = FilteredSet(0, [(p, abs(p) + 0.5 * k) for k, p in enumerate(members)], 8.0)
+    level = float(rng.uniform(abs(members[0]), 7.0))
+    # offsets of a segment from a member: through it, at a sample, on either
+    # side of INCIDENCE_TOL, and clear of it
+    offsets = [0.0, 0.5e-9, 1e-9 * (1 - 1e-6), 1e-9, 1e-9 * (1 + 1e-6), 2e-9, 1e-6, 0.1]
+    outcomes = set()
+    for trial in range(60):
+        pts = rng.uniform(-3, 3, (17, 5)) + 1j * rng.uniform(-3, 3, (17, 5))
+        if trial % 4:
+            p = members[rng.integers(len(members))]
+            i, k = rng.integers(16), rng.integers(5)
+            u = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            mid = p + 1j * u * offsets[rng.integers(len(offsets))]
+            pts[i, k] = mid - rng.uniform(0, 0.3) * u
+            pts[i + 1, k] = mid + rng.choice([0.0, rng.uniform(0, 0.3)]) * u
+        want = unfiltered_check_raises(pts, fset, level)
+        outcomes.add(want)
+        if want:
+            with pytest.raises(PreconditionError) as info:
+                _check_columns(pts, fset, level)
+            assert str(info.value) == "contour column hits a filtration point at the working level"
+        else:
+            _check_columns(pts, fset, level)
+    assert outcomes == {True, False}
 
 
 # -- serialization helpers ----------------------------------------------------------

@@ -12,10 +12,12 @@ Writes, one file per output, into OUTDIR:
 * the validate report of each grid (17-digit JSON);
 * convolve_along values, times and radii for poly, pole, log_pole and
   series germs;
-* the five criterion-7 probes at 64x256x8, and candidate 3.0 at the default
-  grid 1024x256x8: the circle's values and times, defect_rel, ring_rel,
+* the five criterion-7 probes at 64x256x8, and on singularity_probe's
+  default grid candidate 3.0 and, at the command line's default radius 0.1,
+  candidate 2.0: the circle's values and times, defect_rel, ring_rel,
   s_error_rel, scale, level, classification, and the loop grid's min_chi,
-  richardson_error and a SHA-256 of its H;
+  richardson_error and a SHA-256 of its H; the default grid's n_s x n_t x
+  n_q, as the probes report it, goes into `probe_default_grid.txt`;
 * every file of the README command-line sequence (with `convolve --probe`),
   `set-op saturate` of a lattice and `path-check` of a walk against it
   (with the default and with 4096 samples), with the exit codes;
@@ -126,10 +128,11 @@ def _probes(bc, dump: Dump) -> None:
     a = bc.FilteredSet(0, *SETS["a"])
     b = bc.FilteredSet(0, *SETS["b"])
     small = bc.ConvolveConfig(n_s=64, n_t=256, n_q=8)
-    runs = [(f"probe_{c}", c, small) for c in CANDIDATES]
-    runs.append(("probe_default_3.0", 3.0, None))  # singularity_probe's default, 1024x256x8
-    for name, c, cfg in runs:
-        rep = bc.singularity_probe(bc.Germ.pole(1), bc.Germ.pole(2), a, b, c, 0.2, cfg=cfg)
+    runs = [(f"probe_{c}", c, 0.2, small) for c in CANDIDATES]
+    # singularity_probe's default grid
+    runs += [("probe_default_3.0", 3.0, 0.2, None), ("probe_default_2.0_r0.1", 2.0, 0.1, None)]
+    for name, c, radius, cfg in runs:
+        rep = bc.singularity_probe(bc.Germ.pole(1), bc.Germ.pole(2), a, b, c, radius, cfg=cfg)
         # the circle runs from the loop's 17th-last vertex to its end
         t_start = rep.loop.vertex_fractions()[-CIRCLE_SIDES - 1]
         k = int(np.argmin(np.abs(rep.trace.ts - t_start)))
@@ -145,6 +148,8 @@ def _probes(bc, dump: Dump) -> None:
             *(f"grid_{k} {_hex(getattr(grid, k))}" for k in ("min_chi", "richardson_error")),
             f"grid_H_sha256 {hashlib.sha256(grid.H.tobytes()).hexdigest()}",
         ])
+        if cfg is None:
+            dump.text("probe_default_grid.txt", [f"{grid.n_s}x{grid.n_t}x{rep.n_q}"])
 
 
 def _outcome(bc, run) -> str:
