@@ -85,30 +85,57 @@ class FlowField:
             return 0.0 + 0.0j
         return g.seg_dirs[seg] * g.length
 
-    def __call__(self, z, t, seg=None, at=None):
+    def workspace(self, shape) -> tuple[np.ndarray, ...]:
+        """Buffers for a field call at states of the given shape: the
+        stacked differences to the members of A and of B, their distances,
+        and eta_A, eta_B and chi."""
+        shape = tuple(shape)
+        table = np.empty((len(self.pts_a) + len(self.pts_b),) + shape, dtype=complex)
+        return (table, np.empty(table.shape), np.empty(shape), np.empty(shape), np.empty(shape))
+
+    def __call__(self, z, t, seg=None, at=None, out=None, work=None):
         """The deformation field X at state z (scalar or array) and time t,
         on segment seg of gamma (found from t when not given).  t is a
         scalar, or a 1-D array with one time per leading row of z (stacked
         RK4 stages); seg is then one segment for all rows or one per row.
         `at` is gamma's point and gamma' at t, when the caller has them
-        (deform computes both for every stage once); seg is then not read.
+        (deform computes both for every stage once, already shaped to
+        broadcast against z); seg is then not read.
+        `out` and `work`, when given, are an array of z's shape (at least
+        1-D) that receives X and is returned, and the buffers of
+        `workspace` for that shape (or the same slices of each of them along
+        the state axes).
 
         |X| <= |gamma'| always; X vanishes on the members of A and equals
         gamma' where gamma(t) - z is a member of B (in particular along
-        gamma itself)."""
+        gamma itself).
+
+        eta_A and eta_B reduce one stacked table of distances over its
+        members; every element takes the operations of `eta`, in the same
+        order."""
         if at is None:
             if seg is None:
                 seg = self.gamma.segments_at(t)
             at = self.gamma.points_at(t, seg), self.gamma_prime(seg)
         g, dg = at
         z = np.asarray(z, dtype=complex)
-        if np.ndim(t):
+        scalar = not z.ndim
+        if out is None:
+            z = np.atleast_1d(z)
+            out, work = np.empty(z.shape, dtype=complex), self.workspace(z.shape)
+        if np.ndim(t) and np.ndim(g) < z.ndim:
             rows = (1,) * (z.ndim - 1)
             g = g.reshape(g.shape + rows)
             dg = np.reshape(dg, np.shape(dg) + rows)
-        ea = eta(self.pts_a, z)
-        eb = eta(self.pts_b, g - z)
-        chi = ea + eb
+        table, dist, ea, eb, chi = work
+        n_a, lead = len(self.pts_a), (1,) * z.ndim
+        np.subtract(self.pts_a.reshape((-1,) + lead), z, out=table[:n_a])
+        np.subtract(g, z, out=out)  # gamma(t) - z, until X overwrites it
+        np.subtract(self.pts_b.reshape((-1,) + lead), out, out=table[n_a:])
+        np.abs(table, out=dist)
+        np.minimum.reduce(dist[:n_a], axis=0, out=ea)
+        np.minimum.reduce(dist[n_a:], axis=0, out=eb)
+        np.add(ea, eb, out=chi)
         m = float(np.minimum.reduce(chi, axis=None))
         if m < self.min_chi:
             self.min_chi = m
@@ -119,7 +146,9 @@ class FlowField:
                 "the path passes too close to a plain-sum point at this level",
                 t=float(t_min), value=m, bound=self.eps_den,
             )
-        return (ea / chi) * dg
+        np.divide(ea, chi, out=ea)
+        np.multiply(ea, dg, out=out)
+        return out[0] if scalar else out
 
 
 def row_nodes(n_s: int) -> np.ndarray:
@@ -334,7 +363,10 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
 
     Every call's start times, step sizes and segments are known before the
     first step, so gamma's point and gamma' at every stage time are
-    computed in one pass; the loop only slices them.
+    computed in one pass; the loop only slices them.  The stage states,
+    k1..k4 and the field's buffers are allocated once, and every stage
+    writes into them with the operations, in the order, of
+    z + (h/2) k1 and z + (h/6) (k1 + 2 k2 + 2 k3 + k4).
     """
     n_t = len(t_nodes) - 1
     # call j, rows 0 and 1: step j's full and first half step; row 2: the
@@ -347,32 +379,59 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
     hs[:-1, 0], hs[:-1, 1], hs[1:, 2] = h, h / 2, h / 2
     segs[:-1, 0] = segs[:-1, 1] = segs[1:, 2] = seg_of_step
     stage_ts = np.stack([ts, ts + 0.5 * hs, ts + hs])  # k1, k2 and k3, k4
-    g = field.gamma.points_at(stage_ts, segs)
-    dg = field.gamma_prime(segs)
+    # gamma's point and gamma' with an axis for the row's points
+    g = field.gamma.points_at(stage_ts, segs)[..., None]
+    dg = field.gamma_prime(segs)[..., None]
     hc = hs[..., None]
     hc_half, hc_sixth = 0.5 * hc, hc / 6.0
 
-    Z = np.empty((3, H.shape[0]), dtype=complex)  # the start of each row
-    k1 = np.empty_like(Z)
+    shape = (3, H.shape[0])
+    Z, k1, k2, k3, k4, stage = (np.empty(shape, dtype=complex) for _ in range(6))
+    z_full = np.empty(H.shape[0], dtype=complex)
+    work = field.workspace(shape)
+
+    def on_rows(rows):
+        """The rows, and the start states, the stage state, k1..k4 and the
+        field's buffers on them."""
+        return ([rows] + [a[rows] for a in (Z, stage, k1, k2, k3, k4)]
+                + [tuple(w[..., rows, :] for w in work)])
+
+    # the rows of k1 and of the other stages, for call 0, the calls between
+    # and call n_t
+    phases = [(on_rows(slice(1, 2)), on_rows(slice(0, 2))),
+              (on_rows(slice(1, 3)), on_rows(slice(0, 3))),
+              (on_rows(slice(2, 3)), on_rows(slice(2, 3)))]
     rich = 0.0
     for j in range(n_t + 1):
-        lo, hi = (0 if j < n_t else 2), (3 if j else 2)
+        first, stages = phases[0 if j == 0 else 1 if j < n_t else 2]
+        rows_1, z1, _, k1_1, *_, work_1 = first
+        rows, z, st, k1_j, k2_j, k3_j, k4_j, work_j = stages
         if j < n_t:
             Z[0] = Z[1] = H[:, j]
-        # k1 once per distinct start: rows 0 and 1 share theirs
-        a = max(lo, 1)
-        k1[a:hi] = field(Z[a:hi], ts[j, a:hi], None, (g[0, j, a:hi], dg[j, a:hi]))
+        # k1 once per distinct start: rows 0 and 1 share theirs.  Every call
+        # is positional, as a wrapped field (a tracer's) may take them
+        field(z1, stage_ts[0, j, rows_1], None, (g[0, j, rows_1], dg[j, rows_1]), k1_1, work_1)
         k1[0] = k1[1]
-        z, k1_j, dg_j = Z[lo:hi], k1[lo:hi], dg[j, lo:hi]
-        t_mid, at_mid = stage_ts[1, j, lo:hi], (g[1, j, lo:hi], dg_j)
-        k2 = field(z + hc_half[j, lo:hi] * k1_j, t_mid, None, at_mid)
-        k3 = field(z + hc_half[j, lo:hi] * k2, t_mid, None, at_mid)
-        k4 = field(z + hc[j, lo:hi] * k3, stage_ts[2, j, lo:hi], None, (g[2, j, lo:hi], dg_j))
-        out = z + hc_sixth[j, lo:hi] * (k1_j + 2.0 * k2 + 2.0 * k3 + k4)
+        t_mid, at_mid = stage_ts[1, j, rows], (g[1, j, rows], dg[j, rows])
+        for k_in, hk, k_out in ((k1_j, hc_half, k2_j), (k2_j, hc_half, k3_j)):
+            np.multiply(hk[j, rows], k_in, out=st)
+            np.add(z, st, out=st)
+            field(st, t_mid, None, at_mid, k_out, work_j)
+        np.multiply(hc[j, rows], k3_j, out=st)
+        np.add(z, st, out=st)
+        field(st, stage_ts[2, j, rows], None, (g[2, j, rows], dg[j, rows]), k4_j, work_j)
+        # z + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        np.multiply(2.0, k2_j, out=k2_j)
+        np.add(k1_j, k2_j, out=k2_j)
+        np.multiply(2.0, k3_j, out=k3_j)
+        np.add(k2_j, k3_j, out=k2_j)
+        np.add(k2_j, k4_j, out=k2_j)
+        np.multiply(hc_sixth[j, rows], k2_j, out=st)
+        np.add(z, st, out=st)
         if j:
-            rich = max(rich, float(np.max(np.abs(z_full - out[-1]))) * 16.0 / 15.0)
+            rich = max(rich, float(np.max(np.abs(z_full - st[-1]))) * 16.0 / 15.0)
         if j < n_t:
-            z_full, Z[2] = out[0], out[1]
+            z_full[:], Z[2] = st[0], st[1]
             H[:, j + 1] = z_full
             H[0, j + 1] = 0.0  # the centre trajectory is frozen exactly
     return rich

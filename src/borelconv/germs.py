@@ -33,6 +33,7 @@ from .paths import (
     INCIDENCE_TOL,
     Path,
     _dedupe_consecutive,
+    _point_segment_distance,
     _segment_distances,
     admissible_levels,
     local_radii,
@@ -282,10 +283,14 @@ def _continue_frames(germ: Germ, pts: np.ndarray, cfg: ConvolveConfig) -> _Frame
         u = 1.0 - pts / germ.a
         if np.min(np.abs(u)) <= POINT_TOL / abs(germ.a):
             raise PreconditionError("path passes through the log parameter")
-        du = np.abs(np.diff(u))
-        if np.any(du >= 0.95 * np.abs(u[..., :-1])):
+        # a segment that avoids a sweeps an angle of less than pi around it,
+        # which is the principal angle of its end-to-start ratio
+        if np.min(_point_segment_distance(germ.a, pts[..., :-1], pts[..., 1:]),
+                  initial=math.inf) <= POINT_TOL:
             raise ToleranceError(
-                "sampling too coarse near the branch point for branch tracking"
+                "a chord between samples passes within POINT_TOL of the log "
+                "parameter: sampling too coarse near the branch point for "
+                "branch tracking"
             )
         theta = np.angle(u[..., :1]) + _prefix_sums(np.angle(u[..., 1:] / u[..., :-1]))
         vals = np.log(np.abs(u)) + 1j * theta
@@ -303,7 +308,9 @@ def _frames_eval(frames: _Frames, z: np.ndarray, anchors: np.ndarray) -> np.ndar
     """Evaluate the continued germ at points z, each near its anchor sample
     (anchors index the last axis of the frames; z has the frames' leading
     axes followed by the shape of anchors); logarithm branches are taken
-    from the anchor."""
+    from the anchor, which is right when the caller has proven that the
+    segment from each anchor to its point avoids the branch point
+    (`_check_log_cells`)."""
     g = frames.germ
     if g.kind == "poly":
         return np.polynomial.polynomial.polyval(z, np.asarray(g.coeffs))
@@ -312,8 +319,6 @@ def _frames_eval(frames: _Frames, z: np.ndarray, anchors: np.ndarray) -> np.ndar
     if g.kind == "log_pole":
         u = 1.0 - z / g.a
         ua = np.take(frames.u, anchors, axis=-1)
-        if np.any(np.abs(u - ua) >= 0.95 * np.abs(ua)):
-            raise ToleranceError("grid too coarse near the branch point")
         return np.take(frames.values, anchors, axis=-1) + np.log(u / ua)
     if g.kind == "series":
         return _series_values(g, frames.deg, z)
@@ -383,13 +388,16 @@ def _cell_rule(n_s: int, n_q: int):
     The cubics interpolate in the row index, whatever the rows' s: the
     contour integral does not depend on the parametrisation.
 
-    Returns (stencils, val, wder, end_val, end_wder, anchor_phi,
+    Returns (stencils, val, wder, end_val, end_wder, bezier, anchor_phi,
     anchor_psi): stencils[c] are the four sample indices of cell c; val and
     wder the interior cells' basis values and derivatives at the Gauss
     nodes, as _planes; end_val and end_wder, of shape (2, 4, n_q), the same
-    for the first and last cell; anchor_phi and anchor_psi, of shape
-    (n_s, n_q), the sample whose branch each node takes along the column
-    and its mirror.
+    for the first and last cell; bezier, of shape (3, 4, 4), for the first,
+    the interior and the last cells, the real map from a cell's four
+    stencil samples to the Bezier control points P0..P3 of its cubic (P0
+    and P3 are the cell's end samples, exactly); anchor_phi and anchor_psi,
+    of shape (n_s, n_q), the sample whose branch each node takes along the
+    column and its mirror.
 
     Cell c interpolates on samples lo..lo+3, centred on the cell except at
     the two end cells, so every interior cell has the same basis.  The
@@ -400,14 +408,21 @@ def _cell_rule(n_s: int, n_q: int):
     xi = 0.5 * (x + 1.0)
     w = 0.5 * w
     # the basis nodes of a cell sit at offsets k - (c - lo)
-    vals, ders = zip(*(_lagrange_basis([k - s for k in (0.0, 1.0, 2.0, 3.0)], xi)
-                       for s in range(3)))
+    offsets = [[k - s for k in (0.0, 1.0, 2.0, 3.0)] for s in range(3)]
+    vals, ders = zip(*(_lagrange_basis(o, xi) for o in offsets))
     vals, wders = np.array(vals), np.array(ders) * w
+    # P0 = p(0), P1 = p(0) + p'(0)/3, P2 = p(1) - p'(1)/3, P3 = p(1) in the
+    # cell coordinate; the end samples' rows are exact unit vectors
+    bezier = np.zeros((3, 4, 4))
+    for s, o in enumerate(offsets):
+        ends = np.eye(4)[[s, s + 1]]
+        slopes = _lagrange_basis(o, [0.0, 1.0])[1].T / 3.0
+        bezier[s] = [ends[0], ends[0] + slopes[0], ends[1] - slopes[1], ends[1]]
     lo = np.clip(np.arange(n_s) - 1, 0, n_s - 3)
     cells = np.arange(n_s)[:, None]
     anchor_phi = np.where(xi[None, :] < 0.5, cells, cells + 1)
     out = (lo[:, None] + np.arange(4), _planes(vals[1]), _planes(wders[1]),
-           vals[::2], wders[::2], anchor_phi, n_s - anchor_phi)
+           vals[::2], wders[::2], bezier, anchor_phi, n_s - anchor_phi)
     for a in out:
         a.flags.writeable = False
     return out
@@ -441,21 +456,71 @@ def _check_columns(pts: np.ndarray, fset: FilteredSet, level: float):
         )
 
 
-def _germ_on_columns(germ: Germ, pts: np.ndarray, cfg: ConvolveConfig,
-                     z: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """A germ continued along each row of pts (one column of the contour
-    per row) and evaluated at that row's quadrature points z[k]."""
-    return _frames_eval(_continue_frames(germ, pts, cfg), z, anchors)
+def _check_log_cells(phi: Germ, psi: Germ, cols: np.ndarray, stencils: np.ndarray,
+                     bezier: np.ndarray) -> None:
+    """Every cell of the columns (one per row) must be proven to keep each
+    log factor on the branch of its anchor, or ToleranceError is raised.
+
+    A cell's cubic, with Bezier control points P0..P3 (P0 and P3 its end
+    samples), lies in their convex hull, and so does its chord [P0, P3].
+    The distance to a segment is convex and vanishes at P0 and P3, so every
+    point of the hull lies within r = max(d(P1, chord), d(P2, chord)) of
+    the chord.  When the branch point b satisfies d(b, chord) > r +
+    POINT_TOL, it lies more than POINT_TOL outside the hull, and then:
+
+    * the arc and the chord bound a region inside the hull, so continuing
+      the log along the cubic gives what continuing it along the chord
+      gives, which is what `_continue_frames` does sample to sample;
+    * the segment from a cell's end sample (a node's anchor) to any node on
+      its arc lies in the hull, so the principal log(u / u_anchor) at the
+      node is the continuation along that segment (a segment that avoids
+      the branch point sweeps less than pi around it), hence along the arc.
+
+    The margin POINT_TOL covers the rounding of the control points, of the
+    distances and of the quadrature nodes, each some ulps of the
+    coordinates.  phi's branch point is its a, tested against the column;
+    psi is evaluated at gamma(t_j) - Z, so its test is gamma(t_j) - a
+    against the column.  A cell that cannot be proven is refused, not
+    split."""
+    points = []
+    if phi.kind == "log_pole":
+        points.append(phi.a)
+    if psi.kind == "log_pole":
+        points.append(cols[:, -1:] - psi.a)
+    if not points:
+        return
+    windows = np.take(cols, stencils, axis=1)  # (J, n_s, 4)
+    ctrl = windows @ bezier[1].T
+    for c, m in ((0, bezier[0]), (-1, bezier[2])):
+        ctrl[:, c] = windows[:, c] @ m.T
+    p0, p3 = ctrl[..., 0], ctrl[..., 3]
+    reach = np.maximum(_point_segment_distance(ctrl[..., 1], p0, p3),
+                       _point_segment_distance(ctrl[..., 2], p0, p3))
+    reach += POINT_TOL
+    for b in points:
+        if np.any(_point_segment_distance(b, p0, p3) <= reach):
+            raise ToleranceError(
+                "grid too coarse near the branch point: a cell's cubic is not "
+                "proven to keep the log on its anchor's branch"
+            )
 
 
-def _checked_columns(grid: DeformationGrid, js: np.ndarray):
-    """Columns js of the grid and their mirrors, one per row, after the
-    check that each avoids the members of its set."""
+def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
+                   n_q: int, cfg: ConvolveConfig):
+    """Columns js of the grid (one per row), with the frames of phi along
+    them and of psi along their mirrors, after every check their samples
+    decide: each set against its column or mirror column, each germ
+    continued along it, and the cells of a log germ."""
     cols = grid.H[:, js]
     mirs = mirror(cols)
     _check_columns(cols, grid.set_a, grid.level)
     _check_columns(mirs, grid.set_b, grid.level)
-    return cols.T, mirs.T
+    cols, mirs = cols.T, mirs.T
+    psi_frames = _continue_frames(psi, mirs, cfg)
+    phi_frames = _continue_frames(phi, cols, cfg)
+    stencils, *_, bezier, _, _ = _cell_rule(grid.n_s, n_q)
+    _check_log_cells(phi, psi, cols, stencils, bezier)
+    return cols, phi_frames, psi_frames
 
 
 def _cubics(cols: np.ndarray, stencils: np.ndarray, basis: np.ndarray,
@@ -503,15 +568,15 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j,
         raise PreconditionError(f"time index {bad[0]} outside the grid")
     if not len(js):
         return np.empty(0, dtype=complex)
-    cols, mirs = _checked_columns(grid, js)
+    cols, phi_frames, psi_frames = _column_frames(phi, psi, grid, js, n_q, cfg)
     gj = cols[:, -1]
 
-    stencils, val, wder, end_val, end_wder, anchor_phi, anchor_psi = _cell_rule(n_s, n_q)
+    stencils, val, wder, end_val, end_wder, _, anchor_phi, anchor_psi = _cell_rule(n_s, n_q)
     # the integrand phi * psi * (w dZ) is built in place, in that order, so
     # that few (J, n_s, n_q) arrays are alive at once
     Z = _cubics(cols, stencils, val, end_val)
-    psi_vals = _germ_on_columns(psi, mirs, cfg, gj[:, None, None] - Z, anchor_psi)
-    integrand = _germ_on_columns(phi, cols, cfg, Z, anchor_phi)
+    psi_vals = _frames_eval(psi_frames, gj[:, None, None] - Z, anchor_psi)
+    integrand = _frames_eval(phi_frames, Z, anchor_phi)
     del Z
     integrand *= psi_vals
     del psi_vals
@@ -548,11 +613,11 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
 
     The trace starts at the time node nearest the parameter t_from.  The
     columns before it are not integrated, but they still pass every check
-    their samples decide: each set against its column or mirror column, and
-    each germ continued along it.  Pole and poly germs check nothing else
-    (the finiteness of the integrated value aside); log and series germs
-    also check their quadrature nodes, so with one of those every column is
-    integrated.
+    their samples decide: each set against its column or mirror column,
+    each germ continued along it, and the cells of a log germ.  Pole, poly
+    and log germs check nothing else (the finiteness of the integrated
+    value aside); series germs also check their quadrature nodes, so with
+    one of those every column is integrated.
     """
     cfg = cfg or ConvolveConfig()
     if not 0.0 <= t_from <= 1.0:
@@ -562,12 +627,10 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
     level = cfg.level if cfg.level is not None else 0.5 * (iv.lower + iv.upper)
     grid = deform(gamma, set_a, set_b, level, n_s=cfg.n_s, n_t=cfg.n_t)
     first = int(np.argmin(np.abs(grid.t_nodes - t_from)))
-    n_skip = first if {phi.kind, psi.kind} <= {"pole", "poly"} else 0
+    n_skip = first if "series" not in (phi.kind, psi.kind) else 0
     block = _block_columns(grid, cfg)
     for k in range(0, n_skip, block):
-        cols, mirs = _checked_columns(grid, np.arange(k, min(k + block, n_skip)))
-        _continue_frames(psi, mirs, cfg)
-        _continue_frames(phi, cols, cfg)
+        _column_frames(phi, psi, grid, np.arange(k, min(k + block, n_skip)), cfg.n_q, cfg)
     values = _convolve_columns(phi, psi, grid, np.arange(n_skip, grid.n_t + 1), cfg)
     values = values[first - n_skip:]
     ts = grid.t_nodes[first:]
@@ -673,15 +736,17 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     the s-resolution of the grid (`ProbeReport.s_error_rel`).
     """
     if cfg is None:
-        # n_s decides the accuracy.  A loop drags a hairpin of the contour
-        # around the candidate, and the cells at the contour's ends pass
-        # close to a set's point, where a local cubic needs short cells;
-        # the graded rows make them short.  Around the pole pair's
-        # candidates, 512 rows match the closed form within 3e-13 of the
-        # values' scale at radius 0.2 and 6e-13 at radius 0.1 (256 rows:
-        # 2e-12 and 1.6e-9); n_t barely matters.  A smaller radius needs
-        # more rows, which ProbeReport.s_error_rel flags.
-        cfg = ConvolveConfig(n_s=512, n_t=256, n_q=8)
+        # n_s and n_q decide the accuracy.  A loop drags a hairpin of the
+        # contour around the candidate, and the cells at the contour's ends
+        # pass close to a set's point, where a local cubic needs short
+        # cells; the graded rows make them short.  The values depend on the
+        # rows only through the Gauss error of each cell, so 256 rows with
+        # 16 nodes per cell match the pole pair's closed form within 3e-13
+        # of the values' scale at radius 0.2 and 6e-13 at radius 0.1, as
+        # 512 rows with 8 nodes do, at half the deformation's cost; n_t
+        # barely matters.  A smaller radius needs more rows, which
+        # ProbeReport.s_error_rel flags.
+        cfg = ConvolveConfig(n_s=256, n_t=256, n_q=16)
     candidate = complex(candidate)
     radius = float(radius)
     if not (radius > 0.0 and math.isfinite(radius)):

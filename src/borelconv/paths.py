@@ -152,20 +152,24 @@ class AdmissibleLevelInterval:
         return self.lower < L <= self.upper
 
 
-def _segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Min distance of each point to the union of segments.  points (m,),
-    starts/ends (n,) complex; returns (m,).  A zero-length segment counts
-    as its point."""
-    if len(starts) == 0:
-        return np.full(len(points), np.inf)
-    d = ends - starts  # (n,)
-    ap = points[:, None] - starts[None, :]  # (m, n)
+def _point_segment_distance(p, z0, z1):
+    """Distance of p to the segment [z0, z1], the three complex arrays
+    broadcast together.  A zero-length segment counts as its point."""
+    d = z1 - z0
+    ap = p - z0
     denom = d.real ** 2 + d.imag ** 2
     tproj = np.divide(ap.real * d.real + ap.imag * d.imag, denom,
-                      out=np.zeros(ap.shape), where=denom > 0.0)
+                      out=np.zeros(np.broadcast(ap, d).shape), where=denom > 0.0)
     tproj = np.clip(tproj, 0.0, 1.0)
-    closest = starts[None, :] + tproj * d[None, :]
-    return np.abs(points[:, None] - closest).min(axis=1)
+    return np.abs(p - (z0 + tproj * d))
+
+
+def _segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Min distance of each point to the union of segments.  points (m,),
+    starts/ends (n,) complex; returns (m,)."""
+    if len(starts) == 0:
+        return np.full(len(points), np.inf)
+    return _point_segment_distance(points[:, None], starts, ends).min(axis=1)
 
 
 def _hit_levels(path: Path, fset: FilteredSet) -> float:

@@ -325,7 +325,7 @@ def test_convolve_with_probe(tmp_path, capsys):
     assert probe["tol_mono"] == 1e-4
     assert 0.0 <= probe["s_error_rel"] <= 1e-5
     # the probe's own grid, not the trace's --ns and --nt
-    assert (probe["n_s"], probe["n_t"], probe["n_q"]) == (512, 256, 8)
+    assert (probe["n_s"], probe["n_t"], probe["n_q"]) == (256, 256, 16)
     assert capsys.readouterr().err == ""
 
 
@@ -335,18 +335,18 @@ def test_convolve_with_probe_writes_null_for_a_non_finite_s_error(tmp_path, monk
     monkeypatch.setattr(germs, "_half_s_error", lambda *args: math.inf)
     assert convolve_with_probe(tmp_path)["s_error_rel"] is None
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "s_error_rel = inf" in err[0] and "n_s = 512" in err[0]
+    assert len(err) == 1 and "s_error_rel = inf" in err[0] and "n_s = 256" in err[0]
 
 
 def test_convolve_with_probe_warns_when_the_s_error_is_above_tol_mono(tmp_path, capsys):
     # at radius 0.025 the default grid does not resolve candidate 2: the
-    # estimate reads about 8e-2; the run still exits 0 and writes probe.json
+    # estimate reads about 1.2; the run still exits 0 and writes probe.json
     probe = convolve_with_probe(tmp_path, candidate="2.0,0", radius="0.025")
     assert probe["s_error_rel"] > probe["tol_mono"]
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("warning: ")
     assert f"s_error_rel = {probe['s_error_rel']:.3g}" in err[0]
-    assert "tol_mono = 0.0001" in err[0] and "n_s = 512" in err[0]
+    assert "tol_mono = 0.0001" in err[0] and "n_s = 256" in err[0]
 
 
 # -- writers -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from borelconv import (
     singularity_probe,
 )
 from borelconv.germs import TOL_MONO
-from conftest import CURVED_GAMMA, circle_oracle_error, pole_pole_oracle
+from conftest import CURVED_GAMMA, _continued_log, circle_oracle_error, pole_pole_oracle
 
 TWO_PI_I = 2j * math.pi
 
@@ -602,12 +603,26 @@ def test_probe_matches_the_closed_form_at_the_cli_default_radius():
 
 @pytest.mark.parametrize("phi", [Germ.pole(1), Germ.log_pole(1)], ids=["pole", "log_pole"])
 def test_probe_with_log_factor_runs_at_the_plain_sum_point(phi):
-    # the default grid is fine enough near B's point 2 for the branch
-    # tracking of log(1 - z/2) along every column
+    # the default grid's cells near B's point 2 are proven to keep
+    # log(1 - z/2) on its anchor's branch along every column
     a, b = pole_pair_sets()
     rep = singularity_probe(phi, Germ.log_pole(2), a, b, 2.0, 0.2)
     assert rep.classification == "singular-like"
     assert min(rep.defect_rel, rep.ring_rel) > 1e-3
+
+
+@pytest.mark.parametrize("phi, psi", [(Germ.pole(1), Germ.log_pole(2)),
+                                      (Germ.log_pole(1), Germ.pole(2)),
+                                      (Germ.log_pole(1), Germ.log_pole(2))],
+                         ids=["pole-log_pole", "log_pole-pole", "log_pole-log_pole"])
+def test_probe_with_log_factor_runs_at_the_sum_of_both_points(phi, psi):
+    # with pole*log and log*log at 2.0 above, the five log probes that a
+    # heuristic branch guard (|du| < 0.95 |u| per chord) refused at 256 rows:
+    # the exact cell condition proves every cell of the default grid
+    a, b = pole_pair_sets()
+    rep = singularity_probe(phi, psi, a, b, 3.0, 0.2)
+    in_fine_sum = np.min(np.abs(a.fine_sum(b).points - 3.0)) <= 1e-9
+    assert in_fine_sum and rep.classification == "singular-like"
 
 
 PROBE_CFG = ConvolveConfig(n_s=64, n_t=256, n_q=8)
@@ -640,9 +655,10 @@ def test_probe_s_error_is_nan_for_odd_n_s():
 
 
 def test_probe_s_error_is_inf_when_the_half_pass_refuses():
-    # the full grid resolves the log's branch point; every other row does not
+    # the full grid proves every cell around the log's branch point; every
+    # other row does not
     a, b = pole_pair_sets()
-    rep = singularity_probe(Germ.pole(1), Germ.log_pole(2), a, b, 2.0, 0.2)
+    rep = singularity_probe(Germ.log_pole(1), Germ.pole(2), a, b, 3.0, 0.2)
     assert rep.s_error_rel == math.inf
     assert rep.classification == "singular-like"
 
@@ -710,15 +726,32 @@ def test_probe_checks_every_column_and_integrates_the_circle(monkeypatch):
     assert seen["half a"] == seen["half b"] == seen["half"] == len(rep.trace.values)
 
 
-def test_probe_with_log_factor_integrates_every_column(monkeypatch):
-    # log germs also check their quadrature nodes, so no column is skipped
+def test_probe_with_log_factor_checks_every_column_and_integrates_the_circle(monkeypatch):
+    # the chord and cell conditions of a log germ are decided from samples
+    # alone, so the route's columns are checked but not integrated, as for
+    # pole germs, and the circle keeps the bits of a run over every column
+    from borelconv import germs
+
     a, b = pole_pair_sets()
+    phi, psi = Germ.pole(1), Germ.log_pole(2)
     seen = count_columns(monkeypatch)
-    rep = singularity_probe(Germ.pole(1), Germ.log_pole(2), a, b, 1.5, 0.2, cfg=PROBE_CFG)
-    assert seen["a"] == seen["b"] == seen["integrated"] == 257
-    assert len(rep.trace.values) < 257
+    cells = []
+    check_cells = germs._check_log_cells
+    monkeypatch.setattr(germs, "_check_log_cells",
+                        lambda phi, psi, cols, *rest: cells.append(cols.shape)
+                        or check_cells(phi, psi, cols, *rest))
+    rep = singularity_probe(phi, psi, a, b, 1.5, 0.2, cfg=PROBE_CFG)
+    n = len(rep.trace.values)
+    assert seen["a"] == seen["b"] == 257
+    assert seen["integrated"] == n < 257
     assert math.isfinite(rep.s_error_rel)
-    assert seen["half a"] == seen["half b"] == seen["half"] == len(rep.trace.values)
+    assert seen["half a"] == seen["half b"] == seen["half"] == n
+    # every column's cells, on the loop's grid and on the half pass's
+    assert sum(j for j, rows in cells if rows == 65) == 257
+    assert sum(j for j, rows in cells if rows == 33) == n
+    monkeypatch.undo()
+    full = convolve_along(phi, psi, rep.loop, a, b, dataclasses.replace(PROBE_CFG, level=rep.level))
+    assert rep.trace.values.tobytes() == full.values[-n:].tobytes()
 
 
 def test_probe_refuses_route_column_through_pole_parameter(monkeypatch):
@@ -729,6 +762,135 @@ def test_probe_refuses_route_column_through_pole_parameter(monkeypatch):
     with pytest.raises(PreconditionError, match="pole parameter"):
         singularity_probe(Germ.pole(0.125), Germ.pole(2), a, b, 1.5, 0.2, cfg=PROBE_CFG)
     assert seen["integrated"] == 0
+
+
+# -- branch conditions of log germs ---------------------------------------------------
+
+
+def column_grid(column):
+    """The pole pair's grid of a straight gamma with its columns replaced
+    by one hand-built column (a grid with n_t = 0)."""
+    a, b = pole_pair_sets()
+    grid = deform(Path([0.25, 0.5]), a, b, 2.5, n_s=16, n_t=16)
+    return dataclasses.replace(grid, H=np.asarray(column, dtype=complex)[:, None])
+
+
+def test_log_column_through_the_branch_point_is_refused():
+    col = np.linspace(0.0, 0.6 + 0.2j, 9)
+    grid = column_grid(col)
+    # at a sample: the path passes through the parameter
+    for phi, psi in ((Germ.log_pole(col[3]), Germ.pole(2)),
+                     (Germ.pole(2), Germ.log_pole(col[-1] - col[3]))):
+        with pytest.raises(PreconditionError, match="log parameter"):
+            convolve_at(phi, psi, grid, 0, n_q=8)
+    # between samples: the chord passes through it
+    mid = 0.5 * (col[3] + col[4])
+    for phi, psi in ((Germ.log_pole(mid), Germ.pole(2)),
+                     (Germ.pole(2), Germ.log_pole(col[-1] - mid))):
+        with pytest.raises(ToleranceError, match="chord"):
+            convolve_at(phi, psi, grid, 0, n_q=8)
+    # and well clear of it, the column integrates
+    assert np.isfinite(convolve_at(Germ.log_pole(mid + 0.05j), Germ.pole(2), grid, 0, n_q=8))
+
+
+def test_log_cell_bending_around_the_branch_point_is_refused():
+    # samples 2..5 lie on the circle of radius 0.3 about w, a quarter turn
+    # apart; the cubic of cell 3 (from w + 0.3i to w + 0.3) bulges out to
+    # about 0.265 from w at its middle, while its chord passes at 0.212
+    w = 0.5
+    col = [0, 0.1, w - 0.3, w + 0.3j, w + 0.3, w - 0.3j, 0.3 - 0.4j, 0.2 - 0.5j, 0.1 - 0.6j]
+    arc_mid = w + (9 * (0.3j + 0.3) - (-0.3 - 0.3j)) / 16
+    zeta = w + 0.24 * cmath.exp(0.25j * math.pi)
+    assert abs(zeta - w) < abs(arc_mid - w) and abs(zeta - w) > abs(0.5 * (col[3] + col[4]) - w)
+    grid = column_grid(col)
+    for phi, psi in ((Germ.log_pole(zeta), Germ.pole(2)),
+                     (Germ.pole(2), Germ.log_pole(col[-1] - zeta))):
+        with pytest.raises(ToleranceError, match="cell"):
+            convolve_at(phi, psi, grid, 0, n_q=8)
+
+
+# the Gauss nodes of order 8 in the cell coordinate
+NODES = 0.5 * (np.polynomial.legendre.leggauss(8)[0] + 1.0)
+
+
+def dense_cubics(col, m):
+    """Each cell's cubic through its four stencil samples (centred on the
+    cell, shifted at the two end cells), by a polynomial fit, at m uniform
+    points of the cell coordinate in [0, 1] and at the cell's Gauss nodes;
+    returns the points in order along the column and the indices of the
+    nodes among them."""
+    n_s = len(col) - 1
+    pts, nodes = [], []
+    for c in range(n_s):
+        lo = min(max(c - 1, 0), n_s - 3)
+        fit = np.polynomial.Polynomial.fit(np.arange(4) + lo - c, col[lo:lo + 4], 3,
+                                           domain=[-1, 2], window=[-1, 2])
+        xs, where = np.unique(np.concatenate([np.linspace(0, 1, m), NODES]), return_inverse=True)
+        nodes.extend(sum(map(len, pts)) + where[m:])
+        pts.append(fit(xs))
+    return np.concatenate(pts), np.array(nodes)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_log_values_on_proven_cells_follow_the_continued_log_along_the_cubics(seed):
+    # random curved columns and branch points near them: wherever the cells
+    # pass, the quadrature nodes' values are the log continued along the
+    # cubics, tracked on a dense polyline (no code shared with the check)
+    from borelconv.germs import _cell_rule, _check_log_cells, _continue_frames, _cubics, _frames_eval
+
+    rng = np.random.default_rng(seed)
+    n_s = 8
+    stencils, val, _, end_val, _, bezier, anchor_phi, anchor_psi = _cell_rule(n_s, 8)
+    s = np.linspace(0.0, 1.0, n_s + 1)
+    passed = refused = off_principal = 0
+    for trial in itertools.count():
+        if passed == 12:
+            break
+        coef = rng.normal(size=3) + 1j * rng.normal(size=3)
+        coef[1:] *= 4
+        col = s * coef[0] + s ** 2 * coef[1] + s ** 3 * coef[2]
+        k = rng.integers(1, n_s - 1)
+        cell = abs(col[k + 1] - col[k])
+        if trial % 3 == 0:
+            # near sample k, off by 1/100 to 2 cells
+            zeta = col[k] + cell * 10 ** rng.uniform(-2, 0.3) * cmath.exp(2j * math.pi * rng.uniform())
+        elif trial % 3 == 1:
+            # on the line from the middle of cell k's chord through the
+            # middle of its cubic: between the two, or beyond the cubic
+            chord_mid = 0.5 * (col[k] + col[k + 1])
+            arc_mid = (9 * (col[k] + col[k + 1]) - col[k - 1] - col[k + 2]) / 16
+            zeta = chord_mid + rng.uniform(0.2, 3.0) * (arc_mid - chord_mid)
+        else:
+            # short of sample k toward the centre: the column crosses the
+            # log's cut at sample k
+            zeta = col[k] * (1.0 - cell * rng.uniform(0.05, 1.0) / abs(col[k]))
+        if min(abs(zeta), abs(col[-1] - zeta)) < 1e-3:
+            continue
+        cols = col[None, :]
+        phi, psi = Germ.log_pole(zeta), Germ.log_pole(col[-1] - zeta)
+        try:
+            phi_frames = _continue_frames(phi, cols, ConvolveConfig())
+            psi_frames = _continue_frames(psi, (col[-1] - col[::-1])[None, :], ConvolveConfig())
+            _check_log_cells(phi, psi, cols, stencils, bezier)
+        except ToleranceError:
+            refused += 1
+            continue
+        dense, nodes = dense_cubics(col, 400)
+        if np.min(np.abs(dense - zeta)) < 0.02 * cell:
+            continue  # the polyline's steps would be too long to track the log
+        passed += 1
+        Z = _cubics(cols, stencils, val, end_val)
+        got_phi = _frames_eval(phi_frames, Z, anchor_phi).ravel()
+        got_psi = _frames_eval(psi_frames, col[-1] - Z, anchor_psi).ravel()
+        want_phi = _continued_log(1.0 - dense / zeta)[nodes]
+        # psi travels the mirror: from gamma's end back to the centre
+        mirrored = (col[-1] - dense)[::-1]
+        want_psi = _continued_log(1.0 - mirrored / psi.a)[::-1][nodes]
+        assert np.max(np.abs(got_phi - want_phi)) <= 1e-10
+        assert np.max(np.abs(got_psi - want_psi)) <= 1e-10
+        off_principal += np.any(np.abs(got_phi - np.log(1.0 - Z.ravel() / zeta)) > 1.0)
+    # both outcomes, and columns that wind past the principal branch
+    assert refused > 0 and off_principal > 0
 
 
 def unfiltered_check_raises(pts, fset, level):

@@ -18,6 +18,10 @@ Writes, one file per output, into OUTDIR:
   s_error_rel, scale, level, classification, and the loop grid's min_chi,
   richardson_error and a SHA-256 of its H; the default grid's n_s x n_t x
   n_q, as the probes report it, goes into `probe_default_grid.txt`;
+* the fifteen log-type probes (pole*log, log*pole and log*log of the pole
+  pair's parameters, the five candidates, radius 0.2) on the default grid,
+  one file each: the error class raised, or "ok" with the classification,
+  defect_rel, ring_rel, s_error_rel and a SHA-256 of the circle's values;
 * every file of the README command-line sequence (with `convolve --probe`),
   `set-op saturate` of a lattice and `path-check` of a walk against it
   (with the default and with 4096 samples), with the exit codes;
@@ -150,6 +154,28 @@ def _probes(bc, dump: Dump) -> None:
         ])
         if cfg is None:
             dump.text("probe_default_grid.txt", [f"{grid.n_s}x{grid.n_t}x{rep.n_q}"])
+
+
+LOG_PROBES = {"pole_log": ("pole", "log_pole"), "log_pole": ("log_pole", "pole"),
+              "log_log": ("log_pole", "log_pole")}
+
+
+def _log_probes(bc, dump: Dump) -> None:
+    a = bc.FilteredSet(0, *SETS["a"])
+    b = bc.FilteredSet(0, *SETS["b"])
+    for name, (phi, psi) in LOG_PROBES.items():
+        for c in CANDIDATES:
+            try:
+                rep = bc.singularity_probe(getattr(bc.Germ, phi)(1), getattr(bc.Germ, psi)(2),
+                                           a, b, c, 0.2)
+            except bc.BorelConvError as exc:
+                lines = [type(exc).__name__]
+            else:
+                lines = ["ok", rep.classification,
+                         *(f"{k} {_hex(getattr(rep, k))}"
+                           for k in ("defect_rel", "ring_rel", "s_error_rel")),
+                         f"values_sha256 {hashlib.sha256(rep.trace.values.tobytes()).hexdigest()}"]
+            dump.text(f"log_probe_{name}_{c}.txt", lines)
 
 
 def _outcome(bc, run) -> str:
@@ -378,6 +404,7 @@ def main(argv=None) -> int:
     _deform_and_validate(bc, dump)
     _convolutions(bc, dump)
     _probes(bc, dump)
+    _log_probes(bc, dump)
     _guards(bc, dump)
     _set_algebra_and_paths(bc, dump)
     _cli(src, dump)
