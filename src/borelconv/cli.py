@@ -80,11 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("gamma")
     p.add_argument("set_a")
     p.add_argument("set_b")
-    p.add_argument("--level", type=_finite_float, default=None)
-    p.add_argument("--ns", type=int, default=128)
-    p.add_argument("--nt", type=int, default=256)
-    p.add_argument("--nq", type=int, default=16)
-    p.add_argument("--nser", type=int, default=64)
+    cfg = germs.ConvolveConfig()  # the library's defaults
+    p.add_argument("--level", type=_finite_float, default=cfg.level)
+    p.add_argument("--ns", type=int, default=cfg.n_s)
+    p.add_argument("--nt", type=int, default=cfg.n_t)
+    p.add_argument("--nq", type=int, default=cfg.n_q)
+    p.add_argument("--nser", type=int, default=cfg.n_ser)
     p.add_argument("--probe", type=_finite_pair, default=None,
                    help="re,im of a candidate singularity to classify")
     p.add_argument("--probe-radius", type=_finite_float, default=0.1)

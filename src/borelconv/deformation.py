@@ -351,15 +351,19 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
     returning the Richardson estimate: the largest 16/15 |full step - two
     half steps| over all steps.
 
-    One field call per stage evaluates every row of a stacked state.  Step
-    j stacks its full step and its first half step (rows 0 and 1, sharing
-    k1) with the second half step of step j - 1 (row 2), which needs only
-    that step's first half; a last call set after the final step takes the
-    second half of it.  So a step costs 4 field calls, where its three
-    single-state steps take 12, and each row has the bits of the
-    single-state step it replaces: its own
-    start time, step size and segment, and the same operations in the same
-    order.
+    One field call per stage evaluates every row of a stacked state of
+    three rows.  Call j stacks step j's full step and first half step (rows
+    0 and 1, sharing k1) with the second half step of step j - 1 (row 2),
+    which needs only that step's first half; a last call, n_t, takes the
+    second half of the final step.  Call 0 has no second half to take and
+    call n_t no step to start, so their missing rows repeat a row of the
+    same call: call 0's row 2 its row 1, call n_t's rows 0 and 1 its row 2.
+    A repeated row has the bits of the row it repeats, so it leaves every
+    other row, min_chi and the time a guard reports (the first of equal
+    denominators) as they are.  So a step costs 4 field calls, where its
+    three single-state steps take 12, and each row has the bits of the
+    single-state step it replaces: its own start time, step size and
+    segment, and the same operations in the same order.
 
     Every call's start times, step sizes and segments are known before the
     first step, so gamma's point and gamma' at every stage time are
@@ -369,15 +373,15 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
     z + (h/2) k1 and z + (h/6) (k1 + 2 k2 + 2 k3 + k4).
     """
     n_t = len(t_nodes) - 1
-    # call j, rows 0 and 1: step j's full and first half step; row 2: the
-    # second half of step j - 1.  Call 0 has no row 2, call n_t only row 2.
     h = np.diff(t_nodes)
-    ts, hs = np.zeros((n_t + 1, 3)), np.zeros((n_t + 1, 3))
-    segs = np.zeros((n_t + 1, 3), dtype=int)
+    ts, hs = np.empty((n_t + 1, 3)), np.empty((n_t + 1, 3))
+    segs = np.empty((n_t + 1, 3), dtype=int)
     ts[:-1, 0] = ts[:-1, 1] = t_nodes[:-1]
     ts[1:, 2] = t_nodes[:-1] + h / 2
     hs[:-1, 0], hs[:-1, 1], hs[1:, 2] = h, h / 2, h / 2
     segs[:-1, 0] = segs[:-1, 1] = segs[1:, 2] = seg_of_step
+    for a in (ts, hs, segs):  # the repeated rows of calls 0 and n_t
+        a[0, 2], a[-1, :2] = a[0, 1], a[-1, 2]
     stage_ts = np.stack([ts, ts + 0.5 * hs, ts + hs])  # k1, k2 and k3, k4
     # gamma's point and gamma' with an axis for the row's points
     g = field.gamma.points_at(stage_ts, segs)[..., None]
@@ -386,50 +390,36 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
     hc_half, hc_sixth = 0.5 * hc, hc / 6.0
 
     shape = (3, H.shape[0])
-    Z, k1, k2, k3, k4, stage = (np.empty(shape, dtype=complex) for _ in range(6))
+    Z, k1, k2, k3, k4, st = (np.empty(shape, dtype=complex) for _ in range(6))
     z_full = np.empty(H.shape[0], dtype=complex)
     work = field.workspace(shape)
+    work_k1 = tuple(w[..., 1:, :] for w in work)  # k1 once per distinct start
 
-    def on_rows(rows):
-        """The rows, and the start states, the stage state, k1..k4 and the
-        field's buffers on them."""
-        return ([rows] + [a[rows] for a in (Z, stage, k1, k2, k3, k4)]
-                + [tuple(w[..., rows, :] for w in work)])
-
-    # the rows of k1 and of the other stages, for call 0, the calls between
-    # and call n_t
-    phases = [(on_rows(slice(1, 2)), on_rows(slice(0, 2))),
-              (on_rows(slice(1, 3)), on_rows(slice(0, 3))),
-              (on_rows(slice(2, 3)), on_rows(slice(2, 3)))]
+    Z[2] = H[:, 0]
     rich = 0.0
     for j in range(n_t + 1):
-        first, stages = phases[0 if j == 0 else 1 if j < n_t else 2]
-        rows_1, z1, _, k1_1, *_, work_1 = first
-        rows, z, st, k1_j, k2_j, k3_j, k4_j, work_j = stages
-        if j < n_t:
-            Z[0] = Z[1] = H[:, j]
-        # k1 once per distinct start: rows 0 and 1 share theirs.  Every call
-        # is positional, as a wrapped field (a tracer's) may take them
-        field(z1, stage_ts[0, j, rows_1], None, (g[0, j, rows_1], dg[j, rows_1]), k1_1, work_1)
+        Z[0] = Z[1] = H[:, j] if j < n_t else Z[2]
+        # every call is positional, as a wrapped field (a tracer's) may take them
+        field(Z[1:], stage_ts[0, j, 1:], None, (g[0, j, 1:], dg[j, 1:]), k1[1:], work_k1)
         k1[0] = k1[1]
-        t_mid, at_mid = stage_ts[1, j, rows], (g[1, j, rows], dg[j, rows])
-        for k_in, hk, k_out in ((k1_j, hc_half, k2_j), (k2_j, hc_half, k3_j)):
-            np.multiply(hk[j, rows], k_in, out=st)
-            np.add(z, st, out=st)
-            field(st, t_mid, None, at_mid, k_out, work_j)
-        np.multiply(hc[j, rows], k3_j, out=st)
-        np.add(z, st, out=st)
-        field(st, stage_ts[2, j, rows], None, (g[2, j, rows], dg[j, rows]), k4_j, work_j)
+        t_mid, at_mid = stage_ts[1, j], (g[1, j], dg[j])
+        for k_in, k_out in ((k1, k2), (k2, k3)):
+            np.multiply(hc_half[j], k_in, out=st)
+            np.add(Z, st, out=st)
+            field(st, t_mid, None, at_mid, k_out, work)
+        np.multiply(hc[j], k3, out=st)
+        np.add(Z, st, out=st)
+        field(st, stage_ts[2, j], None, (g[2, j], dg[j]), k4, work)
         # z + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
-        np.multiply(2.0, k2_j, out=k2_j)
-        np.add(k1_j, k2_j, out=k2_j)
-        np.multiply(2.0, k3_j, out=k3_j)
-        np.add(k2_j, k3_j, out=k2_j)
-        np.add(k2_j, k4_j, out=k2_j)
-        np.multiply(hc_sixth[j, rows], k2_j, out=st)
-        np.add(z, st, out=st)
+        np.multiply(2.0, k2, out=k2)
+        np.add(k1, k2, out=k2)
+        np.multiply(2.0, k3, out=k3)
+        np.add(k2, k3, out=k2)
+        np.add(k2, k4, out=k2)
+        np.multiply(hc_sixth[j], k2, out=st)
+        np.add(Z, st, out=st)
         if j:
-            rich = max(rich, float(np.max(np.abs(z_full - st[-1]))) * 16.0 / 15.0)
+            rich = max(rich, float(np.max(np.abs(z_full - st[2]))) * 16.0 / 15.0)
         if j < n_t:
             z_full[:], Z[2] = st[0], st[1]
             H[:, j + 1] = z_full

@@ -152,7 +152,8 @@ class ConvolveConfig:
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise PreconditionError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_q < 2:
-            # see convolve_at
+            # order >= 2 integrates the interpolant derivative exactly per
+            # cell, which keeps constant integrands telescoping to the endpoint
             raise PreconditionError(f"quadrature order n_q must be at least 2, got {self.n_q}")
         if not isinstance(self.n_ser, numbers.Integral) or self.n_ser < 0:
             raise PreconditionError(f"n_ser must be a non-negative integer, got {self.n_ser!r}")
@@ -388,16 +389,15 @@ def _cell_rule(n_s: int, n_q: int):
     The cubics interpolate in the row index, whatever the rows' s: the
     contour integral does not depend on the parametrisation.
 
-    Returns (stencils, val, wder, end_val, end_wder, bezier, anchor_phi,
-    anchor_psi): stencils[c] are the four sample indices of cell c; val and
-    wder the interior cells' basis values and derivatives at the Gauss
-    nodes, as _planes; end_val and end_wder, of shape (2, 4, n_q), the same
-    for the first and last cell; bezier, of shape (3, 4, 4), for the first,
-    the interior and the last cells, the real map from a cell's four
-    stencil samples to the Bezier control points P0..P3 of its cubic (P0
-    and P3 are the cell's end samples, exactly); anchor_phi and anchor_psi,
-    of shape (n_s, n_q), the sample whose branch each node takes along the
-    column and its mirror.
+    Returns (stencils, val, wder, bezier, anchor_phi, anchor_psi):
+    stencils[c] are the four sample indices of cell c; val, wder and bezier
+    are cell maps for `_cubics`, from a cell's four stencil samples to the
+    basis values and derivatives at the Gauss nodes, and to the Bezier
+    control points P0..P3 of its cubic (P0 and P3 are the cell's end
+    samples, exactly); anchor_phi and anchor_psi, of shape (n_s, n_q), the
+    sample whose branch each node takes along the column and its mirror.
+    A cell map is the interior cells' real (4, k) map, as _planes, and the
+    first and last cells' maps, of shape (2, 4, k), as they are.
 
     Cell c interpolates on samples lo..lo+3, centred on the cell except at
     the two end cells, so every interior cell has the same basis.  The
@@ -412,20 +412,20 @@ def _cell_rule(n_s: int, n_q: int):
     vals, ders = zip(*(_lagrange_basis(o, xi) for o in offsets))
     vals, wders = np.array(vals), np.array(ders) * w
     # P0 = p(0), P1 = p(0) + p'(0)/3, P2 = p(1) - p'(1)/3, P3 = p(1) in the
-    # cell coordinate; the end samples' rows are exact unit vectors
+    # cell coordinate, one column each; P0's and P3's are exact unit vectors
     bezier = np.zeros((3, 4, 4))
     for s, o in enumerate(offsets):
         ends = np.eye(4)[[s, s + 1]]
         slopes = _lagrange_basis(o, [0.0, 1.0])[1].T / 3.0
-        bezier[s] = [ends[0], ends[0] + slopes[0], ends[1] - slopes[1], ends[1]]
+        bezier[s] = np.transpose([ends[0], ends[0] + slopes[0], ends[1] - slopes[1], ends[1]])
     lo = np.clip(np.arange(n_s) - 1, 0, n_s - 3)
     cells = np.arange(n_s)[:, None]
     anchor_phi = np.where(xi[None, :] < 0.5, cells, cells + 1)
-    out = (lo[:, None] + np.arange(4), _planes(vals[1]), _planes(wders[1]),
-           vals[::2], wders[::2], bezier, anchor_phi, n_s - anchor_phi)
-    for a in out:
+    stencils, anchor_psi = lo[:, None] + np.arange(4), n_s - anchor_phi
+    val, wder, bez = ((_planes(m[1]), m[::2]) for m in (vals, wders, bezier))
+    for a in (stencils, *val, *wder, *bez, anchor_phi, anchor_psi):
         a.flags.writeable = False
-    return out
+    return stencils, val, wder, bez, anchor_phi, anchor_psi
 
 
 def _check_columns(pts: np.ndarray, fset: FilteredSet, level: float):
@@ -489,10 +489,7 @@ def _check_log_cells(phi: Germ, psi: Germ, cols: np.ndarray, stencils: np.ndarra
         points.append(cols[:, -1:] - psi.a)
     if not points:
         return
-    windows = np.take(cols, stencils, axis=1)  # (J, n_s, 4)
-    ctrl = windows @ bezier[1].T
-    for c, m in ((0, bezier[0]), (-1, bezier[2])):
-        ctrl[:, c] = windows[:, c] @ m.T
+    ctrl = _cubics(cols, stencils, bezier)
     p0, p3 = ctrl[..., 0], ctrl[..., 3]
     reach = np.maximum(_point_segment_distance(ctrl[..., 1], p0, p3),
                        _point_segment_distance(ctrl[..., 2], p0, p3))
@@ -506,7 +503,7 @@ def _check_log_cells(phi: Germ, psi: Germ, cols: np.ndarray, stencils: np.ndarra
 
 
 def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
-                   n_q: int, cfg: ConvolveConfig):
+                   cfg: ConvolveConfig):
     """Columns js of the grid (one per row), with the frames of phi along
     them and of psi along their mirrors, after every check their samples
     decide: each set against its column or mirror column, each germ
@@ -518,18 +515,18 @@ def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
     cols, mirs = cols.T, mirs.T
     psi_frames = _continue_frames(psi, mirs, cfg)
     phi_frames = _continue_frames(phi, cols, cfg)
-    stencils, *_, bezier, _, _ = _cell_rule(grid.n_s, n_q)
+    stencils, _, _, bezier, _, _ = _cell_rule(grid.n_s, cfg.n_q)
     _check_log_cells(phi, psi, cols, stencils, bezier)
     return cols, phi_frames, psi_frames
 
 
-def _cubics(cols: np.ndarray, stencils: np.ndarray, basis: np.ndarray,
-            end_basis: np.ndarray) -> np.ndarray:
-    """The local cubics of each column (one per row) at the Gauss nodes of
-    every cell, with the given basis: the stencil windows times the basis,
-    one BLAS product of the same shape per column, so that a column's bits
-    do not depend on its block; then the two end cells with their own
-    basis, summed in stencil order."""
+def _cubics(cols: np.ndarray, stencils: np.ndarray, cell_map) -> np.ndarray:
+    """A cell map of `_cell_rule` applied to every cell of each column (one
+    per row): the stencil windows times the interior cells' map, one BLAS
+    product of the same shape per column, so that a column's bits do not
+    depend on its block; then the two end cells with their own maps, summed
+    in stencil order."""
+    basis, end_basis = cell_map
     windows = np.take(cols, stencils, axis=1)  # (J, n_s, 4)
     planes = windows.view(float).reshape(windows.shape[:2] + (8,))
     out = np.empty(windows.shape[:2] + (basis.shape[1] // 2,), complex)
@@ -540,25 +537,20 @@ def _cubics(cols: np.ndarray, stencils: np.ndarray, basis: np.ndarray,
     return out
 
 
-def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j,
-                n_q: int = 16, cfg: ConvolveConfig | None = None):
+def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j, *,
+                cfg: ConvolveConfig | None = None):
     """Value of the convolution at gamma(t_j) on a deformation grid.
 
     Integrates phi(H(s)) * psi(gamma(t_j) - H(s)) * dH/ds over the column
     of the grid at time node j.  phi travels along the column against the
     first set, psi along the mirror column against the second; between
     samples the contour is a local cubic and the quadrature is composite
-    Gauss-Legendre of order n_q per cell.
+    Gauss-Legendre of order cfg.n_q per cell.
 
     j is one time index (the value is a complex) or a 1-D array of them
     (the values are an array, one per index, integrated as one block).
     """
     cfg = cfg or ConvolveConfig()
-    n_s = grid.n_s
-    if n_q < 2:
-        # order >= 2 integrates the interpolant derivative exactly per cell,
-        # which keeps constant integrands telescoping to the endpoint
-        raise PreconditionError("quadrature order must be at least 2")
     js = np.asarray(j)
     if js.ndim > 1 or not np.issubdtype(js.dtype, np.integer):
         raise PreconditionError(f"time index must be an integer or a 1-D integer array, got {j!r}")
@@ -568,19 +560,19 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j,
         raise PreconditionError(f"time index {bad[0]} outside the grid")
     if not len(js):
         return np.empty(0, dtype=complex)
-    cols, phi_frames, psi_frames = _column_frames(phi, psi, grid, js, n_q, cfg)
+    cols, phi_frames, psi_frames = _column_frames(phi, psi, grid, js, cfg)
     gj = cols[:, -1]
 
-    stencils, val, wder, end_val, end_wder, _, anchor_phi, anchor_psi = _cell_rule(n_s, n_q)
+    stencils, val, wder, _, anchor_phi, anchor_psi = _cell_rule(grid.n_s, cfg.n_q)
     # the integrand phi * psi * (w dZ) is built in place, in that order, so
     # that few (J, n_s, n_q) arrays are alive at once
-    Z = _cubics(cols, stencils, val, end_val)
+    Z = _cubics(cols, stencils, val)
     psi_vals = _frames_eval(psi_frames, gj[:, None, None] - Z, anchor_psi)
     integrand = _frames_eval(phi_frames, Z, anchor_phi)
     del Z
     integrand *= psi_vals
     del psi_vals
-    integrand *= _cubics(cols, stencils, wder, end_wder)
+    integrand *= _cubics(cols, stencils, wder)
     values = integrand.reshape(len(js), -1).sum(axis=1)
     if not np.all(np.isfinite(values)):
         raise ToleranceError("non-finite convolution quadrature")
@@ -596,7 +588,7 @@ def _convolve_columns(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarra
                       cfg: ConvolveConfig) -> np.ndarray:
     """convolve_at over the (non-empty) time indices js, a block at a time."""
     block = _block_columns(grid, cfg)
-    return np.concatenate([convolve_at(phi, psi, grid, js[k:k + block], n_q=cfg.n_q, cfg=cfg)
+    return np.concatenate([convolve_at(phi, psi, grid, js[k:k + block], cfg=cfg)
                            for k in range(0, len(js), block)])
 
 
@@ -630,7 +622,7 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
     n_skip = first if "series" not in (phi.kind, psi.kind) else 0
     block = _block_columns(grid, cfg)
     for k in range(0, n_skip, block):
-        _column_frames(phi, psi, grid, np.arange(k, min(k + block, n_skip)), cfg.n_q, cfg)
+        _column_frames(phi, psi, grid, np.arange(k, min(k + block, n_skip)), cfg)
     values = _convolve_columns(phi, psi, grid, np.arange(n_skip, grid.n_t + 1), cfg)
     values = values[first - n_skip:]
     ts = grid.t_nodes[first:]
@@ -650,9 +642,12 @@ class ProbeReport:
     `s_error_rel` estimates the error of the circle's values from the
     s-resolution of the grid: the largest change of those values when the
     same columns are integrated on every other row of the grid (the graded
-    grid at n_s / 2), relative to `scale`.  It is nan when n_s is odd (every
-    other row would drop gamma's row) and inf when the half-resolution pass
-    refuses with ToleranceError.
+    grid at n_s / 2), relative to `scale`.  That change mostly measures the
+    half grid's own error, so it overstates the error of these values: with
+    64x256x8 at candidate 2 of the pole pair it reads 0.11 where the values
+    are off by 2.2e-5.  It is nan when n_s is odd (every other row would
+    drop gamma's row) and inf when the half-resolution pass refuses with
+    ToleranceError.
     `n_q` is the Gauss-Legendre order per cell of the circle's columns."""
 
     classification: str

@@ -197,7 +197,7 @@ def test_criterion_5_convolution_oracles():
         for pb in range(7):
             phi = Germ.poly([0] * pa + [1 / math.factorial(pa)])
             psi = Germ.poly([0] * pb + [1 / math.factorial(pb)])
-            got = convolve_at(phi, psi, grid_m, grid_m.n_t, n_q=16)
+            got = convolve_at(phi, psi, grid_m, grid_m.n_t, cfg=ConvolveConfig(n_q=16))
             want = z_end ** (pa + pb + 1) / math.factorial(pa + pb + 1)
             err_mono = max(err_mono, abs(got - want) / abs(want))
     ok_mono = err_mono <= 1e-9
@@ -211,7 +211,7 @@ def test_criterion_5_convolution_oracles():
     for pa in range(7):
         for pb in range(7):
             got = convolve_at(Germ.poly([0] * pa + [1]), Germ.poly([0] * pb + [1]), grid_c,
-                              np.arange(grid_c.n_t + 1), n_q=16)
+                              np.arange(grid_c.n_t + 1), cfg=ConvolveConfig(n_q=16))
             want = (math.factorial(pa) * math.factorial(pb) / math.factorial(pa + pb + 1)
                     * z_c ** (pa + pb + 1))
             err_curved = max(err_curved, float(np.max(np.abs(got - want) / np.abs(want))))

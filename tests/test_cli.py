@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from borelconv.cli import main
+from borelconv.cli import _build_parser, main
 from borelconv.jsonio import CSV_BLOCK_ROWS, atomic_write, dumps, load_json, set_from_doc, write_csv
 
 from conftest import sets_equal
-from borelconv import FilteredSet
+from borelconv import ConvolveConfig, FilteredSet
 
 
 def write(path, doc):
@@ -300,6 +300,13 @@ def test_convolve_ones_trace(tmp_path):
     for line in rows[1:]:
         t_, rg, ig, rv, iv = (float(x) for x in line.split(","))
         assert math.hypot(rv - rg, iv - ig) < 1e-12
+
+
+def test_convolve_defaults_are_the_library_defaults():
+    args = _build_parser().parse_args(["convolve", "phi", "psi", "g", "a", "b", "-o", "out"])
+    cfg = ConvolveConfig(level=args.level, n_s=args.ns, n_t=args.nt, n_q=args.nq,
+                         n_ser=args.nser)
+    assert cfg == ConvolveConfig()
 
 
 def convolve_with_probe(tmp_path, candidate="1.5,0", radius="0.2"):

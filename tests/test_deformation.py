@@ -239,6 +239,31 @@ def test_stacked_stepper_guard_raises_on_plain_sum_pair():
     assert stacked.min_chi == stepped.min_chi
 
 
+def test_stacked_stepper_guard_raises_in_the_last_call(monkeypatch):
+    # the configuration above with the plain-sum time t* at t_(n-1) + 3h/4:
+    # the middle stage time of the last step's second half, which only the
+    # stepper's last call evaluates
+    gamma = Path([0.25, 3.0])
+    a = FilteredSet(0, [(1, 1.0)], 6.0)
+    b = FilteredSet(0, [(1, 1.0)], 6.0)
+    t, h = float((2.0 - 0.25) / 2.75), 0.01
+    H = np.zeros((3, 4), dtype=complex)
+    H[:, 0] = [0.0, 0.5, 1.0]
+    t_nodes = t - 0.75 * h + h * np.arange(-2, 2)
+    seg_of_step = np.zeros(3, dtype=int)
+    stepped, stacked = field_for(gamma, a, b, 4.0), field_for(gamma, a, b, 4.0)
+    calls = count_calls(monkeypatch, stacked)
+    with pytest.raises(ChiGuardError) as want:
+        single_state_steps(stepped, H[:, 0], t_nodes, seg_of_step)
+    with pytest.raises(ChiGuardError) as got:
+        _rk4_stacked(stacked, H, t_nodes, seg_of_step)
+    # k2 of the last call, after four calls for each of the three steps
+    assert len(calls) == 4 * 3 + 2 and abs(want.value.t - t) < 1e-12
+    assert (got.value.t, got.value.value, got.value.bound) == (
+        want.value.t, want.value.value, want.value.bound)
+    assert stacked.min_chi == stepped.min_chi
+
+
 # on this hairpin the guard at 1e-2 trips at the end of a step (a k4 time),
 # at 2e-2 between time nodes
 @pytest.mark.parametrize("eps_den, between_nodes", [(1e-2, False), (2e-2, True)])

@@ -233,7 +233,7 @@ def test_convolve_ones_gives_endpoint_any_column():
     grid = deform(Path([0.25, 0.5]), a, b, 2.5, n_s=32, n_t=64)
     one = Germ.poly([1])
     for j in (0, 17, 64):
-        got = convolve_at(one, one, grid, j, n_q=4)
+        got = convolve_at(one, one, grid, j, cfg=ConvolveConfig(n_q=4))
         assert abs(got - grid.gamma_values()[j]) < 1e-12
 
 
@@ -244,14 +244,14 @@ def test_convolve_monomial_against_identity():
     grid = deform(gamma, t, t, 2.0, n_s=32, n_t=32)
     phi = Germ.poly([0, 1])
     one = Germ.poly([1])
-    got = convolve_at(phi, one, grid, 32, n_q=8)
+    got = convolve_at(phi, one, grid, 32, cfg=ConvolveConfig(n_q=8))
     assert abs(got - z_end ** 2 / 2) < 1e-13
 
 
 def test_convolve_pole_pole_closed_form():
     a, b = pole_pair_sets()
     grid = deform(Path([0.25, 0.5]), a, b, 2.5, n_s=128, n_t=128)
-    got = convolve_at(Germ.pole(1), Germ.pole(2), grid, grid.n_t, n_q=16)
+    got = convolve_at(Germ.pole(1), Germ.pole(2), grid, grid.n_t, cfg=ConvolveConfig(n_q=16))
     want = pole_pole_oracle(grid.gamma)
     assert abs(got - want) / abs(want) < 1e-9
 
@@ -267,9 +267,9 @@ def test_convolve_bilinear_in_each_slot():
     al, be = 1.3 - 0.2j, -0.7 + 0.4j
     combo = Germ.poly(al * c1 + be * c2)
     j = grid.n_t
-    lhs = convolve_at(combo, psi, grid, j, n_q=8)
-    rhs = (al * convolve_at(Germ.poly(c1), psi, grid, j, n_q=8)
-           + be * convolve_at(Germ.poly(c2), psi, grid, j, n_q=8))
+    lhs = convolve_at(combo, psi, grid, j, cfg=ConvolveConfig(n_q=8))
+    rhs = (al * convolve_at(Germ.poly(c1), psi, grid, j, cfg=ConvolveConfig(n_q=8))
+           + be * convolve_at(Germ.poly(c2), psi, grid, j, cfg=ConvolveConfig(n_q=8)))
     assert abs(lhs - rhs) < 1e-10
 
 
@@ -306,8 +306,8 @@ def test_convolve_commutes_on_a_curved_gamma(kind):
     phi, psi = CURVED_GERMS[kind]
     grid, swapped = curved_grids()
     js = np.arange(grid.n_t + 1)
-    v = convolve_at(phi, psi, grid, js, n_q=8)
-    w = convolve_at(psi, phi, swapped, js, n_q=8)
+    v = convolve_at(phi, psi, grid, js, cfg=ConvolveConfig(n_q=8))
+    w = convolve_at(psi, phi, swapped, js, cfg=ConvolveConfig(n_q=8))
     # measured at most 2.4e-15 over the four kinds
     assert np.max(np.abs(v - w)) <= 1e-12 * np.max(np.abs(v))
 
@@ -323,8 +323,8 @@ def test_convolve_bilinear_on_a_curved_gamma(kind):
     c1, c2 = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     al, be = 1.3 - 0.2j, -0.7 + 0.4j
     P = Germ.poly
-    for conv in (lambda g: convolve_at(phi, g, grid, js, n_q=8),
-                 lambda g: convolve_at(g, psi, grid, js, n_q=8)):
+    for conv in (lambda g: convolve_at(phi, g, grid, js, cfg=ConvolveConfig(n_q=8)),
+                 lambda g: convolve_at(g, psi, grid, js, cfg=ConvolveConfig(n_q=8))):
         lhs = conv(P(al * c1 + be * c2))
         rhs = al * conv(P(c1)) + be * conv(P(c2))
         # measured at most 3.8e-16 over the four kinds
@@ -357,14 +357,15 @@ def test_convolve_at_block_equals_columns(kind):
     phi, psi = BLOCK_GERMS[kind]
     grid = block_grid()
     js = np.arange(grid.n_t + 1)
+    cfg = ConvolveConfig(n_q=6)
     # blocks of 5 columns over 17: the last block holds 2
-    blocks = [convolve_at(phi, psi, grid, js[k:k + 5], n_q=6) for k in range(0, len(js), 5)]
+    blocks = [convolve_at(phi, psi, grid, js[k:k + 5], cfg=cfg) for k in range(0, len(js), 5)]
     assert [len(v) for v in blocks] == [5, 5, 5, 2]
-    single = np.array([convolve_at(phi, psi, grid, int(j), n_q=6) for j in js])
+    single = np.array([convolve_at(phi, psi, grid, int(j), cfg=cfg) for j in js])
     assert np.concatenate(blocks).tobytes() == single.tobytes()
     shuffled = js[::-3]
-    assert convolve_at(phi, psi, grid, shuffled, n_q=6).tobytes() == single[shuffled].tobytes()
-    assert convolve_at(phi, psi, grid, js[:0], n_q=6).shape == (0,)
+    assert convolve_at(phi, psi, grid, shuffled, cfg=cfg).tobytes() == single[shuffled].tobytes()
+    assert convolve_at(phi, psi, grid, js[:0], cfg=cfg).shape == (0,)
 
 
 @pytest.mark.parametrize("kind", sorted(BLOCK_GERMS))
@@ -375,9 +376,10 @@ def test_convolve_at_blocks_keep_the_bits_of_one_column_at_the_probe_shape(kind)
     a, b = pole_pair_sets()
     grid = deform(Path([0.25, 0.4 + 0.1j, 0.5]), a, b, 2.5, n_s=1024, n_t=8)
     js = np.arange(grid.n_t + 1)
-    single = np.array([convolve_at(phi, psi, grid, int(j), n_q=8) for j in js])
+    cfg = ConvolveConfig(n_q=8)
+    single = np.array([convolve_at(phi, psi, grid, int(j), cfg=cfg) for j in js])
     for size in range(1, 10):
-        blocks = [convolve_at(phi, psi, grid, js[k:k + size], n_q=8)
+        blocks = [convolve_at(phi, psi, grid, js[k:k + size], cfg=cfg)
                   for k in range(0, len(js), size)]
         assert np.concatenate(blocks).tobytes() == single.tobytes(), size
 
@@ -407,9 +409,24 @@ def test_convolve_at_block_matches_unblocked_column_formula():
     # agree to rounding, not bit for bit
     grid = block_grid()
     js = np.arange(grid.n_t + 1)
-    got = convolve_at(Germ.pole(1), Germ.pole(2), grid, js, n_q=6)
+    got = convolve_at(Germ.pole(1), Germ.pole(2), grid, js, cfg=ConvolveConfig(n_q=6))
     want = np.array([unblocked_pole_column(1.0, 2.0, grid, j, 6) for j in js])
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_convolve_at_integrates_at_the_order_of_its_config():
+    # on a curved grid of 16 cells the 4-node rule is off the 16-node rule
+    # by 8e-9 relative; convolve_at gives the 4-node value within rounding
+    a, b = pole_pair_sets()
+    grid = deform(Path(CURVED_GAMMA), a, b, 2.5, n_s=16, n_t=16)
+    j = grid.n_t
+    got = convolve_at(Germ.pole(1), Germ.pole(2), grid, j, cfg=ConvolveConfig(n_q=4))
+    want = unblocked_pole_column(1.0, 2.0, grid, j, 4)
+    assert abs(got - want) <= 1e-14 * abs(want)
+    assert abs(want - unblocked_pole_column(1.0, 2.0, grid, j, 16)) > 1e-9 * abs(want)
+    # the order comes by the config only: a stray positional int is refused
+    with pytest.raises(TypeError):
+        convolve_at(Germ.pole(1), Germ.pole(2), grid, j, 4)
 
 
 @pytest.mark.parametrize("j", [np.array([0, 3, 17]), np.array([-1, 2]), [0, 99],
@@ -417,7 +434,7 @@ def test_convolve_at_block_matches_unblocked_column_formula():
 def test_convolve_at_rejects_bad_index_in_block(j):
     grid = block_grid()
     with pytest.raises(PreconditionError):
-        convolve_at(Germ.pole(1), Germ.pole(2), grid, j, n_q=6)
+        convolve_at(Germ.pole(1), Germ.pole(2), grid, j, cfg=ConvolveConfig(n_q=6))
 
 
 # blocks of 3 columns over 17 (the last holds 2), for closed forms and series alike
@@ -435,7 +452,7 @@ def test_convolve_along_blocks_equal_columns(monkeypatch, kind, sizes):
                         lambda *args, **kw: calls.append(len(args[3])) or block_kernel(*args, **kw))
     tr = convolve_along(phi, psi, Path([0.25, 0.4 + 0.1j, 0.5]), a, b, cfg)
     assert calls == sizes
-    single = np.array([block_kernel(phi, psi, tr.grid, j, n_q=6) for j in range(17)])
+    single = np.array([block_kernel(phi, psi, tr.grid, j, cfg=cfg) for j in range(17)])
     assert tr.values.tobytes() == single.tobytes()
 
 
@@ -778,19 +795,20 @@ def column_grid(column):
 def test_log_column_through_the_branch_point_is_refused():
     col = np.linspace(0.0, 0.6 + 0.2j, 9)
     grid = column_grid(col)
+    cfg = ConvolveConfig(n_q=8)
     # at a sample: the path passes through the parameter
     for phi, psi in ((Germ.log_pole(col[3]), Germ.pole(2)),
                      (Germ.pole(2), Germ.log_pole(col[-1] - col[3]))):
         with pytest.raises(PreconditionError, match="log parameter"):
-            convolve_at(phi, psi, grid, 0, n_q=8)
+            convolve_at(phi, psi, grid, 0, cfg=cfg)
     # between samples: the chord passes through it
     mid = 0.5 * (col[3] + col[4])
     for phi, psi in ((Germ.log_pole(mid), Germ.pole(2)),
                      (Germ.pole(2), Germ.log_pole(col[-1] - mid))):
         with pytest.raises(ToleranceError, match="chord"):
-            convolve_at(phi, psi, grid, 0, n_q=8)
+            convolve_at(phi, psi, grid, 0, cfg=cfg)
     # and well clear of it, the column integrates
-    assert np.isfinite(convolve_at(Germ.log_pole(mid + 0.05j), Germ.pole(2), grid, 0, n_q=8))
+    assert np.isfinite(convolve_at(Germ.log_pole(mid + 0.05j), Germ.pole(2), grid, 0, cfg=cfg))
 
 
 def test_log_cell_bending_around_the_branch_point_is_refused():
@@ -806,7 +824,7 @@ def test_log_cell_bending_around_the_branch_point_is_refused():
     for phi, psi in ((Germ.log_pole(zeta), Germ.pole(2)),
                      (Germ.pole(2), Germ.log_pole(col[-1] - zeta))):
         with pytest.raises(ToleranceError, match="cell"):
-            convolve_at(phi, psi, grid, 0, n_q=8)
+            convolve_at(phi, psi, grid, 0, cfg=ConvolveConfig(n_q=8))
 
 
 # the Gauss nodes of order 8 in the cell coordinate
@@ -840,7 +858,7 @@ def test_log_values_on_proven_cells_follow_the_continued_log_along_the_cubics(se
 
     rng = np.random.default_rng(seed)
     n_s = 8
-    stencils, val, _, end_val, _, bezier, anchor_phi, anchor_psi = _cell_rule(n_s, 8)
+    stencils, val, _, bezier, anchor_phi, anchor_psi = _cell_rule(n_s, 8)
     s = np.linspace(0.0, 1.0, n_s + 1)
     passed = refused = off_principal = 0
     for trial in itertools.count():
@@ -879,7 +897,7 @@ def test_log_values_on_proven_cells_follow_the_continued_log_along_the_cubics(se
         if np.min(np.abs(dense - zeta)) < 0.02 * cell:
             continue  # the polyline's steps would be too long to track the log
         passed += 1
-        Z = _cubics(cols, stencils, val, end_val)
+        Z = _cubics(cols, stencils, val)
         got_phi = _frames_eval(phi_frames, Z, anchor_phi).ravel()
         got_psi = _frames_eval(psi_frames, col[-1] - Z, anchor_psi).ravel()
         want_phi = _continued_log(1.0 - dense / zeta)[nodes]
