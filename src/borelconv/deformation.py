@@ -159,28 +159,24 @@ def row_nodes(n_s: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(np.pi * (np.arange(n_s + 1) / n_s)))
 
 
-def _allocate_steps(seg_lengths, n_total: int):
-    """Distribute n_total steps over segments proportionally to length,
-    at least one per segment (largest remainder rounding)."""
-    n_seg = len(seg_lengths)
-    total = float(np.sum(seg_lengths))
-    raw = np.asarray(seg_lengths) / total * n_total
-    base = np.maximum(1, np.floor(raw).astype(int))
-    while base.sum() > n_total:
-        k = int(np.argmax(base - raw))
-        if base[k] <= 1:
-            break
-        base[k] -= 1
-    while base.sum() < n_total:
-        k = int(np.argmin(base - raw))
-        base[k] += 1
-    assert base.sum() >= n_seg
-    return base
+def _allocate_steps(seg_lengths, n_t: int):
+    """Steps per segment: ceil(len_k / h) with h = |gamma| / n_t, at least
+    one.  No step is longer than h, equal segments get equal counts (which
+    keeps the trapezoid rule on a regular polygon symmetric), and the total
+    lies in [n_t, n_t + len(seg_lengths)).  The quotient is shrunk by a
+    relative 1e-9 before rounding up, so one that rounding lifted just
+    above an integer keeps that integer: a single segment gets exactly n_t,
+    and a step may exceed h by that 1e-9."""
+    raw = np.asarray(seg_lengths) / float(np.sum(seg_lengths)) * n_t
+    return np.maximum(1, np.ceil(raw * (1.0 - 1e-9)).astype(int))
 
 
 def _t_nodes_for(gamma: Path, n_t: int):
     """Node parameters with every vertex on a node; uniform within each
-    segment.  Returns (t_nodes, seg_of_step) with len(t_nodes) = n_t + 1."""
+    segment, with the step counts of `_allocate_steps`.  Returns (t_nodes,
+    seg_of_step); n_t is a floor on the step count: len(t_nodes) is n_t + 1
+    for a single segment or a constant gamma, and less than n_t + 1 +
+    the number of segments otherwise."""
     if gamma.is_constant():
         return np.linspace(0.0, 1.0, n_t + 1), np.zeros(n_t, dtype=int)
     fracs = gamma.vertex_fractions()
@@ -287,6 +283,10 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
     of the two sets at the working level.  Integration is classical RK4
     with a fixed step per time node (vertices of gamma are always nodes so
     each step sees a smooth field) plus a two-half-steps error estimate.
+    n_t is a floor on the number of steps: each segment of gamma gets
+    ceil(n_t * its length / |gamma|) of them (`_allocate_steps`), so a
+    multi-segment gamma takes a few more, and the grid's `n_t` reports the
+    count taken.
 
     The discrete length bookkeeping |F_s| + |F*_(1-s)| <= |seed|+|gamma| +
     delta_len is checked for every row; a violation signals an

@@ -143,19 +143,21 @@ class ConvolveConfig:
 
     level: float | None = None      # working budget; None picks the midpoint
     n_s: int = 128                  # contour cells per time node
-    n_t: int = 256                  # time steps along gamma
+    n_t: int = 256                  # floor on the time steps along gamma
     n_q: int = 16                   # Gauss-Legendre order per cell
     n_ser: int = 64                 # cap on the series degree
 
     def __post_init__(self):
-        for name in ("n_s", "n_t", "n_q"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise PreconditionError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("n_s", "n_t", "n_q", "n_ser"):
+            value = getattr(self, name)
+            # bool is an Integral, but True is no grid size
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise PreconditionError(f"{name} must be an integer, got {value!r}")
         if self.n_q < 2:
             # order >= 2 integrates the interpolant derivative exactly per
             # cell, which keeps constant integrands telescoping to the endpoint
             raise PreconditionError(f"quadrature order n_q must be at least 2, got {self.n_q}")
-        if not isinstance(self.n_ser, numbers.Integral) or self.n_ser < 0:
+        if self.n_ser < 0:
             raise PreconditionError(f"n_ser must be a non-negative integer, got {self.n_ser!r}")
 
 
@@ -738,10 +740,12 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
         # rows only through the Gauss error of each cell, so 256 rows with
         # 16 nodes per cell match the pole pair's closed form within 3e-13
         # of the values' scale at radius 0.2 and 6e-13 at radius 0.1, as
-        # 512 rows with 8 nodes do, at half the deformation's cost; n_t
-        # barely matters.  A smaller radius needs more rows, which
-        # ProbeReport.s_error_rel flags.
-        cfg = ConvolveConfig(n_s=256, n_t=256, n_q=16)
+        # 512 rows with 8 nodes do, at half the deformation's cost.  A
+        # smaller radius needs more rows, which ProbeReport.s_error_rel
+        # flags.  n_t 64 is a floor (the pole pair's loops take 65-93
+        # steps): the circle's 16 equal sides get equal step counts, which
+        # makes the trapezoid rule of ring_rel converge geometrically.
+        cfg = ConvolveConfig(n_s=256, n_t=64, n_q=16)
     candidate = complex(candidate)
     radius = float(radius)
     if not (radius > 0.0 and math.isfinite(radius)):

@@ -110,6 +110,8 @@ def _pair(z: complex) -> list[float]:
 
 
 def _as_real(v, what: str) -> float:
+    if isinstance(v, bool):  # float(True) is 1.0, but true is no number
+        raise ParseError(f"{what} must be a finite number, got {json.dumps(v)}")
     try:
         x = float(v)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -8,7 +8,8 @@ from borelconv.cli import _build_parser, main
 from borelconv.jsonio import CSV_BLOCK_ROWS, atomic_write, dumps, load_json, set_from_doc, write_csv
 
 from conftest import sets_equal
-from borelconv import ConvolveConfig, FilteredSet
+from borelconv import ConvolveConfig, FilteredSet, Germ
+from borelconv.germs import singularity_probe
 
 
 def write(path, doc):
@@ -159,6 +160,29 @@ def test_exit_2_on_non_finite_number(tmp_path, field, bad):
     argv = ["convolve", files["phi"], files["phi"], files["g"], files["a"], files["a"],
             "-o", tmp_path / "out"]
     assert main([str(x) for x in argv]) == 2
+
+
+@pytest.mark.parametrize("field", ["point", "level", "horizon", "pole", "radius"])
+def test_exit_2_on_boolean_number(tmp_path, capsys, field):
+    # JSON true is no number, though Python's float(True) is 1.0: each case
+    # would otherwise read as the entry 1 @ 1, a pole at 1 or a radius of 1
+    a = set_doc([(1 + 0j, 1.0)], 6.0)
+    phi = {"kind": "series", "coeffs": [[1.0, 0.0]], "radius": 1.0}
+    if field == "point":
+        a["entries"][0]["z"] = [True, False]
+    elif field == "level":
+        a["entries"][0]["level"] = True
+    elif field == "horizon":
+        a["horizon"] = True
+    elif field == "pole":
+        phi = {"kind": "pole", "a": [True, 0]}
+    else:
+        phi["radius"] = True
+    files = [write(tmp_path / "phi.json", phi), write(tmp_path / "g.json", path_doc([0.25, 0.5])),
+             write(tmp_path / "a.json", a)]
+    argv = ["convolve", files[0], files[0], files[1], files[2], files[2], "-o", tmp_path / "out"]
+    assert main([str(x) for x in argv]) == 2
+    assert "true" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc", [{"kind": "pole"}, {"kind": "poly", "coeffs": 5},
@@ -331,8 +355,12 @@ def test_convolve_with_probe(tmp_path, capsys):
     assert probe["classification"] == "regular"
     assert probe["tol_mono"] == 1e-4
     assert 0.0 <= probe["s_error_rel"] <= 1e-5
-    # the probe's own grid, not the trace's --ns and --nt
-    assert (probe["n_s"], probe["n_t"], probe["n_q"]) == (256, 256, 16)
+    # the probe's own grid, not the trace's --ns and --nt; its n_t is the
+    # loop's step count: each segment rounds its share of the default 64 up
+    rep = singularity_probe(Germ.pole(1), Germ.pole(2), FilteredSet(0, [(1, 1.0)], 6.0),
+                            FilteredSet(0, [(2, 2.0)], 6.0), 1.5, 0.2, seed=0.25)
+    assert (probe["n_s"], probe["n_t"], probe["n_q"]) == (256, rep.trace.grid.n_t, 16)
+    assert 64 < probe["n_t"] < 64 + len(rep.loop.seg_lengths)
     assert capsys.readouterr().err == ""
 
 

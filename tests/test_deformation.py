@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from borelconv import (
     ChiGuardError,
@@ -194,12 +196,13 @@ def test_rk4_pair_bits_equal_two_steps(monkeypatch):
     a = FilteredSet(0, [(1, 1.0)], 6.0)
     b = FilteredSet(0, [(2, 2.0)], 6.0)
     t_nodes, seg_of_step = _t_nodes_for(gamma, 32)
+    n_t = len(t_nodes) - 1  # at least 32: each side takes ceil(32 |side| / |gamma|)
     stacked, stepped = field_for(gamma, a, b, 2.5), field_for(gamma, a, b, 2.5)
-    H = np.empty((17, 33), dtype=complex)
+    H = np.empty((17, n_t + 1), dtype=complex)
     H[:, 0] = np.linspace(0.0, 1.0, 17) * gamma.start
     calls = count_calls(monkeypatch, stacked)
     rich = _rk4_stacked(stacked, H, t_nodes, seg_of_step)
-    assert len(calls) == 4 * 32 + 4
+    assert len(calls) == 4 * n_t + 4
     want, want_rich = single_state_steps(stepped, H[:, 0], t_nodes, seg_of_step)
     assert H.tobytes() == want.tobytes()
     assert rich == want_rich and rich > 0.0
@@ -213,8 +216,8 @@ def test_deform_makes_four_field_calls_per_step(monkeypatch):
                         lambda self, *args: calls.append(1) or call(self, *args))
     gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j])
     a, b = FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [(2, 2.0)], 6.0)
-    deform(gamma, a, b, 2.5, n_s=16, n_t=64)
-    assert len(calls) == 4 * 64 + 4
+    grid = deform(gamma, a, b, 2.5, n_s=16, n_t=64)
+    assert len(calls) == 4 * grid.n_t + 4
 
 
 def test_stacked_stepper_guard_raises_on_plain_sum_pair():
@@ -324,6 +327,58 @@ def test_field_guard_raises_on_plain_sum_pair():
     with pytest.raises(ChiGuardError) as info:
         f(np.array([[0.1 + 0j], [1.0 + 0j]]), np.array([0.5, t]))
     assert info.value.t == t and info.value.value == 0.0
+
+
+# -- time nodes ---------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 12_345), st.floats(0.01, 1.0), st.floats(0.0, 2 * math.pi))
+@example(n_t=8, size=0.25, angle=0.0)
+@example(n_t=12_345, size=1.0, angle=1.0)
+def test_single_segment_takes_exactly_n_t_steps(n_t, size, angle):
+    gamma = Path([0.1, 0.1 + size * cmath.exp(1j * angle)])
+    t_nodes, seg_of_step = _t_nodes_for(gamma, n_t)
+    # the nodes j / n_t of a uniform split, bit for bit
+    assert t_nodes.tobytes() == (np.arange(n_t + 1) / n_t).tobytes()
+    assert seg_of_step.tobytes() == np.zeros(n_t, dtype=int).tobytes()
+
+
+@st.composite
+def polylines(draw):
+    """A route of up to 4 segments, then a regular polygon of 3-32 sides
+    closed on the route's end, built as the probe builds its circle."""
+    verts = [complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))]
+    for _ in range(draw(st.integers(0, 4))):
+        step = draw(st.floats(1e-3, 1.0)) * cmath.exp(1j * draw(st.floats(0, 2 * math.pi)))
+        verts.append(verts[-1] + step)
+    sides = draw(st.integers(3, 32))
+    radius = draw(st.floats(1e-3, 1.0))
+    centre = verts[-1] + radius * cmath.exp(1j * draw(st.floats(0, 2 * math.pi)))
+    phi0 = cmath.phase(verts[-1] - centre)
+    circle = [centre + radius * cmath.exp(1j * (phi0 + 2 * math.pi * k / sides))
+              for k in range(1, sides)]
+    return Path(verts + circle + [verts[-1]]), sides
+
+
+@settings(max_examples=100, deadline=None)
+@given(polylines(), st.integers(8, 4096))
+@example(path_sides=(Path([0.0, 1.0, 2.0, 3.0, 4.0]), 4), n_t=8)
+@example(path_sides=(Path([0.0, 1.0, 2.0, 3.0, 4.0]), 4), n_t=10)
+def test_time_steps_are_equal_on_equal_sides_and_at_most_the_mean(path_sides, n_t):
+    gamma, sides = path_sides
+    t_nodes, seg_of_step = _t_nodes_for(gamma, n_t)
+    n_seg = len(gamma.seg_lengths)
+    counts = np.bincount(seg_of_step, minlength=n_seg)
+    assert len(counts) == n_seg and np.all(counts >= 1)
+    # n_t is a floor: each segment rounds its share up
+    assert n_t <= len(t_nodes) - 1 < n_t + n_seg
+    # the polygon's sides are equal up to rounding, and so are their counts
+    assert len(set(counts[-sides:])) == 1
+    # every vertex is a node, and no step is longer than |gamma| / n_t
+    fracs = gamma.vertex_fractions()
+    assert np.array_equal(t_nodes[np.cumsum(np.concatenate([[0], counts]))], fracs)
+    assert np.max(np.diff(t_nodes)) <= (1.0 + 1e-9) / n_t
 
 
 # -- deform ---------------------------------------------------------------------------

@@ -211,6 +211,14 @@ def test_convolve_config_rejects_bad_grid_sizes(field, value):
         ConvolveConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["n_s", "n_t", "n_q", "n_ser"])
+@pytest.mark.parametrize("value", [True, False])
+def test_convolve_config_rejects_booleans(field, value):
+    # bool is an Integral, so only an explicit check keeps True from being 1
+    with pytest.raises(PreconditionError, match=f"{field} must be an integer"):
+        ConvolveConfig(**{field: value})
+
+
 def test_convolve_config_accepts_numpy_integer_grid_sizes():
     cfg = ConvolveConfig(n_s=np.int64(16), n_t=np.int32(16), n_q=np.int64(2))
     assert (cfg.n_s, cfg.n_t, cfg.n_q) == (16, 16, 2)
@@ -358,9 +366,9 @@ def test_convolve_at_block_equals_columns(kind):
     grid = block_grid()
     js = np.arange(grid.n_t + 1)
     cfg = ConvolveConfig(n_q=6)
-    # blocks of 5 columns over 17: the last block holds 2
+    # blocks of 5 columns over grid.n_t + 1 = 18 (9 + 8 steps): the last block holds 3
     blocks = [convolve_at(phi, psi, grid, js[k:k + 5], cfg=cfg) for k in range(0, len(js), 5)]
-    assert [len(v) for v in blocks] == [5, 5, 5, 2]
+    assert [len(v) for v in blocks] == [5, 5, 5, 3]
     single = np.array([convolve_at(phi, psi, grid, int(j), cfg=cfg) for j in js])
     assert np.concatenate(blocks).tobytes() == single.tobytes()
     shuffled = js[::-3]
@@ -429,7 +437,8 @@ def test_convolve_at_integrates_at_the_order_of_its_config():
         convolve_at(Germ.pole(1), Germ.pole(2), grid, j, 4)
 
 
-@pytest.mark.parametrize("j", [np.array([0, 3, 17]), np.array([-1, 2]), [0, 99],
+# block_grid takes 17 steps, so column 18 is one past its last
+@pytest.mark.parametrize("j", [np.array([0, 3, 18]), np.array([-1, 2]), [0, 99],
                                np.array([[0, 1]]), np.array([0.0, 1.0])])
 def test_convolve_at_rejects_bad_index_in_block(j):
     grid = block_grid()
@@ -437,22 +446,22 @@ def test_convolve_at_rejects_bad_index_in_block(j):
         convolve_at(Germ.pole(1), Germ.pole(2), grid, j, cfg=ConvolveConfig(n_q=6))
 
 
-# blocks of 3 columns over 17 (the last holds 2), for closed forms and series alike
-@pytest.mark.parametrize("kind, sizes", [("log_pole", [3] * 5 + [2]), ("series", [3] * 5 + [2])])
+# blocks of 4 columns over the grid's 18 (the last holds 2), for closed forms and series alike
+@pytest.mark.parametrize("kind, sizes", [("log_pole", [4] * 4 + [2]), ("series", [4] * 4 + [2])])
 def test_convolve_along_blocks_equal_columns(monkeypatch, kind, sizes):
     from borelconv import germs
 
     phi, psi = BLOCK_GERMS[kind]
     a, b = pole_pair_sets()
     cfg = ConvolveConfig(n_s=16, n_t=16, n_q=6)
-    monkeypatch.setattr(germs, "BLOCK_NODES", 3 * 16 * 6 + 5)
+    monkeypatch.setattr(germs, "BLOCK_NODES", 4 * 16 * 6 + 5)
     calls = []
     block_kernel = germs.convolve_at
     monkeypatch.setattr(germs, "convolve_at",
                         lambda *args, **kw: calls.append(len(args[3])) or block_kernel(*args, **kw))
     tr = convolve_along(phi, psi, Path([0.25, 0.4 + 0.1j, 0.5]), a, b, cfg)
-    assert calls == sizes
-    single = np.array([block_kernel(phi, psi, tr.grid, j, cfg=cfg) for j in range(17)])
+    assert calls == sizes and sum(sizes) == tr.grid.n_t + 1
+    single = np.array([block_kernel(phi, psi, tr.grid, j, cfg=cfg) for j in range(tr.grid.n_t + 1)])
     assert tr.values.tobytes() == single.tobytes()
 
 
@@ -645,6 +654,25 @@ def test_probe_with_log_factor_runs_at_the_sum_of_both_points(phi, psi):
 PROBE_CFG = ConvolveConfig(n_s=64, n_t=256, n_q=8)
 
 
+@pytest.mark.parametrize("candidate", [1.5, 2.5])
+def test_probe_ring_rule_resolves_regular_points_at_every_n_t(candidate):
+    # ring_rel of a regular point is the trapezoid rule's error on the
+    # 16-sided circle.  Equal step counts on its equal sides make that rule
+    # converge geometrically; uneven counts (5 or 6 steps a side) read up to
+    # 3.3e-4 at n_t 64, above TOL_MONO.
+    a, b = pole_pair_sets()
+    for n_t in (48, 64, 96, 128, 256):
+        rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, candidate, 0.2,
+                                cfg=ConvolveConfig(n_s=256, n_t=n_t, n_q=16))
+        assert rep.classification == "regular", n_t
+        assert rep.ring_rel <= 1e-6, n_t
+        # the circle's 17 vertices are time nodes, with as many steps between each two
+        corners = rep.loop.vertex_fractions()[-17:]
+        at = np.searchsorted(rep.trace.ts, corners)
+        assert np.array_equal(rep.trace.ts[at], corners), n_t
+        assert len(set(np.diff(at))) == 1, n_t
+
+
 def test_probe_s_error_bounds_the_oracle_error_at_the_default_grid(pole_pair_probes):
     for cand, rep in pole_pair_probes.items():
         assert rep.s_error_rel <= 1e-5, cand
@@ -738,8 +766,9 @@ def test_probe_checks_every_column_and_integrates_the_circle(monkeypatch):
     a, b = pole_pair_sets()
     seen = count_columns(monkeypatch)
     rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 3.0, 0.2, cfg=PROBE_CFG)
-    assert seen["a"] == seen["b"] == 257
-    assert seen["integrated"] == len(rep.trace.values) < 257
+    columns = rep.trace.grid.n_t + 1
+    assert seen["a"] == seen["b"] == columns
+    assert seen["integrated"] == len(rep.trace.values) < columns
     assert seen["half a"] == seen["half b"] == seen["half"] == len(rep.trace.values)
 
 
@@ -758,13 +787,13 @@ def test_probe_with_log_factor_checks_every_column_and_integrates_the_circle(mon
                         lambda phi, psi, cols, *rest: cells.append(cols.shape)
                         or check_cells(phi, psi, cols, *rest))
     rep = singularity_probe(phi, psi, a, b, 1.5, 0.2, cfg=PROBE_CFG)
-    n = len(rep.trace.values)
-    assert seen["a"] == seen["b"] == 257
-    assert seen["integrated"] == n < 257
+    n, columns = len(rep.trace.values), rep.trace.grid.n_t + 1
+    assert seen["a"] == seen["b"] == columns
+    assert seen["integrated"] == n < columns
     assert math.isfinite(rep.s_error_rel)
     assert seen["half a"] == seen["half b"] == seen["half"] == n
     # every column's cells, on the loop's grid and on the half pass's
-    assert sum(j for j, rows in cells if rows == 65) == 257
+    assert sum(j for j, rows in cells if rows == 65) == columns
     assert sum(j for j, rows in cells if rows == 33) == n
     monkeypatch.undo()
     full = convolve_along(phi, psi, rep.loop, a, b, dataclasses.replace(PROBE_CFG, level=rep.level))
