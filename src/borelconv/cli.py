@@ -190,17 +190,14 @@ def _cmd_convolve(args) -> int:
             "defect_rel": rep.defect_rel,
             "ring_rel": rep.ring_rel,
             "tol_mono": germs.TOL_MONO,
-            # null where the estimate is nan or inf (see ProbeReport)
-            "s_error_rel": rep.s_error_rel if math.isfinite(rep.s_error_rel) else None,
+            "cell_error_rel": rep.cell_error_rel,
+            "cells_split": rep.cells_split,
+            "split_depth": rep.split_depth,
             "level": rep.level,
             "n_s": rep.trace.grid.n_s,
             "n_t": rep.trace.grid.n_t,
             "n_q": rep.n_q,
         })
-        if rep.s_error_rel > germs.TOL_MONO:  # inf too, not nan
-            print(f"warning: probe s-error estimate s_error_rel = {rep.s_error_rel:.3g} is above "
-                  f"tol_mono = {germs.TOL_MONO:g} at n_s = {rep.trace.grid.n_s}; the "
-                  "classification is not resolved on this grid", file=sys.stderr)
     return 0
 
 

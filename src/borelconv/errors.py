@@ -5,6 +5,8 @@ precondition violations (bad inputs, contract breaches) vs. the flow
 denominator guard vs. numerical tolerance failures.
 """
 
+from __future__ import annotations
+
 
 class BorelConvError(Exception):
     """Base class for all package errors."""
@@ -32,4 +34,15 @@ class ChiGuardError(BorelConvError):
 
 class ToleranceError(BorelConvError):
     """A numerical tolerance could not be met (length identity violated,
-    series evaluated outside its assured disc or with too large a tail, ...)."""
+    series evaluated outside its assured disc or with too large a tail, ...).
+
+    Where a check names them, `stage` is the check that refused, `value`
+    the quantity it measured and `bound` the limit that quantity broke;
+    each is None otherwise."""
+
+    def __init__(self, message: str, *, stage: str | None = None,
+                 value: float | None = None, bound: float | None = None):
+        super().__init__(message)
+        self.stage = stage
+        self.value = value
+        self.bound = bound

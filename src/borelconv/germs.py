@@ -13,19 +13,29 @@ Each time node is integrated independently with composite Gauss-Legendre
 over the s-cells of the grid, the contour between samples being
 interpolated by local cubics (so a constant integrand integrates to the
 exact endpoint, since the cell integrals of the interpolant derivative
-telescope).
+telescope).  The cells' rules, hull proofs and de Casteljau splits are in
+`cells`.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cells import (
+    SPLIT_DEPTH,
+    _bernstein_rule,
+    _cell_rule,
+    _check_cells,
+    _cubics,
+    _de_casteljau,
+    _split_cells,
+    _SubCells,
+)
 from .deformation import DeformationGrid, deform, mirror, seed_levels
 from .errors import PreconditionError, ToleranceError
 from .filtered_set import POINT_TOL, FilteredSet
@@ -48,6 +58,8 @@ TOL_MONO = 1e-4             # probe threshold on the relative defect and loop in
 PROBE_CIRCLE_SEGMENTS = 16  # sides of the polygonal probe circle
 DETOUR_ARC_SEGMENTS = 8     # segments of each semicircle dodging a point on the route
 BLOCK_NODES = 1 << 14       # quadrature nodes per block of columns in convolve_along
+CELL_BUDGET = 1e-13         # a probe cell's error estimate budget, relative to its column's sum |cell|
+CELL_REFUSE = 1e-2          # a probe refuses an error estimate above this fraction of TOL_MONO
 
 
 # -- germ values -----------------------------------------------------------
@@ -307,25 +319,31 @@ def _continue_frames(germ: Germ, pts: np.ndarray, cfg: ConvolveConfig) -> _Frame
     raise PreconditionError(f"unknown germ kind {germ.kind!r}")
 
 
-def _frames_eval(frames: _Frames, z: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """Evaluate the continued germ at points z, each near its anchor sample
-    (anchors index the last axis of the frames; z has the frames' leading
-    axes followed by the shape of anchors); logarithm branches are taken
-    from the anchor, which is right when the caller has proven that the
-    segment from each anchor to its point avoids the branch point
-    (`_check_log_cells`)."""
+def _frames_eval(frames: _Frames, z: np.ndarray, base=None) -> np.ndarray:
+    """Evaluate the continued germ at points z.  A log germ takes its
+    branch from base = (values, u): its continued value and 1 - w/a at a
+    base point w of each point of z (broadcast against z), which is right
+    when the caller has proven that the segment from each base point to its
+    point avoids the branch point (`_check_cells`); other germs ignore it."""
     g = frames.germ
     if g.kind == "poly":
         return np.polynomial.polynomial.polyval(z, np.asarray(g.coeffs))
     if g.kind == "pole":
         return 1.0 / (g.a - z)
     if g.kind == "log_pole":
-        u = 1.0 - z / g.a
-        ua = np.take(frames.u, anchors, axis=-1)
-        return np.take(frames.values, anchors, axis=-1) + np.log(u / ua)
+        return base[0] + np.log((1.0 - z / g.a) / base[1])
     if g.kind == "series":
         return _series_values(g, frames.deg, z)
     raise PreconditionError(f"unknown germ kind {g.kind!r}")
+
+
+def _anchored(frames: _Frames, anchors: np.ndarray):
+    """The base of `_frames_eval` at the samples `anchors` (indices into
+    the last axis of the frames, after their leading axes); None for a germ
+    without branches."""
+    if frames.u is None:
+        return None
+    return np.take(frames.values, anchors, axis=-1), np.take(frames.u, anchors, axis=-1)
 
 
 # -- public continuation ----------------------------------------------------
@@ -361,75 +379,6 @@ def continue_along(germ: Germ, path: Path, fset: FilteredSet,
 
 # -- convolution ------------------------------------------------------------
 
-def _lagrange_basis(offsets, xs):
-    """Values and derivatives of the Lagrange basis on `offsets` at `xs`."""
-    vals = np.empty((len(offsets), len(xs)))
-    ders = np.empty((len(offsets), len(xs)))
-    for m, om in enumerate(offsets):
-        num = [o for o in offsets if o != om]
-        poly = np.polynomial.polynomial.polyfromroots(num)
-        denom = np.prod([om - o for o in num])
-        vals[m] = np.polynomial.polynomial.polyval(xs, poly) / denom
-        dpoly = np.polynomial.polynomial.polyder(poly)
-        ders[m] = np.polynomial.polynomial.polyval(xs, dpoly) / denom
-    return vals, ders
-
-
-def _planes(basis: np.ndarray) -> np.ndarray:
-    """A real (4, n_q) basis acting on four complex samples stored as eight
-    floats (re, im, re, im, ...): an (8, 2 n_q) real matrix whose product
-    with the eight floats is the n_q complex values, stored the same way."""
-    out = np.zeros((4, 2, basis.shape[1], 2))
-    out[:, 0, :, 0] = out[:, 1, :, 1] = basis
-    return out.reshape(8, -1)
-
-
-@functools.lru_cache(maxsize=None)
-def _cell_rule(n_s: int, n_q: int):
-    """The rule of composite Gauss-Legendre of order n_q on local cubics
-    over the n_s cells of a column, read-only and shared between calls.
-    The cubics interpolate in the row index, whatever the rows' s: the
-    contour integral does not depend on the parametrisation.
-
-    Returns (stencils, val, wder, bezier, anchor_phi, anchor_psi):
-    stencils[c] are the four sample indices of cell c; val, wder and bezier
-    are cell maps for `_cubics`, from a cell's four stencil samples to the
-    basis values and derivatives at the Gauss nodes, and to the Bezier
-    control points P0..P3 of its cubic (P0 and P3 are the cell's end
-    samples, exactly); anchor_phi and anchor_psi, of shape (n_s, n_q), the
-    sample whose branch each node takes along the column and its mirror.
-    A cell map is the interior cells' real (4, k) map, as _planes, and the
-    first and last cells' maps, of shape (2, 4, k), as they are.
-
-    Cell c interpolates on samples lo..lo+3, centred on the cell except at
-    the two end cells, so every interior cell has the same basis.  The
-    derivatives are taken with respect to the cell coordinate and carry the
-    Gauss weights, so that the integral of f dZ is the plain sum over the
-    nodes of f times (w dZ): the cell length cancels."""
-    x, w = np.polynomial.legendre.leggauss(n_q)
-    xi = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    # the basis nodes of a cell sit at offsets k - (c - lo)
-    offsets = [[k - s for k in (0.0, 1.0, 2.0, 3.0)] for s in range(3)]
-    vals, ders = zip(*(_lagrange_basis(o, xi) for o in offsets))
-    vals, wders = np.array(vals), np.array(ders) * w
-    # P0 = p(0), P1 = p(0) + p'(0)/3, P2 = p(1) - p'(1)/3, P3 = p(1) in the
-    # cell coordinate, one column each; P0's and P3's are exact unit vectors
-    bezier = np.zeros((3, 4, 4))
-    for s, o in enumerate(offsets):
-        ends = np.eye(4)[[s, s + 1]]
-        slopes = _lagrange_basis(o, [0.0, 1.0])[1].T / 3.0
-        bezier[s] = np.transpose([ends[0], ends[0] + slopes[0], ends[1] - slopes[1], ends[1]])
-    lo = np.clip(np.arange(n_s) - 1, 0, n_s - 3)
-    cells = np.arange(n_s)[:, None]
-    anchor_phi = np.where(xi[None, :] < 0.5, cells, cells + 1)
-    stencils, anchor_psi = lo[:, None] + np.arange(4), n_s - anchor_phi
-    val, wder, bez = ((_planes(m[1]), m[::2]) for m in (vals, wders, bezier))
-    for a in (stencils, *val, *wder, *bez, anchor_phi, anchor_psi):
-        a.flags.writeable = False
-    return stencils, val, wder, bez, anchor_phi, anchor_psi
-
-
 def _check_columns(pts: np.ndarray, fset: FilteredSet, level: float):
     """Contour columns (pts[:, k] is column k) must avoid the members of
     the set at the working level (apart from their start at the centre).
@@ -458,50 +407,91 @@ def _check_columns(pts: np.ndarray, fset: FilteredSet, level: float):
         )
 
 
-def _check_log_cells(phi: Germ, psi: Germ, cols: np.ndarray, stencils: np.ndarray,
-                     bezier: np.ndarray) -> None:
-    """Every cell of the columns (one per row) must be proven to keep each
-    log factor on the branch of its anchor, or ToleranceError is raised.
-
-    A cell's cubic, with Bezier control points P0..P3 (P0 and P3 its end
-    samples), lies in their convex hull, and so does its chord [P0, P3].
-    The distance to a segment is convex and vanishes at P0 and P3, so every
-    point of the hull lies within r = max(d(P1, chord), d(P2, chord)) of
-    the chord.  When the branch point b satisfies d(b, chord) > r +
-    POINT_TOL, it lies more than POINT_TOL outside the hull, and then:
-
-    * the arc and the chord bound a region inside the hull, so continuing
-      the log along the cubic gives what continuing it along the chord
-      gives, which is what `_continue_frames` does sample to sample;
-    * the segment from a cell's end sample (a node's anchor) to any node on
-      its arc lies in the hull, so the principal log(u / u_anchor) at the
-      node is the continuation along that segment (a segment that avoids
-      the branch point sweeps less than pi around it), hence along the arc.
-
-    The margin POINT_TOL covers the rounding of the control points, of the
-    distances and of the quadrature nodes, each some ulps of the
-    coordinates.  phi's branch point is its a, tested against the column;
-    psi is evaluated at gamma(t_j) - Z, so its test is gamma(t_j) - a
-    against the column.  A cell that cannot be proven is refused, not
-    split."""
+def _singular_points(phi: Germ, psi: Germ, gj: np.ndarray) -> list:
+    """The points every cell of the columns ending at gj must be proven
+    clear of, as (b, a, mirrored): b of shape (J, 1), the point tested
+    against the columns, a the germ's parameter and mirrored whether the
+    germ travels the mirror.  They are phi's pole or branch point a, and
+    gamma(t_j) - a for psi's, since psi is evaluated at gamma(t_j) - Z."""
     points = []
-    if phi.kind == "log_pole":
-        points.append(phi.a)
-    if psi.kind == "log_pole":
-        points.append(cols[:, -1:] - psi.a)
-    if not points:
-        return
-    ctrl = _cubics(cols, stencils, bezier)
-    p0, p3 = ctrl[..., 0], ctrl[..., 3]
-    reach = np.maximum(_point_segment_distance(ctrl[..., 1], p0, p3),
-                       _point_segment_distance(ctrl[..., 2], p0, p3))
-    reach += POINT_TOL
-    for b in points:
-        if np.any(_point_segment_distance(b, p0, p3) <= reach):
-            raise ToleranceError(
-                "grid too coarse near the branch point: a cell's cubic is not "
-                "proven to keep the log on its anchor's branch"
-            )
+    if phi.kind in ("pole", "log_pole"):
+        points.append((np.full((len(gj), 1), phi.a), phi.a, False))
+    if psi.kind in ("pole", "log_pole"):
+        points.append((gj[:, None] - psi.a, psi.a, True))
+    return points
+
+
+def _whole_cells(mask: np.ndarray, cols: np.ndarray, ctrl, rule, phi_frames: _Frames,
+                 psi_frames: _Frames) -> _SubCells:
+    """The cells of the boolean (J, n_s) mask as pieces of depth 0, with
+    the bases of their log factors at their first samples; ctrl holds the
+    cells' control points (`_column_frames`), or None to compute them."""
+    col, cell = np.nonzero(mask)
+    if ctrl is None:
+        ctrl = _cubics(cols, rule[0], rule[3])
+    n_s = cols.shape[1] - 1
+
+    def base(frames, sample):
+        return None if frames.u is None else (frames.values[col, sample], frames.u[col, sample])
+
+    return _SubCells(ctrl[col, cell], col, cell, np.zeros(len(col), dtype=int),
+                     base(phi_frames, cell), base(psi_frames, n_s - cell))
+
+
+def _log_base(frames: _Frames, w: np.ndarray, base) -> tuple:
+    """A log factor's base at the points w, from a base whose segment to
+    each point is proven clear of the branch point; None for other germs."""
+    if base is None:
+        return None
+    return _frames_eval(frames, w, base), 1.0 - w / frames.germ.a
+
+
+def _halve(sub: _SubCells, phi_frames: _Frames, psi_frames: _Frames,
+           gj: np.ndarray) -> _SubCells:
+    """Both halves of every sub-cell, each pair in order.  The first half
+    keeps its parent's bases; the second takes them at the middle point,
+    whose segment from the parent's first point lies in the parent's
+    (proven) hull."""
+    left, right = _de_casteljau(sub.ctrl)
+    mid = right[:, 0]
+    g = gj[sub.col]
+
+    def pair(first, second):
+        return np.stack([first, second], axis=1).reshape((-1,) + first.shape[1:])
+
+    def bases(base, second):
+        return None if base is None else (pair(base[0], second[0]), pair(base[1], second[1]))
+
+    return _SubCells(
+        pair(left, right), np.repeat(sub.col, 2), np.repeat(sub.cell, 2),
+        np.repeat(sub.depth + 1, 2),
+        bases(sub.phi_base, _log_base(phi_frames, mid, sub.phi_base)),
+        bases(sub.psi_base, _log_base(psi_frames, g - mid, sub.psi_base)))
+
+
+def _reference_sweep(grid: DeformationGrid, js: np.ndarray, a: complex) -> np.ndarray:
+    """The angle swept around a by the path the contour of each column js
+    is deformed from: the seed segment from the centre to the first top
+    sample, then the top row (gamma at the time nodes, straight between
+    them) up to column j."""
+    top = grid.H[-1, :np.max(js) + 1]
+    steps = np.angle((top[1:] - a) / (top[:-1] - a))
+    return np.angle((top[0] - a) / -a) + _prefix_sums(steps)[js]
+
+
+def _chain_base(frames: _Frames, sub: _SubCells, sample: np.ndarray, w: np.ndarray,
+                first: np.ndarray, owner: np.ndarray):
+    """A log factor's base at the first point of each piece, continued from
+    its cell's first sample along the chords of the pieces before it; w
+    holds the factor's arguments at the pieces' control points, sample the
+    frame index of each piece's cell's first sample.  None for other germs."""
+    if frames.u is None:
+        return None
+    u0, u1 = 1.0 - w[:, 0] / frames.germ.a, 1.0 - w[:, 3] / frames.germ.a
+    step = np.log(u1 / u0)
+    run = np.cumsum(step) - step
+    run -= run[first][owner]
+    return frames.values[sub.col, sample][first][owner] + run, u0
 
 
 def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
@@ -509,7 +499,22 @@ def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
     """Columns js of the grid (one per row), with the frames of phi along
     them and of psi along their mirrors, after every check their samples
     decide: each set against its column or mirror column, each germ
-    continued along it, and the cells of a log germ."""
+    continued along it, and the cubic cells against the germs' singular
+    points.  The last two items are the cells' Bezier control points and
+    the pieces of the cells that had to be split to be proven
+    (`_split_cells`), with their bases; each is None when the germs have
+    no singular point, and the pieces are when no cell was split.
+
+    The quadrature integrates along the cubics, so each column's chain of
+    cubics must wind around every singular point as the path it is
+    deformed from does (`_reference_sweep`): the deformation is a homotopy
+    that never crosses a set's point.  A proven cell's arc sweeps the angle
+    of its chord; a split cell's, the sum over its pieces.  A column that
+    winds otherwise passes on the wrong side of a point between two
+    samples, which no split can mend, and is refused (ToleranceError).  A
+    log factor is continued along the arcs: where a split cell's arc and
+    chord wind differently, the frames past it move by the turns between
+    them."""
     cols = grid.H[:, js]
     mirs = mirror(cols)
     _check_columns(cols, grid.set_a, grid.level)
@@ -517,26 +522,144 @@ def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
     cols, mirs = cols.T, mirs.T
     psi_frames = _continue_frames(psi, mirs, cfg)
     phi_frames = _continue_frames(phi, cols, cfg)
+    points = _singular_points(phi, psi, cols[:, -1])
+    if not points:
+        return cols, phi_frames, psi_frames, None, None
     stencils, _, _, bezier, _, _ = _cell_rule(grid.n_s, cfg.n_q)
-    _check_log_cells(phi, psi, cols, stencils, bezier)
-    return cols, phi_frames, psi_frames
+    ctrl = _cubics(cols, stencils, bezier)
+    unproven = _check_cells([b for b, _, _ in points], ctrl)
+    sub = None
+    if unproven.any():
+        sub, first, owner, sweeps = _split_cells([b for b, _, _ in points], ctrl, unproven)
+        at = sub.col[first], sub.cell[first]
+    for k, (b, a, mirrored) in enumerate(points):
+        sweep = np.angle((ctrl[..., 3] - b) / (ctrl[..., 0] - b))
+        frames = psi_frames if mirrored else phi_frames
+        if sub is not None:
+            turns = np.zeros(sweep.shape)
+            turns[at] = np.rint((sweeps[k] - sweep[at]) / TWO_PI)
+            if frames.u is not None and turns.any():
+                # psi's mirror crosses the cells from the top row down
+                shift = -_prefix_sums(turns[:, ::-1]) if mirrored else _prefix_sums(turns)
+                frames.values = frames.values + 2j * math.pi * shift
+            sweep[at] = sweeps[k]
+        total = sweep.sum(axis=1)
+        gap = float(np.max(np.abs((-total if mirrored else total) - _reference_sweep(grid, js, a))))
+        if gap > math.pi:
+            raise ToleranceError(
+                "grid too coarse near a pole or branch point: a column's cubic cells wind "
+                "around it other than the path it is deformed from does",
+                stage="column winding", value=gap, bound=math.pi)
+    if sub is not None:
+        sub.phi_base = _chain_base(phi_frames, sub, sub.cell, sub.ctrl, first, owner)
+        sub.psi_base = _chain_base(psi_frames, sub, grid.n_s - sub.cell,
+                                   cols[sub.col, -1, None] - sub.ctrl, first, owner)
+    return cols, phi_frames, psi_frames, ctrl, sub
 
 
-def _cubics(cols: np.ndarray, stencils: np.ndarray, cell_map) -> np.ndarray:
-    """A cell map of `_cell_rule` applied to every cell of each column (one
-    per row): the stencil windows times the interior cells' map, one BLAS
-    product of the same shape per column, so that a column's bits do not
-    depend on its block; then the two end cells with their own maps, summed
-    in stencil order."""
-    basis, end_basis = cell_map
-    windows = np.take(cols, stencils, axis=1)  # (J, n_s, 4)
-    planes = windows.view(float).reshape(windows.shape[:2] + (8,))
-    out = np.empty(windows.shape[:2] + (basis.shape[1] // 2,), complex)
-    for k in range(len(cols)):
-        np.matmul(planes[k], basis, out=out[k].view(float))
-    for c, b in zip((0, -1), end_basis):
-        out[:, c] = (windows[:, c, :, None] * b).sum(axis=1)
-    return out
+def _integrand(cols: np.ndarray, phi_frames: _Frames, psi_frames: _Frames, rule) -> np.ndarray:
+    """phi * psi * (w dZ) at the Gauss nodes of every cell of the columns,
+    (J, n_s, n_q), for a rule of `_cell_rule`.  It is built in place, in
+    that order, so that few (J, n_s, n_q) arrays are alive at once."""
+    stencils, val, wder, _, anchor_phi, anchor_psi = rule
+    Z = _cubics(cols, stencils, val)
+    psi_vals = _frames_eval(psi_frames, cols[:, -1, None, None] - Z,
+                            _anchored(psi_frames, anchor_psi))
+    integrand = _frames_eval(phi_frames, Z, _anchored(phi_frames, anchor_phi))
+    del Z
+    integrand *= psi_vals
+    del psi_vals
+    integrand *= _cubics(cols, stencils, wder)
+    return integrand
+
+
+def _sub_integrand(sub: _SubCells, phi_frames: _Frames, psi_frames: _Frames,
+                   gj: np.ndarray, rule) -> np.ndarray:
+    """phi * psi * (w dZ) at the Gauss nodes of each piece, (pieces, k), for
+    the Bernstein rule (vals, wders) of `_bernstein_rule`."""
+    vals, wders = rule
+    Z = sub.ctrl @ vals
+    g = gj[sub.col, None]
+    psi_base = None if sub.psi_base is None else (sub.psi_base[0][:, None],
+                                                  sub.psi_base[1][:, None])
+    phi_base = None if sub.phi_base is None else (sub.phi_base[0][:, None],
+                                                  sub.phi_base[1][:, None])
+    integrand = _frames_eval(phi_frames, Z, phi_base)
+    integrand *= _frames_eval(psi_frames, g - Z, psi_base)
+    integrand *= sub.ctrl @ wders
+    return integrand
+
+
+def _refine(sub: _SubCells, phi_frames: _Frames, psi_frames: _Frames, gj: np.ndarray,
+            budget: np.ndarray, n_q: int):
+    """Integrate the pieces by Gauss-Legendre of orders n_q and n_q // 2,
+    halving each piece whose estimate |Q - Q'| exceeds its column's budget,
+    down to depth SPLIT_DEPTH.  Returns the kept pieces' columns, depths,
+    values Q and estimates."""
+    rule = _bernstein_rule(n_q, n_q // 2)
+    kept = []
+    while True:
+        integrand = _sub_integrand(sub, phi_frames, psi_frames, gj, rule)
+        q = integrand[:, :n_q].sum(axis=1)
+        err = np.abs(q - integrand[:, n_q:].sum(axis=1))
+        ok = (err <= budget[sub.col]) | (sub.depth >= SPLIT_DEPTH)
+        kept.append((sub.col[ok], sub.depth[ok], q[ok], err[ok]))
+        if ok.all():
+            return (np.concatenate(parts) for parts in zip(*kept))
+        sub = _halve(sub.take(~ok), phi_frames, psi_frames, gj)
+
+
+def _integrate(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
+               cfg: ConvolveConfig, estimate: bool):
+    """The values of `convolve_at` at the columns js, integrated as one
+    block, and with estimate also each column's error estimate, the number
+    of its cells split and the deepest split (else None for each).
+
+    Each cell is integrated by Gauss-Legendre of order n_q on its cubic.
+    A cell split to be proven (`_column_frames`) contributes the sum over
+    its pieces instead, each integrated by the same rule on the same cubic,
+    in the piece's own coordinate; the other cells keep their bits, and so
+    does every column without a split cell.  With estimate, a cell's
+    estimate is |Q - Q'|, where Q' is the rule of order n_q // 2 on the same
+    cell.  A cell (or piece) whose estimate exceeds CELL_BUDGET times the sum
+    of |Q| over its column's cells is halved, and so are its halves, down to
+    depth SPLIT_DEPTH.  A column's estimate is the sum of the estimates of
+    its cells, or of the pieces they were split into."""
+    cols, phi_frames, psi_frames, ctrl, sub = _column_frames(phi, psi, grid, js, cfg)
+    gj = cols[:, -1]
+    integrand = _integrand(cols, phi_frames, psi_frames, _cell_rule(grid.n_s, cfg.n_q))
+    split = np.zeros(integrand.shape[:2], dtype=bool)
+    if sub is not None:
+        split[sub.col, sub.cell] = True
+    errors = n_split = depth = None
+    if estimate:
+        cells = integrand.sum(axis=2)
+        coarse = _integrand(cols, phi_frames, psi_frames, _cell_rule(grid.n_s, cfg.n_q // 2))
+        cell_errors = np.where(split, 0.0, np.abs(cells - coarse.sum(axis=2)))
+        budget = CELL_BUDGET * np.where(split, 0.0, np.abs(cells)).sum(axis=1)
+        over = cell_errors > budget[:, None]
+        cell_errors[over] = 0.0
+        pieces = _halve(_whole_cells(over, cols, ctrl, _cell_rule(grid.n_s, cfg.n_q),
+                                     phi_frames, psi_frames), phi_frames, psi_frames, gj)
+        if sub is not None:
+            pieces = pieces.join(sub)
+        col, piece_depth, q, piece_errors = _refine(pieces, phi_frames, psi_frames, gj,
+                                                    budget, cfg.n_q)
+        errors = cell_errors.sum(axis=1)
+        np.add.at(errors, col, piece_errors)
+        split |= over
+        n_split, depth = int(np.count_nonzero(split)), int(np.max(piece_depth, initial=0))
+    elif sub is not None:
+        col = sub.col
+        q = _sub_integrand(sub, phi_frames, psi_frames, gj, _bernstein_rule(cfg.n_q)).sum(axis=1)
+    if split.any():
+        integrand[split] = 0.0
+    values = integrand.reshape(len(js), -1).sum(axis=1)
+    if split.any():
+        np.add.at(values, col, q)
+    if not np.all(np.isfinite(values)):
+        raise ToleranceError("non-finite convolution quadrature")
+    return values, errors, n_split, depth
 
 
 def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j, *,
@@ -562,36 +685,33 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j, *,
         raise PreconditionError(f"time index {bad[0]} outside the grid")
     if not len(js):
         return np.empty(0, dtype=complex)
-    cols, phi_frames, psi_frames = _column_frames(phi, psi, grid, js, cfg)
-    gj = cols[:, -1]
-
-    stencils, val, wder, _, anchor_phi, anchor_psi = _cell_rule(grid.n_s, cfg.n_q)
-    # the integrand phi * psi * (w dZ) is built in place, in that order, so
-    # that few (J, n_s, n_q) arrays are alive at once
-    Z = _cubics(cols, stencils, val)
-    psi_vals = _frames_eval(psi_frames, gj[:, None, None] - Z, anchor_psi)
-    integrand = _frames_eval(phi_frames, Z, anchor_phi)
-    del Z
-    integrand *= psi_vals
-    del psi_vals
-    integrand *= _cubics(cols, stencils, wder)
-    values = integrand.reshape(len(js), -1).sum(axis=1)
-    if not np.all(np.isfinite(values)):
-        raise ToleranceError("non-finite convolution quadrature")
+    values = _integrate(phi, psi, grid, js, cfg, estimate=False)[0]
     return values if np.ndim(j) else complex(values[0])
 
 
-def _block_columns(grid: DeformationGrid, cfg: ConvolveConfig) -> int:
-    """Columns per block: about BLOCK_NODES quadrature nodes."""
-    return max(1, BLOCK_NODES // (grid.n_s * cfg.n_q))
+def _block_columns(grid: DeformationGrid, per_cell: int) -> int:
+    """Columns per block: about BLOCK_NODES points, per_cell per cell (the
+    quadrature nodes, or the four control points of a cell check)."""
+    return max(1, BLOCK_NODES // (grid.n_s * per_cell))
 
 
 def _convolve_columns(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
                       cfg: ConvolveConfig) -> np.ndarray:
     """convolve_at over the (non-empty) time indices js, a block at a time."""
-    block = _block_columns(grid, cfg)
+    block = _block_columns(grid, cfg.n_q)
     return np.concatenate([convolve_at(phi, psi, grid, js[k:k + block], cfg=cfg)
                            for k in range(0, len(js), block)])
+
+
+def _estimate_columns(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
+                      cfg: ConvolveConfig):
+    """`_integrate` with its error estimate over the (non-empty) time
+    indices js, a block at a time: the values, each column's estimate, the
+    number of cells split and the deepest split."""
+    block = _block_columns(grid, cfg.n_q)
+    values, errors, n_split, depth = zip(*(_integrate(phi, psi, grid, js[k:k + block], cfg, True)
+                                           for k in range(0, len(js), block)))
+    return np.concatenate(values), np.concatenate(errors), sum(n_split), max(depth)
 
 
 def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
@@ -608,7 +728,8 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
     The trace starts at the time node nearest the parameter t_from.  The
     columns before it are not integrated, but they still pass every check
     their samples decide: each set against its column or mirror column,
-    each germ continued along it, and the cells of a log germ.  Pole, poly
+    each germ continued along it, and the cubic cells against the germs'
+    poles and branch points (`_column_frames`).  Pole, poly
     and log germs check nothing else (the finiteness of the integrated
     value aside); series germs also check their quadrature nodes, so with
     one of those every column is integrated.
@@ -622,7 +743,7 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
     grid = deform(gamma, set_a, set_b, level, n_s=cfg.n_s, n_t=cfg.n_t)
     first = int(np.argmin(np.abs(grid.t_nodes - t_from)))
     n_skip = first if "series" not in (phi.kind, psi.kind) else 0
-    block = _block_columns(grid, cfg)
+    block = _block_columns(grid, 4)
     for k in range(0, n_skip, block):
         _column_frames(phi, psi, grid, np.arange(k, min(k + block, n_skip)), cfg)
     values = _convolve_columns(phi, psi, grid, np.arange(n_skip, grid.n_t + 1), cfg)
@@ -641,16 +762,21 @@ class ProbeReport:
     values and radii run from the circle's first vertex to the end of the
     loop, while its `path` and `grid` are the whole loop's.
 
-    `s_error_rel` estimates the error of the circle's values from the
-    s-resolution of the grid: the largest change of those values when the
-    same columns are integrated on every other row of the grid (the graded
-    grid at n_s / 2), relative to `scale`.  That change mostly measures the
-    half grid's own error, so it overstates the error of these values: with
-    64x256x8 at candidate 2 of the pole pair it reads 0.11 where the values
-    are off by 2.2e-5.  It is nan when n_s is odd (every other row would
-    drop gamma's row) and inf when the half-resolution pass refuses with
-    ToleranceError.
-    `n_q` is the Gauss-Legendre order per cell of the circle's columns."""
+    `cell_error_rel` estimates the error of the circle's values.  Each
+    cell of a circle column is integrated by the Gauss rules of orders n_q
+    and n_q // 2 on its cubic, and |Q - Q'| is its estimate; a cell whose
+    estimate exceeds CELL_BUDGET of its column's sum of |Q| is halved by de
+    Casteljau, and so are its halves, down to depth SPLIT_DEPTH.  A
+    column's estimate is the sum over its cells, or over the pieces they
+    were split into, and `cell_error_rel` is the largest over the circle,
+    relative to `scale`.  It estimates the error of the values reported,
+    is finite for every grid, and the probe refuses (ToleranceError) rather
+    than report one above CELL_REFUSE * TOL_MONO.  Q' is the lower-order
+    rule, so the estimate overstates the error of Q.  `cells_split`
+    counts the circle's cells that were split, to be proven clear of a
+    singular point or to meet the budget, and `split_depth` is the deepest
+    split (0 when none).  `n_q` is the Gauss-Legendre order per cell of the
+    circle's columns."""
 
     classification: str
     defect_rel: float
@@ -660,7 +786,9 @@ class ProbeReport:
     scale: float
     value_before: complex
     value_after: complex
-    s_error_rel: float
+    cell_error_rel: float
+    cells_split: int
+    split_depth: int
     n_q: int
     trace: ContinuationTrace | None = field(repr=False, default=None)
 
@@ -696,25 +824,6 @@ def _detour_route(seed: complex, target: complex, obstacles, clearance: float) -
     return _dedupe_consecutive(verts, 1e-12)
 
 
-def _half_s_error(phi: Germ, psi: Germ, trace: ContinuationTrace,
-                  cfg: ConvolveConfig) -> float:
-    """Largest change of the trace's values (the last columns of its grid)
-    when they are integrated on every other row of the grid.
-
-    Rows integrate independently and every other graded node is bit for
-    bit a node at n_s / 2, so every other row is bit for bit the grid at
-    half the s-resolution, and the estimate needs no field calls."""
-    grid = trace.grid
-    if grid.n_s % 2:
-        return math.nan
-    js = np.arange(grid.n_t + 1 - len(trace.values), grid.n_t + 1)
-    try:
-        coarse = _convolve_columns(phi, psi, replace(grid, H=grid.H[::2]), js, cfg)
-    except ToleranceError:
-        return math.inf
-    return float(np.max(np.abs(coarse - trace.values)))
-
-
 def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
                       set_b: FilteredSet, candidate: complex, radius: float,
                       seed: complex | None = None,
@@ -729,23 +838,23 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     over the circle is checked as well: it vanishes for a regular point but
     picks up the residue of a pole-type singularity, which a pure value
     defect cannot see.  Thresholds are relative to the value scale on the
-    circle.  The report also carries an estimate of the values' error from
-    the s-resolution of the grid (`ProbeReport.s_error_rel`).
+    circle.  The report also carries an estimate of the values' quadrature
+    error (`ProbeReport.cell_error_rel`).
     """
     if cfg is None:
         # n_s and n_q decide the accuracy.  A loop drags a hairpin of the
         # contour around the candidate, and the cells at the contour's ends
-        # pass close to a set's point, where a local cubic needs short
-        # cells; the graded rows make them short.  The values depend on the
-        # rows only through the Gauss error of each cell, so 256 rows with
-        # 16 nodes per cell match the pole pair's closed form within 3e-13
-        # of the values' scale at radius 0.2 and 6e-13 at radius 0.1, as
-        # 512 rows with 8 nodes do, at half the deformation's cost.  A
-        # smaller radius needs more rows, which ProbeReport.s_error_rel
-        # flags.  n_t 64 is a floor (the pole pair's loops take 65-93
-        # steps): the circle's 16 equal sides get equal step counts, which
-        # makes the trapezoid rule of ring_rel converge geometrically.
-        cfg = ConvolveConfig(n_s=256, n_t=64, n_q=16)
+        # pass close to a set's point, where a cell's Gauss rule loses
+        # accuracy.  The values depend on the rows only through the Gauss
+        # error of each cell, and the cells whose estimate exceeds the
+        # budget are split, so 64 rows with 16 nodes per cell match the pole
+        # pair's closed form within 1e-12 of the values' scale at radius 0.2
+        # and 0.1.  A cubic on the wrong side of a singular point is refused
+        # (ToleranceError), not split.  n_t 64 is a floor (the pole pair's
+        # loops take 65-93 steps): the circle's 16 equal sides get equal
+        # step counts, which makes the trapezoid rule of ring_rel converge
+        # geometrically.
+        cfg = ConvolveConfig(n_s=64, n_t=64, n_q=16)
     candidate = complex(candidate)
     radius = float(radius)
     if not (radius > 0.0 and math.isfinite(radius)):
@@ -772,12 +881,25 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     start_index = len(route) - 1  # vertex where the circle begins and ends
 
     t_start = loop.vertex_fractions()[start_index]
-    trace = convolve_along(phi, psi, loop, set_a, set_b, cfg, t_from=t_start)
-    if abs(trace.ts[0] - t_start) > 1e-9:
+    # the loop's grid, every column checked and only the last integrated;
+    # the circle's columns are integrated below with their error estimate
+    grid = convolve_along(phi, psi, loop, set_a, set_b, cfg, t_from=1.0).grid
+    first = int(np.argmin(np.abs(grid.t_nodes - t_start)))
+    ts = grid.t_nodes[first:].copy()
+    if abs(ts[0] - t_start) > 1e-9:
         raise PreconditionError("circle start did not land on a time node")
+    vals, errors, cells_split, split_depth = _estimate_columns(
+        phi, psi, grid, np.arange(first, grid.n_t + 1), cfg)
+    radii = local_radii(grid.gamma_values()[first:], abs(loop.start) + ts * loop.length, fine)
+    trace = ContinuationTrace(loop, ts, vals, radii, grid=grid)  # the circle only
 
-    vals = trace.values  # the circle only
     scale = max(float(np.max(np.abs(vals))), 1e-300)
+    cell_error_rel = float(np.max(errors)) / scale
+    if cell_error_rel > CELL_REFUSE * TOL_MONO:
+        raise ToleranceError(
+            f"probe quadrature not resolved: cell error estimate {cell_error_rel:.3g} of the "
+            f"values' scale after {SPLIT_DEPTH} halvings, above {CELL_REFUSE * TOL_MONO:g}",
+            stage="probe cell error", value=cell_error_rel, bound=CELL_REFUSE * TOL_MONO)
     defect = abs(vals[-1] - vals[0]) / scale
     ring = complex(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(loop.points_at(trace.ts))))
     ring_rel = abs(ring) / (TWO_PI * radius * scale)
@@ -785,7 +907,8 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     return ProbeReport(
         classification="singular-like" if singular else "regular",
         defect_rel=float(defect), ring_rel=float(ring_rel), loop=loop,
-        level=trace.grid.level, scale=scale,
+        level=grid.level, scale=scale,
         value_before=complex(vals[0]), value_after=complex(vals[-1]),
-        s_error_rel=_half_s_error(phi, psi, trace, cfg) / scale, n_q=cfg.n_q, trace=trace,
+        cell_error_rel=cell_error_rel, cells_split=cells_split, split_depth=split_depth,
+        n_q=cfg.n_q, trace=trace,
     )

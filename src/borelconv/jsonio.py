@@ -110,7 +110,8 @@ def _pair(z: complex) -> list[float]:
 
 
 def _as_real(v, what: str) -> float:
-    if isinstance(v, bool):  # float(True) is 1.0, but true is no number
+    # float(True) is 1.0 and float("1.5") is 1.5, but true and "1.5" are no numbers
+    if isinstance(v, (bool, str)):
         raise ParseError(f"{what} must be a finite number, got {json.dumps(v)}")
     try:
         x = float(v)

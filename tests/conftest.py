@@ -253,6 +253,43 @@ def pole_pole_oracle(path, ts=1.0, a=1.0, b=2.0):
     return f[1024 + np.searchsorted(t_all, ts)]
 
 
+def log_probe_oracles(rep, a=1.0, b=2.0, m=256):
+    """pole(a)*log_pole(b) and log_pole(a)*log_pole(b) at the circle times
+    of a probe of the pole pair's sets, from the closed form of
+    P = pole(a)*pole(b).
+
+    d/dz (phi*psi) = phi(z) psi(0) + phi*psi', and log_pole(b) vanishes at 0
+    with derivative -pole(b), so pole(a)*log_pole(b) = -int_0^z P, which
+    log_pole(a)*pole(b) equals too, and log_pole(a)*log_pole(b) =
+    int_0^z int_0^w P.  Both integrals are taken from the centre along the
+    segment to the loop's start and then along the loop, by cumulative
+    trapezoid sums on 2m points between consecutive time nodes of the
+    probe's grid (as many per step on the lead-in), with P continued as in
+    `pole_pole_oracle`; Richardson extrapolation from every other point
+    removes their O(h^2) error."""
+    a, b = complex(a), complex(b)
+    loop, nodes = rep.loop, rep.trace.grid.t_nodes
+    verts = np.asarray(loop.vertices, dtype=complex)
+    t = np.concatenate([np.linspace(t0, t1, 2 * m, endpoint=False)
+                        for t0, t1 in zip(nodes[:-1], nodes[1:])] + [[1.0]])
+    z_loop = _polyline_points(verts, t)
+    n_lead = 2 * m * int(np.ceil(abs(verts[0]) / abs(z_loop[2 * m] - z_loop[0])))
+    z = np.concatenate([np.linspace(0.0, verts[0], n_lead, endpoint=False), z_loop])
+    p = -(_continued_log(1.0 - z / a) + _continued_log(1.0 - z / b)) / (a + b - z)
+
+    def integrals(f, w):
+        def cumulative(g):
+            return np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(w))])
+        once = cumulative(f)
+        return once, cumulative(once)
+
+    (g, gg), (g2, gg2) = integrals(p, z), integrals(p[::2], z[::2])
+    at = (n_lead + 2 * m * (len(nodes) - len(rep.trace.ts) + np.arange(len(rep.trace.ts)))) // 2
+    single = g[::2][at] + (g[::2][at] - g2[at]) / 3.0
+    double = gg[::2][at] + (gg[::2][at] - gg2[at]) / 3.0
+    return -single, double
+
+
 def circle_oracle_error(rep, a=1.0, b=2.0):
     """Largest error of a pole(a)*pole(b) probe's circle values against the
     continued closed form, relative to the largest exact value."""

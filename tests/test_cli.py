@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from borelconv.cli import _build_parser, main
-from borelconv.jsonio import CSV_BLOCK_ROWS, atomic_write, dumps, load_json, set_from_doc, write_csv
+from borelconv.jsonio import (CSV_BLOCK_ROWS, ParseError, atomic_write, dumps, germ_from_doc,
+                              load_json, set_from_doc, write_csv)
 
 from conftest import sets_equal
 from borelconv import ConvolveConfig, FilteredSet, Germ
@@ -185,6 +186,46 @@ def test_exit_2_on_boolean_number(tmp_path, capsys, field):
     assert "true" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["level", "horizon", "radius", "point", "coeff"])
+def test_exit_2_on_string_number(tmp_path, capsys, field):
+    # JSON "1.5" is no number, though Python's float("1.5") is 1.5: each case
+    # would otherwise read as the entry 1 @ 1.5, a horizon of 6 or a radius of 1
+    a = set_doc([(1 + 0j, 1.0)], 6.0)
+    phi = {"kind": "series", "coeffs": [[1.0, 0.0]], "radius": 1.0}
+    if field == "level":
+        a["entries"][0]["level"] = "1.5"
+    elif field == "horizon":
+        a["horizon"] = "6"
+    elif field == "radius":
+        phi["radius"] = "1e0"
+    elif field == "point":
+        a["entries"][0]["z"] = ["1", 0]
+    else:
+        phi["coeffs"] = [["1", 0]]
+    files = [write(tmp_path / "phi.json", phi), write(tmp_path / "g.json", path_doc([0.25, 0.5])),
+             write(tmp_path / "a.json", a)]
+    argv = ["convolve", files[0], files[0], files[1], files[2], files[2], "-o", tmp_path / "out"]
+    assert main([str(x) for x in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_documents_reject_strings_as_numbers_in_process():
+    good = set_doc([(1 + 0j, 1.0)], 6.0)
+    assert sets_equal(set_from_doc(good), FilteredSet(0, [(1, 1.0)], 6.0))
+    for bad in ({**good, "horizon": "6"},
+                {**good, "entries": [{"z": [1.0, 0.0], "level": "1.5"}]},
+                {**good, "centre": ["0", 0]}):
+        with pytest.raises(ParseError, match="number|pair"):
+            set_from_doc(bad)
+    series = {"kind": "series", "coeffs": [[1.0, 0.0]], "radius": 1.0}
+    assert germ_from_doc(series) == Germ.series([1.0], 1.0)
+    for bad in ({**series, "radius": "1e0"}, {**series, "coeffs": [["1", 0]]},
+                {"kind": "pole", "a": ["2", 0]}, {"kind": "log_pole", "a": [2.0, "0"]}):
+        with pytest.raises(ParseError, match="number|pair"):
+            germ_from_doc(bad)
+
+
 @pytest.mark.parametrize("doc", [{"kind": "pole"}, {"kind": "poly", "coeffs": 5},
                                  {"kind": "series", "coeffs": [[1.0, 0.0]]}])
 def test_exit_2_on_malformed_germ(tmp_path, doc):
@@ -333,9 +374,9 @@ def test_convolve_defaults_are_the_library_defaults():
     assert cfg == ConvolveConfig()
 
 
-def convolve_with_probe(tmp_path, candidate="1.5,0", radius="0.2"):
-    """probe.json of `convolve --probe` on the pole pair (1.5 at radius 0.2
-    by default)."""
+def run_convolve_with_probe(tmp_path, candidate="1.5,0", radius="0.2"):
+    """Exit code and output directory of `convolve --probe` on the pole
+    pair (1.5 at radius 0.2 by default)."""
     phi = write(tmp_path / "phi.json", {"kind": "pole", "a": [1.0, 0.0]})
     psi = write(tmp_path / "psi.json", {"kind": "pole", "a": [2.0, 0.0]})
     a = write(tmp_path / "a.json", set_doc([(1 + 0j, 1.0)], 6.0))
@@ -344,6 +385,12 @@ def convolve_with_probe(tmp_path, candidate="1.5,0", radius="0.2"):
     outdir = tmp_path / "out"
     code = main(["convolve", phi, psi, g, a, b, "--ns", "64", "--nt", "64",
                  "--probe", candidate, "--probe-radius", radius, "-o", str(outdir)])
+    return code, outdir
+
+
+def convolve_with_probe(tmp_path, candidate="1.5,0", radius="0.2"):
+    """probe.json of `run_convolve_with_probe`, which must exit 0."""
+    code, outdir = run_convolve_with_probe(tmp_path, candidate, radius)
     assert code == 0
     return load_json(str(outdir / "probe.json"))
 
@@ -351,37 +398,49 @@ def convolve_with_probe(tmp_path, candidate="1.5,0", radius="0.2"):
 def test_convolve_with_probe(tmp_path, capsys):
     probe = convolve_with_probe(tmp_path)
     assert set(probe) == {"candidate", "radius", "classification", "defect_rel", "ring_rel",
-                          "tol_mono", "s_error_rel", "level", "n_s", "n_t", "n_q"}
+                          "tol_mono", "cell_error_rel", "cells_split", "split_depth", "level",
+                          "n_s", "n_t", "n_q"}
     assert probe["classification"] == "regular"
     assert probe["tol_mono"] == 1e-4
-    assert 0.0 <= probe["s_error_rel"] <= 1e-5
+    assert 0.0 <= probe["cell_error_rel"] <= 1e-5
     # the probe's own grid, not the trace's --ns and --nt; its n_t is the
     # loop's step count: each segment rounds its share of the default 64 up
     rep = singularity_probe(Germ.pole(1), Germ.pole(2), FilteredSet(0, [(1, 1.0)], 6.0),
                             FilteredSet(0, [(2, 2.0)], 6.0), 1.5, 0.2, seed=0.25)
-    assert (probe["n_s"], probe["n_t"], probe["n_q"]) == (256, rep.trace.grid.n_t, 16)
+    assert (probe["n_s"], probe["n_t"], probe["n_q"]) == (64, rep.trace.grid.n_t, 16)
     assert 64 < probe["n_t"] < 64 + len(rep.loop.seg_lengths)
+    assert (probe["cell_error_rel"], probe["cells_split"], probe["split_depth"]) == (
+        rep.cell_error_rel, rep.cells_split, rep.split_depth)
     assert capsys.readouterr().err == ""
 
 
-def test_convolve_with_probe_writes_null_for_a_non_finite_s_error(tmp_path, monkeypatch, capsys):
+def test_convolve_with_probe_refuses_a_cell_error_above_its_bound(tmp_path, monkeypatch, capsys):
+    # an estimate above CELL_REFUSE * TOL_MONO after the deepest split: exit
+    # 5, the trace written, no probe.json
     from borelconv import germs
 
-    monkeypatch.setattr(germs, "_half_s_error", lambda *args: math.inf)
-    assert convolve_with_probe(tmp_path)["s_error_rel"] is None
+    estimate = germs._estimate_columns
+
+    def unresolved(*args):
+        values, errors, n_split, depth = estimate(*args)
+        return values, errors + 1e-5 * np.max(np.abs(values)), n_split, depth
+
+    monkeypatch.setattr(germs, "_estimate_columns", unresolved)
+    code, outdir = run_convolve_with_probe(tmp_path)
+    assert code == 5
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "s_error_rel = inf" in err[0] and "n_s = 256" in err[0]
+    assert len(err) == 1 and err[0].startswith("error: probe quadrature not resolved")
+    assert (outdir / "trace.csv").exists() and not (outdir / "probe.json").exists()
 
 
-def test_convolve_with_probe_warns_when_the_s_error_is_above_tol_mono(tmp_path, capsys):
-    # at radius 0.025 the default grid does not resolve candidate 2: the
-    # estimate reads about 1.2; the run still exits 0 and writes probe.json
-    probe = convolve_with_probe(tmp_path, candidate="2.0,0", radius="0.025")
-    assert probe["s_error_rel"] > probe["tol_mono"]
+def test_convolve_with_probe_refuses_where_the_grid_does_not_resolve_the_circle(tmp_path, capsys):
+    # at radius 0.025 a cubic of the default grid passes candidate 2's loop
+    # on the wrong side of a set's point: refused (exit 5), not reported
+    code, outdir = run_convolve_with_probe(tmp_path, candidate="2.0,0", radius="0.025")
+    assert code == 5
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("warning: ")
-    assert f"s_error_rel = {probe['s_error_rel']:.3g}" in err[0]
-    assert "tol_mono = 0.0001" in err[0] and "n_s = 256" in err[0]
+    assert len(err) == 1 and err[0].startswith("error: grid too coarse")
+    assert (outdir / "trace.csv").exists() and not (outdir / "probe.json").exists()
 
 
 # -- writers -----------------------------------------------------------------

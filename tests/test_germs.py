@@ -21,8 +21,9 @@ from borelconv import (
     eval_local,
     singularity_probe,
 )
-from borelconv.germs import TOL_MONO
-from conftest import CURVED_GAMMA, _continued_log, circle_oracle_error, pole_pole_oracle
+from borelconv.germs import CELL_REFUSE, TOL_MONO
+from conftest import (CURVED_GAMMA, _continued_log, circle_oracle_error, log_probe_oracles,
+                      pole_pole_oracle)
 
 TWO_PI_I = 2j * math.pi
 
@@ -397,7 +398,7 @@ def unblocked_pole_column(a, b, grid, j, n_q):
     cubic through its four stencil samples (centred on the cell, shifted at
     the two end cells), Gauss nodes and weights, anchors unused by closed
     forms."""
-    from borelconv.germs import _lagrange_basis
+    from borelconv.cells import _lagrange_basis
 
     n_s = grid.n_s
     col = grid.H[:, j]
@@ -651,6 +652,59 @@ def test_probe_with_log_factor_runs_at_the_sum_of_both_points(phi, psi):
     assert in_fine_sum and rep.classification == "singular-like"
 
 
+def test_log_probes_match_the_integrals_of_the_pole_pair_closed_form():
+    # pole*log, log*pole and log*log on the default grid, within 1e-12 of
+    # the integrals of pole(1)*pole(2) along the loop; each classification
+    # as the fine sum says, with margins
+    a, b = pole_pair_sets()
+    fine = a.fine_sum(b).points
+    pairs = {"pole-log": ("pole", "log_pole"), "log-pole": ("log_pole", "pole"),
+             "log-log": ("log_pole", "log_pole")}
+    for cand in (1.0, 1.5, 2.0, 2.5, 3.0):
+        reps = {name: singularity_probe(getattr(Germ, f)(1), getattr(Germ, g)(2), a, b, cand, 0.2)
+                for name, (f, g) in pairs.items()}
+        single, double = log_probe_oracles(reps["pole-log"])
+        singular = np.min(np.abs(fine - cand)) <= 1e-9
+        for name, want in (("pole-log", single), ("log-pole", single), ("log-log", double)):
+            rep = reps[name]
+            err = np.max(np.abs(rep.trace.values - want)) / np.max(np.abs(want))
+            assert err <= 1e-12, (cand, name)
+            assert err <= max(rep.cell_error_rel, 1e-12), (cand, name)
+            signal = max(rep.defect_rel, rep.ring_rel)
+            if singular:
+                assert rep.classification == "singular-like" and signal >= 10 * TOL_MONO
+            else:
+                assert rep.classification == "regular" and signal <= TOL_MONO / 100
+
+
+def test_log_probe_continues_the_log_along_the_arcs_of_split_cells():
+    # at candidate 3 the contour hugs the sets' points, and some chords cut
+    # across them where the cubics pass on the contour's side: the log is
+    # continued along the arcs, on phi's column (A = {1}) and, with the
+    # sets swapped, on psi's mirror (B = {1})
+    a, b = pole_pair_sets()
+    for (sa, sb), (pa, pb) in (((a, b), (1.0, 2.0)), ((b, a), (2.0, 1.0))):
+        for f, g in (("log_pole", "pole"), ("log_pole", "log_pole"), ("pole", "log_pole")):
+            rep = singularity_probe(getattr(Germ, f)(pa), getattr(Germ, g)(pb), sa, sb, 3.0, 0.2)
+            single, double = log_probe_oracles(rep, pa, pb)
+            want = double if f == g else single
+            err = np.max(np.abs(rep.trace.values - want)) / np.max(np.abs(want))
+            assert err <= 1e-12, (pa, f, g)
+            assert rep.cells_split > 0
+
+
+def test_probe_refuses_a_cell_error_above_its_bound():
+    # Gauss order 2 on 16 rows: at the deepest split the estimate stays above
+    # CELL_REFUSE * TOL_MONO of the values' scale
+    a, b = pole_pair_sets()
+    with pytest.raises(ToleranceError, match="probe quadrature not resolved") as info:
+        singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 1.5, 0.2,
+                          cfg=ConvolveConfig(n_s=16, n_t=64, n_q=2))
+    exc = info.value
+    assert exc.stage == "probe cell error"
+    assert exc.value > exc.bound == CELL_REFUSE * TOL_MONO
+
+
 PROBE_CFG = ConvolveConfig(n_s=64, n_t=256, n_q=8)
 
 
@@ -674,9 +728,23 @@ def test_probe_ring_rule_resolves_regular_points_at_every_n_t(candidate):
 
 
 def test_probe_s_error_bounds_the_oracle_error_at_the_default_grid(pole_pair_probes):
+    # the estimate of the values reported: at least their error wherever
+    # that exceeds 1e-12, and the values within 1e-12 of the closed form
     for cand, rep in pole_pair_probes.items():
-        assert rep.s_error_rel <= 1e-5, cand
-        assert circle_oracle_error(rep) <= max(rep.s_error_rel, 1e-10), cand
+        err = circle_oracle_error(rep)
+        assert err <= 1e-12, cand
+        assert rep.cell_error_rel <= 1e-5, cand
+        assert err <= max(rep.cell_error_rel, 1e-12), cand
+
+
+def test_probe_cell_error_bounds_the_oracle_error_at_the_cli_default_radius():
+    a, b = pole_pair_sets()
+    for cand in (1.0, 1.5, 2.0, 2.5, 3.0):
+        rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, cand, 0.1)
+        err = circle_oracle_error(rep)
+        assert err <= 1e-12, cand
+        assert err <= max(rep.cell_error_rel, 1e-12), cand
+        assert rep.cell_error_rel <= TOL_MONO, cand
 
 
 @pytest.mark.parametrize("candidate, radius, cfg", [
@@ -686,25 +754,44 @@ def test_probe_s_error_bounds_the_oracle_error_at_the_default_grid(pole_pair_pro
     (2.0, 0.025, None),  # the default grid at an eighth of the radius: not resolved
 ])
 def test_probe_s_error_flags_an_under_resolved_grid(candidate, radius, cfg):
+    # a probe refuses, or its values are within TOL_MONO of the closed form
+    # and its estimate at least their error
     a, b = pole_pair_sets()
-    rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, candidate, radius, cfg=cfg)
-    assert rep.s_error_rel > TOL_MONO or circle_oracle_error(rep) <= TOL_MONO
+    try:
+        rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, candidate, radius, cfg=cfg)
+    except ToleranceError as exc:
+        assert exc.stage in ("cell hull", "column winding", "probe cell error")
+        return
+    err = circle_oracle_error(rep)
+    assert err <= TOL_MONO
+    assert err <= max(rep.cell_error_rel, 1e-12)
 
 
-def test_probe_s_error_is_nan_for_odd_n_s():
+def test_probe_refuses_the_wrong_side_of_a_point_at_the_default_grid():
+    # radius 0.025, candidate 2: a cubic of the default grid passes a set's
+    # point on the other side than the contour does, which no Gauss order
+    # mends (unrefused, n_q up to 256 stayed off by 1.2)
+    a, b = pole_pair_sets()
+    with pytest.raises(ToleranceError, match="grid too coarse") as info:
+        singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 2.0, 0.025)
+    exc = info.value
+    assert exc.stage == "column winding" and exc.value > exc.bound == math.pi
+
+
+def test_probe_cell_error_is_finite_for_odd_n_s():
     a, b = pole_pair_sets()
     rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 1.5, 0.2,
                             cfg=dataclasses.replace(PROBE_CFG, n_s=63))
-    assert math.isnan(rep.s_error_rel)
+    assert 0.0 <= rep.cell_error_rel <= CELL_REFUSE * TOL_MONO
     assert rep.classification == "regular"
 
 
-def test_probe_s_error_is_inf_when_the_half_pass_refuses():
-    # the full grid proves every cell around the log's branch point; every
-    # other row does not
+def test_probe_cell_error_is_finite_with_a_log_factor_at_the_sum_point():
+    # the cells around the log's branch point are proven or split, and the
+    # estimate integrates the same cells at n_q // 2
     a, b = pole_pair_sets()
     rep = singularity_probe(Germ.log_pole(1), Germ.pole(2), a, b, 3.0, 0.2)
-    assert rep.s_error_rel == math.inf
+    assert 0.0 <= rep.cell_error_rel <= CELL_REFUSE * TOL_MONO
     assert rep.classification == "singular-like"
 
 
@@ -719,9 +806,15 @@ def test_probe_circle_equals_slice_of_full_trace(candidate):
     k = len(full.values) - len(rep.trace.values)
     assert full.ts[k] == rep.loop.vertex_fractions()[-17]
     assert rep.trace.ts.tobytes() == full.ts[k:].tobytes()
-    assert rep.trace.values.tobytes() == full.values[k:].tobytes()
     assert rep.trace.radii.tobytes() == full.radii[k:].tobytes()
-    vals, pts = full.values[k:], full.grid.gamma_values()[k:]
+    # each value has the full trace's bits, or its cells were split for the
+    # error estimate and it is no farther from the closed form
+    vals, pts = rep.trace.values, full.grid.gamma_values()[k:]
+    moved = vals != full.values[k:]
+    want = pole_pole_oracle(rep.loop, rep.trace.ts)
+    scale = float(np.max(np.abs(want)))
+    assert np.all(np.abs(vals - want)[moved] <= np.abs(full.values[k:] - want)[moved] + 1e-13 * scale)
+    assert rep.cells_split > 0 or not moved.any()
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     defect = abs(vals[-1] - vals[0]) / scale
     ring = complex(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(pts)))
@@ -740,64 +833,65 @@ def test_convolve_along_rejects_t_from_outside_the_path(t_from):
 
 
 def count_columns(monkeypatch):
-    """Columns each set's check sees and columns integrated, per probe, on
-    the loop's grid (64 cells) and on every other row of it (the s-error
-    estimate's half pass)."""
+    """Columns each set's check sees, and columns integrated without and
+    with the error estimate, per probe."""
     from borelconv import germs
 
-    seen = {"a": 0, "b": 0, "integrated": 0, "half a": 0, "half b": 0, "half": 0}
-    check, integrate = germs._check_columns, germs.convolve_at
+    seen = {"a": 0, "b": 0, "integrated": 0, "estimated": 0}
+    check, integrate = germs._check_columns, germs._integrate
 
     def counted_check(pts, fset, level):
-        half = "half " if pts.shape[0] == PROBE_CFG.n_s // 2 + 1 else ""
-        seen[half + ("a" if fset.points[0] == 1 else "b")] += pts.shape[1]
+        seen["a" if fset.points[0] == 1 else "b"] += pts.shape[1]
         return check(pts, fset, level)
 
-    def counted_integrate(phi, psi, grid, j, **kw):
-        seen["half" if grid.n_s == PROBE_CFG.n_s // 2 else "integrated"] += len(j)
-        return integrate(phi, psi, grid, j, **kw)
+    def counted_integrate(phi, psi, grid, js, cfg, estimate):
+        seen["estimated" if estimate else "integrated"] += len(js)
+        return integrate(phi, psi, grid, js, cfg, estimate)
 
     monkeypatch.setattr(germs, "_check_columns", counted_check)
-    monkeypatch.setattr(germs, "convolve_at", counted_integrate)
+    monkeypatch.setattr(germs, "_integrate", counted_integrate)
     return seen
 
 
 def test_probe_checks_every_column_and_integrates_the_circle(monkeypatch):
+    # the loop's columns are checked, and its last one integrated, by
+    # convolve_along; the circle's are checked again and integrated with
+    # their error estimate
     a, b = pole_pair_sets()
     seen = count_columns(monkeypatch)
     rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 3.0, 0.2, cfg=PROBE_CFG)
-    columns = rep.trace.grid.n_t + 1
-    assert seen["a"] == seen["b"] == columns
-    assert seen["integrated"] == len(rep.trace.values) < columns
-    assert seen["half a"] == seen["half b"] == seen["half"] == len(rep.trace.values)
+    n, columns = len(rep.trace.values), rep.trace.grid.n_t + 1
+    assert seen["a"] == seen["b"] == columns + n
+    assert seen["integrated"] == 1
+    assert seen["estimated"] == n < columns
 
 
 def test_probe_with_log_factor_checks_every_column_and_integrates_the_circle(monkeypatch):
     # the chord and cell conditions of a log germ are decided from samples
     # alone, so the route's columns are checked but not integrated, as for
-    # pole germs, and the circle keeps the bits of a run over every column
+    # pole germs, and the circle's columns pass the same cell check again
     from borelconv import germs
 
     a, b = pole_pair_sets()
     phi, psi = Germ.pole(1), Germ.log_pole(2)
     seen = count_columns(monkeypatch)
     cells = []
-    check_cells = germs._check_log_cells
-    monkeypatch.setattr(germs, "_check_log_cells",
-                        lambda phi, psi, cols, *rest: cells.append(cols.shape)
-                        or check_cells(phi, psi, cols, *rest))
+    check_cells = germs._check_cells
+    monkeypatch.setattr(germs, "_check_cells",
+                        lambda points, ctrl: cells.append(ctrl.shape) or check_cells(points, ctrl))
     rep = singularity_probe(phi, psi, a, b, 1.5, 0.2, cfg=PROBE_CFG)
     n, columns = len(rep.trace.values), rep.trace.grid.n_t + 1
-    assert seen["a"] == seen["b"] == columns
-    assert seen["integrated"] == n < columns
-    assert math.isfinite(rep.s_error_rel)
-    assert seen["half a"] == seen["half b"] == seen["half"] == n
-    # every column's cells, on the loop's grid and on the half pass's
-    assert sum(j for j, rows in cells if rows == 65) == columns
-    assert sum(j for j, rows in cells if rows == 33) == n
+    assert seen["a"] == seen["b"] == columns + n
+    assert seen["integrated"] == 1 and seen["estimated"] == n < columns
+    assert 0.0 <= rep.cell_error_rel <= CELL_REFUSE * TOL_MONO
+    # every column's cells once, the circle's twice
+    assert sum(j for j, rows, _ in cells) == columns + n
+    assert all(rows == PROBE_CFG.n_s for _, rows, _ in cells)
     monkeypatch.undo()
     full = convolve_along(phi, psi, rep.loop, a, b, dataclasses.replace(PROBE_CFG, level=rep.level))
-    assert rep.trace.values.tobytes() == full.values[-n:].tobytes()
+    assert rep.trace.ts.tobytes() == full.ts[-n:].tobytes()
+    scale = float(np.max(np.abs(full.values[-n:])))
+    assert np.max(np.abs(rep.trace.values - full.values[-n:])) <= 1e-12 * scale
 
 
 def test_probe_refuses_route_column_through_pole_parameter(monkeypatch):
@@ -807,7 +901,7 @@ def test_probe_refuses_route_column_through_pole_parameter(monkeypatch):
     seen = count_columns(monkeypatch)
     with pytest.raises(PreconditionError, match="pole parameter"):
         singularity_probe(Germ.pole(0.125), Germ.pole(2), a, b, 1.5, 0.2, cfg=PROBE_CFG)
-    assert seen["integrated"] == 0
+    assert seen["integrated"] == seen["estimated"] == 0
 
 
 # -- branch conditions of log germs ---------------------------------------------------
@@ -878,12 +972,65 @@ def dense_cubics(col, m):
     return np.concatenate(pts), np.array(nodes)
 
 
+def test_de_casteljau_halves_reproduce_the_parent_cubic():
+    from borelconv.cells import _de_casteljau
+
+    def bezier(ctrl, u):
+        u = u[:, None]
+        return ((1 - u) ** 3 * ctrl[:, 0] + 3 * u * (1 - u) ** 2 * ctrl[:, 1]
+                + 3 * u ** 2 * (1 - u) * ctrl[:, 2] + u ** 3 * ctrl[:, 3])
+
+    rng = np.random.default_rng(17)
+    ctrl = rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4))
+    left, right = _de_casteljau(ctrl)
+    # the outer points keep their bits, and the halves share their middle
+    assert left[:, 0].tobytes() == ctrl[:, 0].tobytes()
+    assert right[:, 3].tobytes() == ctrl[:, 3].tobytes()
+    assert left[:, 3].tobytes() == right[:, 0].tobytes()
+    u = np.linspace(0.0, 1.0, 65)
+    scale = np.max(np.abs(ctrl))
+    assert np.max(np.abs(bezier(left, u) - bezier(ctrl, 0.5 * u))) <= 1e-15 * scale
+    assert np.max(np.abs(bezier(right, u) - bezier(ctrl, 0.5 + 0.5 * u))) <= 1e-15 * scale
+
+
+def test_cubic_bending_around_a_pole_is_split_and_proven_or_refused():
+    # the bending column of the log test above, with a pole on the ray at
+    # 45 degrees from w: between the chord (0.212 from w) and the arc (0.265)
+    # the cubic passes on the other side of the pole than the samples do,
+    # off by the residue 2 pi i, and must be refused; beyond the arc, inside
+    # the Bezier hull, the cell is split until proven
+    w = 0.5
+    col = np.array([0, 0.1, w - 0.3, w + 0.3j, w + 0.3, w - 0.3j, 0.3 - 0.4j, 0.2 - 0.5j,
+                    0.1 - 0.6j])
+    grid = column_grid(col)
+    cfg = ConvolveConfig(n_q=8)
+    one = Germ.poly([1])
+    for rad in (0.22, 0.24, 0.26):
+        with pytest.raises(ToleranceError, match="grid too coarse"):
+            convolve_at(Germ.pole(w + rad * cmath.exp(0.25j * math.pi)), one, grid, 0, cfg=cfg)
+
+    from borelconv.germs import _estimate_columns
+
+    dense, _ = dense_cubics(col, 4000)
+    for rad in (0.27, 0.28, 0.3):
+        zeta = w + rad * cmath.exp(0.25j * math.pi)
+        # the integral of dZ / (zeta - Z) along the cubics
+        want = -_continued_log(1.0 - dense / zeta)[-1]
+        # Gauss error of order 8 on the cells, up to 0.48 here, not a residue
+        assert abs(convolve_at(Germ.pole(zeta), one, grid, 0, cfg=cfg) - want) < 1.0, rad
+        values, errors, n_split, depth = _estimate_columns(Germ.pole(zeta), one, grid,
+                                                           np.array([0]), cfg)
+        assert abs(values[0] - want) <= 1e-12 * abs(want) <= errors[0], rad
+        assert n_split > 0 and depth > 0
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_log_values_on_proven_cells_follow_the_continued_log_along_the_cubics(seed):
     # random curved columns and branch points near them: wherever the cells
     # pass, the quadrature nodes' values are the log continued along the
     # cubics, tracked on a dense polyline (no code shared with the check)
-    from borelconv.germs import _cell_rule, _check_log_cells, _continue_frames, _cubics, _frames_eval
+    from borelconv.cells import _cell_rule, _check_cells, _cubics
+    from borelconv.germs import _anchored, _continue_frames, _frames_eval, _singular_points
 
     rng = np.random.default_rng(seed)
     n_s = 8
@@ -918,8 +1065,11 @@ def test_log_values_on_proven_cells_follow_the_continued_log_along_the_cubics(se
         try:
             phi_frames = _continue_frames(phi, cols, ConvolveConfig())
             psi_frames = _continue_frames(psi, (col[-1] - col[::-1])[None, :], ConvolveConfig())
-            _check_log_cells(phi, psi, cols, stencils, bezier)
         except ToleranceError:
+            refused += 1
+            continue
+        points = [b for b, _, _ in _singular_points(phi, psi, cols[:, -1])]
+        if _check_cells(points, _cubics(cols, stencils, bezier)).any():
             refused += 1
             continue
         dense, nodes = dense_cubics(col, 400)
@@ -927,8 +1077,8 @@ def test_log_values_on_proven_cells_follow_the_continued_log_along_the_cubics(se
             continue  # the polyline's steps would be too long to track the log
         passed += 1
         Z = _cubics(cols, stencils, val)
-        got_phi = _frames_eval(phi_frames, Z, anchor_phi).ravel()
-        got_psi = _frames_eval(psi_frames, col[-1] - Z, anchor_psi).ravel()
+        got_phi = _frames_eval(phi_frames, Z, _anchored(phi_frames, anchor_phi)).ravel()
+        got_psi = _frames_eval(psi_frames, col[-1] - Z, _anchored(psi_frames, anchor_psi)).ravel()
         want_phi = _continued_log(1.0 - dense / zeta)[nodes]
         # psi travels the mirror: from gamma's end back to the centre
         mirrored = (col[-1] - dense)[::-1]

@@ -13,15 +13,17 @@ Writes, one file per output, into OUTDIR:
 * convolve_along values, times and radii for poly, pole, log_pole and
   series germs;
 * the five criterion-7 probes at 64x256x8, and on singularity_probe's
-  default grid candidate 3.0 and, at the command line's default radius 0.1,
-  candidate 2.0: the circle's values and times, defect_rel, ring_rel,
-  s_error_rel, scale, level, classification, and the loop grid's min_chi,
-  richardson_error and a SHA-256 of its H; the default grid's n_s x n_t x
-  n_q, as the probes report it, goes into `probe_default_grid.txt`;
+  default grid (64x64x16) candidate 3.0 and, at the command line's default
+  radius 0.1, candidate 2.0: the circle's values and times, defect_rel,
+  ring_rel, the error estimate (`_estimate_lines`), scale, level,
+  classification, and the loop grid's min_chi, richardson_error and a
+  SHA-256 of its H; the default grid's n_s x n_t x n_q, as the probes report
+  it, goes into `probe_default_grid.txt`;
 * the fifteen log-type probes (pole*log, log*pole and log*log of the pole
   pair's parameters, the five candidates, radius 0.2) on the default grid,
   one file each: the error class raised, or "ok" with the classification,
-  defect_rel, ring_rel, s_error_rel and a SHA-256 of the circle's values;
+  defect_rel, ring_rel, the error estimate and a SHA-256 of the circle's
+  values;
 * every file of the README command-line sequence (with `convolve --probe`),
   `set-op saturate` of a lattice and `path-check` of a walk against it
   (with the default and with 4096 samples), with the exit codes;
@@ -128,6 +130,16 @@ def _convolutions(bc, dump: Dump) -> None:
             dump.raw(f"convolve_{name}_{field}.bin", getattr(trace, field))
 
 
+def _estimate_lines(rep) -> list[str]:
+    """A probe's error estimate cell_error_rel, with the number of cells
+    split and the deepest split; checkouts from before adaptive cells
+    report s_error_rel, the half-s estimate, instead."""
+    if not hasattr(rep, "cell_error_rel"):
+        return [f"s_error_rel {_hex(rep.s_error_rel)}"]
+    return [f"cell_error_rel {_hex(rep.cell_error_rel)}", f"cells_split {rep.cells_split}",
+            f"split_depth {rep.split_depth}"]
+
+
 def _probes(bc, dump: Dump) -> None:
     a = bc.FilteredSet(0, *SETS["a"])
     b = bc.FilteredSet(0, *SETS["b"])
@@ -145,8 +157,8 @@ def _probes(bc, dump: Dump) -> None:
         grid = rep.trace.grid
         dump.text(f"{name}.txt", [
             rep.classification,
-            *(f"{k} {_hex(getattr(rep, k))}"
-              for k in ("defect_rel", "ring_rel", "s_error_rel", "scale", "level")),
+            *(f"{k} {_hex(getattr(rep, k))}" for k in ("defect_rel", "ring_rel", "scale", "level")),
+            *_estimate_lines(rep),
             *(f"{k} {_hex(getattr(rep, k).real)} {_hex(getattr(rep, k).imag)}"
               for k in ("value_before", "value_after")),
             *(f"grid_{k} {_hex(getattr(grid, k))}" for k in ("min_chi", "richardson_error")),
@@ -172,8 +184,8 @@ def _log_probes(bc, dump: Dump) -> None:
                 lines = [type(exc).__name__]
             else:
                 lines = ["ok", rep.classification,
-                         *(f"{k} {_hex(getattr(rep, k))}"
-                           for k in ("defect_rel", "ring_rel", "s_error_rel")),
+                         *(f"{k} {_hex(getattr(rep, k))}" for k in ("defect_rel", "ring_rel")),
+                         *_estimate_lines(rep),
                          f"values_sha256 {hashlib.sha256(rep.trace.values.tobytes()).hexdigest()}"]
             dump.text(f"log_probe_{name}_{c}.txt", lines)
 
