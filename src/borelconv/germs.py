@@ -595,18 +595,18 @@ def _refine(sub: _SubCells, phi_frames: _Frames, psi_frames: _Frames, gj: np.nda
     """Integrate the pieces by Gauss-Legendre of orders n_q and n_q // 2,
     halving each piece whose estimate |Q - Q'| exceeds its column's budget,
     down to depth SPLIT_DEPTH.  Returns the kept pieces' columns, depths,
-    values Q and estimates."""
+    values Q and estimates: empty arrays for no pieces, at which a series
+    factor could not be evaluated."""
     rule = _bernstein_rule(n_q, n_q // 2)
-    kept = []
-    while True:
+    kept = [(sub.col[:0], sub.depth[:0], np.zeros(0, dtype=complex), np.zeros(0))]
+    while len(sub.col):
         integrand = _sub_integrand(sub, phi_frames, psi_frames, gj, rule)
         q = integrand[:, :n_q].sum(axis=1)
         err = np.abs(q - integrand[:, n_q:].sum(axis=1))
         ok = (err <= budget[sub.col]) | (sub.depth >= SPLIT_DEPTH)
         kept.append((sub.col[ok], sub.depth[ok], q[ok], err[ok]))
-        if ok.all():
-            return (np.concatenate(parts) for parts in zip(*kept))
         sub = _halve(sub.take(~ok), phi_frames, psi_frames, gj)
+    return (np.concatenate(parts) for parts in zip(*kept))
 
 
 def _integrate(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
@@ -714,43 +714,38 @@ def _estimate_columns(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarra
     return np.concatenate(values), np.concatenate(errors), sum(n_split), max(depth)
 
 
+def _grid(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, fine: FilteredSet,
+          cfg: ConvolveConfig) -> DeformationGrid:
+    """The grid of gamma at cfg.level, else at the midpoint of seed+gamma's admissible levels."""
+    _, iv = seed_levels(gamma, fine)
+    level = cfg.level if cfg.level is not None else 0.5 * (iv.lower + iv.upper)
+    return deform(gamma, set_a, set_b, level, n_s=cfg.n_s, n_t=cfg.n_t)
+
+
+def _trace(gamma: Path, grid: DeformationGrid, first: int, values: np.ndarray,
+           fine: FilteredSet) -> ContinuationTrace:
+    """The values at the time nodes first..n_t of the grid, as a trace
+    with the feasibility radii of gamma there against the fine sum."""
+    ts = grid.t_nodes[first:]
+    radii = local_radii(grid.gamma_values()[first:], abs(gamma.start) + ts * gamma.length, fine)
+    return ContinuationTrace(gamma, ts.copy(), values, radii, grid=grid)
+
+
 def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
-                   set_b: FilteredSet, cfg: ConvolveConfig | None = None,
-                   t_from: float = 0.0) -> ContinuationTrace:
+                   set_b: FilteredSet, cfg: ConvolveConfig | None = None) -> ContinuationTrace:
     """Convolution of two germs continued along gamma.
 
     Builds the deformation grid for (gamma, set_a, set_b) at the working
     level (midpoint of the admissible interval of seed+gamma against the
-    fine sum when not configured), then integrates the time columns in
+    fine sum when not configured), then integrates every time column, in
     blocks of about BLOCK_NODES quadrature nodes.  The radius estimates in
     the returned trace are feasibility radii against the fine sum.
-
-    The trace starts at the time node nearest the parameter t_from.  The
-    columns before it are not integrated, but they still pass every check
-    their samples decide: each set against its column or mirror column,
-    each germ continued along it, and the cubic cells against the germs'
-    poles and branch points (`_column_frames`).  Pole, poly
-    and log germs check nothing else (the finiteness of the integrated
-    value aside); series germs also check their quadrature nodes, so with
-    one of those every column is integrated.
     """
     cfg = cfg or ConvolveConfig()
-    if not 0.0 <= t_from <= 1.0:
-        raise PreconditionError(f"t_from must lie in [0, 1], got {t_from}")
     fine = set_a.fine_sum(set_b)
-    _, iv = seed_levels(gamma, fine)
-    level = cfg.level if cfg.level is not None else 0.5 * (iv.lower + iv.upper)
-    grid = deform(gamma, set_a, set_b, level, n_s=cfg.n_s, n_t=cfg.n_t)
-    first = int(np.argmin(np.abs(grid.t_nodes - t_from)))
-    n_skip = first if "series" not in (phi.kind, psi.kind) else 0
-    block = _block_columns(grid, 4)
-    for k in range(0, n_skip, block):
-        _column_frames(phi, psi, grid, np.arange(k, min(k + block, n_skip)), cfg)
-    values = _convolve_columns(phi, psi, grid, np.arange(n_skip, grid.n_t + 1), cfg)
-    values = values[first - n_skip:]
-    ts = grid.t_nodes[first:]
-    radii = local_radii(grid.gamma_values()[first:], abs(gamma.start) + ts * gamma.length, fine)
-    return ContinuationTrace(gamma, ts.copy(), values, radii, grid=grid)
+    grid = _grid(gamma, set_a, set_b, fine, cfg)
+    values = _convolve_columns(phi, psi, grid, np.arange(grid.n_t + 1), cfg)
+    return _trace(gamma, grid, 0, values, fine)
 
 
 # -- singularity probe -------------------------------------------------------
@@ -758,9 +753,9 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
 
 @dataclass
 class ProbeReport:
-    """Outcome of a loop probe.  `trace` holds the circle only: its times,
-    values and radii run from the circle's first vertex to the end of the
-    loop, while its `path` and `grid` are the whole loop's.
+    """Outcome of a loop probe.  `trace` holds the circle only, the columns
+    the probe integrates: its times, values and radii run from the circle's
+    first vertex to the loop's end, while its `path` and `grid` are the loop's.
 
     `cell_error_rel` estimates the error of the circle's values.  Each
     cell of a circle column is integrated by the Gauss rules of orders n_q
@@ -840,6 +835,10 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     defect cannot see.  Thresholds are relative to the value scale on the
     circle.  The report also carries an estimate of the values' quadrature
     error (`ProbeReport.cell_error_rel`).
+
+    Every column of the loop passes once the checks its samples decide
+    (`_column_frames`), and only the circle's are integrated; with a series
+    factor, whose tail is checked at the quadrature nodes, so are the route's.
     """
     if cfg is None:
         # n_s and n_q decide the accuracy.  A loop drags a hairpin of the
@@ -855,7 +854,8 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
         # step counts, which makes the trapezoid rule of ring_rel converge
         # geometrically.
         cfg = ConvolveConfig(n_s=64, n_t=64, n_q=16)
-    candidate = complex(candidate)
+    candidate = _finite(candidate, "candidate")
+    seed = None if seed is None else _finite(seed, "seed")
     radius = float(radius)
     if not (radius > 0.0 and math.isfinite(radius)):
         raise PreconditionError(f"probe radius must be positive and finite, got {radius}")
@@ -864,7 +864,6 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     if seed is None:
         rho = min(set_a.rho, set_b.rho)
         seed = 0.25 * rho * candidate / abs(candidate)
-    seed = complex(seed)
     if abs(candidate - seed) <= radius:
         raise PreconditionError("seed lies inside the probe circle")
     fine = set_a.fine_sum(set_b)
@@ -878,20 +877,20 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
               for k in range(1, PROBE_CIRCLE_SEGMENTS)]
     circle.append(p0)  # close the polygon exactly
     loop = Path(np.concatenate([route, circle]))
-    start_index = len(route) - 1  # vertex where the circle begins and ends
-
-    t_start = loop.vertex_fractions()[start_index]
-    # the loop's grid, every column checked and only the last integrated;
-    # the circle's columns are integrated below with their error estimate
-    grid = convolve_along(phi, psi, loop, set_a, set_b, cfg, t_from=1.0).grid
+    t_start = loop.vertex_fractions()[len(route) - 1]  # where the circle begins and ends
+    grid = _grid(loop, set_a, set_b, fine, cfg)
     first = int(np.argmin(np.abs(grid.t_nodes - t_start)))
-    ts = grid.t_nodes[first:].copy()
-    if abs(ts[0] - t_start) > 1e-9:
+    if abs(grid.t_nodes[first] - t_start) > 1e-9:
         raise PreconditionError("circle start did not land on a time node")
+    if "series" in (phi.kind, psi.kind):
+        _convolve_columns(phi, psi, grid, np.arange(first), cfg)
+    else:
+        block = _block_columns(grid, 4)
+        for k in range(0, first, block):
+            _column_frames(phi, psi, grid, np.arange(k, min(k + block, first)), cfg)
     vals, errors, cells_split, split_depth = _estimate_columns(
         phi, psi, grid, np.arange(first, grid.n_t + 1), cfg)
-    radii = local_radii(grid.gamma_values()[first:], abs(loop.start) + ts * loop.length, fine)
-    trace = ContinuationTrace(loop, ts, vals, radii, grid=grid)  # the circle only
+    trace = _trace(loop, grid, first, vals, fine)  # the circle only
 
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     cell_error_rel = float(np.max(errors)) / scale

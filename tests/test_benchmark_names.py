@@ -4,6 +4,8 @@ every name it wraps must still exist, or its metrics read as absent."""
 import importlib.util
 import pathlib
 
+from borelconv import FilteredSet, Germ, singularity_probe
+
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -20,3 +22,15 @@ def test_every_traced_name_resolves():
     targets += [t for ts, _ in tracing.COUNTERS.values() for t in ts]
     missing = [t for t in targets if tracing._resolve(t) is None]
     assert not missing, f"names the benchmark wraps are gone: {missing}"
+
+
+def test_a_default_grid_probe_deforms_through_the_traced_names():
+    # the probe's loop grid is deformed through germs.deform, the name the
+    # benchmark wraps, so its flow is timed and counted
+    tracer = load_tracing().Tracer()
+    a, b = FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [(2, 2.0)], 6.0)
+    with tracer:
+        singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 1.5, 0.2)
+    assert tracer.self_s["deformation.deform"] > 0.0
+    assert tracer.counts["deformation.field_evals"] > 0
+    assert not tracer.missing, f"names the benchmark wraps are gone: {tracer.missing}"

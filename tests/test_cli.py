@@ -414,6 +414,26 @@ def test_convolve_with_probe(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("candidate, radius, want", [
+    ("1.5,0", "0.1", "regular"), ("1.5,0", "0.2", "regular"),
+    ("2.0,0", "0.2", "singular-like"), ("2.5,0", "0.2", "regular"),
+])
+def test_convolve_with_probe_and_a_series_factor(tmp_path, capsys, candidate, radius, want):
+    # exp as a series against 1/(2 - z): probes whose estimate needs no cell
+    # split, in some block of columns or in all of them
+    coeffs = [[1.0 / math.factorial(k), 0.0] for k in range(40)]
+    phi = write(tmp_path / "phi.json", {"kind": "series", "coeffs": coeffs, "radius": 8.0})
+    psi = write(tmp_path / "psi.json", {"kind": "pole", "a": [2.0, 0.0]})
+    a = write(tmp_path / "a.json", set_doc([], 8.0))
+    b = write(tmp_path / "b.json", set_doc([(2 + 0j, 2.0)], 8.0))
+    g = write(tmp_path / "g.json", path_doc([0.25, 0.5]))
+    outdir = tmp_path / "out"
+    code = main(["convolve", phi, psi, g, a, b, "--probe", candidate,
+                 "--probe-radius", radius, "-o", str(outdir)])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert load_json(str(outdir / "probe.json"))["classification"] == want
+
+
 def test_convolve_with_probe_refuses_a_cell_error_above_its_bound(tmp_path, monkeypatch, capsys):
     # an estimate above CELL_REFUSE * TOL_MONO after the deepest split: exit
     # 5, the trace written, no probe.json

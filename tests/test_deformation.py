@@ -561,8 +561,8 @@ def test_s_nodes_are_graded_toward_both_ends(n_s):
 
 @pytest.mark.parametrize("n_s", [96, 512])
 def test_every_other_row_is_the_grid_at_half_n_s(n_s):
-    # the half-s error estimate of the probe integrates H[::2] as the grid
-    # at n_s / 2: the nodes and every row's flow keep their bits
+    # row_nodes' docstring: for even n_s every other node is bit for bit the
+    # nodes at n_s / 2, and so is every other row of the flow
     a = FilteredSet(0, [(1, 1.0)], 6.0)
     b = FilteredSet(0, [(2, 2.0)], 6.0)
     gamma = Path(CURVED_GAMMA)

@@ -586,6 +586,16 @@ def test_probe_rejects_bad_radius(radius):
         singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 1.5, radius)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("arg", ["candidate", "seed"])
+def test_probe_rejects_a_non_finite_point(arg, value):
+    a, b = pole_pair_sets()
+    points = {"candidate": 1.5, "seed": 0.25, arg: value}
+    with pytest.raises(PreconditionError, match=f"^{arg} must be finite"):
+        singularity_probe(Germ.pole(1), Germ.pole(2), a, b, radius=0.2, **points)
+
+
 def test_probe_pole_sum_point_is_singular():
     a, b = pole_pair_sets()
     rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 3.0, 0.2)
@@ -727,7 +737,7 @@ def test_probe_ring_rule_resolves_regular_points_at_every_n_t(candidate):
         assert len(set(np.diff(at))) == 1, n_t
 
 
-def test_probe_s_error_bounds_the_oracle_error_at_the_default_grid(pole_pair_probes):
+def test_probe_cell_error_bounds_the_oracle_error_at_the_default_grid(pole_pair_probes):
     # the estimate of the values reported: at least their error wherever
     # that exceeds 1e-12, and the values within 1e-12 of the closed form
     for cand, rep in pole_pair_probes.items():
@@ -753,7 +763,7 @@ def test_probe_cell_error_bounds_the_oracle_error_at_the_cli_default_radius():
     (2.0, 0.1, None),  # the default grid at the CLI's default radius
     (2.0, 0.025, None),  # the default grid at an eighth of the radius: not resolved
 ])
-def test_probe_s_error_flags_an_under_resolved_grid(candidate, radius, cfg):
+def test_probe_cell_error_flags_an_under_resolved_grid(candidate, radius, cfg):
     # a probe refuses, or its values are within TOL_MONO of the closed form
     # and its estimate at least their error
     a, b = pole_pair_sets()
@@ -824,24 +834,16 @@ def test_probe_circle_equals_slice_of_full_trace(candidate):
     assert rep.classification == want == ("regular" if candidate == 1.5 else "singular-like")
 
 
-@pytest.mark.parametrize("t_from", [-0.1, 1.5, math.nan])
-def test_convolve_along_rejects_t_from_outside_the_path(t_from):
-    a, b = pole_pair_sets()
-    with pytest.raises(PreconditionError, match="t_from"):
-        convolve_along(Germ.pole(1), Germ.pole(2), Path([0.25, 0.5]), a, b,
-                       ConvolveConfig(n_s=16, n_t=16, n_q=4), t_from=t_from)
-
-
-def count_columns(monkeypatch):
-    """Columns each set's check sees, and columns integrated without and
-    with the error estimate, per probe."""
+def count_columns(monkeypatch, set_a):
+    """Columns each set's check sees (set_a's as "a", the other's as "b"),
+    and columns integrated without and with the error estimate, per probe."""
     from borelconv import germs
 
     seen = {"a": 0, "b": 0, "integrated": 0, "estimated": 0}
     check, integrate = germs._check_columns, germs._integrate
 
     def counted_check(pts, fset, level):
-        seen["a" if fset.points[0] == 1 else "b"] += pts.shape[1]
+        seen["a" if fset is set_a else "b"] += pts.shape[1]
         return check(pts, fset, level)
 
     def counted_integrate(phi, psi, grid, js, cfg, estimate):
@@ -854,38 +856,36 @@ def count_columns(monkeypatch):
 
 
 def test_probe_checks_every_column_and_integrates_the_circle(monkeypatch):
-    # the loop's columns are checked, and its last one integrated, by
-    # convolve_along; the circle's are checked again and integrated with
-    # their error estimate
+    # every loop column is checked once, and only the circle's are
+    # integrated, once each, with their error estimate
     a, b = pole_pair_sets()
-    seen = count_columns(monkeypatch)
+    seen = count_columns(monkeypatch, a)
     rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 3.0, 0.2, cfg=PROBE_CFG)
     n, columns = len(rep.trace.values), rep.trace.grid.n_t + 1
-    assert seen["a"] == seen["b"] == columns + n
-    assert seen["integrated"] == 1
+    assert seen["a"] == seen["b"] == columns
+    assert seen["integrated"] == 0
     assert seen["estimated"] == n < columns
 
 
 def test_probe_with_log_factor_checks_every_column_and_integrates_the_circle(monkeypatch):
     # the chord and cell conditions of a log germ are decided from samples
     # alone, so the route's columns are checked but not integrated, as for
-    # pole germs, and the circle's columns pass the same cell check again
+    # pole germs, and every column passes the cell check once
     from borelconv import germs
 
     a, b = pole_pair_sets()
     phi, psi = Germ.pole(1), Germ.log_pole(2)
-    seen = count_columns(monkeypatch)
+    seen = count_columns(monkeypatch, a)
     cells = []
     check_cells = germs._check_cells
     monkeypatch.setattr(germs, "_check_cells",
                         lambda points, ctrl: cells.append(ctrl.shape) or check_cells(points, ctrl))
     rep = singularity_probe(phi, psi, a, b, 1.5, 0.2, cfg=PROBE_CFG)
     n, columns = len(rep.trace.values), rep.trace.grid.n_t + 1
-    assert seen["a"] == seen["b"] == columns + n
-    assert seen["integrated"] == 1 and seen["estimated"] == n < columns
+    assert seen["a"] == seen["b"] == columns
+    assert seen["integrated"] == 0 and seen["estimated"] == n < columns
     assert 0.0 <= rep.cell_error_rel <= CELL_REFUSE * TOL_MONO
-    # every column's cells once, the circle's twice
-    assert sum(j for j, rows, _ in cells) == columns + n
+    assert sum(j for j, rows, _ in cells) == columns
     assert all(rows == PROBE_CFG.n_s for _, rows, _ in cells)
     monkeypatch.undo()
     full = convolve_along(phi, psi, rep.loop, a, b, dataclasses.replace(PROBE_CFG, level=rep.level))
@@ -898,10 +898,33 @@ def test_probe_refuses_route_column_through_pole_parameter(monkeypatch):
     # the seed column's middle sample is the pole parameter of phi; the
     # column lies on the route, so it is continued but not integrated
     a, b = pole_pair_sets()
-    seen = count_columns(monkeypatch)
+    seen = count_columns(monkeypatch, a)
     with pytest.raises(PreconditionError, match="pole parameter"):
         singularity_probe(Germ.pole(0.125), Germ.pole(2), a, b, 1.5, 0.2, cfg=PROBE_CFG)
     assert seen["integrated"] == seen["estimated"] == 0
+
+
+@pytest.mark.parametrize("candidate, want", [(1.5, "regular"), (2.0, "singular-like")])
+def test_probe_with_a_series_factor_integrates_the_route_once(monkeypatch, candidate, want):
+    # a series tail is checked only at the quadrature nodes, so the route's
+    # columns are integrated without the estimate and the circle's with it.
+    # No cell is split at 1.5, nor in some of the circle's blocks at 2.0:
+    # the estimate then refines no piece.  phi is exp as a series.
+    phi = Germ.series([1.0 / math.factorial(k) for k in range(40)], 8.0)
+    psi, a, b = Germ.pole(2), FilteredSet(0, [], 8.0), FilteredSet(0, [(2, 2.0)], 8.0)
+    seen = count_columns(monkeypatch, a)
+    rep = singularity_probe(phi, psi, a, b, candidate, 0.2)
+    n, columns = len(rep.trace.values), rep.trace.grid.n_t + 1
+    assert rep.classification == want
+    assert seen["a"] == seen["b"] == columns
+    assert seen["integrated"] == columns - n and seen["estimated"] == n
+    assert (rep.cells_split == 0) == (candidate == 1.5)
+    if candidate == 1.5:
+        # unsplit, the circle keeps the bits of the whole loop's trace
+        monkeypatch.undo()
+        cfg = ConvolveConfig(n_s=64, n_t=64, n_q=16, level=rep.level)
+        full = convolve_along(phi, psi, rep.loop, a, b, cfg)
+        assert rep.trace.values.tobytes() == full.values[-n:].tobytes()
 
 
 # -- branch conditions of log germs ---------------------------------------------------

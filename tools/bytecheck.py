@@ -132,10 +132,7 @@ def _convolutions(bc, dump: Dump) -> None:
 
 def _estimate_lines(rep) -> list[str]:
     """A probe's error estimate cell_error_rel, with the number of cells
-    split and the deepest split; checkouts from before adaptive cells
-    report s_error_rel, the half-s estimate, instead."""
-    if not hasattr(rep, "cell_error_rel"):
-        return [f"s_error_rel {_hex(rep.s_error_rel)}"]
+    split and the deepest split."""
     return [f"cell_error_rel {_hex(rep.cell_error_rel)}", f"cells_split {rep.cells_split}",
             f"split_depth {rep.split_depth}"]
 
