@@ -57,7 +57,7 @@ SAMPLES_PER_UNIT = 64       # continue_along samples per unit path length
 TOL_MONO = 1e-4             # probe threshold on the relative defect and loop integral
 PROBE_CIRCLE_SEGMENTS = 16  # sides of the polygonal probe circle
 DETOUR_ARC_SEGMENTS = 8     # segments of each semicircle dodging a point on the route
-BLOCK_NODES = 1 << 14       # quadrature nodes per block of columns in convolve_along
+BLOCK_NODES = 1 << 14       # nodes per block of columns integrated or checked (memory bound)
 CELL_BUDGET = 1e-13         # a probe cell's error estimate budget, relative to its column's sum |cell|
 CELL_REFUSE = 1e-2          # a probe refuses an error estimate above this fraction of TOL_MONO
 
@@ -652,8 +652,7 @@ def _integrate(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
     elif sub is not None:
         col = sub.col
         q = _sub_integrand(sub, phi_frames, psi_frames, gj, _bernstein_rule(cfg.n_q)).sum(axis=1)
-    if split.any():
-        integrand[split] = 0.0
+    integrand[split] = 0.0
     values = integrand.reshape(len(js), -1).sum(axis=1)
     if split.any():
         np.add.at(values, col, q)
@@ -836,9 +835,10 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     circle.  The report also carries an estimate of the values' quadrature
     error (`ProbeReport.cell_error_rel`).
 
-    Every column of the loop passes once the checks its samples decide
-    (`_column_frames`), and only the circle's are integrated; with a series
-    factor, whose tail is checked at the quadrature nodes, so are the route's.
+    Each loop column passes once the checks its samples decide
+    (`_column_frames`).  The circle's are integrated with the estimate, the
+    route's without: all with a series factor, whose tail is checked at the
+    quadrature nodes, else the last alone, by `convolve_at`, which perfbench counts.
     """
     if cfg is None:
         # n_s and n_q decide the accuracy.  A loop drags a hairpin of the
@@ -886,8 +886,9 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
         _convolve_columns(phi, psi, grid, np.arange(first), cfg)
     else:
         block = _block_columns(grid, 4)
-        for k in range(0, first, block):
-            _column_frames(phi, psi, grid, np.arange(k, min(k + block, first)), cfg)
+        for k in range(0, first - 1, block):
+            _column_frames(phi, psi, grid, np.arange(k, min(k + block, first - 1)), cfg)
+        convolve_at(phi, psi, grid, first - 1, cfg=cfg)
     vals, errors, cells_split, split_depth = _estimate_columns(
         phi, psi, grid, np.arange(first, grid.n_t + 1), cfg)
     trace = _trace(loop, grid, first, vals, fine)  # the circle only

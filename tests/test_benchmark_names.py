@@ -25,12 +25,14 @@ def test_every_traced_name_resolves():
 
 
 def test_a_default_grid_probe_deforms_through_the_traced_names():
-    # the probe's loop grid is deformed through germs.deform, the name the
-    # benchmark wraps, so its flow is timed and counted
+    # the probe's loop grid is deformed through germs.deform and a column
+    # is integrated through germs.convolve_at, names the benchmark wraps, so
+    # its flow is timed and counted and its time per column is defined
     tracer = load_tracing().Tracer()
     a, b = FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [(2, 2.0)], 6.0)
     with tracer:
         singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 1.5, 0.2)
     assert tracer.self_s["deformation.deform"] > 0.0
     assert tracer.counts["deformation.field_evals"] > 0
+    assert tracer.counts["germs.columns"] > 0
     assert not tracer.missing, f"names the benchmark wraps are gone: {tracer.missing}"

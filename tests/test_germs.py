@@ -856,21 +856,22 @@ def count_columns(monkeypatch, set_a):
 
 
 def test_probe_checks_every_column_and_integrates_the_circle(monkeypatch):
-    # every loop column is checked once, and only the circle's are
-    # integrated, once each, with their error estimate
+    # every loop column is checked once, and the circle's are integrated,
+    # once each, with their error estimate; of the route's, only the last
+    # is integrated (by convolve_at, the name perfbench counts)
     a, b = pole_pair_sets()
     seen = count_columns(monkeypatch, a)
     rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 3.0, 0.2, cfg=PROBE_CFG)
     n, columns = len(rep.trace.values), rep.trace.grid.n_t + 1
     assert seen["a"] == seen["b"] == columns
-    assert seen["integrated"] == 0
-    assert seen["estimated"] == n < columns
+    assert seen["integrated"] == 1
+    assert seen["estimated"] == n < columns - 1
 
 
 def test_probe_with_log_factor_checks_every_column_and_integrates_the_circle(monkeypatch):
     # the chord and cell conditions of a log germ are decided from samples
-    # alone, so the route's columns are checked but not integrated, as for
-    # pole germs, and every column passes the cell check once
+    # alone, so the route's columns are checked and, but for the last, not
+    # integrated, as for pole germs; every column passes the cell check once
     from borelconv import germs
 
     a, b = pole_pair_sets()
@@ -883,7 +884,7 @@ def test_probe_with_log_factor_checks_every_column_and_integrates_the_circle(mon
     rep = singularity_probe(phi, psi, a, b, 1.5, 0.2, cfg=PROBE_CFG)
     n, columns = len(rep.trace.values), rep.trace.grid.n_t + 1
     assert seen["a"] == seen["b"] == columns
-    assert seen["integrated"] == 0 and seen["estimated"] == n < columns
+    assert seen["integrated"] == 1 and seen["estimated"] == n < columns - 1
     assert 0.0 <= rep.cell_error_rel <= CELL_REFUSE * TOL_MONO
     assert sum(j for j, rows, _ in cells) == columns
     assert all(rows == PROBE_CFG.n_s for _, rows, _ in cells)
