@@ -3,14 +3,15 @@ and de Casteljau splits.
 
 A column of a deformation grid is integrated cell by cell.  Between two
 samples the contour is the cubic through the cell's four stencil samples,
-and composite Gauss-Legendre runs on each cell in the cell coordinate
-(`_cell_rule`, `_cubics`).  The cubic of a cell is also a Bezier curve,
-whose control points bound it by their convex hull: `_check_cells` proves
-cells clear of a singular point from those points alone, and a cell that
-is not proven, or whose Gauss error is too large, is halved exactly by de
-Casteljau (`_split_cells`, `_de_casteljau`) and integrated piece by piece
-on the same cubic (`_bernstein_rule`).  Nothing here knows about germs:
-the caller (`germs`) evaluates the integrand and continues its factors.
+held in one form: its Bezier control points (`_cell_rule`, `_cubics`).
+Composite Gauss-Legendre runs on each cell's cubic from those points
+(`_bernstein_rule`, `_products`).  The control points bound the cubic by
+their convex hull: `_check_cells` proves cells clear of a singular point
+from those points alone, and a cell that is not proven, or whose Gauss
+error is too large, is halved exactly by de Casteljau (`_split_cells`,
+`_de_casteljau`), each piece a cubic of the same form, integrated by the
+same rule in its own coordinate.  Nothing here knows about germs: the
+caller (`germs`) evaluates the integrand and continues its factors.
 """
 
 from __future__ import annotations
@@ -26,18 +27,14 @@ from .filtered_set import POINT_TOL
 SPLIT_DEPTH = 8  # deepest de Casteljau halving of a quadrature cell
 
 
-def _lagrange_basis(offsets, xs):
-    """Values and derivatives of the Lagrange basis on `offsets` at `xs`."""
-    vals = np.empty((len(offsets), len(xs)))
+def _lagrange_derivatives(offsets, xs):
+    """Derivatives of the Lagrange basis on `offsets` at `xs`, one row per offset."""
     ders = np.empty((len(offsets), len(xs)))
     for m, om in enumerate(offsets):
         num = [o for o in offsets if o != om]
-        poly = np.polynomial.polynomial.polyfromroots(num)
-        denom = np.prod([om - o for o in num])
-        vals[m] = np.polynomial.polynomial.polyval(xs, poly) / denom
-        dpoly = np.polynomial.polynomial.polyder(poly)
-        ders[m] = np.polynomial.polynomial.polyval(xs, dpoly) / denom
-    return vals, ders
+        dpoly = np.polynomial.polynomial.polyder(np.polynomial.polynomial.polyfromroots(num))
+        ders[m] = np.polynomial.polynomial.polyval(xs, dpoly) / np.prod([om - o for o in num])
+    return ders
 
 
 def _planes(basis: np.ndarray) -> np.ndarray:
@@ -50,87 +47,77 @@ def _planes(basis: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _cell_rule(n_s: int, n_q: int):
-    """The rule of composite Gauss-Legendre of order n_q on local cubics
-    over the n_s cells of a column, read-only and shared between calls.
-    The cubics interpolate in the row index, whatever the rows' s: the
-    contour integral does not depend on the parametrisation.
-
-    Returns (stencils, val, wder, bezier, anchor_phi, anchor_psi):
-    stencils[c] are the four sample indices of cell c; val, wder and bezier
-    are cell maps for `_cubics`, from a cell's four stencil samples to the
-    basis values and derivatives at the Gauss nodes, and to the Bezier
-    control points P0..P3 of its cubic (P0 and P3 are the cell's end
-    samples, exactly); anchor_phi and anchor_psi, of shape (n_s, n_q), the
-    sample whose branch each node takes along the column and its mirror.
-    A cell map is the interior cells' real (4, k) map, as _planes, and the
-    first and last cells' maps, of shape (2, 4, k), as they are.  A split
-    cell is integrated piece by piece instead: the bezier map gives its
-    control points, de Casteljau halving those of its pieces, each a
-    sub-cell of the same cubic (`_de_casteljau`), and the same order of
-    Gauss-Legendre runs on each piece in its own coordinate
-    (`_bernstein_rule`).
+def _cell_rule(n_s: int):
+    """The cells of a column of n_s cells, read-only and shared between
+    calls: (stencils, bezier).  stencils[c] are the four sample indices of
+    cell c, whose cubic interpolates them in the row index, whatever the
+    rows' s: the contour integral does not depend on the parametrisation.
+    bezier maps a cell's four stencil samples to the Bezier control points
+    P0..P3 of its cubic in the cell coordinate (P0 and P3 are the cell's
+    end samples, exactly), for `_cubics`: the interior cells' real (8, 8)
+    map, as _planes, and the first and last cells' maps, of shape
+    (2, 4, 4), as they are.
 
     Cell c interpolates on samples lo..lo+3, centred on the cell except at
-    the two end cells, so every interior cell has the same basis.  The
-    derivatives are taken with respect to the cell coordinate and carry the
-    Gauss weights, so that the integral of f dZ is the plain sum over the
-    nodes of f times (w dZ): the cell length cancels."""
-    x, w = np.polynomial.legendre.leggauss(n_q)
-    xi = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    # the basis nodes of a cell sit at offsets k - (c - lo)
-    offsets = [[k - s for k in (0.0, 1.0, 2.0, 3.0)] for s in range(3)]
-    vals, ders = zip(*(_lagrange_basis(o, xi) for o in offsets))
-    vals, wders = np.array(vals), np.array(ders) * w
+    the two end cells, so every interior cell has the same map."""
     # P0 = p(0), P1 = p(0) + p'(0)/3, P2 = p(1) - p'(1)/3, P3 = p(1) in the
-    # cell coordinate, one column each; P0's and P3's are exact unit vectors
+    # cell coordinate, whose basis nodes sit at offsets k - (c - lo), one
+    # column each; P0's and P3's are exact unit vectors
     bezier = np.zeros((3, 4, 4))
-    for s, o in enumerate(offsets):
+    for s in range(3):
         ends = np.eye(4)[[s, s + 1]]
-        slopes = _lagrange_basis(o, [0.0, 1.0])[1].T / 3.0
+        slopes = _lagrange_derivatives([k - s for k in (0.0, 1.0, 2.0, 3.0)], [0.0, 1.0]).T / 3.0
         bezier[s] = np.transpose([ends[0], ends[0] + slopes[0], ends[1] - slopes[1], ends[1]])
     lo = np.clip(np.arange(n_s) - 1, 0, n_s - 3)
-    cells = np.arange(n_s)[:, None]
-    anchor_phi = np.where(xi[None, :] < 0.5, cells, cells + 1)
-    stencils, anchor_psi = lo[:, None] + np.arange(4), n_s - anchor_phi
-    val, wder, bez = ((_planes(m[1]), m[::2]) for m in (vals, wders, bezier))
-    for a in (stencils, *val, *wder, *bez, anchor_phi, anchor_psi):
+    stencils, bez = lo[:, None] + np.arange(4), (_planes(bezier[1]), bezier[::2])
+    for a in (stencils, *bez):
         a.flags.writeable = False
-    return stencils, val, wder, bez, anchor_phi, anchor_psi
+    return stencils, bez
 
 
-def _cubics(cols: np.ndarray, stencils: np.ndarray, cell_map) -> np.ndarray:
-    """A cell map of `_cell_rule` applied to every cell of each column (one
-    per row): the stencil windows times the interior cells' map, one BLAS
-    product of the same shape per column, so that a column's bits do not
-    depend on its block; then the two end cells with their own maps, summed
-    in stencil order."""
-    basis, end_basis = cell_map
+def _products(x: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """The four complex points on the last axis of x, (..., n, 4), times a
+    real map of _planes, (..., n, k): one BLAS product of the same shape per
+    (n, 4) block (a column's cells), so that a column's bits do not depend
+    on its block."""
+    blocks = x.reshape((-1,) + x.shape[-2:])
+    flat = blocks.view(float).reshape(blocks.shape[:2] + (8,))
+    out = np.empty(blocks.shape[:2] + (planes.shape[1] // 2,), complex)
+    for k in range(len(blocks)):
+        np.matmul(flat[k], planes, out=out[k].view(float))
+    return out.reshape(x.shape[:-1] + out.shape[-1:])
+
+
+def _cubics(cols: np.ndarray, stencils: np.ndarray, bezier) -> np.ndarray:
+    """The Bezier control points of every cell of each column (one per
+    row), (J, n_s, 4), for the rule (stencils, bezier) of `_cell_rule`: the
+    stencil windows times the interior cells' map (`_products`), then the
+    two end cells with their own maps, summed in stencil order."""
+    basis, end_basis = bezier
     windows = np.take(cols, stencils, axis=1)  # (J, n_s, 4)
-    planes = windows.view(float).reshape(windows.shape[:2] + (8,))
-    out = np.empty(windows.shape[:2] + (basis.shape[1] // 2,), complex)
-    for k in range(len(cols)):
-        np.matmul(planes[k], basis, out=out[k].view(float))
+    out = _products(windows, basis)
     for c, b in zip((0, -1), end_basis):
         out[:, c] = (windows[:, c, :, None] * b).sum(axis=1)
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def _bernstein_rule(*orders: int):
+def _bernstein_rule(n_q: int):
     """The cubic Bernstein basis and its derivative times the Gauss
-    weights at the nodes of Gauss-Legendre rules on [0, 1], one rule per
-    order, side by side: (4, sum of the orders) each, read-only.  A piece's
-    nodes and weighted derivatives are its control points times these."""
-    x, w = map(np.concatenate, zip(*map(np.polynomial.legendre.leggauss, orders)))
+    weights at the nodes of Gauss-Legendre of order n_q on [0, 1], as real
+    maps of _planes, read-only.  A cubic's nodes and weighted derivatives
+    are its control points times these (`_products`): the integral of f dZ
+    over the cubic is the plain sum over the nodes of f times (w dZ), in
+    any coordinate, so a cell and a piece of it take the same rule."""
+    x, w = np.polynomial.legendre.leggauss(n_q)
     x = 0.5 * (x + 1.0)
     y = 1.0 - x
     vals = np.array([y ** 3, 3.0 * x * y ** 2, 3.0 * x ** 2 * y, x ** 3])
     wders = 1.5 * w * np.array([-y ** 2, y ** 2 - 2.0 * x * y, 2.0 * x * y - x ** 2, x ** 2])
-    for a in (vals, wders):
+    maps = _planes(vals), _planes(wders)
+    for a in maps:
         a.flags.writeable = False
-    return vals, wders
+    return maps
 
 
 def _de_casteljau(ctrl: np.ndarray):
@@ -188,10 +175,11 @@ def _check_cells(points, ctrl: np.ndarray) -> np.ndarray:
       sweeps around b the angle its chord does: continuing a log along the
       cubic gives what continuing it sample to sample along the chords
       gives, and the arc winds around a pole as the chord does;
-    * the segment from a cell's end sample (a node's anchor) to any node on
-      its arc lies in the hull, so the principal log(u / u_anchor) at the
-      node is the continuation along that segment (a segment that avoids
-      the branch point sweeps less than pi around it), hence along the arc.
+    * the segment from either end sample of a cell (its first is the base
+      of every node's branch) to any node on its arc lies in the hull, so
+      the principal log(u / u_base) at the node is the continuation along
+      that segment (a segment that avoids the branch point sweeps less than
+      pi around it), hence along the arc.
 
     The margin POINT_TOL covers the rounding of the control points, of the
     distances and of the quadrature nodes, each some ulps of the
@@ -202,11 +190,13 @@ def _check_cells(points, ctrl: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _SubCells:
-    """Pieces of split cells, each the cubic of its cell over a dyadic
-    interval of the cell coordinate: its Bezier control points, its column
-    (in the block) and cell, its depth (halvings from the cell), and for a
-    log factor the base of `germs._frames_eval` at its first point (phi
-    along the column, psi at gamma(t_j) minus it)."""
+    """Cells, or pieces of split cells, each the cubic of its cell over a
+    dyadic interval of the cell coordinate: its Bezier control points (last
+    axis of ctrl), its column (in the block) and cell, its depth (halvings
+    from the cell, 0 for a whole cell), and for a log factor the base of
+    `germs._frames_eval` at its first point (phi along the column, psi at
+    gamma(t_j) minus it).  The fields share their shape: (J, n_s) for the
+    cells of a block of columns, one axis for pieces."""
 
     ctrl: np.ndarray
     col: np.ndarray

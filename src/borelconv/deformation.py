@@ -26,6 +26,7 @@ ways.  That length bookkeeping is validated on every node.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,6 +241,19 @@ def mirror(H: np.ndarray) -> np.ndarray:
     return H[-1] - H[::-1]
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a grid size or count that is not an integer (PreconditionError)."""
+    # bool is an Integral, but True is no grid size
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_length_budget(delta_len: float | None) -> None:
+    """Refuse a length budget that is given but not positive and finite."""
+    if delta_len is not None and not (delta_len > 0.0 and math.isfinite(delta_len)):
+        raise PreconditionError(f"length budget must be positive and finite, got {delta_len}")
+
+
 def _length_excess(grid: DeformationGrid, g_vals: np.ndarray,
                    delta_len: float | None) -> tuple[float, float]:
     """The length identity of a grid: the worst excess (at least 0) of
@@ -294,12 +308,13 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
     """
     if abs(set_a.centre) > CONCAT_TOL or abs(set_b.centre) > CONCAT_TOL:
         raise PreconditionError("deformation requires both sets centred at 0")
+    _check_integer("n_s", n_s)
+    _check_integer("n_t", n_t)
     if n_s < 8 or n_t < 8:
         raise PreconditionError("grid sizes must be at least 8")
     if eps_den is not None and not (eps_den >= 0.0 and math.isfinite(eps_den)):
         raise PreconditionError(f"denominator guard must be nonnegative and finite, got {eps_den}")
-    if delta_len is not None and not (delta_len > 0.0 and math.isfinite(delta_len)):
-        raise PreconditionError(f"length budget must be positive and finite, got {delta_len}")
+    _check_length_budget(delta_len)
     seed = complex(gamma.start)
     rho_min = min(set_a.rho, set_b.rho)
     if not (0.0 < abs(seed) < rho_min):
@@ -340,8 +355,7 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
     if residual > delta_len:
         raise ToleranceError(
             f"length identity violated by {residual:.3e} > {delta_len:.3e}; "
-            "increase n_t"
-        )
+            "increase n_t", stage="length identity", value=residual, bound=delta_len)
     return grid
 
 
@@ -527,6 +541,7 @@ def _split_levels(iv_a: AdmissibleLevelInterval, iv_b: AdmissibleLevelInterval,
 def validate(grid: DeformationGrid, delta_len: float | None = None) -> ValidationReport:
     """Check every grid contract and report residuals with pass flags.  The
     length residual is recomputed from H, not read from the grid."""
+    _check_length_budget(delta_len)
     g_vals = grid.gamma_values()
     endpoint = float(np.max(np.abs(grid.H[-1, :] - g_vals)))
 

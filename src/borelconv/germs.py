@@ -10,18 +10,19 @@ of phi(h) * psi(gamma(t) - h) over a deformed contour h = H_t(s) produced
 by the deformation flow; the factor arguments then travel along the
 deformed path and its mirror, which stay inside their respective budgets.
 Each time node is integrated independently with composite Gauss-Legendre
-over the s-cells of the grid, the contour between samples being
-interpolated by local cubics (so a constant integrand integrates to the
-exact endpoint, since the cell integrals of the interpolant derivative
-telescope).  The cells' rules, hull proofs and de Casteljau splits are in
-`cells`.
+over the s-cells of the grid, the contour between samples being the local
+cubic through the cell's four stencil samples (so a constant integrand
+integrates to the exact endpoint, since the cell integrals of the cubic's
+derivative telescope).  Every cell, and every piece of a split cell, is
+held as its Bezier control points and integrated from them by one
+function (`_integrand`).  The cells' rules, hull proofs and de Casteljau
+splits are in `cells`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +34,11 @@ from .cells import (
     _check_cells,
     _cubics,
     _de_casteljau,
+    _products,
     _split_cells,
     _SubCells,
 )
-from .deformation import DeformationGrid, deform, mirror, seed_levels
+from .deformation import DeformationGrid, _check_integer, deform, mirror, seed_levels
 from .errors import PreconditionError, ToleranceError
 from .filtered_set import POINT_TOL, FilteredSet
 from .paths import (
@@ -161,10 +163,7 @@ class ConvolveConfig:
 
     def __post_init__(self):
         for name in ("n_s", "n_t", "n_q", "n_ser"):
-            value = getattr(self, name)
-            # bool is an Integral, but True is no grid size
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise PreconditionError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         if self.n_q < 2:
             # order >= 2 integrates the interpolant derivative exactly per
             # cell, which keeps constant integrands telescoping to the endpoint
@@ -242,8 +241,8 @@ def _series_values(germ: Germ, deg: int, z: np.ndarray) -> np.ndarray:
         raise ToleranceError(
             f"series continuation left the assured disc (|z| = {r_max:.6g}, "
             f"radius {germ.radius:.6g}); a truncated series carries no "
-            "information beyond its disc of convergence"
-        )
+            "information beyond its disc of convergence",
+            stage="series disc", value=r_max, bound=germ.radius)
     v = np.full(z.shape, c[-1])
     for ck in c[-2::-1]:
         v *= z
@@ -252,13 +251,14 @@ def _series_values(germ: Germ, deg: int, z: np.ndarray) -> np.ndarray:
     # the estimate grows with q and the budget is at least log TOL_TAIL, so
     # the largest q passing means every point passes
     if _log_tail(log_m0, deg, q_max) > math.log(TOL_TAIL):
-        over = _log_tail(log_m0, deg, np.abs(z) / germ.radius) > np.log(
-            TOL_TAIL * np.maximum(1.0, np.abs(v)))
-        if np.any(over):
+        excess = float(np.max(_log_tail(log_m0, deg, np.abs(z) / germ.radius) - np.log(
+            TOL_TAIL * np.maximum(1.0, np.abs(v)))))
+        if excess > 0.0:
+            # the value is the largest tail estimate relative to max(1, |value|)
             raise ToleranceError(
                 "series tail estimate above tolerance; increase the degree "
-                "or keep the path deeper inside the disc"
-            )
+                "or keep the path deeper inside the disc",
+                stage="series tail", value=TOL_TAIL * math.exp(excess), bound=TOL_TAIL)
     return v
 
 
@@ -300,13 +300,13 @@ def _continue_frames(germ: Germ, pts: np.ndarray, cfg: ConvolveConfig) -> _Frame
             raise PreconditionError("path passes through the log parameter")
         # a segment that avoids a sweeps an angle of less than pi around it,
         # which is the principal angle of its end-to-start ratio
-        if np.min(_point_segment_distance(germ.a, pts[..., :-1], pts[..., 1:]),
-                  initial=math.inf) <= POINT_TOL:
+        chord = float(np.min(_point_segment_distance(germ.a, pts[..., :-1], pts[..., 1:]),
+                             initial=math.inf))
+        if chord <= POINT_TOL:
             raise ToleranceError(
                 "a chord between samples passes within POINT_TOL of the log "
                 "parameter: sampling too coarse near the branch point for "
-                "branch tracking"
-            )
+                "branch tracking", stage="log chord", value=chord, bound=POINT_TOL)
         theta = np.angle(u[..., :1]) + _prefix_sums(np.angle(u[..., 1:] / u[..., :-1]))
         vals = np.log(np.abs(u)) + 1j * theta
         wind = np.rint((theta - np.angle(u)) / TWO_PI).astype(int)
@@ -335,15 +335,6 @@ def _frames_eval(frames: _Frames, z: np.ndarray, base=None) -> np.ndarray:
     if g.kind == "series":
         return _series_values(g, frames.deg, z)
     raise PreconditionError(f"unknown germ kind {g.kind!r}")
-
-
-def _anchored(frames: _Frames, anchors: np.ndarray):
-    """The base of `_frames_eval` at the samples `anchors` (indices into
-    the last axis of the frames, after their leading axes); None for a germ
-    without branches."""
-    if frames.u is None:
-        return None
-    return np.take(frames.values, anchors, axis=-1), np.take(frames.u, anchors, axis=-1)
 
 
 # -- public continuation ----------------------------------------------------
@@ -421,21 +412,17 @@ def _singular_points(phi: Germ, psi: Germ, gj: np.ndarray) -> list:
     return points
 
 
-def _whole_cells(mask: np.ndarray, cols: np.ndarray, ctrl, rule, phi_frames: _Frames,
-                 psi_frames: _Frames) -> _SubCells:
-    """The cells of the boolean (J, n_s) mask as pieces of depth 0, with
-    the bases of their log factors at their first samples; ctrl holds the
-    cells' control points (`_column_frames`), or None to compute them."""
-    col, cell = np.nonzero(mask)
-    if ctrl is None:
-        ctrl = _cubics(cols, rule[0], rule[3])
-    n_s = cols.shape[1] - 1
+def _whole_cells(ctrl: np.ndarray, phi_frames: _Frames, psi_frames: _Frames) -> _SubCells:
+    """Every cell of the columns, (J, n_s), as a piece of depth 0, with its
+    control points ctrl and a log factor's base at its first sample: sample
+    c of the column for cell c, and sample n_s - c of the mirror, which psi
+    travels from the top row down."""
+    def bases(frames, first):
+        return None if frames.u is None else (frames.values[first], frames.u[first])
 
-    def base(frames, sample):
-        return None if frames.u is None else (frames.values[col, sample], frames.u[col, sample])
-
-    return _SubCells(ctrl[col, cell], col, cell, np.zeros(len(col), dtype=int),
-                     base(phi_frames, cell), base(psi_frames, n_s - cell))
+    col, cell = np.indices(ctrl.shape[:2])
+    return _SubCells(ctrl, col, cell, np.zeros_like(col),
+                     bases(phi_frames, np.s_[:, :-1]), bases(psi_frames, np.s_[:, :0:-1]))
 
 
 def _log_base(frames: _Frames, w: np.ndarray, base) -> tuple:
@@ -500,10 +487,10 @@ def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
     them and of psi along their mirrors, after every check their samples
     decide: each set against its column or mirror column, each germ
     continued along it, and the cubic cells against the germs' singular
-    points.  The last two items are the cells' Bezier control points and
-    the pieces of the cells that had to be split to be proven
-    (`_split_cells`), with their bases; each is None when the germs have
-    no singular point, and the pieces are when no cell was split.
+    points.  The last two items are the cells' Bezier control points, the
+    one form of a cell the quadrature integrates (`_cubics`), and the
+    pieces of the cells that had to be split to be proven (`_split_cells`),
+    with their bases, or None when no cell was split.
 
     The quadrature integrates along the cubics, so each column's chain of
     cubics must wind around every singular point as the path it is
@@ -522,15 +509,12 @@ def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
     cols, mirs = cols.T, mirs.T
     psi_frames = _continue_frames(psi, mirs, cfg)
     phi_frames = _continue_frames(phi, cols, cfg)
+    ctrl = _cubics(cols, *_cell_rule(grid.n_s))
     points = _singular_points(phi, psi, cols[:, -1])
-    if not points:
-        return cols, phi_frames, psi_frames, None, None
-    stencils, _, _, bezier, _, _ = _cell_rule(grid.n_s, cfg.n_q)
-    ctrl = _cubics(cols, stencils, bezier)
-    unproven = _check_cells([b for b, _, _ in points], ctrl)
+    bs = [b for b, _, _ in points]
     sub = None
-    if unproven.any():
-        sub, first, owner, sweeps = _split_cells([b for b, _, _ in points], ctrl, unproven)
+    if bs and (unproven := _check_cells(bs, ctrl)).any():
+        sub, first, owner, sweeps = _split_cells(bs, ctrl, unproven)
         at = sub.col[first], sub.cell[first]
     for k, (b, a, mirrored) in enumerate(points):
         sweep = np.angle((ctrl[..., 3] - b) / (ctrl[..., 0] - b))
@@ -557,36 +541,24 @@ def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
     return cols, phi_frames, psi_frames, ctrl, sub
 
 
-def _integrand(cols: np.ndarray, phi_frames: _Frames, psi_frames: _Frames, rule) -> np.ndarray:
-    """phi * psi * (w dZ) at the Gauss nodes of every cell of the columns,
-    (J, n_s, n_q), for a rule of `_cell_rule`.  It is built in place, in
-    that order, so that few (J, n_s, n_q) arrays are alive at once."""
-    stencils, val, wder, _, anchor_phi, anchor_psi = rule
-    Z = _cubics(cols, stencils, val)
-    psi_vals = _frames_eval(psi_frames, cols[:, -1, None, None] - Z,
-                            _anchored(psi_frames, anchor_psi))
-    integrand = _frames_eval(phi_frames, Z, _anchored(phi_frames, anchor_phi))
+def _integrand(cells: _SubCells, gj: np.ndarray, phi_frames: _Frames, psi_frames: _Frames,
+               n_q: int) -> np.ndarray:
+    """phi * psi * (w dZ) at the Gauss-Legendre nodes of order n_q on each
+    cubic of `cells`, from its Bezier control points, and a log factor's
+    value from the base at its first point: of shape cells.col.shape +
+    (n_q,), for whole cells (J, n_s) with one BLAS product per column
+    (`_products`), and for pieces (pieces,).  gj is gamma(t_j) at the
+    columns.  It is built in place, in that order, so that few node arrays
+    are alive at once."""
+    vals, wders = _bernstein_rule(n_q)
+    nodes = (lambda base: None if base is None else (base[0][..., None], base[1][..., None]))
+    Z = _products(cells.ctrl, vals)
+    psi_vals = _frames_eval(psi_frames, gj[cells.col][..., None] - Z, nodes(cells.psi_base))
+    integrand = _frames_eval(phi_frames, Z, nodes(cells.phi_base))
     del Z
     integrand *= psi_vals
     del psi_vals
-    integrand *= _cubics(cols, stencils, wder)
-    return integrand
-
-
-def _sub_integrand(sub: _SubCells, phi_frames: _Frames, psi_frames: _Frames,
-                   gj: np.ndarray, rule) -> np.ndarray:
-    """phi * psi * (w dZ) at the Gauss nodes of each piece, (pieces, k), for
-    the Bernstein rule (vals, wders) of `_bernstein_rule`."""
-    vals, wders = rule
-    Z = sub.ctrl @ vals
-    g = gj[sub.col, None]
-    psi_base = None if sub.psi_base is None else (sub.psi_base[0][:, None],
-                                                  sub.psi_base[1][:, None])
-    phi_base = None if sub.phi_base is None else (sub.phi_base[0][:, None],
-                                                  sub.phi_base[1][:, None])
-    integrand = _frames_eval(phi_frames, Z, phi_base)
-    integrand *= _frames_eval(psi_frames, g - Z, psi_base)
-    integrand *= sub.ctrl @ wders
+    integrand *= _products(cells.ctrl, wders)
     return integrand
 
 
@@ -597,12 +569,11 @@ def _refine(sub: _SubCells, phi_frames: _Frames, psi_frames: _Frames, gj: np.nda
     down to depth SPLIT_DEPTH.  Returns the kept pieces' columns, depths,
     values Q and estimates: empty arrays for no pieces, at which a series
     factor could not be evaluated."""
-    rule = _bernstein_rule(n_q, n_q // 2)
     kept = [(sub.col[:0], sub.depth[:0], np.zeros(0, dtype=complex), np.zeros(0))]
     while len(sub.col):
-        integrand = _sub_integrand(sub, phi_frames, psi_frames, gj, rule)
-        q = integrand[:, :n_q].sum(axis=1)
-        err = np.abs(q - integrand[:, n_q:].sum(axis=1))
+        q, coarse = (_integrand(sub, gj, phi_frames, psi_frames, order).sum(axis=1)
+                     for order in (n_q, n_q // 2))
+        err = np.abs(q - coarse)
         ok = (err <= budget[sub.col]) | (sub.depth >= SPLIT_DEPTH)
         kept.append((sub.col[ok], sub.depth[ok], q[ok], err[ok]))
         sub = _halve(sub.take(~ok), phi_frames, psi_frames, gj)
@@ -615,32 +586,35 @@ def _integrate(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
     block, and with estimate also each column's error estimate, the number
     of its cells split and the deepest split (else None for each).
 
-    Each cell is integrated by Gauss-Legendre of order n_q on its cubic.
-    A cell split to be proven (`_column_frames`) contributes the sum over
-    its pieces instead, each integrated by the same rule on the same cubic,
-    in the piece's own coordinate; the other cells keep their bits, and so
-    does every column without a split cell.  With estimate, a cell's
-    estimate is |Q - Q'|, where Q' is the rule of order n_q // 2 on the same
-    cell.  A cell (or piece) whose estimate exceeds CELL_BUDGET times the sum
-    of |Q| over its column's cells is halved, and so are its halves, down to
-    depth SPLIT_DEPTH.  A column's estimate is the sum of the estimates of
-    its cells, or of the pieces they were split into."""
+    Each cell is integrated by Gauss-Legendre of order n_q on its cubic,
+    from its Bezier control points (`_integrand`), a log factor taking its
+    branch at the cell's first sample (proven by `_check_cells`).  A cell
+    split to be proven (`_column_frames`) contributes the sum over its
+    pieces instead, each integrated by the same function on the same cubic,
+    in the piece's own coordinate, from its first point; the other cells
+    keep their bits, and so does every column without a split cell.  With
+    estimate, a cell's estimate is |Q - Q'|, where Q' is the same
+    function's value at order n_q // 2 on the same cell.  A cell (or piece)
+    whose estimate exceeds CELL_BUDGET times the sum of |Q| over its
+    column's cells is halved, and so are its halves, down to depth
+    SPLIT_DEPTH.  A column's estimate is the sum of the estimates of its
+    cells, or of the pieces they were split into."""
     cols, phi_frames, psi_frames, ctrl, sub = _column_frames(phi, psi, grid, js, cfg)
     gj = cols[:, -1]
-    integrand = _integrand(cols, phi_frames, psi_frames, _cell_rule(grid.n_s, cfg.n_q))
+    whole = _whole_cells(ctrl, phi_frames, psi_frames)
+    integrand = _integrand(whole, gj, phi_frames, psi_frames, cfg.n_q)
     split = np.zeros(integrand.shape[:2], dtype=bool)
     if sub is not None:
         split[sub.col, sub.cell] = True
     errors = n_split = depth = None
     if estimate:
         cells = integrand.sum(axis=2)
-        coarse = _integrand(cols, phi_frames, psi_frames, _cell_rule(grid.n_s, cfg.n_q // 2))
+        coarse = _integrand(whole, gj, phi_frames, psi_frames, cfg.n_q // 2)
         cell_errors = np.where(split, 0.0, np.abs(cells - coarse.sum(axis=2)))
         budget = CELL_BUDGET * np.where(split, 0.0, np.abs(cells)).sum(axis=1)
         over = cell_errors > budget[:, None]
         cell_errors[over] = 0.0
-        pieces = _halve(_whole_cells(over, cols, ctrl, _cell_rule(grid.n_s, cfg.n_q),
-                                     phi_frames, psi_frames), phi_frames, psi_frames, gj)
+        pieces = _halve(whole.take(over), phi_frames, psi_frames, gj)
         if sub is not None:
             pieces = pieces.join(sub)
         col, piece_depth, q, piece_errors = _refine(pieces, phi_frames, psi_frames, gj,
@@ -651,7 +625,7 @@ def _integrate(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
         n_split, depth = int(np.count_nonzero(split)), int(np.max(piece_depth, initial=0))
     elif sub is not None:
         col = sub.col
-        q = _sub_integrand(sub, phi_frames, psi_frames, gj, _bernstein_rule(cfg.n_q)).sum(axis=1)
+        q = _integrand(sub, gj, phi_frames, psi_frames, cfg.n_q).sum(axis=1)
     integrand[split] = 0.0
     values = integrand.reshape(len(js), -1).sum(axis=1)
     if split.any():

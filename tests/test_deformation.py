@@ -441,11 +441,33 @@ def test_deform_preconditions():
 
 
 @pytest.mark.parametrize("kw", [{"eps_den": math.nan}, {"eps_den": math.inf},
-                                {"delta_len": math.nan}, {"delta_len": math.inf}])
+                                {"delta_len": math.nan}, {"delta_len": math.inf},
+                                {"delta_len": 0.0}, {"delta_len": -1.0}])
 def test_deform_rejects_non_finite_guards(kw):
     gamma, s = straight_config()
     with pytest.raises(PreconditionError):
         deform(gamma, s, s, 2.0, n_s=16, n_t=64, **kw)
+
+
+@pytest.mark.parametrize("delta_len", [math.nan, math.inf, 0.0, -1.0])
+def test_validate_rejects_a_length_budget_deform_rejects(delta_len):
+    # the same check as deform's, not a failing report
+    gamma, s = straight_config()
+    grid = deform(gamma, s, s, 2.0, n_s=16, n_t=64)
+    with pytest.raises(PreconditionError, match="length budget"):
+        validate(grid, delta_len=delta_len)
+    assert validate(grid, delta_len=1e-3).length_ok
+
+
+@pytest.mark.parametrize("kw", [{"n_s": 16.5}, {"n_s": np.float64(16)}, {"n_t": 16.0},
+                                {"n_t": True}, {"n_s": "16"}])
+def test_deform_rejects_a_grid_size_that_is_not_an_integer(kw):
+    # as ConvolveConfig does; numpy integers are integers
+    gamma, s = straight_config()
+    sizes = {"n_s": 16, "n_t": 64, **kw}
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        deform(gamma, s, s, 2.0, **sizes)
+    assert deform(gamma, s, s, 2.0, n_s=np.int64(16), n_t=np.int32(16)).H.shape == (17, 17)
 
 
 def test_deform_guard_trips_near_fine_sum_point():
@@ -474,8 +496,13 @@ def test_deform_length_tolerance_violation():
     a = FilteredSet(0, [(0.26j, 0.3)], 3.0)
     b = FilteredSet(0, [(2.0, 2.0)], 3.0)
     gamma = Path([0.2 + 0.2j, 0.8 + 0.2j])
-    with pytest.raises(ToleranceError):
+    with pytest.raises(ToleranceError) as info:
         deform(gamma, a, b, 1.5, n_s=16, n_t=32, delta_len=1e-18)
+    # the residual the identity measured, against the budget it broke
+    exc = info.value
+    assert exc.stage == "length identity" and exc.bound == 1e-18 < exc.value
+    grid = deform(gamma, a, b, 1.5, n_s=16, n_t=32)
+    assert exc.value == grid.length_residual
 
 
 def test_length_residual_bits_equal_whole_grid_formula():

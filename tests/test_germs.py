@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from borelconv import (
     ContinuationTrace,
@@ -21,6 +22,7 @@ from borelconv import (
     eval_local,
     singularity_probe,
 )
+from borelconv.filtered_set import POINT_TOL
 from borelconv.germs import CELL_REFUSE, TOL_MONO
 from conftest import (CURVED_GAMMA, _continued_log, circle_oracle_error, log_probe_oracles,
                       pole_pole_oracle)
@@ -132,8 +134,12 @@ def test_continue_pole_rejects_path_through_parameter():
 
 def test_continue_series_refuses_outside_assured_disc():
     s = FilteredSet(0, [(1, 1.0)], 10.0)
-    with pytest.raises(ToleranceError):
+    with pytest.raises(ToleranceError) as info:
         continue_along(Germ.series([1.0] * 64, 1.0), Path([0, 0.5j, 1.4 + 0.5j]), s)
+    # the largest |z| met, the path's end, against the assured radius
+    exc = info.value
+    assert exc.stage == "series disc" and exc.bound == 1.0
+    assert exc.value == pytest.approx(abs(1.4 + 0.5j), rel=1e-15)
 
 
 def test_series_with_zero_tail_refuses_outside_assured_disc():
@@ -151,10 +157,15 @@ def test_series_with_zero_tail_refuses_outside_assured_disc():
 
 
 def test_convolve_series_refuses_large_tail():
+    from borelconv.germs import TOL_TAIL
+
     a, b = pole_pair_sets()
-    with pytest.raises(ToleranceError, match="tail estimate"):
+    with pytest.raises(ToleranceError, match="tail estimate") as info:
         convolve_along(Germ.series([1.0] * 8, 1.0), Germ.pole(2), Path([0.25, 0.5]), a, b,
                        ConvolveConfig(n_s=16, n_t=16, n_q=6))
+    # the largest tail estimate relative to max(1, |value|), against TOL_TAIL
+    exc = info.value
+    assert exc.stage == "series tail" and exc.bound == TOL_TAIL < exc.value < 1.0
 
 
 def test_series_tail_precheck_agrees_with_per_point_check():
@@ -393,19 +404,27 @@ def test_convolve_at_blocks_keep_the_bits_of_one_column_at_the_probe_shape(kind)
         assert np.concatenate(blocks).tobytes() == single.tobytes(), size
 
 
-def unblocked_pole_column(a, b, grid, j, n_q):
-    """The one-column quadrature of a pole pair, written out: each cell's
-    cubic through its four stencil samples (centred on the cell, shifted at
-    the two end cells), Gauss nodes and weights, anchors unused by closed
-    forms."""
-    from borelconv.cells import _lagrange_basis
+def lagrange_basis(offsets, xs):
+    """Values and derivatives of the Lagrange basis on `offsets` at `xs`."""
+    vals, ders = np.empty((2, len(offsets), len(xs)))
+    for m, om in enumerate(offsets):
+        num = [o for o in offsets if o != om]
+        poly = np.polynomial.Polynomial.fromroots(num) / np.prod([om - o for o in num])
+        vals[m], ders[m] = poly(xs), poly.deriv()(xs)
+    return vals, ders
 
+
+def unblocked_pole_column(a, b, grid, j, n_q):
+    """The one-column quadrature of a pole pair, written out in the
+    stencil-Lagrange form: each cell's cubic through its four stencil
+    samples (centred on the cell, shifted at the two end cells) by its
+    Lagrange basis at the Gauss nodes, with the Gauss weights."""
     n_s = grid.n_s
     col = grid.H[:, j]
     x, w = np.polynomial.legendre.leggauss(n_q)
     xi, w, h = 0.5 * (x + 1.0), 0.5 * w, 1.0 / n_s
     lo = np.clip(np.arange(n_s) - 1, 0, n_s - 3)
-    bval, bder = map(np.array, zip(*(_lagrange_basis([k - (c - l) for k in range(4)], xi)
+    bval, bder = map(np.array, zip(*(lagrange_basis([k - (c - l) for k in range(4)], xi)
                                      for c, l in enumerate(lo))))
     samples = col[lo[:, None] + np.arange(4)]
     Z = np.einsum("cm,cmg->cg", samples, bval)
@@ -414,13 +433,17 @@ def unblocked_pole_column(a, b, grid, j, n_q):
 
 
 def test_convolve_at_block_matches_unblocked_column_formula():
-    # the kernel sums the cubics by BLAS, in an order of its own: the two
-    # agree to rounding, not bit for bit
-    grid = block_grid()
-    js = np.arange(grid.n_t + 1)
-    got = convolve_at(Germ.pole(1), Germ.pole(2), grid, js, cfg=ConvolveConfig(n_q=6))
-    want = np.array([unblocked_pole_column(1.0, 2.0, grid, j, 6) for j in js])
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # the kernel integrates each cell from its Bezier control points, by
+    # BLAS sums in an order of its own; the stencil-Lagrange form of the
+    # same cubics agrees to rounding, not bit for bit, end cells included,
+    # on 16 cells at order 6 and at the probe's shape, 64 cells at order 16
+    a, b = pole_pair_sets()
+    for n_s, n_q in ((16, 6), (64, 16)):
+        grid = deform(Path([0.25, 0.4 + 0.1j, 0.5]), a, b, 2.5, n_s=n_s, n_t=16)
+        js = np.arange(grid.n_t + 1)
+        got = convolve_at(Germ.pole(1), Germ.pole(2), grid, js, cfg=ConvolveConfig(n_q=n_q))
+        want = np.array([unblocked_pole_column(1.0, 2.0, grid, j, n_q) for j in js])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n_s
 
 
 def test_convolve_at_integrates_at_the_order_of_its_config():
@@ -928,6 +951,35 @@ def test_probe_with_a_series_factor_integrates_the_route_once(monkeypatch, candi
         assert rep.trace.values.tobytes() == full.values[-n:].tobytes()
 
 
+# -- the containment theorem ---------------------------------------------------------
+
+
+def polar(modulus, argument):
+    """A complex number from a strategy of moduli and one of arguments."""
+    return st.builds(lambda r, t: r * cmath.exp(1j * t), modulus, argument)
+
+
+ANY_ARGUMENT = st.floats(0.0, 2 * math.pi)
+FACTOR = polar(st.floats(0.8, 2.0), ANY_ARGUMENT)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(a=FACTOR, b=FACTOR, candidate=polar(st.floats(0.8, 4.0), ANY_ARGUMENT),
+       kinds=st.tuples(*[st.sampled_from(["pole", "log_pole"])] * 2))
+def test_probe_finds_the_convolution_regular_off_the_fine_sum(a, b, candidate, kinds):
+    # the paper's main result: phi * psi continues along every path that
+    # avoids the fine sum of A = {a} and B = {b}, so a point off {0, a, b,
+    # a + b} is regular.  |candidate| >= 0.8 keeps the probe's default seed,
+    # a quarter of min(|a|, |b|) toward it, outside its circle of radius 0.2
+    assume(min(abs(candidate - p) for p in (0.0, a, b, a + b)) >= 0.6)
+    set_a, set_b = FilteredSet(0, [(a, abs(a))], 8.0), FilteredSet(0, [(b, abs(b))], 8.0)
+    phi, psi = getattr(Germ, kinds[0])(a), getattr(Germ, kinds[1])(b)
+    rep = singularity_probe(phi, psi, set_a, set_b, candidate, 0.2)
+    assert rep.classification == "regular", (rep.defect_rel, rep.ring_rel)
+    if kinds == ("pole", "pole"):
+        assert circle_oracle_error(rep, a, b) <= 1e-11
+
+
 # -- branch conditions of log germs ---------------------------------------------------
 
 
@@ -948,12 +1000,18 @@ def test_log_column_through_the_branch_point_is_refused():
                      (Germ.pole(2), Germ.log_pole(col[-1] - col[3]))):
         with pytest.raises(PreconditionError, match="log parameter"):
             convolve_at(phi, psi, grid, 0, cfg=cfg)
-    # between samples: the chord passes through it
+    # between samples: the chord passes through it, or 1e-12 from it
     mid = 0.5 * (col[3] + col[4])
-    for phi, psi in ((Germ.log_pole(mid), Germ.pole(2)),
-                     (Germ.pole(2), Germ.log_pole(col[-1] - mid))):
-        with pytest.raises(ToleranceError, match="chord"):
-            convolve_at(phi, psi, grid, 0, cfg=cfg)
+    normal = 1j * (col[4] - col[3]) / abs(col[4] - col[3])
+    for offset in (0.0, 1e-12):
+        w = mid + offset * normal
+        for phi, psi in ((Germ.log_pole(w), Germ.pole(2)),
+                         (Germ.pole(2), Germ.log_pole(col[-1] - w))):
+            with pytest.raises(ToleranceError, match="chord") as info:
+                convolve_at(phi, psi, grid, 0, cfg=cfg)
+            exc = info.value
+            assert exc.stage == "log chord" and exc.bound == POINT_TOL
+            assert exc.value == pytest.approx(offset, abs=1e-15)
     # and well clear of it, the column integrates
     assert np.isfinite(convolve_at(Germ.log_pole(mid + 0.05j), Germ.pole(2), grid, 0, cfg=cfg))
 
@@ -1051,14 +1109,14 @@ def test_cubic_bending_around_a_pole_is_split_and_proven_or_refused():
 @pytest.mark.parametrize("seed", range(3))
 def test_log_values_on_proven_cells_follow_the_continued_log_along_the_cubics(seed):
     # random curved columns and branch points near them: wherever the cells
-    # pass, the quadrature nodes' values are the log continued along the
-    # cubics, tracked on a dense polyline (no code shared with the check)
-    from borelconv.cells import _cell_rule, _check_cells, _cubics
-    from borelconv.germs import _anchored, _continue_frames, _frames_eval, _singular_points
+    # pass, the quadrature nodes' values, each taking its branch at its
+    # cell's first sample, are the log continued along the cubics, tracked
+    # on a dense polyline (no code shared with the check)
+    from borelconv.cells import _bernstein_rule, _cell_rule, _check_cells, _cubics, _products
+    from borelconv.germs import _continue_frames, _frames_eval, _singular_points
 
     rng = np.random.default_rng(seed)
     n_s = 8
-    stencils, val, _, bezier, anchor_phi, anchor_psi = _cell_rule(n_s, 8)
     s = np.linspace(0.0, 1.0, n_s + 1)
     passed = refused = off_principal = 0
     for trial in itertools.count():
@@ -1093,16 +1151,20 @@ def test_log_values_on_proven_cells_follow_the_continued_log_along_the_cubics(se
             refused += 1
             continue
         points = [b for b, _, _ in _singular_points(phi, psi, cols[:, -1])]
-        if _check_cells(points, _cubics(cols, stencils, bezier)).any():
+        ctrl = _cubics(cols, *_cell_rule(n_s))
+        if _check_cells(points, ctrl).any():
             refused += 1
             continue
         dense, nodes = dense_cubics(col, 400)
         if np.min(np.abs(dense - zeta)) < 0.02 * cell:
             continue  # the polyline's steps would be too long to track the log
         passed += 1
-        Z = _cubics(cols, stencils, val)
-        got_phi = _frames_eval(phi_frames, Z, _anchored(phi_frames, anchor_phi)).ravel()
-        got_psi = _frames_eval(psi_frames, col[-1] - Z, _anchored(psi_frames, anchor_psi)).ravel()
+        Z = _products(ctrl, _bernstein_rule(8)[0])
+        # cell c starts at sample c of the column and at sample n_s - c of
+        # its mirror, which psi travels from the top row down
+        first = (lambda f, at: (f.values[:, at, None], f.u[:, at, None]))
+        got_phi = _frames_eval(phi_frames, Z, first(phi_frames, np.s_[:-1])).ravel()
+        got_psi = _frames_eval(psi_frames, col[-1] - Z, first(psi_frames, np.s_[:0:-1])).ravel()
         want_phi = _continued_log(1.0 - dense / zeta)[nodes]
         # psi travels the mirror: from gamma's end back to the centre
         mirrored = (col[-1] - dense)[::-1]

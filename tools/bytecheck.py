@@ -19,6 +19,8 @@ Writes, one file per output, into OUTDIR:
   classification, and the loop grid's min_chi, richardson_error and a
   SHA-256 of its H; the default grid's n_s x n_t x n_q, as the probes report
   it, goes into `probe_default_grid.txt`;
+* the same for exp, as a series of 40 terms with radius 8, against
+  pole(2) on the default grid at candidates 1.5 and 2.0;
 * the fifteen log-type probes (pole*log, log*pole and log*log of the pole
   pair's parameters, the five candidates, radius 0.2) on the default grid,
   one file each: the error class raised, or "ok" with the classification,
@@ -138,14 +140,19 @@ def _estimate_lines(rep) -> list[str]:
 
 
 def _probes(bc, dump: Dump) -> None:
-    a = bc.FilteredSet(0, *SETS["a"])
-    b = bc.FilteredSet(0, *SETS["b"])
+    F, G = bc.FilteredSet, bc.Germ
+    pole_pair = (G.pole(1), G.pole(2), F(0, *SETS["a"]), F(0, *SETS["b"]))
     small = bc.ConvolveConfig(n_s=64, n_t=256, n_q=8)
-    runs = [(f"probe_{c}", c, 0.2, small) for c in CANDIDATES]
+    runs = [(f"probe_{c}", pole_pair, c, 0.2, small) for c in CANDIDATES]
     # singularity_probe's default grid
-    runs += [("probe_default_3.0", 3.0, 0.2, None), ("probe_default_2.0_r0.1", 2.0, 0.1, None)]
-    for name, c, radius, cfg in runs:
-        rep = bc.singularity_probe(bc.Germ.pole(1), bc.Germ.pole(2), a, b, c, radius, cfg=cfg)
+    runs += [("probe_default_3.0", pole_pair, 3.0, 0.2, None),
+             ("probe_default_2.0_r0.1", pole_pair, 2.0, 0.1, None)]
+    # exp as a series factor, whose probe integrates the route's columns too
+    exp_pole = (G.series([1.0 / math.factorial(k) for k in range(40)], 8.0), G.pole(2),
+                F(0, [], 8.0), F(0, [(2, 2.0)], 8.0))
+    runs += [(f"probe_series_{c}", exp_pole, c, 0.2, None) for c in (1.5, 2.0)]
+    for name, (phi, psi, a, b), c, radius, cfg in runs:
+        rep = bc.singularity_probe(phi, psi, a, b, c, radius, cfg=cfg)
         # the circle runs from the loop's 17th-last vertex to its end
         t_start = rep.loop.vertex_fractions()[-CIRCLE_SIDES - 1]
         k = int(np.argmin(np.abs(rep.trace.ts - t_start)))
