@@ -3,7 +3,8 @@
 Germ backends: closed forms (polynomials, simple poles 1/(a - z),
 logarithms log(1 - z/a) with branch tracking) give exact reference values;
 truncated power series are evaluated directly inside their assured disc,
-with the Taylor tail estimate checked at every evaluation point.
+with the Taylor tail estimate checked at every sample and, before any
+quadrature node is evaluated, over the hull of every cell's control points.
 
 The convolution of two germs at a point gamma(t) is the contour integral
 of phi(h) * psi(gamma(t) - h) over a deformed contour h = H_t(s) produced
@@ -205,53 +206,45 @@ class ContinuationTrace:
 
 # -- internal frames: per-sample local data for one continuation -----------
 
-def _log_tail_coeff(coeffs: np.ndarray, r0: float) -> float:
-    """log of the Cauchy-style tail scale max |c_k| r0^k over the top
-    coefficients; -inf for a plain polynomial tail of zeros."""
-    n = len(coeffs) - 1
-    mag = np.abs(np.asarray(coeffs))
-    tail = mag[max(0, n - 7):]
-    if not np.any(tail > 0.0):
-        return -math.inf
-    ks = np.arange(max(0, n - 7), n + 1)[tail > 0.0]
-    return float(np.max(np.log(tail[tail > 0.0]) + ks * math.log(r0)))
-
-
-def _log_tail(log_m0: float, deg: int, q):
-    """log of the truncation tail estimate M0 q^(deg+1) / (1 - q) at
-    q = |z| / radius < 1 (a scalar or an array); it grows with q."""
-    with np.errstate(divide="ignore"):
-        return log_m0 + (deg + 1) * np.log(q) - np.log(1.0 - q)
-
-
-def _series_values(germ: Germ, deg: int, z: np.ndarray) -> np.ndarray:
-    """A series germ truncated to degree deg, evaluated at the points z.
-
-    The truncated series at the centre is the continuation along every path
-    inside the assured disc, so it is evaluated directly (Horner, in place).
-    Beyond the disc a truncated series carries no information and the
-    evaluation refuses; inside it, the error against the underlying function
-    is the Taylor tail, which must stay within TOL_TAIL * max(1, |value|) at
-    every point.
-    """
-    c = np.asarray(germ.coeffs[: deg + 1], dtype=complex)
-    r_max = float(np.max(np.abs(z)))
-    q_max = r_max / germ.radius
-    if q_max >= 1.0:
+def _series_tail(germ: Germ, deg: int, r):
+    """log of the Taylor tail estimate M0 q^(deg+1) / (1 - q) of a series
+    germ truncated to degree deg, at q = r / radius for the moduli r (a
+    scalar or an array); it grows with q.  M0 is the Cauchy-style scale
+    max |c_k| radius^k over the top eight coefficients (0 for a tail of
+    zeros).  A modulus outside the assured disc is refused: there a
+    truncated series carries no information."""
+    r_max = float(np.max(r))
+    if r_max / germ.radius >= 1.0:
         raise ToleranceError(
             f"series continuation left the assured disc (|z| = {r_max:.6g}, "
             f"radius {germ.radius:.6g}); a truncated series carries no "
             "information beyond its disc of convergence",
             stage="series disc", value=r_max, bound=germ.radius)
-    v = np.full(z.shape, c[-1])
-    for ck in c[-2::-1]:
-        v *= z
-        v += ck
-    log_m0 = _log_tail_coeff(c, germ.radius)
-    # the estimate grows with q and the budget is at least log TOL_TAIL, so
-    # the largest q passing means every point passes
-    if _log_tail(log_m0, deg, q_max) > math.log(TOL_TAIL):
-        excess = float(np.max(_log_tail(log_m0, deg, np.abs(z) / germ.radius) - np.log(
+    top = np.arange(max(0, deg - 7), deg + 1)
+    mag = np.abs(np.asarray(germ.coeffs)[top])
+    log_m0 = float(np.max(np.log(mag[mag > 0.0]) + top[mag > 0.0] * math.log(germ.radius),
+                          initial=-math.inf))
+    q = r / germ.radius
+    with np.errstate(divide="ignore"):
+        return log_m0 + (deg + 1) * np.log(q) - np.log(1.0 - q)
+
+
+def _series_values(germ: Germ, deg: int, z: np.ndarray) -> np.ndarray:
+    """A series germ truncated to degree deg, evaluated at the samples z.
+
+    The truncated series at the centre is the continuation along every path
+    inside the assured disc, so it is evaluated directly.  Beyond the disc
+    the evaluation refuses; inside it, the error against the underlying
+    function is the Taylor tail, which must stay within TOL_TAIL *
+    max(1, |value|) at every sample (quadrature nodes: `_prove_series`).
+    """
+    r = np.abs(z)
+    # the estimate grows with |z| and the budget is at least log TOL_TAIL,
+    # so the largest |z| passing means every point passes
+    passed = _series_tail(germ, deg, np.max(r)) <= math.log(TOL_TAIL)
+    v = _frames_eval(_Frames(germ, None, deg=deg), z)
+    if not passed:
+        excess = float(np.max(_series_tail(germ, deg, r) - np.log(
             TOL_TAIL * np.maximum(1.0, np.abs(v)))))
         if excess > 0.0:
             # the value is the largest tail estimate relative to max(1, |value|)
@@ -260,6 +253,19 @@ def _series_values(germ: Germ, deg: int, z: np.ndarray) -> np.ndarray:
                 "or keep the path deeper inside the disc",
                 stage="series tail", value=TOL_TAIL * math.exp(excess), bound=TOL_TAIL)
     return v
+
+
+def _prove_series(frames: "_Frames", z: np.ndarray) -> None:
+    """Refuse a series factor unless the convex hull of its arguments z at
+    every cell's control points lies in its disc with a tail estimate
+    within TOL_TAIL.  Every quadrature node, of a cell or of a de Casteljau
+    piece of it, lies in its cell's hull; |z| is convex, so its largest
+    value on a hull is at a control point; and the estimate grows with |z|.
+    So one test at the largest |z| covers every node."""
+    log_tail = float(_series_tail(frames.germ, frames.deg, np.max(np.abs(z))))
+    if log_tail > math.log(TOL_TAIL):
+        raise ToleranceError("series tail estimate above tolerance on a cell's hull",
+                             stage="series tail", value=math.exp(log_tail), bound=TOL_TAIL)
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
@@ -320,11 +326,11 @@ def _continue_frames(germ: Germ, pts: np.ndarray, cfg: ConvolveConfig) -> _Frame
 
 
 def _frames_eval(frames: _Frames, z: np.ndarray, base=None) -> np.ndarray:
-    """Evaluate the continued germ at points z.  A log germ takes its
-    branch from base = (values, u): its continued value and 1 - w/a at a
-    base point w of each point of z (broadcast against z), which is right
-    when the caller has proven that the segment from each base point to its
-    point avoids the branch point (`_check_cells`); other germs ignore it."""
+    """Evaluate the continued germ at points z proven by the caller
+    (`_column_frames`).  A log germ takes its branch from base = (values,
+    u): its continued value and 1 - w/a at a base point w of each point of
+    z (broadcast against z), which is right when the segment from each base
+    point to its point avoids the branch point; other germs ignore it."""
     g = frames.germ
     if g.kind == "poly":
         return np.polynomial.polynomial.polyval(z, np.asarray(g.coeffs))
@@ -332,9 +338,12 @@ def _frames_eval(frames: _Frames, z: np.ndarray, base=None) -> np.ndarray:
         return 1.0 / (g.a - z)
     if g.kind == "log_pole":
         return base[0] + np.log((1.0 - z / g.a) / base[1])
-    if g.kind == "series":
-        return _series_values(g, frames.deg, z)
-    raise PreconditionError(f"unknown germ kind {g.kind!r}")
+    c = np.asarray(g.coeffs[: frames.deg + 1], dtype=complex)  # series: Horner, in place
+    v = np.full(z.shape, c[-1])
+    for ck in c[-2::-1]:
+        v *= z
+        v += ck
+    return v
 
 
 # -- public continuation ----------------------------------------------------
@@ -475,18 +484,20 @@ def _chain_base(frames: _Frames, sub: _SubCells, sample: np.ndarray, w: np.ndarr
     if frames.u is None:
         return None
     u0, u1 = 1.0 - w[:, 0] / frames.germ.a, 1.0 - w[:, 3] / frames.germ.a
-    step = np.log(u1 / u0)
-    run = np.cumsum(step) - step
-    run -= run[first][owner]
-    return frames.values[sub.col, sample][first][owner] + run, u0
+    # one running sum per split cell, so that its bits do not depend on the block
+    pos = np.arange(len(owner)) - first[owner]
+    steps = np.zeros((len(first), int(np.max(pos)) + 1), complex)
+    steps[owner, pos] = np.log(u1 / u0)
+    return frames.values[sub.col, sample][first][owner] + _prefix_sums(steps)[owner, pos], u0
 
 
 def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
                    cfg: ConvolveConfig):
     """Columns js of the grid (one per row), with the frames of phi along
-    them and of psi along their mirrors, after every check their samples
-    decide: each set against its column or mirror column, each germ
-    continued along it, and the cubic cells against the germs' singular
+    them and of psi along their mirrors, after every check that proves the
+    quadrature nodes: each set against its column or mirror column, each
+    germ continued along it, a series factor over every cell's hull
+    (`_prove_series`), and the cubic cells against the germs' singular
     points.  The last two items are the cells' Bezier control points, the
     one form of a cell the quadrature integrates (`_cubics`), and the
     pieces of the cells that had to be split to be proven (`_split_cells`),
@@ -510,6 +521,10 @@ def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
     psi_frames = _continue_frames(psi, mirs, cfg)
     phi_frames = _continue_frames(phi, cols, cfg)
     ctrl = _cubics(cols, *_cell_rule(grid.n_s))
+    if phi.kind == "series":
+        _prove_series(phi_frames, ctrl)
+    if psi.kind == "series":
+        _prove_series(psi_frames, cols[:, -1, None, None] - ctrl)
     points = _singular_points(phi, psi, cols[:, -1])
     bs = [b for b, _, _ in points]
     sub = None
@@ -566,9 +581,9 @@ def _refine(sub: _SubCells, phi_frames: _Frames, psi_frames: _Frames, gj: np.nda
             budget: np.ndarray, n_q: int):
     """Integrate the pieces by Gauss-Legendre of orders n_q and n_q // 2,
     halving each piece whose estimate |Q - Q'| exceeds its column's budget,
-    down to depth SPLIT_DEPTH.  Returns the kept pieces' columns, depths,
-    values Q and estimates: empty arrays for no pieces, at which a series
-    factor could not be evaluated."""
+    down to depth SPLIT_DEPTH.  Every piece lies in its cell's proven hull
+    (`_column_frames`), so its nodes are only evaluated.  Returns the kept
+    pieces' columns, depths, values Q and estimates (empty for no pieces)."""
     kept = [(sub.col[:0], sub.depth[:0], np.zeros(0, dtype=complex), np.zeros(0))]
     while len(sub.col):
         q, coarse = (_integrand(sub, gj, phi_frames, psi_frames, order).sum(axis=1)
@@ -668,14 +683,6 @@ def _block_columns(grid: DeformationGrid, per_cell: int) -> int:
     return max(1, BLOCK_NODES // (grid.n_s * per_cell))
 
 
-def _convolve_columns(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
-                      cfg: ConvolveConfig) -> np.ndarray:
-    """convolve_at over the (non-empty) time indices js, a block at a time."""
-    block = _block_columns(grid, cfg.n_q)
-    return np.concatenate([convolve_at(phi, psi, grid, js[k:k + block], cfg=cfg)
-                           for k in range(0, len(js), block)])
-
-
 def _estimate_columns(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
                       cfg: ConvolveConfig):
     """`_integrate` with its error estimate over the (non-empty) time
@@ -717,7 +724,9 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
     cfg = cfg or ConvolveConfig()
     fine = set_a.fine_sum(set_b)
     grid = _grid(gamma, set_a, set_b, fine, cfg)
-    values = _convolve_columns(phi, psi, grid, np.arange(grid.n_t + 1), cfg)
+    block, js = _block_columns(grid, cfg.n_q), np.arange(grid.n_t + 1)
+    values = np.concatenate([convolve_at(phi, psi, grid, js[k:k + block], cfg=cfg)
+                             for k in range(0, len(js), block)])
     return _trace(gamma, grid, 0, values, fine)
 
 
@@ -809,10 +818,10 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     circle.  The report also carries an estimate of the values' quadrature
     error (`ProbeReport.cell_error_rel`).
 
-    Each loop column passes once the checks its samples decide
-    (`_column_frames`).  The circle's are integrated with the estimate, the
-    route's without: all with a series factor, whose tail is checked at the
-    quadrature nodes, else the last alone, by `convolve_at`, which perfbench counts.
+    Each loop column passes once the checks that prove its quadrature
+    nodes (`_column_frames`), for every germ kind.  The circle's columns are
+    integrated with the estimate; of the route's, only the last, by
+    `convolve_at`, which perfbench counts.
     """
     if cfg is None:
         # n_s and n_q decide the accuracy.  A loop drags a hairpin of the
@@ -836,8 +845,11 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     if abs(candidate) <= radius:
         raise PreconditionError("candidate too close to the centre to loop around")
     if seed is None:
-        rho = min(set_a.rho, set_b.rho)
-        seed = 0.25 * rho * candidate / abs(candidate)
+        # a quarter of min rho toward the candidate, else halfway to the circle
+        reach = 0.25 * min(set_a.rho, set_b.rho)
+        if abs(abs(candidate) - reach) <= radius:
+            reach = 0.5 * (abs(candidate) - radius)
+        seed = reach * candidate / abs(candidate)
     if abs(candidate - seed) <= radius:
         raise PreconditionError("seed lies inside the probe circle")
     fine = set_a.fine_sum(set_b)
@@ -856,13 +868,10 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     first = int(np.argmin(np.abs(grid.t_nodes - t_start)))
     if abs(grid.t_nodes[first] - t_start) > 1e-9:
         raise PreconditionError("circle start did not land on a time node")
-    if "series" in (phi.kind, psi.kind):
-        _convolve_columns(phi, psi, grid, np.arange(first), cfg)
-    else:
-        block = _block_columns(grid, 4)
-        for k in range(0, first - 1, block):
-            _column_frames(phi, psi, grid, np.arange(k, min(k + block, first - 1)), cfg)
-        convolve_at(phi, psi, grid, first - 1, cfg=cfg)
+    block = _block_columns(grid, 4)
+    for k in range(0, first - 1, block):
+        _column_frames(phi, psi, grid, np.arange(k, min(k + block, first - 1)), cfg)
+    convolve_at(phi, psi, grid, first - 1, cfg=cfg)
     vals, errors, cells_split, split_depth = _estimate_columns(
         phi, psi, grid, np.arange(first, grid.n_t + 1), cfg)
     trace = _trace(loop, grid, first, vals, fine)  # the circle only

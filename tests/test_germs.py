@@ -169,7 +169,7 @@ def test_convolve_series_refuses_large_tail():
 
 
 def test_series_tail_precheck_agrees_with_per_point_check():
-    from borelconv.germs import TOL_TAIL, _log_tail, _log_tail_coeff, _series_values
+    from borelconv.germs import TOL_TAIL, _series_tail, _series_values
 
     rng = np.random.default_rng(7)
     seen = set()
@@ -179,9 +179,8 @@ def test_series_tail_precheck_agrees_with_per_point_check():
         deg = min(n - 1, int(rng.integers(4, 70)))
         z = rng.uniform(0.0, rng.uniform(0.2, 0.95), 6) * np.exp(2j * math.pi * rng.uniform(size=6))
         v = np.polynomial.polynomial.polyval(z, np.ones(deg + 1))
-        log_m0 = _log_tail_coeff(np.ones(deg + 1), 1.0)
-        pre_pass = _log_tail(log_m0, deg, np.max(np.abs(z))) <= math.log(TOL_TAIL)
-        refuse = np.any(_log_tail(log_m0, deg, np.abs(z))
+        pre_pass = _series_tail(ser, deg, np.max(np.abs(z))) <= math.log(TOL_TAIL)
+        refuse = np.any(_series_tail(ser, deg, np.abs(z))
                         > np.log(TOL_TAIL * np.maximum(1.0, np.abs(v))))
         assert not (pre_pass and refuse)
         seen.add((bool(pre_pass), bool(refuse)))
@@ -878,17 +877,55 @@ def count_columns(monkeypatch, set_a):
     return seen
 
 
-def test_probe_checks_every_column_and_integrates_the_circle(monkeypatch):
+EXP_SERIES = Germ.series([1.0 / math.factorial(k) for k in range(40)], 8.0)
+
+
+@pytest.mark.parametrize("factors, candidate, cfg, want", [
+    ((Germ.pole(1), Germ.pole(2), *pole_pair_sets()), 3.0, PROBE_CFG, "singular-like"),
+    # exp as a series: its tail is proven over the cells' hulls, so its
+    # probe integrates no more of the route than a pole pair's does
+    ((EXP_SERIES, Germ.pole(2), FilteredSet(0, [], 8.0), FilteredSet(0, [(2, 2.0)], 8.0)),
+     1.5, None, "regular"),
+    ((EXP_SERIES, Germ.pole(2), FilteredSet(0, [], 8.0), FilteredSet(0, [(2, 2.0)], 8.0)),
+     2.0, None, "singular-like"),
+], ids=["pole-3.0", "series-1.5", "series-2.0"])
+def test_probe_checks_every_column_and_integrates_the_circle(monkeypatch, factors, candidate,
+                                                             cfg, want):
     # every loop column is checked once, and the circle's are integrated,
     # once each, with their error estimate; of the route's, only the last
     # is integrated (by convolve_at, the name perfbench counts)
-    a, b = pole_pair_sets()
+    phi, psi, a, b = factors
     seen = count_columns(monkeypatch, a)
-    rep = singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 3.0, 0.2, cfg=PROBE_CFG)
+    rep = singularity_probe(phi, psi, a, b, candidate, 0.2, cfg=cfg)
     n, columns = len(rep.trace.values), rep.trace.grid.n_t + 1
+    assert rep.classification == want
     assert seen["a"] == seen["b"] == columns
     assert seen["integrated"] == 1
     assert seen["estimated"] == n < columns - 1
+    if phi.kind == "series":
+        # no cell is split at 1.5; at 2.0 the estimate refines pieces
+        assert (rep.cells_split == 0) == (candidate == 1.5)
+    if rep.cells_split == 0:
+        # unsplit, the circle keeps the bits of the whole loop's trace
+        monkeypatch.undo()
+        cfg = dataclasses.replace(cfg or ConvolveConfig(n_s=64, n_t=64, n_q=16), level=rep.level)
+        full = convolve_along(phi, psi, rep.loop, a, b, cfg)
+        assert rep.trace.values.tobytes() == full.values[-n:].tobytes()
+
+
+def test_log_probe_circle_keeps_its_bits_in_any_block(monkeypatch):
+    # a split log cell's branch bases run within the cell, so a column's
+    # values and estimate do not depend on the columns sharing its block
+    from borelconv import germs
+
+    a, b = pole_pair_sets()
+    reports = []
+    for columns in (16, 5):
+        monkeypatch.setattr(germs, "BLOCK_NODES", 64 * 16 * columns)
+        reports.append(singularity_probe(Germ.log_pole(1), Germ.log_pole(2), a, b, 3.0, 0.2))
+    assert reports[0].cells_split > 0
+    assert reports[0].trace.values.tobytes() == reports[1].trace.values.tobytes()
+    assert reports[0].cell_error_rel == reports[1].cell_error_rel
 
 
 def test_probe_with_log_factor_checks_every_column_and_integrates_the_circle(monkeypatch):
@@ -928,29 +965,6 @@ def test_probe_refuses_route_column_through_pole_parameter(monkeypatch):
     assert seen["integrated"] == seen["estimated"] == 0
 
 
-@pytest.mark.parametrize("candidate, want", [(1.5, "regular"), (2.0, "singular-like")])
-def test_probe_with_a_series_factor_integrates_the_route_once(monkeypatch, candidate, want):
-    # a series tail is checked only at the quadrature nodes, so the route's
-    # columns are integrated without the estimate and the circle's with it.
-    # No cell is split at 1.5, nor in some of the circle's blocks at 2.0:
-    # the estimate then refines no piece.  phi is exp as a series.
-    phi = Germ.series([1.0 / math.factorial(k) for k in range(40)], 8.0)
-    psi, a, b = Germ.pole(2), FilteredSet(0, [], 8.0), FilteredSet(0, [(2, 2.0)], 8.0)
-    seen = count_columns(monkeypatch, a)
-    rep = singularity_probe(phi, psi, a, b, candidate, 0.2)
-    n, columns = len(rep.trace.values), rep.trace.grid.n_t + 1
-    assert rep.classification == want
-    assert seen["a"] == seen["b"] == columns
-    assert seen["integrated"] == columns - n and seen["estimated"] == n
-    assert (rep.cells_split == 0) == (candidate == 1.5)
-    if candidate == 1.5:
-        # unsplit, the circle keeps the bits of the whole loop's trace
-        monkeypatch.undo()
-        cfg = ConvolveConfig(n_s=64, n_t=64, n_q=16, level=rep.level)
-        full = convolve_along(phi, psi, rep.loop, a, b, cfg)
-        assert rep.trace.values.tobytes() == full.values[-n:].tobytes()
-
-
 # -- the containment theorem ---------------------------------------------------------
 
 
@@ -964,13 +978,12 @@ FACTOR = polar(st.floats(0.8, 2.0), ANY_ARGUMENT)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
-@given(a=FACTOR, b=FACTOR, candidate=polar(st.floats(0.8, 4.0), ANY_ARGUMENT),
+@given(a=FACTOR, b=FACTOR, candidate=polar(st.floats(0.6, 4.0), ANY_ARGUMENT),
        kinds=st.tuples(*[st.sampled_from(["pole", "log_pole"])] * 2))
 def test_probe_finds_the_convolution_regular_off_the_fine_sum(a, b, candidate, kinds):
     # the paper's main result: phi * psi continues along every path that
     # avoids the fine sum of A = {a} and B = {b}, so a point off {0, a, b,
-    # a + b} is regular.  |candidate| >= 0.8 keeps the probe's default seed,
-    # a quarter of min(|a|, |b|) toward it, outside its circle of radius 0.2
+    # a + b} is regular
     assume(min(abs(candidate - p) for p in (0.0, a, b, a + b)) >= 0.6)
     set_a, set_b = FilteredSet(0, [(a, abs(a))], 8.0), FilteredSet(0, [(b, abs(b))], 8.0)
     phi, psi = getattr(Germ, kinds[0])(a), getattr(Germ, kinds[1])(b)
@@ -978,6 +991,71 @@ def test_probe_finds_the_convolution_regular_off_the_fine_sum(a, b, candidate, k
     assert rep.classification == "regular", (rep.defect_rel, rep.ring_rel)
     if kinds == ("pole", "pole"):
         assert circle_oracle_error(rep, a, b) <= 1e-11
+
+
+@pytest.mark.parametrize("kinds", list(itertools.product(["pole", "log_pole"], repeat=2)),
+                         ids="-".join)
+def test_probe_seed_clears_a_circle_near_the_centre(kinds):
+    # a quarter of min rho toward the candidate lies inside this circle, so
+    # the default seed sits halfway between the centre and the circle
+    a, b, candidate = -1.61 - 0.45j, 0.77 - 1.76j, 0.38 - 0.48j
+    set_a, set_b = FilteredSet(0, [(a, abs(a))], 8.0), FilteredSet(0, [(b, abs(b))], 8.0)
+    assert abs(abs(candidate) - 0.25 * min(set_a.rho, set_b.rho)) <= 0.2
+    rep = singularity_probe(getattr(Germ, kinds[0])(a), getattr(Germ, kinds[1])(b),
+                            set_a, set_b, candidate, 0.2)
+    seed = rep.loop.vertices[0]
+    assert abs(seed) == pytest.approx(0.5 * (abs(candidate) - 0.2), rel=1e-15)
+    assert abs(seed / abs(seed) - candidate / abs(candidate)) <= 1e-15
+    assert rep.classification == "regular", (rep.defect_rel, rep.ring_rel)
+    if kinds == ("pole", "pole"):
+        assert circle_oracle_error(rep, a, b) <= 1e-11
+
+
+# -- monodromy ----------------------------------------------------------------------
+
+
+POLY = [1.0, -0.5j, 0.25, 0.1]
+GEOMETRIC = [4.0 ** -(k + 1) for k in range(48)]  # 1/(4 - z), truncated
+EXP = [1.0 / math.factorial(k) for k in range(40)]
+
+
+def polynomial_factor(coeffs):
+    """A polynomial's values and the values of its integral from 0."""
+    P = np.polynomial.polynomial
+    return (lambda w: complex(P.polyval(w, coeffs)),
+            lambda w: complex(P.polyval(w, P.polyint(coeffs))))
+
+
+# psi, its values and the values of its integral from 0, in closed form
+MONODROMY_PSI = {
+    "pole": (Germ.pole(2), lambda w: 1.0 / (2.0 - w), lambda w: -cmath.log(1.0 - w / 2.0)),
+    "log_pole": (Germ.log_pole(2), lambda w: cmath.log(1.0 - w / 2.0),
+                 lambda w: (w - 2.0) * cmath.log(1.0 - w / 2.0) - w),
+    "poly": (Germ.poly(POLY), *polynomial_factor(POLY)),
+    "series_geometric": (Germ.series(GEOMETRIC, 4.0), *polynomial_factor(GEOMETRIC)),
+    "series_exp": (Germ.series(EXP, 8.0), *polynomial_factor(EXP)),
+}
+
+
+@pytest.mark.parametrize("psi_kind", sorted(MONODROMY_PSI))
+@pytest.mark.parametrize("phi_kind", ["pole", "log_pole"])
+def test_monodromy_around_phis_point_matches_its_residue(phi_kind, psi_kind):
+    # the contours of two allowed paths to z, one passing above phi's
+    # point 1 and one below, differ by a turn around 1 alone.  That turn
+    # leaves 2 pi i psi(z - 1) for phi = pole(1), and for phi = log_pole(1),
+    # whose branches differ by 2 pi i along [1, z], -2 pi i int_0^{z-1} psi.
+    # The closed forms share no code with the convolution.
+    psi, values, integral = MONODROMY_PSI[psi_kind]
+    a, b = pole_pair_sets()
+    z = 1.5 + 0.3j
+    above = Path([0.25, 0.9 + 0.35j, 1.1 + 0.35j, z])
+    below = Path([0.25, 0.9 - 0.35j, 1.1 - 0.35j, 1.35 - 0.1j, z])
+    cfg = ConvolveConfig(n_s=64, n_t=128, n_q=16)
+    phi = getattr(Germ, phi_kind)(1)
+    got = (convolve_along(phi, psi, above, a, b, cfg).end_value
+           - convolve_along(phi, psi, below, a, b, cfg).end_value)
+    want = TWO_PI_I * values(z - 1) if phi_kind == "pole" else -TWO_PI_I * integral(z - 1)
+    assert abs(got - want) <= 1e-11 * abs(want)
 
 
 # -- branch conditions of log germs ---------------------------------------------------
@@ -989,6 +1067,47 @@ def column_grid(column):
     a, b = pole_pair_sets()
     grid = deform(Path([0.25, 0.5]), a, b, 2.5, n_s=16, n_t=16)
     return dataclasses.replace(grid, H=np.asarray(column, dtype=complex)[:, None])
+
+
+@pytest.mark.parametrize("side", ["phi", "psi"])
+@pytest.mark.parametrize("stage", ["series disc", "series tail"])
+def test_series_factor_is_refused_from_its_cells_hulls_before_any_node(monkeypatch, stage, side):
+    # every sample lies in the disc and within the tail budget, but the
+    # cubics through the arc's samples bulge past them (a Bezier arc's inner
+    # control points lie outside its circle).  The series is refused from
+    # the control points, before `_integrand` evaluates a node.
+    from borelconv import germs
+    from borelconv.cells import _cell_rule, _cubics
+    from borelconv.germs import TOL_TAIL
+
+    col = np.concatenate([[0.0, 0.3, 0.6], 0.9 * np.exp(1j * np.linspace(0.0, 1.2, 4))])
+    ctrl = _cubics(col[None], *_cell_rule(len(col) - 1))
+    # psi's arguments are gamma(t_j) minus phi's
+    samples, points = (col, ctrl) if side == "phi" else (col[-1] - col, col[-1] - ctrl)
+    r_samples, r_ctrl = np.max(np.abs(samples)), np.max(np.abs(points))
+    assert r_samples < r_ctrl
+    r_mid = 0.5 * (r_samples + r_ctrl)
+    if stage == "series disc":
+        # a tail of zeros: only the disc can refuse
+        series, want, bound = Germ.series([1.0] + [0.0] * 8, r_mid), r_ctrl, r_mid
+    else:
+        # 48 coefficients c at radius 4: the estimate c 4^47 q^48 / (1 - q)
+        # at q = r / 4 is TOL_TAIL at r_mid
+        def tail(r):
+            return 4.0 ** 47 * (r / 4.0) ** 48 / (1.0 - r / 4.0)
+        c = TOL_TAIL / tail(r_mid)
+        series, want, bound = Germ.series([c] * 48, 4.0), c * tail(r_ctrl), TOL_TAIL
+    plain = Germ.poly([1.0])
+    phi, psi = (series, plain) if side == "phi" else (plain, series)
+    calls = []
+    integrand = germs._integrand
+    monkeypatch.setattr(germs, "_integrand", lambda *args: calls.append(args) or integrand(*args))
+    with pytest.raises(ToleranceError) as info:
+        convolve_at(phi, psi, column_grid(col), 0, cfg=ConvolveConfig(n_q=8))
+    exc = info.value
+    assert (exc.stage, exc.bound) == (stage, bound)
+    assert exc.value == pytest.approx(want, rel=1e-12)
+    assert not calls
 
 
 def test_log_column_through_the_branch_point_is_refused():

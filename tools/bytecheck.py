@@ -24,8 +24,8 @@ Writes, one file per output, into OUTDIR:
 * the fifteen log-type probes (pole*log, log*pole and log*log of the pole
   pair's parameters, the five candidates, radius 0.2) on the default grid,
   one file each: the error class raised, or "ok" with the classification,
-  defect_rel, ring_rel, the error estimate and a SHA-256 of the circle's
-  values;
+  defect_rel, ring_rel and the error estimate, and then the circle's values
+  in a `.bin` file of their own;
 * every file of the README command-line sequence (with `convolve --probe`),
   `set-op saturate` of a lattice and `path-check` of a walk against it
   (with the default and with 4096 samples), with the exit codes;
@@ -43,11 +43,13 @@ checkout.  Dump two checkouts and compare them with `diff -r`; an empty
 diff means every output kept its bits.
 
 `--compare OLD NEW` compares two dumps file by file and prints, for each,
-"identical" or the largest difference of its floats, relative to the
-largest magnitude among the file's old floats.  A `.bin` file is read as
-float64 (a complex array as its real and imaginary parts); any other file is
-split into tokens, its hex and decimal floats compared as numbers and every
-other token exactly.  The exit code is 1 when a file is in one dump only, 0
+"identical" or the largest relative difference of its floats.  A `.bin`
+file is read as float64 (a complex array as its real and imaginary parts),
+and its differences are relative to the largest magnitude among its old
+floats.  Any other file is split into tokens: each hex or decimal float is
+compared with its own old magnitude, integers are counted apart (so a count
+that moves by one hides no float beside it), and every other token is
+compared exactly.  The exit code is 1 when a file is in one dump only, 0
 otherwise.
 """
 
@@ -189,8 +191,8 @@ def _log_probes(bc, dump: Dump) -> None:
             else:
                 lines = ["ok", rep.classification,
                          *(f"{k} {_hex(getattr(rep, k))}" for k in ("defect_rel", "ring_rel")),
-                         *_estimate_lines(rep),
-                         f"values_sha256 {hashlib.sha256(rep.trace.values.tobytes()).hexdigest()}"]
+                         *_estimate_lines(rep)]
+                dump.raw(f"log_probe_{name}_{c}_circle_values.bin", rep.trace.values)
             dump.text(f"log_probe_{name}_{c}.txt", lines)
 
 
@@ -332,27 +334,30 @@ def _cli(src: str, dump: Dump) -> None:
 
 _SPLIT = re.compile(r'[\s,\[\]{}:"<>=/()]+')
 _DECIMAL = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|[-+]?(inf|nan|Infinity|NaN)")
+_INTEGER = re.compile(r"[-+]?\d+")
 
 
-def _floats_and_text(data: bytes):
-    """The hex and decimal floats of a text dump file, in order, and its
-    other tokens."""
-    floats, text = [], []
+def _numbers_and_text(data: bytes):
+    """The hex and decimal numbers of a text dump file, in order, whether
+    each is written as an integer, and the file's other tokens."""
+    numbers, integer, text = [], [], []
     for token in _SPLIT.split(data.decode()):
         if token.lstrip("+-").startswith("0x"):
-            floats.append(float.fromhex(token))
+            numbers.append(float.fromhex(token))
         elif _DECIMAL.fullmatch(token):
-            floats.append(float(token))
+            numbers.append(float(token))
         else:
             text.append(token)
-    return np.array(floats), text
+            continue
+        integer.append(bool(_INTEGER.fullmatch(token)))
+    return np.array(numbers), np.array(integer, dtype=bool), text
 
 
-def _relative_difference(old: np.ndarray, new: np.ndarray) -> tuple[float, int]:
-    """Largest |old - new| over the largest |old| (or the absolute
-    difference when old is all zero), and how many floats differ; nan and
-    inf count as equal to themselves and as infinitely far from anything
-    else."""
+def _relative_difference(old: np.ndarray, new: np.ndarray, own: bool) -> tuple[float, int]:
+    """Largest |old - new| over |old|, and how many floats differ: with own,
+    each old float's own magnitude, else the largest old magnitude (the
+    absolute difference where that is zero).  nan and inf count as equal to
+    themselves and as infinitely far from anything else."""
     same = (old == new) | (np.isnan(old) & np.isnan(new))
     n_differ = int(np.count_nonzero(~same))
     if not n_differ:
@@ -361,8 +366,8 @@ def _relative_difference(old: np.ndarray, new: np.ndarray) -> tuple[float, int]:
         diff = np.abs(old[~same] - new[~same])
     if not np.all(np.isfinite(diff)):
         return math.inf, n_differ
-    scale = np.max(np.abs(old[np.isfinite(old)]), initial=0.0)
-    return float(np.max(diff) / scale) if scale > 0.0 else float(np.max(diff)), n_differ
+    scale = np.abs(old[~same]) if own else np.max(np.abs(old[np.isfinite(old)]), initial=0.0)
+    return float(np.max(diff / np.where(scale > 0.0, scale, 1.0))), n_differ
 
 
 def _compare_file(old_path: str, new_path: str) -> str:
@@ -372,18 +377,25 @@ def _compare_file(old_path: str, new_path: str) -> str:
         new = f.read()
     if old == new:
         return "identical"
-    if old_path.endswith(".bin"):
+    binary = old_path.endswith(".bin")
+    if binary:
         if len(old) != len(new) or len(old) % 8:
             return f"differs: {len(old)} against {len(new)} bytes"
         a, b = np.frombuffer(old), np.frombuffer(new)
+        integer = np.zeros(len(a), dtype=bool)
     else:
-        (a, text_a), (b, text_b) = _floats_and_text(old), _floats_and_text(new)
+        (a, integer, text_a), (b, _, text_b) = _numbers_and_text(old), _numbers_and_text(new)
         if text_a != text_b or len(a) != len(b):
             return "differs in text"
-    rel, n_differ = _relative_difference(a, b)
-    if not n_differ:
-        return "identical floats, other bytes differ"
-    return f"floats differ by {rel:.2e} relative ({n_differ} of {len(a)})"
+    report = []
+    rel, n_differ = _relative_difference(a[~integer], b[~integer], own=not binary)
+    if n_differ:
+        report.append(f"floats differ by {rel:.2e} relative "
+                      f"({n_differ} of {np.count_nonzero(~integer)})")
+    n_integers = int(np.count_nonzero(a[integer] != b[integer]))
+    if n_integers:
+        report.append(f"integers differ ({n_integers} of {np.count_nonzero(integer)})")
+    return "; ".join(report) or "identical floats, other bytes differ"
 
 
 def _files(root: str) -> set[str]:
