@@ -200,9 +200,10 @@ class DeformationGrid:
 
     H[i, j] is the deformed path at budget position s_i and time t_j, the
     s_i graded toward both ends (`row_nodes`); row 0 is identically the
-    centre, the last row coincides with gamma, column 0 is the initial
-    straight seed segment s_i * gamma(0).  The mirror is derived, never
-    stored: see `mirror`.
+    centre, the last row is gamma(t_j), column 0 is the initial straight
+    seed segment s_i * gamma(0).  The mirror is derived, never stored: see
+    `mirror`.  richardson_error estimates the error of one RK4 step over
+    two time intervals (`_rk4_stacked`).
     """
 
     gamma: Path
@@ -294,18 +295,26 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
 
     Preconditions: both sets centred at 0; 0 < |gamma(0)| < min(rho_A,
     rho_B); the seed segment followed by gamma is allowed for the fine sum
-    of the two sets at the working level.  Integration is classical RK4
-    with a fixed step per time node (vertices of gamma are always nodes so
-    each step sees a smooth field) plus a two-half-steps error estimate.
-    n_t is a floor on the number of steps: each segment of gamma gets
-    ceil(n_t * its length / |gamma|) of them (`_allocate_steps`), so a
-    multi-segment gamma takes a few more, and the grid's `n_t` reports the
-    count taken.
+    of the two sets at the working level.  n_t is a floor on the number of
+    time intervals: each segment of gamma gets ceil(n_t * its length /
+    |gamma|) of them (`_allocate_steps`), and the grid's `n_t` reports the
+    count taken.  Integration is classical RK4, one step per two intervals
+    of a segment (vertices of gamma are nodes, so each step sees a smooth
+    field) whose first half step gives the node between, plus a
+    two-half-steps error estimate (`_rk4_stacked`).  The top row is gamma.
 
     The discrete length bookkeeping |F_s| + |F*_(1-s)| <= |seed|+|gamma| +
     delta_len is checked for every row; a violation signals an
     under-resolved integration and raises ToleranceError.
     """
+    return _deform(gamma, set_a, set_b, level, n_s, n_t, eps_den, delta_len, None)
+
+
+def _deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
+            n_s: int, n_t: int, eps_den: float | None, delta_len: float | None,
+            levels: tuple[Path, AdmissibleLevelInterval] | None) -> DeformationGrid:
+    """`deform`, given `seed_levels(gamma, fine sum)` as `levels` when the
+    caller has it (None: computed here, after the other checks)."""
     if abs(set_a.centre) > CONCAT_TOL or abs(set_b.centre) > CONCAT_TOL:
         raise PreconditionError("deformation requires both sets centred at 0")
     _check_integer("n_s", n_s)
@@ -322,7 +331,7 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
             f"|gamma(0)| = {abs(seed)} must lie in (0, {rho_min}) "
             "(inside both seed discs)"
         )
-    lam0gamma, iv = seed_levels(gamma, set_a.fine_sum(set_b))
+    lam0gamma, iv = levels or seed_levels(gamma, set_a.fine_sum(set_b))
     if not iv.contains(level):
         raise PreconditionError(
             f"seed+gamma not allowed for the fine sum at level {level}: "
@@ -330,16 +339,14 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
         )
 
     t_nodes, seg_of_step = _t_nodes_for(gamma, n_t)
-    n_t_eff = len(t_nodes) - 1
 
     field = FlowField(gamma, set_a, set_b, level, eps_den)
-    H = np.empty((n_s + 1, n_t_eff + 1), dtype=complex)
+    H = np.empty((n_s + 1, len(t_nodes)), dtype=complex)
     Z = row_nodes(n_s).astype(complex) * seed
     H[:, 0] = Z
     rich = 0.0
     if gamma.is_constant():
-        for j in range(1, n_t_eff + 1):
-            H[:, j] = Z
+        H[:] = Z[:, None]
     else:
         rich = _rk4_stacked(field, H, t_nodes, seg_of_step)
 
@@ -360,18 +367,21 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
 
 
 def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float:
-    """Classical RK4 from the state H[:, 0] over the time nodes, writing the
-    state after step j into H[:, j + 1] with the centre frozen at 0, and
-    returning the Richardson estimate: the largest 16/15 |full step - two
-    half steps| over all steps.
+    """Classical RK4 from the state H[:, 0], one step per two intervals of
+    a segment of gamma (one at a segment's odd end), writing each step's
+    state and the first half step of a two-interval one into the columns of
+    their end nodes.  Row 0, the centre, is frozen at 0 and row n_s is set
+    to gamma(t_j), which the flow carries exactly; the field is still
+    evaluated on both, so the guard sees gamma's distance to A.  Returns the
+    Richardson estimate: the largest 16/15 |full step - two half steps|.
 
     One field call per stage evaluates every row of a stacked state of
     three rows.  Call j stacks step j's full step and first half step (rows
     0 and 1, sharing k1) with the second half step of step j - 1 (row 2),
-    which needs only that step's first half; a last call, n_t, takes the
-    second half of the final step.  Call 0 has no second half to take and
-    call n_t no step to start, so their missing rows repeat a row of the
-    same call: call 0's row 2 its row 1, call n_t's rows 0 and 1 its row 2.
+    which starts from that step's first half; a last call takes the second
+    half of the final step.  Call 0 has no second half to take and the last
+    call no step to start, so their missing rows repeat a row of the same
+    call: call 0's row 2 its row 1, the last call's rows 0 and 1 its row 2.
     A repeated row has the bits of the row it repeats, so it leaves every
     other row, min_chi and the time a guard reports (the first of equal
     denominators) as they are.  So a step costs 4 field calls, where its
@@ -386,15 +396,20 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
     writes into them with the operations, in the order, of
     z + (h/2) k1 and z + (h/6) (k1 + 2 k2 + 2 k3 + k4).
     """
-    n_t = len(t_nodes) - 1
-    h = np.diff(t_nodes)
-    ts, hs = np.empty((n_t + 1, 3)), np.empty((n_t + 1, 3))
-    segs = np.empty((n_t + 1, 3), dtype=int)
-    ts[:-1, 0] = ts[:-1, 1] = t_nodes[:-1]
-    ts[1:, 2] = t_nodes[:-1] + h / 2
+    # steps start at each segment's even intervals (counted from the segment's
+    # first, which searchsorted finds) and end where the next step starts
+    first = np.searchsorted(seg_of_step, seg_of_step)
+    starts = np.flatnonzero((np.arange(len(seg_of_step)) - first) % 2 == 0)
+    ends = np.append(starts[1:], len(seg_of_step))
+    n = len(starts)
+    h = t_nodes[ends] - t_nodes[starts]
+    ts, hs = np.empty((n + 1, 3)), np.empty((n + 1, 3))
+    segs = np.empty((n + 1, 3), dtype=int)
+    ts[:-1, 0] = ts[:-1, 1] = t_nodes[starts]
+    ts[1:, 2] = t_nodes[starts] + h / 2
     hs[:-1, 0], hs[:-1, 1], hs[1:, 2] = h, h / 2, h / 2
-    segs[:-1, 0] = segs[:-1, 1] = segs[1:, 2] = seg_of_step
-    for a in (ts, hs, segs):  # the repeated rows of calls 0 and n_t
+    segs[:-1, 0] = segs[:-1, 1] = segs[1:, 2] = seg_of_step[starts]
+    for a in (ts, hs, segs):  # the repeated rows of the first and last calls
         a[0, 2], a[-1, :2] = a[0, 1], a[-1, 2]
     stage_ts = np.stack([ts, ts + 0.5 * hs, ts + hs])  # k1, k2 and k3, k4
     # gamma's point and gamma' with an axis for the row's points
@@ -405,14 +420,15 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
 
     shape = (3, H.shape[0])
     Z, k1, k2, k3, k4, st = (np.empty(shape, dtype=complex) for _ in range(6))
-    z_full = np.empty(H.shape[0], dtype=complex)
     work = field.workspace(shape)
     work_k1 = tuple(w[..., 1:, :] for w in work)  # k1 once per distinct start
+    # the centre trajectory is frozen exactly, and the top row rides gamma
+    H[0, 1:], H[-1, 1:] = 0.0, field.gamma.points_at(t_nodes[1:])
 
     Z[2] = H[:, 0]
-    rich = 0.0
-    for j in range(n_t + 1):
-        Z[0] = Z[1] = H[:, j] if j < n_t else Z[2]
+    gaps = np.empty((n, H.shape[0]), dtype=complex)  # full step - two half steps
+    for j in range(n + 1):
+        Z[0] = Z[1] = H[:, starts[j]] if j < n else Z[2]
         # every call is positional, as a wrapped field (a tracer's) may take them
         field(Z[1:], stage_ts[0, j, 1:], None, (g[0, j, 1:], dg[j, 1:]), k1[1:], work_k1)
         k1[0] = k1[1]
@@ -433,12 +449,13 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
         np.multiply(hc_sixth[j], k2, out=st)
         np.add(Z, st, out=st)
         if j:
-            rich = max(rich, float(np.max(np.abs(z_full - st[2]))) * 16.0 / 15.0)
-        if j < n_t:
-            z_full[:], Z[2] = st[0], st[1]
-            H[:, j + 1] = z_full
-            H[0, j + 1] = 0.0  # the centre trajectory is frozen exactly
-    return rich
+            np.subtract(H[:, ends[j - 1]], st[2], out=gaps[j - 1])
+        if j < n:
+            H[1:-1, ends[j]] = st[0, 1:-1]
+            if ends[j] - starts[j] == 2:
+                H[1:-1, starts[j] + 1] = st[1, 1:-1]
+            Z[2] = st[1]
+    return float(np.max(np.abs(gaps))) * 16.0 / 15.0
 
 
 @dataclass
@@ -455,7 +472,7 @@ class RowAdmissibility:
 class ValidationReport:
     """Contract check of a deformation grid.
 
-    endpoint: max |H[-1, j] - gamma(t_j)|.
+    endpoint: max |H[-1, j] - gamma(t_j)|, 0 by construction for deform's grids.
     speed_residual: worst relative defect of |dH| + |dH_mirror| = |dgamma|
     over interior nodes (finite differences).
     length_residual: worst excess of the two-sided discrete length over the
@@ -464,6 +481,7 @@ class ValidationReport:
     split summing to at most the working level.
     min_chi: smallest flow denominator met during integration and on the
     grid nodes.
+    richardson_error: the grid's estimate for one two-interval RK4 step.
     """
 
     endpoint_error: float

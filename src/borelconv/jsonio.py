@@ -17,10 +17,10 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Iterator
 
 import numpy as np
 
-from .deformation import mirror
 from .errors import BorelConvError
 from .filtered_set import FilteredSet
 from .germs import ContinuationTrace, Germ
@@ -87,18 +87,20 @@ def write_json(path: str, doc):
 
 
 def write_csv(path: str, header: list[str], table):
-    """One line per row of the 2-D float array `table`, 17 digits a value.
-
-    Every value is checked to be finite before the file is opened; the rows
-    are then formatted and written CSV_BLOCK_ROWS at a time, so the text
-    held at once stays bounded whatever the table's length."""
-    table = _finite(np.asarray(table, dtype=float))
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    """One line per row of `table`, 17 digits a value: a 2-D float array,
+    checked finite before the file is opened, or an iterator of such blocks
+    of rows, checked by its maker (`grid_csv_rows`).  The rows are written a
+    block (CSV_BLOCK_ROWS rows of an array) at a time, so the text held at
+    once stays bounded whatever the table's length."""
+    blocks = table
+    if not isinstance(table, Iterator):
+        table = _finite(np.asarray(table, dtype=float))
+        blocks = (table[i:i + CSV_BLOCK_ROWS] for i in range(0, len(table), CSV_BLOCK_ROWS))
+    line = ",".join(["%.17g"] * len(header)) + "\n"
 
     def chunks():
         yield ",".join(header) + "\n"
-        for i in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[i:i + CSV_BLOCK_ROWS]
+        for block in blocks:
             # the row template once per row, filled by one %-format
             yield line * len(block) % tuple(block.ravel().tolist())
 
@@ -220,15 +222,23 @@ def trace_csv_rows(trace: ContinuationTrace):
 
 
 def grid_csv_rows(grid):
-    """One row (s, t, H, H*) per grid node, filled in place: the only
-    grid-sized arrays are H, its mirror and the table."""
-    H, H_star = grid.H, mirror(grid.H)
-    table = np.empty(H.shape + (6,))
-    table[..., 0] = grid.s_nodes[:, None]
-    table[..., 1] = grid.t_nodes[None, :]
-    table[..., 2], table[..., 3] = H.real, H.imag
-    table[..., 4], table[..., 5] = H_star.real, H_star.imag
-    return table.reshape(-1, 6)
+    """One row (s, t, H, H*) per grid node, as an iterator of blocks of
+    whole grid rows, about CSV_BLOCK_ROWS lines each, so that H is the only
+    grid-sized array.  H is checked finite here, and with it every row."""
+    H, s_nodes, t_nodes = _finite(grid.H), grid.s_nodes, grid.t_nodes
+    rows = max(1, CSV_BLOCK_ROWS // len(t_nodes))
+
+    def blocks():
+        for i in range(0, len(H), rows):
+            h, h_star = H[i:i + rows], H[-1] - H[::-1][i:i + rows]  # and mirror(H)'s
+            block = np.empty(h.shape + (6,))
+            block[..., 0] = s_nodes[i:i + rows, None]
+            block[..., 1] = t_nodes
+            block[..., 2], block[..., 3] = h.real, h.imag
+            block[..., 4], block[..., 5] = h_star.real, h_star.imag
+            yield block.reshape(-1, 6)
+
+    return blocks()
 
 
 def load_json(path: str):

@@ -6,10 +6,10 @@ import pytest
 
 from borelconv.cli import _build_parser, main
 from borelconv.jsonio import (CSV_BLOCK_ROWS, ParseError, atomic_write, dumps, germ_from_doc,
-                              load_json, set_from_doc, write_csv)
+                              grid_csv_rows, load_json, set_from_doc, write_csv)
 
 from conftest import sets_equal
-from borelconv import ConvolveConfig, FilteredSet, Germ
+from borelconv import ConvolveConfig, FilteredSet, Germ, Path, deform, mirror
 from borelconv.germs import singularity_probe
 
 
@@ -97,7 +97,9 @@ def test_exit_4_on_flow_guard(tmp_path):
 def test_exit_5_on_length_tolerance(tmp_path):
     a = write(tmp_path / "a.json", set_doc([(0.26j, 0.3)], 3.0))
     b = write(tmp_path / "b.json", set_doc([(2 + 0j, 2.0)], 3.0))
-    g = write(tmp_path / "g.json", path_doc([0.2 + 0.2j, 0.8 + 0.2j]))
+    # a gamma whose length residual is a rounding above 0 (a straight one's is 0)
+    g = write(tmp_path / "g.json", path_doc([0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j,
+                                              0.1 + 0.35j]))
     outdir = tmp_path / "out"
     code = main(["deform", g, a, b, "--level", "1.5", "--ns", "16",
                  "--nt", "32", "--delta-len", "1e-18", "-o", str(outdir)])
@@ -487,6 +489,34 @@ def test_write_csv_streams_the_bytes_of_one_shot(tmp_path):
     assert data.count(b"\n") == n + 1
     write_csv(str(out), ["x"], np.empty((0, 1)))
     assert out.read_bytes() == b"x\n"
+
+
+def test_grid_csv_streams_the_bytes_of_the_whole_table(tmp_path):
+    # a grid of more columns than CSV_BLOCK_ROWS (one grid row a block) and
+    # one of fewer (several), against the whole table in one piece
+    gamma = Path([0.125 + 0.05j, 0.5 + 0.2j])
+    s = FilteredSet(0, [(1, 1.0)], 3.0)
+    for n_s, n_t in ((8, CSV_BLOCK_ROWS + 7), (40, 100)):
+        grid = deform(gamma, s, s, 2.0, n_s=n_s, n_t=n_t)
+        H, H_star = grid.H, mirror(grid.H)
+        table = np.stack(np.broadcast_arrays(
+            grid.s_nodes[:, None], grid.t_nodes[None, :], H.real, H.imag,
+            H_star.real, H_star.imag), axis=-1).reshape(-1, 6)
+        out = tmp_path / "grid.csv"
+        header = ["s", "t", "re_h", "im_h", "re_hstar", "im_hstar"]
+        write_csv(str(out), header, grid_csv_rows(grid))
+        assert out.read_bytes() == _csv_one_shot(header, table).encode()
+
+
+def test_grid_csv_refuses_a_non_finite_grid_before_writing(tmp_path):
+    gamma = Path([0.125 + 0.05j, 0.5 + 0.2j])
+    s = FilteredSet(0, [(1, 1.0)], 3.0)
+    grid = deform(gamma, s, s, 2.0, n_s=8, n_t=8)
+    grid.H[-1, -1] = complex(0.0, math.inf)
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "grid.csv"), ["s", "t", "re_h", "im_h", "re_hstar", "im_hstar"],
+                  grid_csv_rows(grid))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_csv_refuses_non_finite_before_writing(tmp_path):

@@ -172,21 +172,34 @@ def count_calls(monkeypatch, field):
 
 
 def single_state_steps(field, Z0, t_nodes, seg_of_step):
-    """A full step and two half steps per time step, each a separate
-    single-state RK4 step: the grid of full steps (centre frozen) and the
-    Richardson estimate."""
-    want = np.empty((len(Z0), len(t_nodes)), dtype=complex)
+    """The paired scheme, one single-state RK4 step at a time: from each
+    node, a full step over two intervals of the same segment (one at a
+    segment's odd end) and a first half step, stored at the node between,
+    then the second half step from the first half.  Returns the grid (the
+    centre frozen at 0, the top row on gamma) and the Richardson estimate."""
+    n_t = len(t_nodes) - 1
+    want = np.empty((len(Z0), n_t + 1), dtype=complex)
     want[:, 0] = Z0
-    want_rich = 0.0
-    for j in range(len(t_nodes) - 1):
-        t0, h, seg = t_nodes[j], t_nodes[j + 1] - t_nodes[j], int(seg_of_step[j])
+    want[0, 1:], want[-1, 1:] = 0.0, field.gamma.points_at(t_nodes[1:])
+    want_rich, j = 0.0, 0
+    while j < n_t:
+        seg = int(seg_of_step[j])
+        end = j + 2 if j + 1 < n_t and seg_of_step[j + 1] == seg else j + 1
+        t0, h = t_nodes[j], t_nodes[end] - t_nodes[j]
         z_full = rk4_step(field, want[:, j], t0, h, seg)
         z_half = rk4_step(field, want[:, j], t0, h / 2, seg)
+        if end == j + 2:
+            want[1:-1, j + 1] = z_half[1:-1]
         z_half = rk4_step(field, z_half, t0 + h / 2, h / 2, seg)
-        want_rich = max(want_rich, float(np.max(np.abs(z_full - z_half))) * 16.0 / 15.0)
-        want[:, j + 1] = z_full
-        want[0, j + 1] = 0.0
+        want[1:-1, end] = z_full[1:-1]
+        want_rich = max(want_rich, float(np.max(np.abs(want[:, end] - z_half))) * 16.0 / 15.0)
+        j = end
     return want, want_rich
+
+
+def paired_steps(seg_of_step) -> int:
+    """RK4 steps of the paired scheme: half each segment's intervals, rounded up."""
+    return int(np.sum((np.bincount(seg_of_step) + 1) // 2))
 
 
 def test_rk4_pair_bits_equal_two_steps(monkeypatch):
@@ -202,11 +215,32 @@ def test_rk4_pair_bits_equal_two_steps(monkeypatch):
     H[:, 0] = np.linspace(0.0, 1.0, 17) * gamma.start
     calls = count_calls(monkeypatch, stacked)
     rich = _rk4_stacked(stacked, H, t_nodes, seg_of_step)
-    assert len(calls) == 4 * n_t + 4
+    assert len(calls) == 4 * paired_steps(seg_of_step) + 4
     want, want_rich = single_state_steps(stepped, H[:, 0], t_nodes, seg_of_step)
     assert H.tobytes() == want.tobytes()
     assert rich == want_rich and rich > 0.0
     assert stacked.min_chi == stepped.min_chi
+
+
+def test_stored_middle_node_is_one_single_state_step_from_the_node_before():
+    gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j])
+    a, b = FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [(2, 2.0)], 6.0)
+    grid = deform(gamma, a, b, 2.5, n_s=16, n_t=64)
+    _, seg_of_step = _t_nodes_for(gamma, 64)
+    field = field_for(gamma, a, b, 2.5)
+    # node 1 lies between the first step's nodes 0 and 2, on segment 0
+    h = grid.t_nodes[2] - grid.t_nodes[0]
+    assert seg_of_step[0] == seg_of_step[1] == 0
+    want = rk4_step(field, grid.H[:, 0], grid.t_nodes[0], h / 2, 0)
+    assert grid.H[1:-1, 1].tobytes() == want[1:-1].tobytes()
+
+
+def test_top_row_is_gamma_at_the_time_nodes():
+    gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j, 0.1 + 0.35j])
+    a, b = FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [(2, 2.0)], 6.0)
+    grid = deform(gamma, a, b, 2.5, n_s=16, n_t=64)
+    assert grid.H[-1].tobytes() == grid.gamma_values().tobytes()
+    assert validate(grid).endpoint_error == 0.0
 
 
 def test_deform_makes_four_field_calls_per_step(monkeypatch):
@@ -217,7 +251,11 @@ def test_deform_makes_four_field_calls_per_step(monkeypatch):
     gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j])
     a, b = FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [(2, 2.0)], 6.0)
     grid = deform(gamma, a, b, 2.5, n_s=16, n_t=64)
-    assert len(calls) == 4 * grid.n_t + 4
+    _, seg_of_step = _t_nodes_for(gamma, 64)
+    # one segment ends with a one-interval step, the other does not
+    assert sorted(np.bincount(seg_of_step) % 2) == [0, 1]
+    assert len(seg_of_step) == grid.n_t
+    assert len(calls) == 4 * paired_steps(seg_of_step) + 4
 
 
 def test_stacked_stepper_guard_raises_on_plain_sum_pair():
@@ -243,41 +281,41 @@ def test_stacked_stepper_guard_raises_on_plain_sum_pair():
 
 
 def test_stacked_stepper_guard_raises_in_the_last_call(monkeypatch):
-    # the configuration above with the plain-sum time t* at t_(n-1) + 3h/4:
-    # the middle stage time of the last step's second half, which only the
-    # stepper's last call evaluates
+    # the configuration above with the plain-sum time t* at t_(n-2) + 3h/2,
+    # h the interval: the middle stage time of the last step's second half,
+    # which only the stepper's last call evaluates
     gamma = Path([0.25, 3.0])
     a = FilteredSet(0, [(1, 1.0)], 6.0)
     b = FilteredSet(0, [(1, 1.0)], 6.0)
     t, h = float((2.0 - 0.25) / 2.75), 0.01
-    H = np.zeros((3, 4), dtype=complex)
-    H[:, 0] = [0.0, 0.5, 1.0]
-    t_nodes = t - 0.75 * h + h * np.arange(-2, 2)
-    seg_of_step = np.zeros(3, dtype=int)
+    H = np.zeros((4, 5), dtype=complex)
+    H[:, 0] = [0.0, 0.5, 1.0, gamma.point_at(t - 3.5 * h)]
+    t_nodes = t - 1.5 * h + h * np.arange(-2, 3)
+    seg_of_step = np.zeros(4, dtype=int)
     stepped, stacked = field_for(gamma, a, b, 4.0), field_for(gamma, a, b, 4.0)
     calls = count_calls(monkeypatch, stacked)
     with pytest.raises(ChiGuardError) as want:
         single_state_steps(stepped, H[:, 0], t_nodes, seg_of_step)
     with pytest.raises(ChiGuardError) as got:
         _rk4_stacked(stacked, H, t_nodes, seg_of_step)
-    # k2 of the last call, after four calls for each of the three steps
-    assert len(calls) == 4 * 3 + 2 and abs(want.value.t - t) < 1e-12
+    # k2 of the last call, after four calls for each of the two steps
+    assert len(calls) == 4 * 2 + 2 and abs(want.value.t - t) < 1e-12
     assert (got.value.t, got.value.value, got.value.bound) == (
         want.value.t, want.value.value, want.value.bound)
     assert stacked.min_chi == stepped.min_chi
 
 
-# on this hairpin the guard at 1e-2 trips at the end of a step (a k4 time),
-# at 2e-2 between time nodes
+# on this hairpin at n_t 128 the guard at 1e-2 trips at a time node, at 2e-2
+# between time nodes
 @pytest.mark.parametrize("eps_den, between_nodes", [(1e-2, False), (2e-2, True)])
 def test_stacked_stepper_guard_on_hairpin_matches_single_steps(eps_den, between_nodes):
     # the stacked stepper reports the time, the denominator and min_chi of
     # the single-state steps
     gamma = Path([0.25, 0.6 + 0.01j, 1.3 + 0.002j, 1.75])
     a, empty = FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [], 6.0)
-    t_nodes, seg_of_step = _t_nodes_for(gamma, 64)
+    t_nodes, seg_of_step = _t_nodes_for(gamma, 128)
     stacked, stepped = (FlowField(gamma, a, empty, 2.2, eps_den) for _ in range(2))
-    H = np.empty((17, 65), dtype=complex)
+    H = np.empty((17, len(t_nodes)), dtype=complex)
     H[:, 0] = np.linspace(0.0, 1.0, 17) * gamma.start
     with pytest.raises(ChiGuardError) as want:
         single_state_steps(stepped, H[:, 0], t_nodes, seg_of_step)
@@ -495,7 +533,9 @@ def test_guard_error_names_time_value_and_bound():
 def test_deform_length_tolerance_violation():
     a = FilteredSet(0, [(0.26j, 0.3)], 3.0)
     b = FilteredSet(0, [(2.0, 2.0)], 3.0)
-    gamma = Path([0.2 + 0.2j, 0.8 + 0.2j])
+    # a straight gamma's residual is exactly 0, as its top row is gamma; this
+    # one's is a rounding above 0
+    gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j, 0.1 + 0.35j])
     with pytest.raises(ToleranceError) as info:
         deform(gamma, a, b, 1.5, n_s=16, n_t=32, delta_len=1e-18)
     # the residual the identity measured, against the budget it broke

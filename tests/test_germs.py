@@ -1058,6 +1058,50 @@ def test_monodromy_around_phis_point_matches_its_residue(phi_kind, psi_kind):
     assert abs(got - want) <= 1e-11 * abs(want)
 
 
+HOMOTOPY_PATHS = {
+    "straight": [0.25, 1.5 + 0.3j],
+    "above": [0.25, 0.9 + 0.35j, 1.1 + 0.35j, 1.5 + 0.3j],
+    "wiggle": [0.25, 0.6 - 0.1j, 0.9 + 0.5j, 1.3 + 0.45j, 1.5 + 0.3j],
+    "below": [0.25, 0.9 - 0.35j, 1.1 - 0.35j, 1.35 - 0.1j, 1.5 + 0.3j],
+}
+
+
+@pytest.mark.parametrize("kinds", [("pole", "pole"), ("pole", "log_pole"),
+                                   ("log_pole", "log_pole")])
+def test_homotopic_paths_give_one_value(kinds):
+    # the continuation depends on an allowed path only through its homotopy
+    # class: the straight, "above" and "wiggle" paths to 1.5+0.3i pass above
+    # phi's point 1 and agree, and the path passing below 1 lies in another
+    # class and does not.  The oracle is the value itself, on other contours.
+    a, b = pole_pair_sets()
+    phi, psi = getattr(Germ, kinds[0])(1), getattr(Germ, kinds[1])(2)
+    ends = {name: convolve_along(phi, psi, Path(v), a, b).end_value
+            for name, v in HOMOTOPY_PATHS.items()}
+    scale = abs(ends["straight"])
+    for name in ("above", "wiggle"):
+        assert abs(ends[name] - ends["straight"]) <= 1e-11 * scale, name
+    assert abs(ends["below"] - ends["straight"]) > 0.1 * scale
+
+
+def count_fine_sums(monkeypatch):
+    calls = []
+    fine_sum = FilteredSet.fine_sum
+    monkeypatch.setattr(FilteredSet, "fine_sum",
+                        lambda self, other: calls.append(1) or fine_sum(self, other))
+    return calls
+
+
+def test_one_fine_sum_per_convolution_and_per_probe(monkeypatch):
+    # the caller's fine sum serves the grid's seed levels too
+    a, b = pole_pair_sets()
+    calls = count_fine_sums(monkeypatch)
+    convolve_along(Germ.pole(1), Germ.pole(2), Path([0.25, 0.5]), a, b,
+                   ConvolveConfig(n_s=16, n_t=16, n_q=8))
+    assert len(calls) == 1
+    singularity_probe(Germ.pole(1), Germ.pole(2), a, b, 1.5, 0.2)
+    assert len(calls) == 2
+
+
 # -- branch conditions of log germs ---------------------------------------------------
 
 

@@ -24,12 +24,13 @@ from borelconv.jsonio import set_to_doc, write_json
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Measured on x86-64 Linux with numpy 2.4, over an import-only child of
-# 29.5 MB: deform --ns 64 --nt 4096 peaks 23.7 MB higher (H, its mirror,
-# the 6-column table and one CSV block), path-check --samples 4096 against
-# 1 495 entries 3.9 MB higher.  Written in one piece and computed in one
-# (samples × entries) step, they peaked 131 and 142 MB higher.  The bounds
-# leave margins of about 16 and 6 MB.
-DEFORM_EXCESS_MB = 40.0
+# 29.5 MB: deform --ns 64 --nt 4096 peaks 12.3 MB higher (H, and validate's
+# blocks of rows beside it), path-check --samples 4096 against 1 495
+# entries 3.9 MB higher.  With a 6-column table of every grid node beside H
+# and its mirror, deform peaked 23.7 MB higher; written in one piece and
+# computed in one (samples × entries) step, they peaked 131 and 142 MB
+# higher.  The bounds leave margins of about 8 and 6 MB.
+DEFORM_EXCESS_MB = 20.0
 PATH_CHECK_EXCESS_MB = 10.0
 
 _REPORT = ("\nwith open('/proc/self/status') as status:\n"

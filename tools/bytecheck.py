@@ -216,9 +216,10 @@ def _guards(bc, dump: Dump) -> None:
     empty = F(0, [], 6.0)
     tiny = bc.ConvolveConfig(n_s=64, n_t=256, n_q=8)
     hairpin = P([0.25, 0.6 + 0.01j, 1.3 + 0.002j, 1.75])  # trips between time nodes
-    # passes 1e-3 from A's entry at t = 1 - h/4 for n_t = 64: a stage time of
-    # the last step's second half only, which the stepper's last call takes
-    last_call = P([0.25 + 1e-3j, 0.25 + 0.75 * 256 / 255 + 1e-3j])
+    # passes 1e-3 from A's entry at t = 1 - h/2, h = 1/64 the time interval:
+    # the middle stage time of the last two-interval step's second half,
+    # which only the stepper's last call takes
+    last_call = P([0.25 + 1e-3j, 0.25 + 0.75 * 128 / 127 + 1e-3j])
     cases = {
         "deform_chi_guard": lambda: bc.deform(P([0.25, 1 + 1e-3j, 1.75]), a, empty, 2.2,
                                               n_s=16, n_t=64, eps_den=1e-2),
@@ -229,8 +230,9 @@ def _guards(bc, dump: Dump) -> None:
         "deform_chi_near_mid_step": lambda: bc.deform(hairpin, a, empty, 2.2, n_s=16, n_t=64),
         "deform_chi_guard_last_call": lambda: bc.deform(last_call, a, empty, 2.2,
                                                         n_s=16, n_t=64, eps_den=2e-3),
+        # a gamma whose length residual is a rounding above 0
         "deform_length_budget": lambda: bc.deform(
-            P([0.2 + 0.2j, 0.8 + 0.2j]), F(0, [(0.26j, 0.3)], 3.0),
+            P(FIVE_VERTEX), F(0, [(0.26j, 0.3)], 3.0),
             F(0, [(2.0, 2.0)], 3.0), 1.5, n_s=16, n_t=32, delta_len=1e-18),
         "deform_not_allowed": lambda: bc.deform(P([0.25, 1.0]), a, a, 2.5),
         "convolve_series_disc": lambda: bc.convolve_along(
