@@ -194,7 +194,7 @@ class _SubCells:
     dyadic interval of the cell coordinate: its Bezier control points (last
     axis of ctrl), its column (in the block) and cell, its depth (halvings
     from the cell, 0 for a whole cell), and for a log factor the base of
-    `germs._frames_eval` at its first point (phi along the column, psi at
+    `germs._germ_values` at its first point (phi along the column, psi at
     gamma(t_j) minus it).  The fields share their shape: (J, n_s) for the
     cells of a block of columns, one axis for pieces."""
 

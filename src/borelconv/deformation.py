@@ -387,7 +387,10 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
     denominators) as they are.  So a step costs 4 field calls, where its
     three single-state steps take 12, and each row has the bits of the
     single-state step it replaces: its own start time, step size and
-    segment, and the same operations in the same order.
+    segment, and the same operations in the same order.  The guard trips in
+    the call where single-state steps would stop, but it reports the
+    smallest chi of the call's rows at its first stage that trips, which
+    can lie up to one step past where they stop (ChiGuardError).
 
     Every call's start times, step sizes and segments are known before the
     first step, so gamma's point and gamma' at every stage time are

@@ -23,7 +23,11 @@ class ChiGuardError(BorelConvError):
     caller should reroute the path or lower the level.
 
     `t` is the flow time at which the guard tripped, `value` the smallest
-    denominator met there and `bound` the guard it fell to."""
+    denominator met there and `bound` the guard it fell to.  One stacked
+    RK4 call holds a two-interval step and the second half of the step
+    before it (`deformation._rk4_stacked`), so `t` is a stage time of the
+    first call that trips, up to one step past where single-state steps of
+    the same scheme would stop."""
 
     def __init__(self, message: str, t: float, value: float, bound: float):
         super().__init__(message)

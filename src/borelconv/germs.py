@@ -3,8 +3,9 @@
 Germ backends: closed forms (polynomials, simple poles 1/(a - z),
 logarithms log(1 - z/a) with branch tracking) give exact reference values;
 truncated power series are evaluated directly inside their assured disc,
-with the Taylor tail estimate checked at every sample and, before any
-quadrature node is evaluated, over the hull of every cell's control points.
+with the Taylor tail estimate checked at every sample of `continue_along`
+and, in a convolution, over the hull of every cell's control points before
+any quadrature node is evaluated.  Only a log's value depends on its path.
 
 The convolution of two germs at a point gamma(t) is the contour integral
 of phi(h) * psi(gamma(t) - h) over a deformed contour h = H_t(s) produced
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -205,15 +206,42 @@ class ContinuationTrace:
         return complex(self.values[-1])
 
 
-# -- internal frames: per-sample local data for one continuation -----------
+# -- germ values at points ---------------------------------------------------
 
-def _series_tail(germ: Germ, deg: int, r):
+def _truncated(germ: Germ, cfg: ConvolveConfig) -> Germ:
+    """A series germ cut to degree cfg.n_ser; any other germ as it is."""
+    return replace(germ, coeffs=germ.coeffs[:cfg.n_ser + 1]) if germ.kind == "series" else germ
+
+
+def _germ_values(germ: Germ, z: np.ndarray, base=None) -> np.ndarray:
+    """The germ at points z proven by the caller.  A log germ takes its
+    branch from base = (values, u): its continued value and 1 - w/a at a
+    base point w of each point of z (broadcast against z), which is right
+    when the segment from each base point to its point avoids the branch
+    point; other germs have one value anywhere and ignore it."""
+    if germ.kind == "poly":
+        return np.polynomial.polynomial.polyval(z, np.asarray(germ.coeffs))
+    if germ.kind == "pole":
+        return 1.0 / (germ.a - z)
+    if germ.kind == "log_pole":
+        return base[0] + np.log((1.0 - z / germ.a) / base[1])
+    if germ.kind == "series":
+        c = np.asarray(germ.coeffs, dtype=complex)  # Horner, in place
+        v = np.full(z.shape, c[-1])
+        for ck in c[-2::-1]:
+            v *= z
+            v += ck
+        return v
+    raise PreconditionError(f"unknown germ kind {germ.kind!r}")
+
+
+def _series_tail(germ: Germ, r):
     """log of the Taylor tail estimate M0 q^(deg+1) / (1 - q) of a series
-    germ truncated to degree deg, at q = r / radius for the moduli r (a
-    scalar or an array); it grows with q.  M0 is the Cauchy-style scale
-    max |c_k| radius^k over the top eight coefficients (0 for a tail of
-    zeros).  A modulus outside the assured disc is refused: there a
-    truncated series carries no information."""
+    germ of degree deg, at q = r / radius for the moduli r (a scalar or an
+    array); it grows with q.  M0 is the Cauchy-style scale max |c_k|
+    radius^k over the top eight coefficients (0 for a tail of zeros).  A
+    modulus outside the assured disc is refused: there a truncated series
+    carries no information."""
     r_max = float(np.max(r))
     if r_max / germ.radius >= 1.0:
         raise ToleranceError(
@@ -221,6 +249,7 @@ def _series_tail(germ: Germ, deg: int, r):
             f"radius {germ.radius:.6g}); a truncated series carries no "
             "information beyond its disc of convergence",
             stage="series disc", value=r_max, bound=germ.radius)
+    deg = len(germ.coeffs) - 1
     top = np.arange(max(0, deg - 7), deg + 1)
     mag = np.abs(np.asarray(germ.coeffs)[top])
     log_m0 = float(np.max(np.log(mag[mag > 0.0]) + top[mag > 0.0] * math.log(germ.radius),
@@ -230,22 +259,22 @@ def _series_tail(germ: Germ, deg: int, r):
         return log_m0 + (deg + 1) * np.log(q) - np.log(1.0 - q)
 
 
-def _series_values(germ: Germ, deg: int, z: np.ndarray) -> np.ndarray:
-    """A series germ truncated to degree deg, evaluated at the samples z.
+def _series_values(germ: Germ, z: np.ndarray) -> np.ndarray:
+    """A series germ evaluated at the samples z of a path.
 
     The truncated series at the centre is the continuation along every path
     inside the assured disc, so it is evaluated directly.  Beyond the disc
     the evaluation refuses; inside it, the error against the underlying
     function is the Taylor tail, which must stay within TOL_TAIL *
-    max(1, |value|) at every sample (quadrature nodes: `_prove_series`).
+    max(1, |value|) at every sample (a convolution's nodes: `_prove_series`).
     """
     r = np.abs(z)
     # the estimate grows with |z| and the budget is at least log TOL_TAIL,
     # so the largest |z| passing means every point passes
-    passed = _series_tail(germ, deg, np.max(r)) <= math.log(TOL_TAIL)
-    v = _frames_eval(_Frames(germ, None, deg=deg), z)
+    passed = _series_tail(germ, np.max(r)) <= math.log(TOL_TAIL)
+    v = _germ_values(germ, z)
     if not passed:
-        excess = float(np.max(_series_tail(germ, deg, r) - np.log(
+        excess = float(np.max(_series_tail(germ, r) - np.log(
             TOL_TAIL * np.maximum(1.0, np.abs(v)))))
         if excess > 0.0:
             # the value is the largest tail estimate relative to max(1, |value|)
@@ -256,14 +285,15 @@ def _series_values(germ: Germ, deg: int, z: np.ndarray) -> np.ndarray:
     return v
 
 
-def _prove_series(frames: "_Frames", z: np.ndarray) -> None:
+def _prove_series(germ: Germ, z: np.ndarray) -> None:
     """Refuse a series factor unless the convex hull of its arguments z at
     every cell's control points lies in its disc with a tail estimate
     within TOL_TAIL.  Every quadrature node, of a cell or of a de Casteljau
     piece of it, lies in its cell's hull; |z| is convex, so its largest
     value on a hull is at a control point; and the estimate grows with |z|.
-    So one test at the largest |z| covers every node."""
-    log_tail = float(_series_tail(frames.germ, frames.deg, np.max(np.abs(z))))
+    So one test at the largest |z| covers every node, and every sample (a
+    cell's first or last control point)."""
+    log_tail = float(_series_tail(germ, np.max(np.abs(z))))
     if log_tail > math.log(TOL_TAIL):
         raise ToleranceError("series tail estimate above tolerance on a cell's hull",
                              stage="series tail", value=math.exp(log_tail), bound=TOL_TAIL)
@@ -274,77 +304,29 @@ def _prefix_sums(x: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros(x.shape[:-1] + (1,)), np.cumsum(x, axis=-1)], axis=-1)
 
 
-@dataclass
-class _Frames:
-    """Local data of a germ continued along a sampled polyline."""
-
-    germ: Germ
-    values: np.ndarray
-    u: np.ndarray | None = None          # log_pole: 1 - pts/a
-    windings: np.ndarray | None = None   # log_pole: integer branch counts
-    deg: int | None = None               # series: truncation degree
+def _check_pole(germ: Germ, pts: np.ndarray) -> None:
+    """Refuse a pole germ whose parameter is one of the samples pts."""
+    if germ.kind == "pole" and np.min(np.abs(germ.a - pts)) <= POINT_TOL:
+        raise PreconditionError("path passes through the pole parameter")
 
 
-def _continue_frames(germ: Germ, pts: np.ndarray, cfg: ConvolveConfig) -> _Frames:
-    """Frames of a germ continued along the polyline pts (last axis), with
-    any leading axes, one polyline per row."""
-    if np.any(np.abs(pts[..., 0]) > POINT_TOL):
-        raise PreconditionError("continuation must start at the centre")
-
-    if germ.kind == "poly":
-        vals = np.polynomial.polynomial.polyval(pts, np.asarray(germ.coeffs))
-        return _Frames(germ, np.asarray(vals, complex))
-
-    if germ.kind == "pole":
-        d = germ.a - pts
-        if np.min(np.abs(d)) <= POINT_TOL:
-            raise PreconditionError("path passes through the pole parameter")
-        return _Frames(germ, 1.0 / d)
-
-    if germ.kind == "log_pole":
-        u = 1.0 - pts / germ.a
-        if np.min(np.abs(u)) <= POINT_TOL / abs(germ.a):
-            raise PreconditionError("path passes through the log parameter")
-        # a segment that avoids a sweeps an angle of less than pi around it,
-        # which is the principal angle of its end-to-start ratio
-        chord = float(np.min(_point_segment_distance(germ.a, pts[..., :-1], pts[..., 1:]),
-                             initial=math.inf))
-        if chord <= POINT_TOL:
-            raise ToleranceError(
-                "a chord between samples passes within POINT_TOL of the log "
-                "parameter: sampling too coarse near the branch point for "
-                "branch tracking", stage="log chord", value=chord, bound=POINT_TOL)
-        theta = np.angle(u[..., :1]) + _prefix_sums(np.angle(u[..., 1:] / u[..., :-1]))
-        vals = np.log(np.abs(u)) + 1j * theta
-        wind = np.rint((theta - np.angle(u)) / TWO_PI).astype(int)
-        return _Frames(germ, vals, u=u, windings=wind)
-
-    if germ.kind == "series":
-        deg = min(len(germ.coeffs) - 1, cfg.n_ser)
-        return _Frames(germ, _series_values(germ, deg, pts), deg=deg)
-
-    raise PreconditionError(f"unknown germ kind {germ.kind!r}")
-
-
-def _frames_eval(frames: _Frames, z: np.ndarray, base=None) -> np.ndarray:
-    """Evaluate the continued germ at points z proven by the caller
-    (`_column_frames`).  A log germ takes its branch from base = (values,
-    u): its continued value and 1 - w/a at a base point w of each point of
-    z (broadcast against z), which is right when the segment from each base
-    point to its point avoids the branch point; other germs ignore it."""
-    g = frames.germ
-    if g.kind == "poly":
-        return np.polynomial.polynomial.polyval(z, np.asarray(g.coeffs))
-    if g.kind == "pole":
-        return 1.0 / (g.a - z)
-    if g.kind == "log_pole":
-        return base[0] + np.log((1.0 - z / g.a) / base[1])
-    c = np.asarray(g.coeffs[: frames.deg + 1], dtype=complex)  # series: Horner, in place
-    v = np.full(z.shape, c[-1])
-    for ck in c[-2::-1]:
-        v *= z
-        v += ck
-    return v
+def _continue_log(germ: Germ, pts: np.ndarray):
+    """A log germ continued along the polyline pts (last axis, from the
+    centre), one polyline per row: its values at the samples and 1 - pts/a."""
+    u = 1.0 - pts / germ.a
+    if np.min(np.abs(u)) <= POINT_TOL / abs(germ.a):
+        raise PreconditionError("path passes through the log parameter")
+    # a segment that avoids a sweeps an angle of less than pi around it,
+    # which is the principal angle of its end-to-start ratio
+    chord = float(np.min(_point_segment_distance(germ.a, pts[..., :-1], pts[..., 1:]),
+                         initial=math.inf))
+    if chord <= POINT_TOL:
+        raise ToleranceError(
+            "a chord between samples passes within POINT_TOL of the log "
+            "parameter: sampling too coarse near the branch point for "
+            "branch tracking", stage="log chord", value=chord, bound=POINT_TOL)
+    theta = np.angle(u[..., :1]) + _prefix_sums(np.angle(u[..., 1:] / u[..., :-1]))
+    return np.log(np.abs(u)) + 1j * theta, u
 
 
 # -- public continuation ----------------------------------------------------
@@ -359,8 +341,8 @@ def continue_along(germ: Germ, path: Path, fset: FilteredSet,
     parameter per step).  A series germ, truncated to degree n_ser, is its
     own continuation inside the assured disc and is evaluated there
     directly; a sample outside the disc, or one where the tail estimate
-    exceeds TOL_TAIL, is refused.  The path must start at the centre and,
-    for pole and log germs, avoid the parameter exactly.
+    exceeds TOL_TAIL * max(1, |value|), is refused.  The path must start at
+    the centre and, for pole and log germs, avoid the parameter exactly.
     """
     cfg = cfg or ConvolveConfig()
     if abs(fset.centre) > POINT_TOL:
@@ -373,9 +355,18 @@ def continue_along(germ: Germ, path: Path, fset: FilteredSet,
             raise PreconditionError("path passes through the germ parameter")
     n = int(math.ceil(SAMPLES_PER_UNIT * max(1.0, path.length)))
     ts, pts, ss = path.sample(n)
-    frames = _continue_frames(germ, pts, cfg)
-    return ContinuationTrace(path, ts, frames.values, local_radii(pts, ss, fset),
-                             windings=frames.windings)
+    if abs(pts[0]) > POINT_TOL:
+        raise PreconditionError("continuation must start at the centre")
+    germ, windings = _truncated(germ, cfg), None
+    if germ.kind == "log_pole":
+        values, u = _continue_log(germ, pts)
+        windings = np.rint((values.imag - np.angle(u)) / TWO_PI).astype(int)
+    elif germ.kind == "series":
+        values = _series_values(germ, pts)
+    else:
+        _check_pole(germ, pts)
+        values = _germ_values(germ, pts)
+    return ContinuationTrace(path, ts, values, local_radii(pts, ss, fset), windings)
 
 
 # -- convolution ------------------------------------------------------------
@@ -422,29 +413,18 @@ def _singular_points(phi: Germ, psi: Germ, gj: np.ndarray) -> list:
     return points
 
 
-def _whole_cells(ctrl: np.ndarray, phi_frames: _Frames, psi_frames: _Frames) -> _SubCells:
+def _whole_cells(ctrl: np.ndarray, phi_log, psi_log) -> _SubCells:
     """Every cell of the columns, (J, n_s), as a piece of depth 0, with its
-    control points ctrl and a log factor's base at its first sample: sample
-    c of the column for cell c, and sample n_s - c of the mirror, which psi
-    travels from the top row down."""
-    def bases(frames, first):
-        return None if frames.u is None else (frames.values[first], frames.u[first])
-
+    control points ctrl and a log factor's base at its first sample, from
+    its continuation (`_column_frames`): sample c of the column for cell c,
+    and sample n_s - c of the mirror, which psi travels from the top row down."""
+    bases = (lambda log, first: None if log is None else (log[0][first], log[1][first]))
     col, cell = np.indices(ctrl.shape[:2])
     return _SubCells(ctrl, col, cell, np.zeros_like(col),
-                     bases(phi_frames, np.s_[:, :-1]), bases(psi_frames, np.s_[:, :0:-1]))
+                     bases(phi_log, np.s_[:, :-1]), bases(psi_log, np.s_[:, :0:-1]))
 
 
-def _log_base(frames: _Frames, w: np.ndarray, base) -> tuple:
-    """A log factor's base at the points w, from a base whose segment to
-    each point is proven clear of the branch point; None for other germs."""
-    if base is None:
-        return None
-    return _frames_eval(frames, w, base), 1.0 - w / frames.germ.a
-
-
-def _halve(sub: _SubCells, phi_frames: _Frames, psi_frames: _Frames,
-           gj: np.ndarray) -> _SubCells:
+def _halve(sub: _SubCells, phi: Germ, psi: Germ, gj: np.ndarray) -> _SubCells:
     """Both halves of every sub-cell, each pair in order.  The first half
     keeps its parent's bases; the second takes them at the middle point,
     whose segment from the parent's first point lies in the parent's
@@ -456,14 +436,15 @@ def _halve(sub: _SubCells, phi_frames: _Frames, psi_frames: _Frames,
     def pair(first, second):
         return np.stack([first, second], axis=1).reshape((-1,) + first.shape[1:])
 
-    def bases(base, second):
-        return None if base is None else (pair(base[0], second[0]), pair(base[1], second[1]))
+    def bases(germ, base, w):  # a log factor's, at the points w; None for other germs
+        if base is None:
+            return None
+        return pair(base[0], _germ_values(germ, w, base)), pair(base[1], 1.0 - w / germ.a)
 
     return _SubCells(
         pair(left, right), np.repeat(sub.col, 2), np.repeat(sub.cell, 2),
         np.repeat(sub.depth + 1, 2),
-        bases(sub.phi_base, _log_base(phi_frames, mid, sub.phi_base)),
-        bases(sub.psi_base, _log_base(psi_frames, g - mid, sub.psi_base)))
+        bases(phi, sub.phi_base, mid), bases(psi, sub.psi_base, g - mid))
 
 
 def _reference_sweep(grid: DeformationGrid, js: np.ndarray, a: complex) -> np.ndarray:
@@ -476,33 +457,36 @@ def _reference_sweep(grid: DeformationGrid, js: np.ndarray, a: complex) -> np.nd
     return np.angle((top[0] - a) / -a) + _prefix_sums(steps)[js]
 
 
-def _chain_base(frames: _Frames, sub: _SubCells, sample: np.ndarray, w: np.ndarray,
+def _chain_base(germ: Germ, log, sub: _SubCells, sample: np.ndarray, w: np.ndarray,
                 first: np.ndarray, owner: np.ndarray):
     """A log factor's base at the first point of each piece, continued from
     its cell's first sample along the chords of the pieces before it; w
     holds the factor's arguments at the pieces' control points, sample the
-    frame index of each piece's cell's first sample.  None for other germs."""
-    if frames.u is None:
+    index in its continuation log of each piece's cell's first sample.
+    None for other germs."""
+    if log is None:
         return None
-    u0, u1 = 1.0 - w[:, 0] / frames.germ.a, 1.0 - w[:, 3] / frames.germ.a
+    u0, u1 = 1.0 - w[:, 0] / germ.a, 1.0 - w[:, 3] / germ.a
     # one running sum per split cell, so that its bits do not depend on the block
     pos = np.arange(len(owner)) - first[owner]
     steps = np.zeros((len(first), int(np.max(pos)) + 1), complex)
     steps[owner, pos] = np.log(u1 / u0)
-    return frames.values[sub.col, sample][first][owner] + _prefix_sums(steps)[owner, pos], u0
+    return log[0][sub.col, sample][first][owner] + _prefix_sums(steps)[owner, pos], u0
 
 
-def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
-                   cfg: ConvolveConfig):
-    """Columns js of the grid (one per row), with the frames of phi along
-    them and of psi along their mirrors, after every check that proves the
-    quadrature nodes: each set against its column or mirror column, each
-    germ continued along it, a series factor over every cell's hull
-    (`_prove_series`), and the cubic cells against the germs' singular
-    points.  The last two items are the cells' Bezier control points, the
-    one form of a cell the quadrature integrates (`_cubics`), and the
-    pieces of the cells that had to be split to be proven (`_split_cells`),
-    with their bases, or None when no cell was split.
+def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray):
+    """Columns js of the grid (one per row), after every check that proves
+    the quadrature nodes: each set against its column or mirror column; a
+    log factor continued along it (`_continue_log`, phi along the column,
+    psi along the mirror), a pole factor refused at a sample, and a series
+    factor proven over every cell's hull (`_prove_series`); and the cubic
+    cells against the germs' singular points.  Only a log's value depends
+    on its path, so the other factors are evaluated at the nodes from the
+    germ alone.  Returns the columns, phi's and psi's continuations (values,
+    1 - w/a; None for other kinds), the cells' Bezier control points, the
+    one form of a cell the quadrature integrates (`_cubics`), and the pieces
+    of the cells that had to be split to be proven (`_split_cells`), with
+    their bases, or None when no cell was split.
 
     The quadrature integrates along the cubics, so each column's chain of
     cubics must wind around every singular point as the path it is
@@ -512,20 +496,23 @@ def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
     winds otherwise passes on the wrong side of a point between two
     samples, which no split can mend, and is refused (ToleranceError).  A
     log factor is continued along the arcs: where a split cell's arc and
-    chord wind differently, the frames past it move by the turns between
+    chord wind differently, the values past it move by the turns between
     them."""
     cols = grid.H[:, js]
     mirs = mirror(cols)
     _check_columns(cols, grid.set_a, grid.level)
     _check_columns(mirs, grid.set_b, grid.level)
     cols, mirs = cols.T, mirs.T
-    psi_frames = _continue_frames(psi, mirs, cfg)
-    phi_frames = _continue_frames(phi, cols, cfg)
+    logs = [None, None]  # phi's and psi's, indexed by `mirrored`
+    for germ, pts, mirrored in ((psi, mirs, True), (phi, cols, False)):
+        _check_pole(germ, pts)
+        if germ.kind == "log_pole":
+            logs[mirrored] = _continue_log(germ, pts)
     ctrl = _cubics(cols, *_cell_rule(grid.n_s))
     if phi.kind == "series":
-        _prove_series(phi_frames, ctrl)
+        _prove_series(phi, ctrl)
     if psi.kind == "series":
-        _prove_series(psi_frames, cols[:, -1, None, None] - ctrl)
+        _prove_series(psi, cols[:, -1, None, None] - ctrl)
     points = _singular_points(phi, psi, cols[:, -1])
     bs = [b for b, _, _ in points]
     sub = None
@@ -534,14 +521,14 @@ def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
         at = sub.col[first], sub.cell[first]
     for k, (b, a, mirrored) in enumerate(points):
         sweep = np.angle((ctrl[..., 3] - b) / (ctrl[..., 0] - b))
-        frames = psi_frames if mirrored else phi_frames
         if sub is not None:
             turns = np.zeros(sweep.shape)
             turns[at] = np.rint((sweeps[k] - sweep[at]) / TWO_PI)
-            if frames.u is not None and turns.any():
+            if logs[mirrored] is not None and turns.any():
                 # psi's mirror crosses the cells from the top row down
                 shift = -_prefix_sums(turns[:, ::-1]) if mirrored else _prefix_sums(turns)
-                frames.values = frames.values + 2j * math.pi * shift
+                values, u = logs[mirrored]
+                logs[mirrored] = values + 2j * math.pi * shift, u
             sweep[at] = sweeps[k]
         total = sweep.sum(axis=1)
         gap = float(np.max(np.abs((-total if mirrored else total) - _reference_sweep(grid, js, a))))
@@ -550,15 +537,15 @@ def _column_frames(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
                 "grid too coarse near a pole or branch point: a column's cubic cells wind "
                 "around it other than the path it is deformed from does",
                 stage="column winding", value=gap, bound=math.pi)
+    phi_log, psi_log = logs
     if sub is not None:
-        sub.phi_base = _chain_base(phi_frames, sub, sub.cell, sub.ctrl, first, owner)
-        sub.psi_base = _chain_base(psi_frames, sub, grid.n_s - sub.cell,
+        sub.phi_base = _chain_base(phi, phi_log, sub, sub.cell, sub.ctrl, first, owner)
+        sub.psi_base = _chain_base(psi, psi_log, sub, grid.n_s - sub.cell,
                                    cols[sub.col, -1, None] - sub.ctrl, first, owner)
-    return cols, phi_frames, psi_frames, ctrl, sub
+    return cols, phi_log, psi_log, ctrl, sub
 
 
-def _integrand(cells: _SubCells, gj: np.ndarray, phi_frames: _Frames, psi_frames: _Frames,
-               n_q: int) -> np.ndarray:
+def _integrand(cells: _SubCells, gj: np.ndarray, phi: Germ, psi: Germ, n_q: int) -> np.ndarray:
     """phi * psi * (w dZ) at the Gauss-Legendre nodes of order n_q on each
     cubic of `cells`, from its Bezier control points, and a log factor's
     value from the base at its first point: of shape cells.col.shape +
@@ -569,8 +556,8 @@ def _integrand(cells: _SubCells, gj: np.ndarray, phi_frames: _Frames, psi_frames
     vals, wders = _bernstein_rule(n_q)
     nodes = (lambda base: None if base is None else (base[0][..., None], base[1][..., None]))
     Z = _products(cells.ctrl, vals)
-    psi_vals = _frames_eval(psi_frames, gj[cells.col][..., None] - Z, nodes(cells.psi_base))
-    integrand = _frames_eval(phi_frames, Z, nodes(cells.phi_base))
+    psi_vals = _germ_values(psi, gj[cells.col][..., None] - Z, nodes(cells.psi_base))
+    integrand = _germ_values(phi, Z, nodes(cells.phi_base))
     del Z
     integrand *= psi_vals
     del psi_vals
@@ -578,8 +565,8 @@ def _integrand(cells: _SubCells, gj: np.ndarray, phi_frames: _Frames, psi_frames
     return integrand
 
 
-def _refine(sub: _SubCells, phi_frames: _Frames, psi_frames: _Frames, gj: np.ndarray,
-            budget: np.ndarray, n_q: int):
+def _refine(sub: _SubCells, phi: Germ, psi: Germ, gj: np.ndarray, budget: np.ndarray,
+            n_q: int):
     """Integrate the pieces by Gauss-Legendre of orders n_q and n_q // 2,
     halving each piece whose estimate |Q - Q'| exceeds its column's budget,
     down to depth SPLIT_DEPTH.  Every piece lies in its cell's proven hull
@@ -587,12 +574,12 @@ def _refine(sub: _SubCells, phi_frames: _Frames, psi_frames: _Frames, gj: np.nda
     pieces' columns, depths, values Q and estimates (empty for no pieces)."""
     kept = [(sub.col[:0], sub.depth[:0], np.zeros(0, dtype=complex), np.zeros(0))]
     while len(sub.col):
-        q, coarse = (_integrand(sub, gj, phi_frames, psi_frames, order).sum(axis=1)
+        q, coarse = (_integrand(sub, gj, phi, psi, order).sum(axis=1)
                      for order in (n_q, n_q // 2))
         err = np.abs(q - coarse)
         ok = (err <= budget[sub.col]) | (sub.depth >= SPLIT_DEPTH)
         kept.append((sub.col[ok], sub.depth[ok], q[ok], err[ok]))
-        sub = _halve(sub.take(~ok), phi_frames, psi_frames, gj)
+        sub = _halve(sub.take(~ok), phi, psi, gj)
     return (np.concatenate(parts) for parts in zip(*kept))
 
 
@@ -615,33 +602,32 @@ def _integrate(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
     column's cells is halved, and so are its halves, down to depth
     SPLIT_DEPTH.  A column's estimate is the sum of the estimates of its
     cells, or of the pieces they were split into."""
-    cols, phi_frames, psi_frames, ctrl, sub = _column_frames(phi, psi, grid, js, cfg)
+    cols, phi_log, psi_log, ctrl, sub = _column_frames(phi, psi, grid, js)
     gj = cols[:, -1]
-    whole = _whole_cells(ctrl, phi_frames, psi_frames)
-    integrand = _integrand(whole, gj, phi_frames, psi_frames, cfg.n_q)
+    whole = _whole_cells(ctrl, phi_log, psi_log)
+    integrand = _integrand(whole, gj, phi, psi, cfg.n_q)
     split = np.zeros(integrand.shape[:2], dtype=bool)
     if sub is not None:
         split[sub.col, sub.cell] = True
     errors = n_split = depth = None
     if estimate:
         cells = integrand.sum(axis=2)
-        coarse = _integrand(whole, gj, phi_frames, psi_frames, cfg.n_q // 2)
+        coarse = _integrand(whole, gj, phi, psi, cfg.n_q // 2)
         cell_errors = np.where(split, 0.0, np.abs(cells - coarse.sum(axis=2)))
         budget = CELL_BUDGET * np.where(split, 0.0, np.abs(cells)).sum(axis=1)
         over = cell_errors > budget[:, None]
         cell_errors[over] = 0.0
-        pieces = _halve(whole.take(over), phi_frames, psi_frames, gj)
+        pieces = _halve(whole.take(over), phi, psi, gj)
         if sub is not None:
             pieces = pieces.join(sub)
-        col, piece_depth, q, piece_errors = _refine(pieces, phi_frames, psi_frames, gj,
-                                                    budget, cfg.n_q)
+        col, piece_depth, q, piece_errors = _refine(pieces, phi, psi, gj, budget, cfg.n_q)
         errors = cell_errors.sum(axis=1)
         np.add.at(errors, col, piece_errors)
         split |= over
         n_split, depth = int(np.count_nonzero(split)), int(np.max(piece_depth, initial=0))
     elif sub is not None:
         col = sub.col
-        q = _integrand(sub, gj, phi_frames, psi_frames, cfg.n_q).sum(axis=1)
+        q = _integrand(sub, gj, phi, psi, cfg.n_q).sum(axis=1)
     integrand[split] = 0.0
     values = integrand.reshape(len(js), -1).sum(axis=1)
     if split.any():
@@ -659,7 +645,8 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j, *,
     of the grid at time node j.  phi travels along the column against the
     first set, psi along the mirror column against the second; between
     samples the contour is a local cubic and the quadrature is composite
-    Gauss-Legendre of order cfg.n_q per cell.
+    Gauss-Legendre of order cfg.n_q per cell.  A series germ is cut to
+    degree cfg.n_ser.
 
     j is one time index (the value is a complex) or a 1-D array of them
     (the values are an array, one per index, integrated as one block).
@@ -674,7 +661,8 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j, *,
         raise PreconditionError(f"time index {bad[0]} outside the grid")
     if not len(js):
         return np.empty(0, dtype=complex)
-    values = _integrate(phi, psi, grid, js, cfg, estimate=False)[0]
+    values = _integrate(_truncated(phi, cfg), _truncated(psi, cfg), grid, js, cfg,
+                        estimate=False)[0]
     return values if np.ndim(j) else complex(values[0])
 
 
@@ -821,9 +809,10 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     error (`ProbeReport.cell_error_rel`).
 
     Each loop column passes once the checks that prove its quadrature
-    nodes (`_column_frames`), for every germ kind.  The circle's columns are
-    integrated with the estimate; of the route's, only the last, by
-    `convolve_at`, which perfbench counts.
+    nodes (`_column_frames`), for every germ kind, a series germ cut to
+    degree cfg.n_ser.  The circle's columns are integrated with the
+    estimate; of the route's, only the last, by `convolve_at`, which
+    perfbench counts.
     """
     if cfg is None:
         # n_s and n_q decide the accuracy.  A loop drags a hairpin of the
@@ -839,6 +828,7 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
         # step counts, which makes the trapezoid rule of ring_rel converge
         # geometrically.
         cfg = ConvolveConfig(n_s=64, n_t=64, n_q=16)
+    phi, psi = _truncated(phi, cfg), _truncated(psi, cfg)
     candidate = _finite(candidate, "candidate")
     seed = None if seed is None else _finite(seed, "seed")
     radius = float(radius)
@@ -872,7 +862,7 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
         raise PreconditionError("circle start did not land on a time node")
     block = _block_columns(grid, 4)
     for k in range(0, first - 1, block):
-        _column_frames(phi, psi, grid, np.arange(k, min(k + block, first - 1)), cfg)
+        _column_frames(phi, psi, grid, np.arange(k, min(k + block, first - 1)))
     convolve_at(phi, psi, grid, first - 1, cfg=cfg)
     vals, errors, cells_split, split_depth = _estimate_columns(
         phi, psi, grid, np.arange(first, grid.n_t + 1), cfg)

@@ -66,15 +66,37 @@ def test_compare_exits_1_when_a_file_is_on_one_side_only(tmp_path):
                      "gone.bin": f"only in {old}"}
 
 
-def test_log_probe_dump_holds_the_circle_values(tmp_path):
-    # each log-type probe that answers writes its circle's values, bit for
-    # bit; one that is refused writes its error class alone
+def load_script():
     import importlib.util
-    import types
 
     spec = importlib.util.spec_from_file_location("bytecheck", SCRIPT)
     bytecheck = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bytecheck)
+    return bytecheck
+
+
+def test_outcome_writes_a_tolerance_errors_stage_value_and_bound():
+    import borelconv as bc
+
+    def refuse(**named):
+        def run():
+            raise bc.ToleranceError("refused", **named)
+        return run
+
+    outcome = load_script()._outcome
+    assert outcome(bc, refuse(stage="series disc", value=0.75, bound=0.5)) == (
+        "ToleranceError stage='series disc' value=0x1.8000000000000p-1 "
+        "bound=0x1.0000000000000p-1")
+    assert outcome(bc, refuse()) == "ToleranceError stage=None value=None bound=None"
+    assert outcome(bc, lambda: None) == "ok"
+
+
+def test_log_probe_dump_holds_the_circle_values(tmp_path):
+    # each log-type probe that answers writes its circle's values, bit for
+    # bit; one that is refused writes its error class alone
+    import types
+
+    bytecheck = load_script()
 
     class Refused(Exception):
         pass

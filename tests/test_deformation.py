@@ -327,6 +327,44 @@ def test_stacked_stepper_guard_on_hairpin_matches_single_steps(eps_den, between_
     assert stacked.min_chi == stepped.min_chi
 
 
+@pytest.mark.parametrize("n_t", [37, 38, 76, 77, 91, 92])
+def test_stacked_stepper_guard_trips_in_the_call_where_single_steps_stop(monkeypatch, n_t):
+    # one stacked call holds a two-interval step and the second half of the
+    # step before it, so the guard reports a stage time of the first call
+    # that trips, which can lie up to one step past the time where the
+    # single-state steps of the same scheme stop.  On this hairpin the two
+    # times agree at n_t 37 and 38 and differ at 76, 77, 91 and 92; both
+    # stop in the same stacked call.
+    gamma = Path([0.25, 0.6 + 0.01j, 1.3 + 0.002j, 1.75])
+    a, empty = FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [], 6.0)
+    eps_den = 1e-2
+    t_nodes, seg_of_step = _t_nodes_for(gamma, n_t)
+    H = np.empty((17, len(t_nodes)), dtype=complex)
+    H[:, 0] = np.linspace(0.0, 1.0, 17) * gamma.start
+    with pytest.raises(ChiGuardError) as want:
+        single_state_steps(FlowField(gamma, a, empty, 2.2, eps_den), H[:, 0], t_nodes,
+                           seg_of_step)
+    # the stage times of every field call, from a run whose guard never trips
+    unguarded, stacked = FlowField(gamma, a, empty, 2.2, 0.0), FlowField(gamma, a, empty, 2.2,
+                                                                         eps_den)
+    times, tripped = [], []
+    call = FlowField.__call__
+
+    def recorded(self, z, t, *args):
+        (times if self is unguarded else tripped).append(np.atleast_1d(t))
+        return call(self, z, t, *args)
+
+    monkeypatch.setattr(FlowField, "__call__", recorded)
+    _rk4_stacked(unguarded, H.copy(), t_nodes, seg_of_step)
+    with pytest.raises(ChiGuardError) as got:
+        _rk4_stacked(stacked, H, t_nodes, seg_of_step)
+    # four field calls per stacked call, the last one made the one that raised
+    c = (len(tripped) - 1) // 4
+    stage_times = set(np.concatenate(times[4 * c:4 * c + 4]).tolist())
+    assert got.value.t in stage_times and want.value.t in stage_times
+    assert got.value.value <= eps_den and want.value.value <= eps_den
+
+
 def test_field_with_gamma_given_equals_lookup():
     gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j, 0.1 + 0.35j])
     f = field_for(gamma, FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [(2, 2.0)], 6.0), 2.5)

@@ -163,37 +163,39 @@ def test_convolve_series_refuses_large_tail():
     with pytest.raises(ToleranceError, match="tail estimate") as info:
         convolve_along(Germ.series([1.0] * 8, 1.0), Germ.pole(2), Path([0.25, 0.5]), a, b,
                        ConvolveConfig(n_s=16, n_t=16, n_q=6))
-    # the largest tail estimate relative to max(1, |value|), against TOL_TAIL
+    # the tail estimate at the largest |z| over the cells' hulls, against TOL_TAIL
     exc = info.value
     assert exc.stage == "series tail" and exc.bound == TOL_TAIL < exc.value < 1.0
 
 
 def test_series_tail_precheck_agrees_with_per_point_check():
-    from borelconv.germs import TOL_TAIL, _series_tail, _series_values
+    from borelconv.germs import TOL_TAIL, _series_tail, _series_values, _truncated
 
     rng = np.random.default_rng(7)
     seen = set()
     for _ in range(300):
         n = int(rng.integers(8, 65))
-        ser = Germ.series([1.0] * n, 1.0)
-        deg = min(n - 1, int(rng.integers(4, 70)))
+        n_ser = int(rng.integers(4, 70))
+        ser = _truncated(Germ.series([1.0] * n, 1.0), ConvolveConfig(n_ser=n_ser))
+        deg = min(n - 1, n_ser)
+        assert len(ser.coeffs) == deg + 1
         z = rng.uniform(0.0, rng.uniform(0.2, 0.95), 6) * np.exp(2j * math.pi * rng.uniform(size=6))
         v = np.polynomial.polynomial.polyval(z, np.ones(deg + 1))
-        pre_pass = _series_tail(ser, deg, np.max(np.abs(z))) <= math.log(TOL_TAIL)
-        refuse = np.any(_series_tail(ser, deg, np.abs(z))
+        pre_pass = _series_tail(ser, np.max(np.abs(z))) <= math.log(TOL_TAIL)
+        refuse = np.any(_series_tail(ser, np.abs(z))
                         > np.log(TOL_TAIL * np.maximum(1.0, np.abs(v))))
         assert not (pre_pass and refuse)
         seen.add((bool(pre_pass), bool(refuse)))
         if refuse:
             with pytest.raises(ToleranceError):
-                _series_values(ser, deg, z)
+                _series_values(ser, z)
         else:
-            assert np.allclose(_series_values(ser, deg, z), v, rtol=1e-14, atol=0)
+            assert np.allclose(_series_values(ser, z), v, rtol=1e-14, atol=0)
     assert seen == {(True, False), (False, False), (False, True)}
 
 
 def test_series_horner_matches_polyval_bits():
-    from borelconv.germs import _series_values
+    from borelconv.germs import _series_values, _truncated
 
     rng = np.random.default_rng(3)
     for n in (1, 2, 17, 48):
@@ -201,7 +203,12 @@ def test_series_horner_matches_polyval_bits():
         ser = Germ.series(c * 1e-12, 1.0)
         z = 0.4 * (rng.uniform(-1, 1, (5, 7)) + 1j * rng.uniform(-1, 1, (5, 7)))
         want = np.polynomial.polynomial.polyval(z, c * 1e-12)
-        assert _series_values(ser, n - 1, z).tobytes() == want.tobytes()
+        assert _series_values(ser, z).tobytes() == want.tobytes()
+        # cut to its first k coefficients, the Horner sum of the first k
+        k = max(1, n // 2)
+        cut = _truncated(ser, ConvolveConfig(n_ser=k - 1))
+        want = np.polynomial.polynomial.polyval(z, c[:k] * 1e-12)
+        assert _series_values(cut, z).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_ser", [-1, -60, 2.5, "64", None])
@@ -1037,9 +1044,7 @@ MONODROMY_PSI = {
 }
 
 
-@pytest.mark.parametrize("psi_kind", sorted(MONODROMY_PSI))
-@pytest.mark.parametrize("phi_kind", ["pole", "log_pole"])
-def test_monodromy_around_phis_point_matches_its_residue(phi_kind, psi_kind):
+def assert_monodromy(phi_kind, psi_kind, z):
     # the contours of two allowed paths to z, one passing above phi's
     # point 1 and one below, differ by a turn around 1 alone.  That turn
     # leaves 2 pi i psi(z - 1) for phi = pole(1), and for phi = log_pole(1),
@@ -1047,7 +1052,6 @@ def test_monodromy_around_phis_point_matches_its_residue(phi_kind, psi_kind):
     # The closed forms share no code with the convolution.
     psi, values, integral = MONODROMY_PSI[psi_kind]
     a, b = pole_pair_sets()
-    z = 1.5 + 0.3j
     above = Path([0.25, 0.9 + 0.35j, 1.1 + 0.35j, z])
     below = Path([0.25, 0.9 - 0.35j, 1.1 - 0.35j, 1.35 - 0.1j, z])
     cfg = ConvolveConfig(n_s=64, n_t=128, n_q=16)
@@ -1056,6 +1060,24 @@ def test_monodromy_around_phis_point_matches_its_residue(phi_kind, psi_kind):
            - convolve_along(phi, psi, below, a, b, cfg).end_value)
     want = TWO_PI_I * values(z - 1) if phi_kind == "pole" else -TWO_PI_I * integral(z - 1)
     assert abs(got - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("psi_kind", sorted(MONODROMY_PSI))
+@pytest.mark.parametrize("phi_kind", ["pole", "log_pole"])
+def test_monodromy_around_phis_point_matches_its_residue(phi_kind, psi_kind):
+    assert_monodromy(phi_kind, psi_kind, 1.5 + 0.3j)
+
+
+@settings(max_examples=15, deadline=None)
+@given(x=st.floats(1.2, 1.9), y=st.floats(0.05, 0.55),
+       phi_kind=st.sampled_from(["pole", "log_pole"]),
+       psi_kind=st.sampled_from(sorted(MONODROMY_PSI)))
+def test_monodromy_around_phis_point_holds_over_end_points(x, y, phi_kind, psi_kind):
+    # end points z in [1.2, 1.9] x [0.05, 0.55], where every kind pair
+    # answers (on a 9 x 9 grid of it, within 4.0e-15), and the loop the two
+    # paths close winds around no singular point but 1 (2 and 3 lie to the
+    # right of the box)
+    assert_monodromy(phi_kind, psi_kind, complex(x, y))
 
 
 HOMOTOPY_PATHS = {
@@ -1152,6 +1174,44 @@ def test_series_factor_is_refused_from_its_cells_hulls_before_any_node(monkeypat
     assert (exc.stage, exc.bound) == (stage, bound)
     assert exc.value == pytest.approx(want, rel=1e-12)
     assert not calls
+
+
+def test_convolution_evaluates_no_pole_poly_or_series_factor_at_its_samples(monkeypatch):
+    # only a log factor's value depends on the path it was continued along:
+    # a pole, polynomial or series factor is evaluated from its germ at the
+    # quadrature nodes alone, never at the (J, n_s + 1) samples of a block
+    # of columns, and a series factor is proven over its cells' hulls, not
+    # sample by sample (`_series_values`)
+    from borelconv import germs
+
+    def sampled(*args):
+        raise AssertionError("a series factor was evaluated at its samples")
+
+    monkeypatch.setattr(germs, "_series_values", sampled)
+    a, b = pole_pair_sets()
+    cfg = ConvolveConfig(n_s=16, n_t=16, n_q=8)
+    # the inputs of perfbench's series_trace, then a series x pole column
+    series_phi = Germ.series([1.0] * 48, 1.0)
+    series_psi = Germ.series([0.5 ** (k + 1) for k in range(48)], 2.0)
+
+    def convolve():
+        trace = convolve_along(series_phi, series_psi, Path([0.25, 0.5]), a, b, cfg)
+        grid = trace.grid
+        return [*trace.values, *(convolve_at(phi, psi, grid, grid.n_t, cfg=cfg) for phi, psi in (
+            (series_phi, Germ.pole(2)), (Germ.poly([1.0, 0.5j]), series_psi)))]
+
+    assert np.all(np.isfinite(convolve()))
+    calls = []
+    germ_values = germs._germ_values
+
+    def recorded(germ, z, base=None):
+        calls.append((germ.kind, np.shape(z)))
+        return germ_values(germ, z, base)
+
+    monkeypatch.setattr(germs, "_germ_values", recorded)
+    convolve()
+    assert {kind for kind, _ in calls} == {"series", "pole", "poly"}
+    assert not [shape for _, shape in calls if shape[-1:] == (cfg.n_s + 1,)]
 
 
 def test_log_column_through_the_branch_point_is_refused():
@@ -1276,7 +1336,7 @@ def test_log_values_on_proven_cells_follow_the_continued_log_along_the_cubics(se
     # cell's first sample, are the log continued along the cubics, tracked
     # on a dense polyline (no code shared with the check)
     from borelconv.cells import _bernstein_rule, _cell_rule, _check_cells, _cubics, _products
-    from borelconv.germs import _continue_frames, _frames_eval, _singular_points
+    from borelconv.germs import _continue_log, _germ_values, _singular_points
 
     rng = np.random.default_rng(seed)
     n_s = 8
@@ -1308,8 +1368,8 @@ def test_log_values_on_proven_cells_follow_the_continued_log_along_the_cubics(se
         cols = col[None, :]
         phi, psi = Germ.log_pole(zeta), Germ.log_pole(col[-1] - zeta)
         try:
-            phi_frames = _continue_frames(phi, cols, ConvolveConfig())
-            psi_frames = _continue_frames(psi, (col[-1] - col[::-1])[None, :], ConvolveConfig())
+            phi_log = _continue_log(phi, cols)
+            psi_log = _continue_log(psi, (col[-1] - col[::-1])[None, :])
         except ToleranceError:
             refused += 1
             continue
@@ -1325,9 +1385,9 @@ def test_log_values_on_proven_cells_follow_the_continued_log_along_the_cubics(se
         Z = _products(ctrl, _bernstein_rule(8)[0])
         # cell c starts at sample c of the column and at sample n_s - c of
         # its mirror, which psi travels from the top row down
-        first = (lambda f, at: (f.values[:, at, None], f.u[:, at, None]))
-        got_phi = _frames_eval(phi_frames, Z, first(phi_frames, np.s_[:-1])).ravel()
-        got_psi = _frames_eval(psi_frames, col[-1] - Z, first(psi_frames, np.s_[:0:-1])).ravel()
+        first = (lambda log, at: (log[0][:, at, None], log[1][:, at, None]))
+        got_phi = _germ_values(phi, Z, first(phi_log, np.s_[:-1])).ravel()
+        got_psi = _germ_values(psi, col[-1] - Z, first(psi_log, np.s_[:0:-1])).ravel()
         want_phi = _continued_log(1.0 - dense / zeta)[nodes]
         # psi travels the mirror: from gamma's end back to the centre
         mirrored = (col[-1] - dense)[::-1]

@@ -30,8 +30,9 @@ Writes, one file per output, into OUTDIR:
   `set-op saturate` of a lattice and `path-check` of a walk against it
   (with the default and with 4096 samples), with the exit codes;
 * the error class raised, or "ok", for inputs on which a guard trips or
-  nearly trips, with a ChiGuardError's t, value and bound, or the min_chi
-  of the grid a run returned, as exact hex floats;
+  nearly trips, with a ChiGuardError's t, value and bound, a
+  ToleranceError's stage, value and bound, or the min_chi of the grid a
+  run returned, as exact hex floats;
 * union, sum, fine_sum and saturate of sets holding near-duplicate points
   (closer than POINT_TOL, in both sort orders, with tied and untied
   levels), `level_of` and `entries_at` on the results, and the vertices of
@@ -198,11 +199,16 @@ def _log_probes(bc, dump: Dump) -> None:
 
 def _outcome(bc, run) -> str:
     """The error class a guard case raises, with a ChiGuardError's t, value
-    and bound; or "ok", with the min_chi of the grid the run returned."""
+    and bound, or a ToleranceError's stage, value and bound (each "None"
+    where the check names none); or "ok", with the min_chi of the grid the
+    run returned."""
     try:
         result = run()
     except bc.ChiGuardError as exc:
         return f"ChiGuardError t={_hex(exc.t)} value={_hex(exc.value)} bound={_hex(exc.bound)}"
+    except bc.ToleranceError as exc:
+        value, bound = (None if x is None else _hex(x) for x in (exc.value, exc.bound))
+        return f"ToleranceError stage={exc.stage!r} value={value} bound={bound}"
     except bc.BorelConvError as exc:
         return type(exc).__name__
     grid = getattr(getattr(result, "trace", None), "grid", result)
