@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", type=int, default=cfg.n_s)
     p.add_argument("--nt", type=int, default=cfg.n_t)
     p.add_argument("--nq", type=int, default=cfg.n_q)
-    p.add_argument("--nser", type=int, default=cfg.n_ser)
     p.add_argument("--probe", type=_finite_pair, default=None,
                    help="re,im of a candidate singularity to classify")
     p.add_argument("--probe-radius", type=_finite_float, default=0.1)
@@ -173,8 +172,7 @@ def _cmd_convolve(args) -> int:
     gamma = jsonio.path_from_doc(jsonio.load_json(args.gamma))
     set_a = jsonio.set_from_doc(jsonio.load_json(args.set_a))
     set_b = jsonio.set_from_doc(jsonio.load_json(args.set_b))
-    cfg = germs.ConvolveConfig(level=args.level, n_s=args.ns, n_t=args.nt,
-                               n_q=args.nq, n_ser=args.nser)
+    cfg = germs.ConvolveConfig(level=args.level, n_s=args.ns, n_t=args.nt, n_q=args.nq)
     trace = germs.convolve_along(phi, psi, gamma, set_a, set_b, cfg)
     os.makedirs(args.outdir, exist_ok=True)
     jsonio.write_csv(os.path.join(args.outdir, "trace.csv"),

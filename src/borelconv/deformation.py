@@ -249,6 +249,13 @@ def _check_integer(name: str, value) -> None:
         raise PreconditionError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_real(name: str, value) -> None:
+    """Refuse a level that is not a real number (PreconditionError)."""
+    # bool is a Real, but True is no level
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise PreconditionError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_length_budget(delta_len: float | None) -> None:
     """Refuse a length budget that is given but not positive and finite."""
     if delta_len is not None and not (delta_len > 0.0 and math.isfinite(delta_len)):
@@ -319,6 +326,7 @@ def _deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
         raise PreconditionError("deformation requires both sets centred at 0")
     _check_integer("n_s", n_s)
     _check_integer("n_t", n_t)
+    _check_real("level", level)
     if n_s < 8 or n_t < 8:
         raise PreconditionError("grid sizes must be at least 8")
     if eps_den is not None and not (eps_den >= 0.0 and math.isfinite(eps_den)):

@@ -2,10 +2,12 @@
 
 Germ backends: closed forms (polynomials, simple poles 1/(a - z),
 logarithms log(1 - z/a) with branch tracking) give exact reference values;
-truncated power series are evaluated directly inside their assured disc,
-with the Taylor tail estimate checked at every sample of `continue_along`
-and, in a convolution, over the hull of every cell's control points before
-any quadrature node is evaluated.  Only a log's value depends on its path.
+truncated power series are evaluated directly, with every coefficient
+given, inside their assured disc.  One rule trusts a series
+(`_prove_series`): its Taylor tail estimate at the largest |z| of a path
+(`continue_along`), or of the hulls of a convolution's cells before any
+quadrature node is evaluated, is within TOL_TAIL.  Only a log's value
+depends on its path.
 
 The convolution of two germs at a point gamma(t) is the contour integral
 of phi(h) * psi(gamma(t) - h) over a deformed contour h = H_t(s) produced
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .cells import (
     _split_cells,
     _SubCells,
 )
-from .deformation import DeformationGrid, _check_integer, mirror, seed_levels
+from .deformation import DeformationGrid, _check_integer, _check_real, mirror, seed_levels
 from .deformation import _deform as deform  # the core, under the name the benchmark times
 from .errors import PreconditionError, ToleranceError
 from .filtered_set import POINT_TOL, FilteredSet
@@ -57,7 +59,7 @@ from .paths import (
 
 TWO_PI = 2.0 * math.pi
 
-TOL_TAIL = 1e-9             # series tail estimate budget, relative to the value
+TOL_TAIL = 1e-9             # series tail estimate budget at the largest |z| of a path or hull
 SAMPLES_PER_UNIT = 64       # continue_along samples per unit path length
 TOL_MONO = 1e-4             # probe threshold on the relative defect and loop integral
 PROBE_CIRCLE_SEGMENTS = 16  # sides of the polygonal probe circle
@@ -156,23 +158,23 @@ def eval_local(germ: Germ, z) -> complex:
 
 @dataclass(frozen=True)
 class ConvolveConfig:
-    """Numerical knobs for continuation and convolution."""
+    """Numerical knobs for convolution (a series germ is evaluated with
+    every coefficient it was built with)."""
 
     level: float | None = None      # working budget; None picks the midpoint
     n_s: int = 128                  # contour cells per time node
     n_t: int = 256                  # floor on the time steps along gamma
     n_q: int = 16                   # Gauss-Legendre order per cell
-    n_ser: int = 64                 # cap on the series degree
 
     def __post_init__(self):
-        for name in ("n_s", "n_t", "n_q", "n_ser"):
+        if self.level is not None:
+            _check_real("level", self.level)
+        for name in ("n_s", "n_t", "n_q"):
             _check_integer(name, getattr(self, name))
         if self.n_q < 2:
             # order >= 2 integrates the interpolant derivative exactly per
             # cell, which keeps constant integrands telescoping to the endpoint
             raise PreconditionError(f"quadrature order n_q must be at least 2, got {self.n_q}")
-        if self.n_ser < 0:
-            raise PreconditionError(f"n_ser must be a non-negative integer, got {self.n_ser!r}")
 
 
 # -- continuation traces ----------------------------------------------------
@@ -207,11 +209,6 @@ class ContinuationTrace:
 
 
 # -- germ values at points ---------------------------------------------------
-
-def _truncated(germ: Germ, cfg: ConvolveConfig) -> Germ:
-    """A series germ cut to degree cfg.n_ser; any other germ as it is."""
-    return replace(germ, coeffs=germ.coeffs[:cfg.n_ser + 1]) if germ.kind == "series" else germ
-
 
 def _germ_values(germ: Germ, z: np.ndarray, base=None) -> np.ndarray:
     """The germ at points z proven by the caller.  A log germ takes its
@@ -259,44 +256,20 @@ def _series_tail(germ: Germ, r):
         return log_m0 + (deg + 1) * np.log(q) - np.log(1.0 - q)
 
 
-def _series_values(germ: Germ, z: np.ndarray) -> np.ndarray:
-    """A series germ evaluated at the samples z of a path.
-
-    The truncated series at the centre is the continuation along every path
-    inside the assured disc, so it is evaluated directly.  Beyond the disc
-    the evaluation refuses; inside it, the error against the underlying
-    function is the Taylor tail, which must stay within TOL_TAIL *
-    max(1, |value|) at every sample (a convolution's nodes: `_prove_series`).
-    """
-    r = np.abs(z)
-    # the estimate grows with |z| and the budget is at least log TOL_TAIL,
-    # so the largest |z| passing means every point passes
-    passed = _series_tail(germ, np.max(r)) <= math.log(TOL_TAIL)
-    v = _germ_values(germ, z)
-    if not passed:
-        excess = float(np.max(_series_tail(germ, r) - np.log(
-            TOL_TAIL * np.maximum(1.0, np.abs(v)))))
-        if excess > 0.0:
-            # the value is the largest tail estimate relative to max(1, |value|)
-            raise ToleranceError(
-                "series tail estimate above tolerance; increase the degree "
-                "or keep the path deeper inside the disc",
-                stage="series tail", value=TOL_TAIL * math.exp(excess), bound=TOL_TAIL)
-    return v
-
-
 def _prove_series(germ: Germ, z: np.ndarray) -> None:
-    """Refuse a series factor unless the convex hull of its arguments z at
-    every cell's control points lies in its disc with a tail estimate
-    within TOL_TAIL.  Every quadrature node, of a cell or of a de Casteljau
-    piece of it, lies in its cell's hull; |z| is convex, so its largest
-    value on a hull is at a control point; and the estimate grows with |z|.
-    So one test at the largest |z| covers every node, and every sample (a
-    cell's first or last control point)."""
+    """Refuse a series germ unless the convex hulls spanned by the points z
+    lie in its disc with a tail estimate within TOL_TAIL: z holds a path's
+    samples, whose chords are the path, or every convolution cell's control
+    points.  Every quadrature node, of a cell or of a de Casteljau piece of
+    it, lies in its cell's hull; |z| is convex, so its largest value on a
+    hull is at one of the points; and the estimate grows with |z|.  So one
+    test at the largest |z| covers every point evaluated."""
     log_tail = float(_series_tail(germ, np.max(np.abs(z))))
     if log_tail > math.log(TOL_TAIL):
-        raise ToleranceError("series tail estimate above tolerance on a cell's hull",
-                             stage="series tail", value=math.exp(log_tail), bound=TOL_TAIL)
+        raise ToleranceError(
+            "series tail estimate above tolerance at the largest |z| of the path or "
+            "cells; add coefficients or keep the path deeper inside the disc",
+            stage="series tail", value=math.exp(log_tail), bound=TOL_TAIL)
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
@@ -332,19 +305,18 @@ def _continue_log(germ: Germ, pts: np.ndarray):
 # -- public continuation ----------------------------------------------------
 
 
-def continue_along(germ: Germ, path: Path, fset: FilteredSet,
-                   cfg: ConvolveConfig | None = None) -> ContinuationTrace:
+def continue_along(germ: Germ, path: Path, fset: FilteredSet) -> ContinuationTrace:
     """Analytic continuation of a germ along an allowed path.
 
     Closed-form germs are evaluated directly with branch tracking for the
     logarithm (the winding accumulates the signed angle swept around the
-    parameter per step).  A series germ, truncated to degree n_ser, is its
-    own continuation inside the assured disc and is evaluated there
-    directly; a sample outside the disc, or one where the tail estimate
-    exceeds TOL_TAIL * max(1, |value|), is refused.  The path must start at
-    the centre and, for pole and log germs, avoid the parameter exactly.
+    parameter per step).  A series germ is its own continuation inside the
+    assured disc and is evaluated there directly, with all its
+    coefficients; a path leaving the disc, or one whose tail estimate at
+    its largest |z| exceeds TOL_TAIL, is refused (`_prove_series`).  The
+    path must start at the centre and, for pole and log germs, avoid the
+    parameter exactly.
     """
-    cfg = cfg or ConvolveConfig()
     if abs(fset.centre) > POINT_TOL:
         raise PreconditionError("germ continuation requires a set centred at 0")
     iv = admissible_levels(path, fset)
@@ -357,14 +329,14 @@ def continue_along(germ: Germ, path: Path, fset: FilteredSet,
     ts, pts, ss = path.sample(n)
     if abs(pts[0]) > POINT_TOL:
         raise PreconditionError("continuation must start at the centre")
-    germ, windings = _truncated(germ, cfg), None
+    windings = None
     if germ.kind == "log_pole":
         values, u = _continue_log(germ, pts)
         windings = np.rint((values.imag - np.angle(u)) / TWO_PI).astype(int)
-    elif germ.kind == "series":
-        values = _series_values(germ, pts)
     else:
         _check_pole(germ, pts)
+        if germ.kind == "series":
+            _prove_series(germ, pts)
         values = _germ_values(germ, pts)
     return ContinuationTrace(path, ts, values, local_radii(pts, ss, fset), windings)
 
@@ -645,8 +617,7 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j, *,
     of the grid at time node j.  phi travels along the column against the
     first set, psi along the mirror column against the second; between
     samples the contour is a local cubic and the quadrature is composite
-    Gauss-Legendre of order cfg.n_q per cell.  A series germ is cut to
-    degree cfg.n_ser.
+    Gauss-Legendre of order cfg.n_q per cell.
 
     j is one time index (the value is a complex) or a 1-D array of them
     (the values are an array, one per index, integrated as one block).
@@ -661,8 +632,7 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j, *,
         raise PreconditionError(f"time index {bad[0]} outside the grid")
     if not len(js):
         return np.empty(0, dtype=complex)
-    values = _integrate(_truncated(phi, cfg), _truncated(psi, cfg), grid, js, cfg,
-                        estimate=False)[0]
+    values = _integrate(phi, psi, grid, js, cfg, estimate=False)[0]
     return values if np.ndim(j) else complex(values[0])
 
 
@@ -809,10 +779,9 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     error (`ProbeReport.cell_error_rel`).
 
     Each loop column passes once the checks that prove its quadrature
-    nodes (`_column_frames`), for every germ kind, a series germ cut to
-    degree cfg.n_ser.  The circle's columns are integrated with the
-    estimate; of the route's, only the last, by `convolve_at`, which
-    perfbench counts.
+    nodes (`_column_frames`), for every germ kind.  The circle's columns
+    are integrated with the estimate; of the route's, only the last, by
+    `convolve_at`, which perfbench counts.
     """
     if cfg is None:
         # n_s and n_q decide the accuracy.  A loop drags a hairpin of the
@@ -828,7 +797,6 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
         # step counts, which makes the trapezoid rule of ring_rel converge
         # geometrically.
         cfg = ConvolveConfig(n_s=64, n_t=64, n_q=16)
-    phi, psi = _truncated(phi, cfg), _truncated(psi, cfg)
     candidate = _finite(candidate, "candidate")
     seed = None if seed is None else _finite(seed, "seed")
     radius = float(radius)

@@ -248,13 +248,33 @@ def test_exit_3_on_germ_without_coefficients(tmp_path, doc):
     assert main(["convolve", phi, one, g, t, t, "-o", str(tmp_path / "out")]) == 3
 
 
-@pytest.mark.parametrize("nser", ["-1", "-60"])
-def test_exit_3_on_negative_nser(tmp_path, nser):
+def test_convolve_uses_every_series_coefficient(tmp_path):
+    # 200 terms of 1/(1 - z) and 1/(2 - z), all used: the first 65 alone would be
+    # refused at 0.8
+    phi = write(tmp_path / "phi.json", {"kind": "series", "coeffs": [[1.0, 0.0]] * 200,
+                                        "radius": 1.0})
+    psi = write(tmp_path / "psi.json", {"kind": "series", "radius": 2.0,
+                                        "coeffs": [[0.5 ** (k + 1), 0.0] for k in range(200)]})
+    a = write(tmp_path / "a.json", set_doc([(1 + 0j, 1.0)], 6.0))
+    b = write(tmp_path / "b.json", set_doc([(2 + 0j, 2.0)], 6.0))
+    g = write(tmp_path / "g.json", path_doc([0.25, 0.8]))
+    outdir = tmp_path / "out"
+    assert main(["convolve", phi, psi, g, a, b, "--ns", "32", "--nt", "32", "--nq", "16",
+                 "-o", str(outdir)]) == 0
+    last = (outdir / "trace.csv").read_text().splitlines()[-1]
+    value = complex(*(float(x) for x in last.split(",")[3:]))
+    assert abs(value - math.log(2.0 / (0.2 * 1.2)) / 2.2) < 1e-12
+
+
+def test_exit_2_on_the_removed_nser_flag(tmp_path):
     ser = write(tmp_path / "ser.json", {"kind": "series", "coeffs": [[1.0, 0.0]] * 4, "radius": 1.0})
     t = write(tmp_path / "t.json", set_doc([], 5.0))
     g = write(tmp_path / "g.json", path_doc([0.2 + 0.1j, 0.4 + 0.2j]))
-    assert main(["convolve", ser, ser, g, t, t, "--ns", "16", "--nt", "16", "--nq", "4",
-                 "--nser", nser, "-o", str(tmp_path / "out")]) == 3
+    with pytest.raises(SystemExit) as info:
+        main(["convolve", ser, ser, g, t, t, "--ns", "16", "--nt", "16", "--nq", "4",
+              "--nser", "10", "-o", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("nq", ["0", "1", "-3"])
@@ -371,8 +391,7 @@ def test_convolve_ones_trace(tmp_path):
 
 def test_convolve_defaults_are_the_library_defaults():
     args = _build_parser().parse_args(["convolve", "phi", "psi", "g", "a", "b", "-o", "out"])
-    cfg = ConvolveConfig(level=args.level, n_s=args.ns, n_t=args.nt, n_q=args.nq,
-                         n_ser=args.nser)
+    cfg = ConvolveConfig(level=args.level, n_s=args.ns, n_t=args.nt, n_q=args.nq)
     assert cfg == ConvolveConfig()
 
 

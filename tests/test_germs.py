@@ -120,6 +120,27 @@ def test_continue_series_matches_pole():
     assert abs(tr.end_value - 1.0 / (1.0 - z)) < 1e-8
 
 
+def test_continue_series_uses_every_coefficient():
+    # every one of 200 terms of 1/(1 - z) counts: the first 65 alone leave a
+    # tail estimate of 2.6e-5 at 0.85
+    s = FilteredSet(0, [(1, 1.0)], 10.0)
+    tr = continue_along(Germ.series([1.0] * 200, 1.0), Path([0, 0.85]), s)
+    assert abs(tr.end_value - 1.0 / (1.0 - 0.85)) < 1e-12
+
+
+def test_continue_series_tail_is_absolute_at_the_largest_modulus():
+    from borelconv.germs import TOL_TAIL
+
+    # q^65 / (1 - q) at q = 0.72 is 1.90e-9, above TOL_TAIL: the bound is
+    # absolute, not scaled by the value 1 / (1 - 0.72)
+    s = FilteredSet(0, [(1, 1.0)], 10.0)
+    with pytest.raises(ToleranceError) as info:
+        continue_along(Germ.series([1.0] * 65, 1.0), Path([0, 0.72]), s)
+    exc = info.value
+    assert exc.stage == "series tail" and exc.bound == TOL_TAIL
+    assert exc.value == pytest.approx(0.72 ** 65 / 0.28, rel=1e-12)
+
+
 def test_continue_requires_allowed_path():
     s = FilteredSet(0, [(1, 1.0)], 5.0)
     with pytest.raises(PreconditionError):
@@ -156,6 +177,17 @@ def test_series_with_zero_tail_refuses_outside_assured_disc():
                        ConvolveConfig(n_s=16, n_t=16, n_q=6))
 
 
+def test_convolve_series_uses_every_coefficient():
+    # the pair of perfbench's series_trace at 200 terms: the first 65 alone
+    # leave a tail estimate of 1.19e-6 at 0.8
+    a, b = pole_pair_sets()
+    phi = Germ.series([1.0] * 200, 1.0)
+    psi = Germ.series([0.5 ** (k + 1) for k in range(200)], 2.0)
+    tr = convolve_along(phi, psi, Path([0.25, 0.8]), a, b, ConvolveConfig(n_s=32, n_t=32, n_q=16))
+    z = 0.8
+    assert abs(tr.end_value - cmath.log(2.0 / ((1.0 - z) * (2.0 - z))) / (3.0 - z)) < 1e-12
+
+
 def test_convolve_series_refuses_large_tail():
     from borelconv.germs import TOL_TAIL
 
@@ -169,33 +201,30 @@ def test_convolve_series_refuses_large_tail():
 
 
 def test_series_tail_precheck_agrees_with_per_point_check():
-    from borelconv.germs import TOL_TAIL, _series_tail, _series_values, _truncated
+    from borelconv.germs import TOL_TAIL, _germ_values, _prove_series, _series_tail
 
     rng = np.random.default_rng(7)
     seen = set()
     for _ in range(300):
         n = int(rng.integers(8, 65))
-        n_ser = int(rng.integers(4, 70))
-        ser = _truncated(Germ.series([1.0] * n, 1.0), ConvolveConfig(n_ser=n_ser))
-        deg = min(n - 1, n_ser)
-        assert len(ser.coeffs) == deg + 1
+        ser = Germ.series([1.0] * n, 1.0)
         z = rng.uniform(0.0, rng.uniform(0.2, 0.95), 6) * np.exp(2j * math.pi * rng.uniform(size=6))
-        v = np.polynomial.polynomial.polyval(z, np.ones(deg + 1))
-        pre_pass = _series_tail(ser, np.max(np.abs(z))) <= math.log(TOL_TAIL)
-        refuse = np.any(_series_tail(ser, np.abs(z))
-                        > np.log(TOL_TAIL * np.maximum(1.0, np.abs(v))))
-        assert not (pre_pass and refuse)
-        seen.add((bool(pre_pass), bool(refuse)))
+        # the single test at the largest |z| refuses exactly when some
+        # point's estimate is above TOL_TAIL
+        refuse = bool(np.any(_series_tail(ser, np.abs(z)) > math.log(TOL_TAIL)))
+        seen.add(refuse)
         if refuse:
             with pytest.raises(ToleranceError):
-                _series_values(ser, z)
+                _prove_series(ser, z)
         else:
-            assert np.allclose(_series_values(ser, z), v, rtol=1e-14, atol=0)
-    assert seen == {(True, False), (False, False), (False, True)}
+            _prove_series(ser, z)
+            v = np.polynomial.polynomial.polyval(z, np.ones(n))
+            assert np.allclose(_germ_values(ser, z), v, rtol=1e-14, atol=0)
+    assert seen == {True, False}
 
 
 def test_series_horner_matches_polyval_bits():
-    from borelconv.germs import _series_values, _truncated
+    from borelconv.germs import _germ_values
 
     rng = np.random.default_rng(3)
     for n in (1, 2, 17, 48):
@@ -203,22 +232,27 @@ def test_series_horner_matches_polyval_bits():
         ser = Germ.series(c * 1e-12, 1.0)
         z = 0.4 * (rng.uniform(-1, 1, (5, 7)) + 1j * rng.uniform(-1, 1, (5, 7)))
         want = np.polynomial.polynomial.polyval(z, c * 1e-12)
-        assert _series_values(ser, z).tobytes() == want.tobytes()
-        # cut to its first k coefficients, the Horner sum of the first k
+        assert _germ_values(ser, z).tobytes() == want.tobytes()
+        # built from its first k coefficients, the Horner sum of the first k
         k = max(1, n // 2)
-        cut = _truncated(ser, ConvolveConfig(n_ser=k - 1))
+        cut = Germ.series(c[:k] * 1e-12, 1.0)
         want = np.polynomial.polynomial.polyval(z, c[:k] * 1e-12)
-        assert _series_values(cut, z).tobytes() == want.tobytes()
+        assert _germ_values(cut, z).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n_ser", [-1, -60, 2.5, "64", None])
-def test_convolve_config_rejects_bad_n_ser(n_ser):
-    with pytest.raises(PreconditionError, match="n_ser"):
-        ConvolveConfig(n_ser=n_ser)
-
-
-def test_convolve_config_accepts_numpy_integer_n_ser():
-    assert ConvolveConfig(n_ser=np.int64(0)).n_ser == 0
+@pytest.mark.parametrize("level", ["2.5", 2.5 + 0j, True, None, math.nan, math.inf, 9.0])
+def test_level_must_be_an_admissible_real_number(level):
+    # a string, a complex, a bool or None is no level; nan, inf and 9.0 lie
+    # outside the admissible interval (0.5, 6]
+    typed = level is None or isinstance(level, (str, complex, bool))
+    match = "real number" if typed else "not allowed"
+    a, b = pole_pair_sets()
+    with pytest.raises(PreconditionError, match=match):
+        deform(Path([0.25, 0.5]), a, b, level, n_s=16, n_t=16)
+    if level is not None:  # a config's level None picks the midpoint
+        with pytest.raises(PreconditionError, match=match):
+            convolve_along(Germ.poly([1]), Germ.poly([1]), Path([0.25, 0.5]), a, b,
+                           ConvolveConfig(level=level, n_s=16, n_t=16, n_q=4))
 
 
 @pytest.mark.parametrize("field, value", [("n_s", 16.5), ("n_t", 64.0), ("n_q", 2.5),
@@ -229,7 +263,7 @@ def test_convolve_config_rejects_bad_grid_sizes(field, value):
         ConvolveConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["n_s", "n_t", "n_q", "n_ser"])
+@pytest.mark.parametrize("field", ["n_s", "n_t", "n_q"])
 @pytest.mark.parametrize("value", [True, False])
 def test_convolve_config_rejects_booleans(field, value):
     # bool is an Integral, so only an explicit check keeps True from being 1
@@ -1180,14 +1214,9 @@ def test_convolution_evaluates_no_pole_poly_or_series_factor_at_its_samples(monk
     # only a log factor's value depends on the path it was continued along:
     # a pole, polynomial or series factor is evaluated from its germ at the
     # quadrature nodes alone, never at the (J, n_s + 1) samples of a block
-    # of columns, and a series factor is proven over its cells' hulls, not
-    # sample by sample (`_series_values`)
+    # of columns
     from borelconv import germs
 
-    def sampled(*args):
-        raise AssertionError("a series factor was evaluated at its samples")
-
-    monkeypatch.setattr(germs, "_series_values", sampled)
     a, b = pole_pair_sets()
     cfg = ConvolveConfig(n_s=16, n_t=16, n_q=8)
     # the inputs of perfbench's series_trace, then a series x pole column

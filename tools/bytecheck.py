@@ -12,6 +12,9 @@ Writes, one file per output, into OUTDIR:
 * the validate report of each grid (17-digit JSON);
 * convolve_along values, times and radii for poly, pole, log_pole and
   series germs;
+* continue_along values, radii and (for the log) windings for poly, pole
+  and log_pole germs and for series of 64 and of 200 terms, each beside a
+  file holding the error class raised, or "ok";
 * the five criterion-7 probes at 64x256x8, and on singularity_probe's
   default grid (64x64x16) candidate 3.0 and, at the command line's default
   radius 0.1, candidate 2.0: the circle's values and times, defect_rel,
@@ -135,6 +138,31 @@ def _convolutions(bc, dump: Dump) -> None:
             dump.raw(f"convolve_{name}_{field}.bin", getattr(trace, field))
 
 
+def _continuations(bc, dump: Dump) -> None:
+    F, G, P = bc.FilteredSet, bc.Germ, bc.Path
+    s = F(0, [(1, 1.0)], 10.0)
+    # once counterclockwise around the log's branch point 1
+    loop = [1.0 + 0.3 * np.exp(1j * (math.pi + 2 * math.pi * k / CIRCLE_SIDES))
+            for k in range(1, CIRCLE_SIDES + 1)]
+    cases = {
+        "poly": (G.poly([1.0, 2.0, 0.5j]), P([0, 0.3 + 0.1j, 0.5 - 0.2j])),
+        "pole": (G.pole(1), P([0, 0.3, 0.5 - 0.2j])),
+        "log_pole": (G.log_pole(1), P([0, *loop, 0.5])),
+        "series_64": (G.series([1.0] * 64, 1.0), P([0, 0.3j, 0.4 + 0.3j, 0.4 - 0.2j])),
+        "series_200": (G.series([1.0] * 200, 1.0), P([0, 0.85])),
+    }
+    for name, (germ, path) in cases.items():
+        try:
+            trace = bc.continue_along(germ, path, s)
+        except bc.BorelConvError as exc:
+            dump.text(f"continue_{name}.txt", [type(exc).__name__])
+            continue
+        dump.text(f"continue_{name}.txt", ["ok"])
+        for field in ("values", "radii", "windings"):
+            if getattr(trace, field) is not None:
+                dump.raw(f"continue_{name}_{field}.bin", getattr(trace, field))
+
+
 def _estimate_lines(rep) -> list[str]:
     """A probe's error estimate cell_error_rel, with the number of cells
     split and the deepest split."""
@@ -220,6 +248,7 @@ def _guards(bc, dump: Dump) -> None:
     F, P, G = bc.FilteredSet, bc.Path, bc.Germ
     a, b = F(0, *SETS["a"]), F(0, *SETS["b"])
     empty = F(0, [], 6.0)
+    wide = F(0, [(1, 1.0)], 10.0)
     tiny = bc.ConvolveConfig(n_s=64, n_t=256, n_q=8)
     hairpin = P([0.25, 0.6 + 0.01j, 1.3 + 0.002j, 1.75])  # trips between time nodes
     # passes 1e-3 from A's entry at t = 1 - h/2, h = 1/64 the time interval:
@@ -243,6 +272,11 @@ def _guards(bc, dump: Dump) -> None:
         "deform_not_allowed": lambda: bc.deform(P([0.25, 1.0]), a, a, 2.5),
         "convolve_series_disc": lambda: bc.convolve_along(
             G.series([1.0] + [0.0] * 8, 0.5), G.pole(2), P([0.25, 0.9]), a, b, tiny),
+        "continue_series_disc": lambda: bc.continue_along(
+            G.series([1.0] * 64, 1.0), P([0, 0.5j, 1.4 + 0.5j]), wide),
+        # q^65 / (1 - q) at q = 0.72: 1.90e-9, above TOL_TAIL
+        "continue_series_tail": lambda: bc.continue_along(
+            G.series([1.0] * 65, 1.0), P([0, 0.72]), wide),
         **{f"probe_pole_log_{c}": (lambda c=c: bc.singularity_probe(
             G.pole(1), G.log_pole(2), a, b, c, 0.2, cfg=tiny)) for c in CANDIDATES},
         **{f"probe_log_pole_{c}": (lambda c=c: bc.singularity_probe(
@@ -444,6 +478,7 @@ def main(argv=None) -> int:
     dump = Dump(args.outdir)
     _deform_and_validate(bc, dump)
     _convolutions(bc, dump)
+    _continuations(bc, dump)
     _probes(bc, dump)
     _log_probes(bc, dump)
     _guards(bc, dump)
