@@ -77,14 +77,15 @@ def _cell_rule(n_s: int):
 
 def _products(x: np.ndarray, planes: np.ndarray) -> np.ndarray:
     """The four complex points on the last axis of x, (..., n, 4), times a
-    real map of _planes, (..., n, k): one BLAS product of the same shape per
-    (n, 4) block (a column's cells), so that a column's bits do not depend
-    on its block."""
+    real map of _planes, (..., n, k), in one stacked `np.matmul` over the
+    (n, 4) blocks (a column's cells) read as (n, 8) floats.  numpy's matmul
+    loops over the stack and makes one BLAS product per block, of the same
+    shape whatever the number of blocks, so that a column's bits do not
+    depend on its block."""
     blocks = x.reshape((-1,) + x.shape[-2:])
     flat = blocks.view(float).reshape(blocks.shape[:2] + (8,))
     out = np.empty(blocks.shape[:2] + (planes.shape[1] // 2,), complex)
-    for k in range(len(blocks)):
-        np.matmul(flat[k], planes, out=out[k].view(float))
+    np.matmul(flat, planes, out=out.view(float))
     return out.reshape(x.shape[:-1] + out.shape[-1:])
 
 

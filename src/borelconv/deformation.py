@@ -87,12 +87,18 @@ class FlowField:
         return g.seg_dirs[seg] * g.length
 
     def workspace(self, shape) -> tuple[np.ndarray, ...]:
-        """Buffers for a field call at states of the given shape: the
-        stacked differences to the members of A and of B, their distances,
-        and eta_A, eta_B and chi."""
+        """What a field call at states of exactly the given shape needs
+        besides them, ready to use: the members of A and of B, shaped to
+        broadcast against a state; the stacked differences to them and
+        their distances, whole and as their A and B slices; and buffers for
+        eta_A, eta_B and chi."""
         shape = tuple(shape)
-        table = np.empty((len(self.pts_a) + len(self.pts_b),) + shape, dtype=complex)
-        return (table, np.empty(table.shape), np.empty(shape), np.empty(shape), np.empty(shape))
+        lead, n_a = (-1,) + (1,) * len(shape), len(self.pts_a)
+        diffs = np.empty((n_a + len(self.pts_b),) + shape, dtype=complex)
+        dists = np.empty(diffs.shape)
+        return (self.pts_a.reshape(lead), self.pts_b.reshape(lead),
+                diffs, diffs[:n_a], diffs[n_a:], dists, dists[:n_a], dists[n_a:],
+                np.empty(shape), np.empty(shape), np.empty(shape))
 
     def __call__(self, z, t, seg=None, at=None, out=None, work=None):
         """The deformation field X at state z (scalar or array) and time t,
@@ -100,12 +106,15 @@ class FlowField:
         scalar, or a 1-D array with one time per leading row of z (stacked
         RK4 stages); seg is then one segment for all rows or one per row.
         `at` is gamma's point and gamma' at t, when the caller has them
-        (deform computes both for every stage once, already shaped to
-        broadcast against z); seg is then not read.
-        `out` and `work`, when given, are an array of z's shape (at least
-        1-D) that receives X and is returned, and the buffers of
-        `workspace` for that shape (or the same slices of each of them along
-        the state axes).
+        (deform computes both for every stage once); seg is then not read.
+
+        The fast path, taken when `at`, `out` and `work` are all given,
+        serves the stepper: z is a complex array, `at` is already shaped to
+        broadcast against it, `out` is an array of z's shape that receives
+        X and is returned, and `work` is `workspace(z.shape)`.  It does no
+        conversion, shape logic or allocation.  Any other call takes the
+        general path, which shapes its arguments and buffers that way and
+        then runs the same operations, so both give the same bits.
 
         |X| <= |gamma'| always; X vanishes on the members of A and equals
         gamma' where gamma(t) - z is a member of B (in particular along
@@ -114,28 +123,28 @@ class FlowField:
         eta_A and eta_B reduce one stacked table of distances over its
         members; every element takes the operations of `eta`, in the same
         order."""
-        if at is None:
-            if seg is None:
-                seg = self.gamma.segments_at(t)
-            at = self.gamma.points_at(t, seg), self.gamma_prime(seg)
-        g, dg = at
-        z = np.asarray(z, dtype=complex)
-        scalar = not z.ndim
-        if out is None:
+        scalar = False
+        if at is None or out is None or work is None:
+            if at is None:
+                if seg is None:
+                    seg = self.gamma.segments_at(t)
+                at = self.gamma.points_at(t, seg), self.gamma_prime(seg)
+            z = np.asarray(z, dtype=complex)
+            scalar = not z.ndim
             z = np.atleast_1d(z)
             out, work = np.empty(z.shape, dtype=complex), self.workspace(z.shape)
-        if np.ndim(t) and np.ndim(g) < z.ndim:
-            rows = (1,) * (z.ndim - 1)
-            g = g.reshape(g.shape + rows)
-            dg = np.reshape(dg, np.shape(dg) + rows)
-        table, dist, ea, eb, chi = work
-        n_a, lead = len(self.pts_a), (1,) * z.ndim
-        np.subtract(self.pts_a.reshape((-1,) + lead), z, out=table[:n_a])
+            g, dg = at
+            if np.ndim(t) and np.ndim(g) < z.ndim:
+                rows = (1,) * (z.ndim - 1)
+                at = g.reshape(g.shape + rows), np.reshape(dg, np.shape(dg) + rows)
+        g, dg = at
+        pts_a, pts_b, diffs, diff_a, diff_b, dists, dist_a, dist_b, ea, eb, chi = work
+        np.subtract(pts_a, z, out=diff_a)
         np.subtract(g, z, out=out)  # gamma(t) - z, until X overwrites it
-        np.subtract(self.pts_b.reshape((-1,) + lead), out, out=table[n_a:])
-        np.abs(table, out=dist)
-        np.minimum.reduce(dist[:n_a], axis=0, out=ea)
-        np.minimum.reduce(dist[n_a:], axis=0, out=eb)
+        np.subtract(pts_b, out, out=diff_b)
+        np.abs(diffs, out=dists)
+        np.minimum.reduce(dist_a, axis=0, out=ea)
+        np.minimum.reduce(dist_b, axis=0, out=eb)
         np.add(ea, eb, out=chi)
         m = float(np.minimum.reduce(chi, axis=None))
         if m < self.min_chi:
@@ -250,15 +259,18 @@ def _check_integer(name: str, value) -> None:
 
 
 def _check_real(name: str, value) -> None:
-    """Refuse a level that is not a real number (PreconditionError)."""
-    # bool is a Real, but True is no level
+    """Refuse a level or guard that is not a real number (PreconditionError)."""
+    # bool is a Real, but True is no level or guard
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise PreconditionError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_length_budget(delta_len: float | None) -> None:
-    """Refuse a length budget that is given but not positive and finite."""
-    if delta_len is not None and not (delta_len > 0.0 and math.isfinite(delta_len)):
+    """Refuse a length budget that is given but not a positive, finite real."""
+    if delta_len is None:
+        return
+    _check_real("length budget", delta_len)
+    if not (delta_len > 0.0 and math.isfinite(delta_len)):
         raise PreconditionError(f"length budget must be positive and finite, got {delta_len}")
 
 
@@ -329,8 +341,11 @@ def _deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
     _check_real("level", level)
     if n_s < 8 or n_t < 8:
         raise PreconditionError("grid sizes must be at least 8")
-    if eps_den is not None and not (eps_den >= 0.0 and math.isfinite(eps_den)):
-        raise PreconditionError(f"denominator guard must be nonnegative and finite, got {eps_den}")
+    if eps_den is not None:
+        _check_real("denominator guard", eps_den)
+        if not (eps_den >= 0.0 and math.isfinite(eps_den)):
+            raise PreconditionError(
+                f"denominator guard must be nonnegative and finite, got {eps_den}")
     _check_length_budget(delta_len)
     seed = complex(gamma.start)
     rho_min = min(set_a.rho, set_b.rho)
@@ -402,10 +417,12 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
 
     Every call's start times, step sizes and segments are known before the
     first step, so gamma's point and gamma' at every stage time are
-    computed in one pass; the loop only slices them.  The stage states,
-    k1..k4 and the field's buffers are allocated once, and every stage
-    writes into them with the operations, in the order, of
-    z + (h/2) k1 and z + (h/6) (k1 + 2 k2 + 2 k3 + k4).
+    computed in one pass; the loop binds each call's views of them once.
+    The stage states, k1..k4 and the field's workspaces (one for the three
+    rows, one for k1's two) are allocated once, every field call takes the
+    field's fast path (`FlowField.__call__`), and every stage writes into
+    the buffers with the operations, in the order, of z + (h/2) k1 and
+    z + (h/6) (k1 + 2 k2 + 2 k3 + k4).
     """
     # steps start at each segment's even intervals (counted from the segment's
     # first, which searchsorted finds) and end where the next step starts
@@ -432,32 +449,37 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
     shape = (3, H.shape[0])
     Z, k1, k2, k3, k4, st = (np.empty(shape, dtype=complex) for _ in range(6))
     work = field.workspace(shape)
-    work_k1 = tuple(w[..., 1:, :] for w in work)  # k1 once per distinct start
+    # k1 once per distinct start: rows 1 and 2, with a workspace of their own
+    Z_k1, k1_k1 = Z[1:], k1[1:]
+    work_k1 = field.workspace(Z_k1.shape)
     # the centre trajectory is frozen exactly, and the top row rides gamma
     H[0, 1:], H[-1, 1:] = 0.0, field.gamma.points_at(t_nodes[1:])
 
     Z[2] = H[:, 0]
     gaps = np.empty((n, H.shape[0]), dtype=complex)  # full step - two half steps
-    for j in range(n + 1):
+    # each call's stage times, gamma's point and gamma' at them, and step
+    # factors, as views bound once per call
+    calls = zip(stage_ts[0, :, 1:], zip(g[0, :, 1:], dg[:, 1:]), stage_ts[1], zip(g[1], dg),
+                stage_ts[2], zip(g[2], dg), hc_half, hc, hc_sixth)
+    for j, (t1, at1, t_mid, at_mid, t4, at4, h_half, h_full, h_sixth) in enumerate(calls):
         Z[0] = Z[1] = H[:, starts[j]] if j < n else Z[2]
         # every call is positional, as a wrapped field (a tracer's) may take them
-        field(Z[1:], stage_ts[0, j, 1:], None, (g[0, j, 1:], dg[j, 1:]), k1[1:], work_k1)
+        field(Z_k1, t1, None, at1, k1_k1, work_k1)
         k1[0] = k1[1]
-        t_mid, at_mid = stage_ts[1, j], (g[1, j], dg[j])
         for k_in, k_out in ((k1, k2), (k2, k3)):
-            np.multiply(hc_half[j], k_in, out=st)
+            np.multiply(h_half, k_in, out=st)
             np.add(Z, st, out=st)
             field(st, t_mid, None, at_mid, k_out, work)
-        np.multiply(hc[j], k3, out=st)
+        np.multiply(h_full, k3, out=st)
         np.add(Z, st, out=st)
-        field(st, stage_ts[2, j], None, (g[2, j], dg[j]), k4, work)
+        field(st, t4, None, at4, k4, work)
         # z + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
         np.multiply(2.0, k2, out=k2)
         np.add(k1, k2, out=k2)
         np.multiply(2.0, k3, out=k3)
         np.add(k2, k3, out=k2)
         np.add(k2, k4, out=k2)
-        np.multiply(hc_sixth[j], k2, out=st)
+        np.multiply(h_sixth, k2, out=st)
         np.add(Z, st, out=st)
         if j:
             np.subtract(H[:, ends[j - 1]], st[2], out=gaps[j - 1])

@@ -64,7 +64,7 @@ SAMPLES_PER_UNIT = 64       # continue_along samples per unit path length
 TOL_MONO = 1e-4             # probe threshold on the relative defect and loop integral
 PROBE_CIRCLE_SEGMENTS = 16  # sides of the polygonal probe circle
 DETOUR_ARC_SEGMENTS = 8     # segments of each semicircle dodging a point on the route
-BLOCK_NODES = 1 << 14       # nodes per block of columns integrated or checked (memory bound)
+BLOCK_NODES = 1 << 14       # nodes per block of columns integrated or checked (memory bound, x1.5 at most)
 CELL_BUDGET = 1e-13         # a probe cell's error estimate budget, relative to its column's sum |cell|
 CELL_REFUSE = 1e-2          # a probe refuses an error estimate above this fraction of TOL_MONO
 
@@ -73,10 +73,22 @@ CELL_REFUSE = 1e-2          # a probe refuses an error estimate above this fract
 
 
 def _finite(z, what: str) -> complex:
+    """z as a finite complex number; a bool is refused, though complex() takes it."""
+    if isinstance(z, (bool, np.bool_)):
+        raise PreconditionError(f"{what} must be a number, got {z!r}")
     z = complex(z)
     if not cmath.isfinite(z):
         raise PreconditionError(f"{what} must be finite, got {z}")
     return z
+
+
+def _positive(x, what: str) -> float:
+    """x as a positive, finite float; a bool or any other non-real is refused."""
+    _check_real(what, x)
+    x = float(x)
+    if not (x > 0.0 and math.isfinite(x)):
+        raise PreconditionError(f"{what} must be positive and finite, got {x}")
+    return x
 
 
 def _coefficients(coeffs) -> tuple[complex, ...]:
@@ -122,10 +134,7 @@ class Germ:
 
     @classmethod
     def series(cls, coeffs, radius) -> "Germ":
-        radius = float(radius)
-        if not (radius > 0.0 and math.isfinite(radius)):
-            raise PreconditionError(f"series radius must be positive and finite, got {radius}")
-        return cls("series", coeffs=_coefficients(coeffs), radius=radius)
+        return cls("series", coeffs=_coefficients(coeffs), radius=_positive(radius, "series radius"))
 
     @property
     def validity_radius(self) -> float:
@@ -215,13 +224,24 @@ def _germ_values(germ: Germ, z: np.ndarray, base=None) -> np.ndarray:
     branch from base = (values, u): its continued value and 1 - w/a at a
     base point w of each point of z (broadcast against z), which is right
     when the segment from each base point to its point avoids the branch
-    point; other germs have one value anywhere and ignore it."""
+    point; other germs have one value anywhere and ignore it.  The values
+    take z's shape (a base broadcasts to it).
+
+    A pole's 1/(a - z) and a log's base0 + log((1 - z/a) / base1) are
+    built in one new array, each ufunc writing over the last one's result,
+    with the operands and in the order of those expressions, so they keep
+    their bits; z and the base are only read."""
     if germ.kind == "poly":
         return np.polynomial.polynomial.polyval(z, np.asarray(germ.coeffs))
     if germ.kind == "pole":
-        return 1.0 / (germ.a - z)
+        v = np.subtract(germ.a, z)
+        return np.divide(1.0, v, out=v)
     if germ.kind == "log_pole":
-        return base[0] + np.log((1.0 - z / germ.a) / base[1])
+        v = np.divide(z, germ.a)
+        np.subtract(1.0, v, out=v)
+        np.divide(v, base[1], out=v)
+        np.log(v, out=v)
+        return np.add(base[0], v, out=v)
     if germ.kind == "series":
         c = np.asarray(germ.coeffs, dtype=complex)  # Horner, in place
         v = np.full(z.shape, c[-1])
@@ -521,10 +541,12 @@ def _integrand(cells: _SubCells, gj: np.ndarray, phi: Germ, psi: Germ, n_q: int)
     """phi * psi * (w dZ) at the Gauss-Legendre nodes of order n_q on each
     cubic of `cells`, from its Bezier control points, and a log factor's
     value from the base at its first point: of shape cells.col.shape +
-    (n_q,), for whole cells (J, n_s) with one BLAS product per column
-    (`_products`), and for pieces (pieces,).  gj is gamma(t_j) at the
-    columns.  It is built in place, in that order, so that few node arrays
-    are alive at once."""
+    (n_q,), for whole cells (J, n_s), and for pieces (pieces,).  gj is
+    gamma(t_j) at the columns.  The nodes and weighted derivatives each
+    take one stacked matmul over the columns (`_products`: one BLAS product
+    per column), and each factor's values one new array (`_germ_values`,
+    which only reads the nodes).  The product is built in place in phi's
+    values, in that order, so that few node arrays are alive at once."""
     vals, wders = _bernstein_rule(n_q)
     nodes = (lambda base: None if base is None else (base[0][..., None], base[1][..., None]))
     Z = _products(cells.ctrl, vals)
@@ -636,10 +658,19 @@ def convolve_at(phi: Germ, psi: Germ, grid: DeformationGrid, j, *,
     return values if np.ndim(j) else complex(values[0])
 
 
-def _block_columns(grid: DeformationGrid, per_cell: int) -> int:
-    """Columns per block: about BLOCK_NODES points, per_cell per cell (the
-    quadrature nodes, or the four control points of a cell check)."""
-    return max(1, BLOCK_NODES // (grid.n_s * per_cell))
+def _block_columns(grid: DeformationGrid, js: np.ndarray, per_cell: int) -> list:
+    """The time indices js cut, in order, into m blocks of about BLOCK_NODES
+    points each, per_cell per cell (the quadrature nodes, or the four
+    control points of a cell check): b = BLOCK_NODES // (n_s * per_cell)
+    columns, at least one, make a block, and m = max(1, round(len(js) / b)),
+    none for no columns.  Block k ends before index floor((k + 1) len(js) /
+    m), so sizes differ by at most one and no block is a short tail.  A
+    block holds at most 1.5 b columns, so at most 1.5 BLOCK_NODES points
+    unless one column alone holds more."""
+    b = max(1, BLOCK_NODES // (grid.n_s * per_cell))
+    n = len(js)
+    m = max(1, round(n / b)) if n else 0
+    return [js[k * n // m:(k + 1) * n // m] for k in range(m)]
 
 
 def _estimate_columns(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarray,
@@ -647,9 +678,8 @@ def _estimate_columns(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarra
     """`_integrate` with its error estimate over the (non-empty) time
     indices js, a block at a time: the values, each column's estimate, the
     number of cells split and the deepest split."""
-    block = _block_columns(grid, cfg.n_q)
-    values, errors, n_split, depth = zip(*(_integrate(phi, psi, grid, js[k:k + block], cfg, True)
-                                           for k in range(0, len(js), block)))
+    values, errors, n_split, depth = zip(*(_integrate(phi, psi, grid, block, cfg, True)
+                                           for block in _block_columns(grid, js, cfg.n_q)))
     return np.concatenate(values), np.concatenate(errors), sum(n_split), max(depth)
 
 
@@ -684,9 +714,8 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
     cfg = cfg or ConvolveConfig()
     fine = set_a.fine_sum(set_b)
     grid = _grid(gamma, set_a, set_b, fine, cfg)
-    block, js = _block_columns(grid, cfg.n_q), np.arange(grid.n_t + 1)
-    values = np.concatenate([convolve_at(phi, psi, grid, js[k:k + block], cfg=cfg)
-                             for k in range(0, len(js), block)])
+    values = np.concatenate([convolve_at(phi, psi, grid, block, cfg=cfg)
+                             for block in _block_columns(grid, np.arange(grid.n_t + 1), cfg.n_q)])
     return _trace(gamma, grid, 0, values, fine)
 
 
@@ -799,9 +828,7 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
         cfg = ConvolveConfig(n_s=64, n_t=64, n_q=16)
     candidate = _finite(candidate, "candidate")
     seed = None if seed is None else _finite(seed, "seed")
-    radius = float(radius)
-    if not (radius > 0.0 and math.isfinite(radius)):
-        raise PreconditionError(f"probe radius must be positive and finite, got {radius}")
+    radius = _positive(radius, "probe radius")
     if abs(candidate) <= radius:
         raise PreconditionError("candidate too close to the centre to loop around")
     if seed is None:
@@ -828,9 +855,8 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     first = int(np.argmin(np.abs(grid.t_nodes - t_start)))
     if abs(grid.t_nodes[first] - t_start) > 1e-9:
         raise PreconditionError("circle start did not land on a time node")
-    block = _block_columns(grid, 4)
-    for k in range(0, first - 1, block):
-        _column_frames(phi, psi, grid, np.arange(k, min(k + block, first - 1)))
+    for block in _block_columns(grid, np.arange(first - 1), 4):
+        _column_frames(phi, psi, grid, block)
     convolve_at(phi, psi, grid, first - 1, cfg=cfg)
     vals, errors, cells_split, split_depth = _estimate_columns(
         phi, psi, grid, np.arange(first, grid.n_t + 1), cfg)

@@ -405,6 +405,41 @@ def test_field_guard_raises_on_plain_sum_pair():
     assert info.value.t == t and info.value.value == 0.0
 
 
+def fast_path_call(f, z, t, segs):
+    """f at the stacked state z through the fast path, as the stepper calls it."""
+    at = f.gamma.points_at(t, segs)[:, None], f.gamma_prime(segs)[:, None]
+    out = np.empty(z.shape, dtype=complex)
+    return f(z, t, None, at, out, f.workspace(z.shape))
+
+
+def test_field_fast_path_gives_the_bits_of_the_general_path():
+    gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j])
+    a, b = FilteredSet(0, [(1, 1.0), (0.5j, 0.9)], 6.0), FilteredSet(0, [(2, 2.0)], 6.0)
+    f, g = field_for(gamma, a, b, 2.5), field_for(gamma, a, b, 2.5)
+    zs = np.linspace(0.01, 0.3, 33) * (1 + 0.4j)
+    z = np.stack([zs, 1.1 * zs, 0.9 * zs])
+    t, segs = np.array([0.1, 0.1, 0.6]), np.array([0, 0, 1])
+    got = fast_path_call(f, z, t, segs)
+    assert got.tobytes() == g(z, t, segs).tobytes()
+    assert f.min_chi == g.min_chi < math.inf
+
+
+def test_field_fast_path_guard_names_the_time_value_and_bound_of_the_general_path():
+    gamma = Path([0.25, 3.0])
+    a = b = FilteredSet(0, [(1, 1.0)], 6.0)
+    t_hit = float((2.0 - 0.25) / 2.75)  # gamma(t_hit) == 2, a plain-sum pair with z = 1
+    z = np.array([[0.1 + 0j, 0.2 + 0j], [0.3 + 0j, 1.0 + 0j], [0.1 + 0j, 1.0 + 0j]])
+    t, segs = np.array([0.5, t_hit, t_hit]), np.zeros(3, dtype=int)
+    errors = []
+    for call in (lambda f: fast_path_call(f, z, t, segs), lambda f: f(z, t, segs)):
+        with pytest.raises(ChiGuardError) as info:
+            call(FlowField(gamma, a, b, 4.0, 1e-3))
+        errors.append(info.value)
+    fast, general = errors
+    assert (fast.t, fast.value, fast.bound) == (general.t, general.value, general.bound)
+    assert fast.t == t_hit and fast.value <= 1e-3 == fast.bound
+
+
 # -- time nodes ---------------------------------------------------------------------
 
 
@@ -523,6 +558,22 @@ def test_deform_rejects_non_finite_guards(kw):
     gamma, s = straight_config()
     with pytest.raises(PreconditionError):
         deform(gamma, s, s, 2.0, n_s=16, n_t=64, **kw)
+
+
+@pytest.mark.parametrize("value", [True, "0.1", 0.1 + 0j, math.nan])
+@pytest.mark.parametrize("name", ["eps_den", "delta_len"])
+def test_deform_refuses_a_guard_that_is_not_a_real_number(name, value):
+    gamma, s = straight_config()
+    with pytest.raises(PreconditionError):
+        deform(gamma, s, s, 2.0, n_s=16, n_t=64, **{name: value})
+
+
+@pytest.mark.parametrize("delta_len", [True, "0.1", 0.1 + 0j, math.nan])
+def test_validate_refuses_a_length_budget_that_is_not_a_real_number(delta_len):
+    gamma, s = straight_config()
+    grid = deform(gamma, s, s, 2.0, n_s=16, n_t=64)
+    with pytest.raises(PreconditionError, match="length budget"):
+        validate(grid, delta_len=delta_len)
 
 
 @pytest.mark.parametrize("delta_len", [math.nan, math.inf, 0.0, -1.0])

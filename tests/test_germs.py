@@ -93,6 +93,61 @@ def test_germ_rejects_non_finite(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Germ.pole(True),
+    lambda: Germ.log_pole(True),
+    lambda: Germ.series([1.0, 0.5], True),
+], ids=["pole", "log_pole", "series_radius"])
+def test_germ_refuses_a_bool_parameter(make):
+    # complex(True) and float(True) are 1: a bool would pass as a point or radius
+    with pytest.raises(PreconditionError):
+        make()
+
+
+@pytest.mark.parametrize("germ", [
+    Germ.poly([1.0, 0.5j, -2.0]), Germ.pole(1.5 + 0.5j), Germ.log_pole(2.0 - 1.0j),
+    Germ.series([1.0, 0.5, 0.25], 2.0),
+], ids=["poly", "pole", "log_pole", "series"])
+def test_germ_values_write_only_their_own_array(germ):
+    from borelconv.germs import _germ_values
+
+    rng = np.random.default_rng(7)
+    z = 0.3 * (rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5)))
+    u = 1.0 - 0.3 * (rng.normal(size=(3, 4, 1)) + 1j * rng.normal(size=(3, 4, 1))) / (2.0 - 1.0j)
+    base = (np.log(u), u)
+    before = [x.tobytes() for x in (z, *base)]
+    got = _germ_values(germ, z, base)
+    assert [x.tobytes() for x in (z, *base)] == before
+    assert got.shape == z.shape and not any(np.shares_memory(got, x) for x in (z, *base))
+    # the bits of the plain expressions
+    if germ.kind == "pole":
+        assert got.tobytes() == (1.0 / (germ.a - z)).tobytes()
+    if germ.kind == "log_pole":
+        assert got.tobytes() == (base[0] + np.log((1.0 - z / germ.a) / base[1])).tobytes()
+
+
+def test_convolution_and_probe_leave_their_grid_as_deform_made_it(monkeypatch):
+    from borelconv import germs
+
+    made = []
+    core = germs.deform
+
+    def frozen(*args):
+        grid = core(*args)
+        made.append((grid, grid.H.copy()))
+        grid.H.flags.writeable = False  # a write into H raises
+        return grid
+
+    monkeypatch.setattr(germs, "deform", frozen)
+    a, b = pole_pair_sets()
+    convolve_along(Germ.log_pole(1), Germ.series([0.5 ** k for k in range(24)], 2.0),
+                   Path([0.25, 0.4 + 0.1j, 0.5]), a, b, ConvolveConfig(n_s=16, n_t=16, n_q=6))
+    singularity_probe(Germ.pole(1), Germ.log_pole(2), a, b, 3.0, 0.2)
+    assert len(made) == 2
+    for grid, H in made:
+        assert grid.H.tobytes() == H.tobytes()
+
+
 def test_convolve_config_is_immutable():
     cfg = ConvolveConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -428,6 +483,20 @@ def test_convolve_at_block_equals_columns(kind):
     assert convolve_at(phi, psi, grid, js[:0], cfg=cfg).shape == (0,)
 
 
+@pytest.mark.parametrize("columns", [1, 16, 33])
+def test_stacked_products_keep_the_bits_of_one_product_per_column(columns):
+    # the loop of one matmul per column, as the reference for the stacked call
+    from borelconv.cells import _bernstein_rule, _products
+
+    rng = np.random.default_rng(columns)
+    x = rng.normal(size=(columns, 64, 4)) + 1j * rng.normal(size=(columns, 64, 4))
+    for planes in _bernstein_rule(16):
+        want = np.empty((columns, 64, 16), dtype=complex)
+        for k in range(columns):
+            np.matmul(x[k].view(float), planes, out=want[k].view(float))
+        assert _products(x, planes).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("kind", sorted(BLOCK_GERMS))
 def test_convolve_at_blocks_keep_the_bits_of_one_column_at_the_probe_shape(kind):
     # the probe's n_s and n_q: each column's cubics are one BLAS product of
@@ -510,8 +579,9 @@ def test_convolve_at_rejects_bad_index_in_block(j):
         convolve_at(Germ.pole(1), Germ.pole(2), grid, j, cfg=ConvolveConfig(n_q=6))
 
 
-# blocks of 4 columns over the grid's 18 (the last holds 2), for closed forms and series alike
-@pytest.mark.parametrize("kind, sizes", [("log_pole", [4] * 4 + [2]), ("series", [4] * 4 + [2])])
+# blocks of about 4 columns over the grid's 18: round(18 / 4) = 4 blocks of
+# near-equal size, the larger late, for closed forms and series alike
+@pytest.mark.parametrize("kind, sizes", [("log_pole", [4, 5, 4, 5]), ("series", [4, 5, 4, 5])])
 def test_convolve_along_blocks_equal_columns(monkeypatch, kind, sizes):
     from borelconv import germs
 
@@ -527,6 +597,28 @@ def test_convolve_along_blocks_equal_columns(monkeypatch, kind, sizes):
     assert calls == sizes and sum(sizes) == tr.grid.n_t + 1
     single = np.array([block_kernel(phi, psi, tr.grid, j, cfg=cfg) for j in range(tr.grid.n_t + 1)])
     assert tr.values.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("block_nodes", [1, 7, 64, 1000, 1 << 14])
+def test_block_columns_cut_the_columns_in_order_into_near_equal_blocks(monkeypatch, block_nodes):
+    from types import SimpleNamespace
+
+    from borelconv import germs
+
+    monkeypatch.setattr(germs, "BLOCK_NODES", block_nodes)
+    for n_s, per_cell in itertools.product((8, 16, 64), (4, 8, 16)):
+        grid = SimpleNamespace(n_s=n_s)
+        b = max(1, block_nodes // (n_s * per_cell))
+        for n in range(300):
+            js = np.arange(5, 5 + n)
+            blocks = germs._block_columns(grid, js, per_cell)
+            assert len(blocks) == (max(1, round(n / b)) if n else 0)
+            # every column in exactly one block, in order
+            assert np.concatenate([js[:0], *blocks]).tobytes() == js.tobytes()
+            sizes = [len(block) for block in blocks]
+            assert max(sizes, default=0) - min(sizes, default=0) <= 1
+            if n_s * per_cell <= block_nodes:  # else one column alone exceeds the bound
+                assert max(sizes, default=0) * n_s * per_cell <= 1.5 * block_nodes
 
 
 # -- convolve_along -----------------------------------------------------------------
@@ -657,6 +749,14 @@ def test_probe_rejects_a_non_finite_point(arg, value):
     points = {"candidate": 1.5, "seed": 0.25, arg: value}
     with pytest.raises(PreconditionError, match=f"^{arg} must be finite"):
         singularity_probe(Germ.pole(1), Germ.pole(2), a, b, radius=0.2, **points)
+
+
+@pytest.mark.parametrize("arg", ["radius", "candidate", "seed"])
+def test_probe_refuses_a_bool(arg):
+    a, b = pole_pair_sets()
+    given = {"candidate": 1.5, "seed": 0.25, "radius": 0.2, arg: True}
+    with pytest.raises(PreconditionError, match=arg):
+        singularity_probe(Germ.pole(1), Germ.pole(2), a, b, **given)
 
 
 def test_probe_pole_sum_point_is_singular():
