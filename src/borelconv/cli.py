@@ -195,6 +195,7 @@ def _cmd_convolve(args) -> int:
             "n_s": rep.trace.grid.n_s,
             "n_t": rep.trace.grid.n_t,
             "n_q": rep.n_q,
+            "flow_steps": rep.trace.grid.flow_steps,
         })
     return 0
 

@@ -47,6 +47,8 @@ ENDPOINT_TOL = 1e-6       # validate: top row against gamma
 SPEED_TOL = 1e-3          # validate: relative defect of |dH| + |dH_mirror| = |dgamma|
 LENGTH_BUDGET_REL = 1e-4  # default length budget, relative to |seed+gamma|
 LENGTH_ROWS = 16          # grid rows per block of the length identity check
+DEFORM_STEP_INTERVALS = 2    # time intervals per RK4 step of deform's grids
+CONVOLVE_STEP_INTERVALS = 8  # ... of convolve_along's and the probe's grids
 
 
 def eta(points, z):
@@ -211,8 +213,10 @@ class DeformationGrid:
     s_i graded toward both ends (`row_nodes`); row 0 is identically the
     centre, the last row is gamma(t_j), column 0 is the initial straight
     seed segment s_i * gamma(0).  The mirror is derived, never stored: see
-    `mirror`.  richardson_error estimates the error of one RK4 step over
-    two time intervals (`_rk4_stacked`).
+    `mirror`.  richardson_error estimates the error of one RK4 step, over
+    up to two time intervals on deform's grids and up to
+    CONVOLVE_STEP_INTERVALS on a convolution's (`_rk4_stacked`), and
+    flow_steps counts the steps taken (0 for a grid built directly).
     """
 
     gamma: Path
@@ -226,6 +230,7 @@ class DeformationGrid:
     eps_den: float
     richardson_error: float
     length_residual: float
+    flow_steps: int = 0
 
     @property
     def n_s(self) -> int:
@@ -326,14 +331,20 @@ def deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
     delta_len is checked for every row; a violation signals an
     under-resolved integration and raises ToleranceError.
     """
-    return _deform(gamma, set_a, set_b, level, n_s, n_t, eps_den, delta_len, None)
+    return _deform(gamma, set_a, set_b, level, n_s, n_t, eps_den, delta_len, None,
+                   DEFORM_STEP_INTERVALS)
 
 
 def _deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
             n_s: int, n_t: int, eps_den: float | None, delta_len: float | None,
-            levels: tuple[Path, AdmissibleLevelInterval] | None) -> DeformationGrid:
+            levels: tuple[Path, AdmissibleLevelInterval] | None,
+            per_step: int) -> DeformationGrid:
     """`deform`, given `seed_levels(gamma, fine sum)` as `levels` when the
-    caller has it (None: computed here, after the other checks)."""
+    caller has it (None: computed here, after the other checks), with one
+    RK4 step per per_step time intervals of a segment (`_rk4_stacked`).  The
+    time nodes do not depend on per_step; at a per_step above 2, the nodes
+    inside a step take the stepper's dense output, and the length identity
+    is checked on every node as before."""
     if abs(set_a.centre) > CONCAT_TOL or abs(set_b.centre) > CONCAT_TOL:
         raise PreconditionError("deformation requires both sets centred at 0")
     _check_integer("n_s", n_s)
@@ -367,17 +378,18 @@ def _deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
     H = np.empty((n_s + 1, len(t_nodes)), dtype=complex)
     Z = row_nodes(n_s).astype(complex) * seed
     H[:, 0] = Z
-    rich = 0.0
+    rich, steps = 0.0, 0
     if gamma.is_constant():
         H[:] = Z[:, None]
     else:
-        rich = _rk4_stacked(field, H, t_nodes, seg_of_step)
+        rich = _rk4_stacked(field, H, t_nodes, seg_of_step, per_step)
+        steps = len(_flow_steps(seg_of_step, per_step)[0])
 
     grid = DeformationGrid(
         gamma=gamma, set_a=set_a, set_b=set_b, level=float(level),
         t_nodes=t_nodes, H=H, lambda0gamma_length=lam0gamma.length,
         min_chi=field.min_chi, eps_den=field.eps_den,
-        richardson_error=rich, length_residual=0.0,
+        richardson_error=rich, length_residual=0.0, flow_steps=steps,
     )
 
     residual, delta_len = _length_excess(grid, grid.gamma_values(), delta_len)
@@ -389,14 +401,83 @@ def _deform(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, level: float,
     return grid
 
 
-def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float:
-    """Classical RK4 from the state H[:, 0], one step per two intervals of
-    a segment of gamma (one at a segment's odd end), writing each step's
-    state and the first half step of a two-interval one into the columns of
-    their end nodes.  Row 0, the centre, is frozen at 0 and row n_s is set
-    to gamma(t_j), which the flow carries exactly; the field is still
-    evaluated on both, so the guard sees gamma's distance to A.  Returns the
-    Richardson estimate: the largest 16/15 |full step - two half steps|.
+def _flow_steps(seg_of_step, per_step: int):
+    """The RK4 steps over time intervals given by their segments: each
+    segment's n intervals are cut into q = ceil(n / per_step) steps, the
+    first n mod q of them one interval longer than the others, so every
+    vertex ends a step (at per_step 2: two intervals a step, one at a
+    segment's odd end).  Returns the interval indices at which the steps
+    start and end."""
+    n = np.bincount(seg_of_step)
+    q = -(-n // per_step)
+    seg = np.repeat(np.arange(len(n)), q)
+    i = np.arange(1, len(seg) + 1) - np.repeat(np.cumsum(q) - q, q)  # 1..q in a segment
+    ends = (np.cumsum(n) - n)[seg] + i * (n // q)[seg] + np.minimum(i, (n % q)[seg])
+    return np.append(0, ends[:-1]), ends
+
+
+def _hermite(t, t0, t1, z0, d0, z1, d1) -> np.ndarray:
+    """Cubic Hermite at the times t between states z0, z1 with derivatives
+    d0, d1 at the times t0, t1: one column per time (t, t0, t1 of length m,
+    the states and derivatives of shape (rows, m))."""
+    tau = t1 - t0
+    s = (t - t0) / tau
+    s1 = s - 1.0
+    return (((1.0 + 2.0 * s) * s1 * s1) * z0 + (tau * s * s1 * s1) * d0
+            + (s * s * (3.0 - 2.0 * s)) * z1 + (tau * s * s * s1) * d1)
+
+
+def _dense_output(H, t_nodes, starts, ends, t_mid, z_mid, k_node, k_mid, turn) -> None:
+    """Write the rows 1..n_s - 1 of every node inside a step that the
+    stepper does not land on (all but a stored middle), as cubic Hermite
+    between the nearest two of the step's start, its first half step z_mid
+    (at the time t_mid) and its end.  The derivatives are k_node at the
+    step's start, k_mid at its middle, and k_node at the next step's start
+    (the grid's end, for the last step) times `turn`, the step's gamma'
+    over the next step's; rows of z_mid, k_mid and turn are steps, rows of
+    k_node are the steps' starts and then the end."""
+    counts = ends - starts
+    step = np.repeat(np.arange(len(counts)), counts)  # the step of each interval
+    inner = np.flatnonzero(step[:-1] == step[1:]) + 1  # nodes between two intervals of one step
+    j = step[inner]
+    # below 0 in the step's first half, above 0 in its second, 0 its middle
+    side = 2 * (inner - starts[j]) - counts[j]
+    first, second = side < 0, side > 0
+    i, js = inner[first], j[first]
+    H[1:-1, i] = _hermite(t_nodes[i], t_nodes[starts[js]], t_mid[js], H[1:-1, starts[js]],
+                          k_node[js, 1:-1].T, z_mid[js, 1:-1].T, k_mid[js, 1:-1].T)
+    i, js = inner[second], j[second]
+    H[1:-1, i] = _hermite(t_nodes[i], t_mid[js], t_nodes[ends[js]], z_mid[js, 1:-1].T,
+                          k_mid[js, 1:-1].T, H[1:-1, ends[js]],
+                          (k_node[js + 1, 1:-1] * turn[js, None]).T)
+
+
+def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step,
+                 per_step: int = DEFORM_STEP_INTERVALS) -> float:
+    """Classical RK4 from the state H[:, 0], one step per per_step
+    intervals of a segment of gamma (`_flow_steps`: near-equal counts, every
+    vertex a step end), writing each step's state into the column of its
+    end node and the first half step of a step with an even interval count
+    into the column of its middle node.  Row 0, the centre, is frozen at 0
+    and row n_s is set to gamma(t_j), which the flow carries exactly; the
+    field is still evaluated on both, so the guard sees gamma's distance to
+    A.  Returns the Richardson estimate: the largest 16/15 |full step - two
+    half steps|, so the error of one step of up to per_step intervals.
+
+    The other nodes inside a step (none at per_step 2) take dense output:
+    cubic Hermite in t between the nearest two of the states the stepper
+    holds, the step's start, its first half step (at the step's middle
+    time) and its end, with derivatives it has already evaluated: k1 of the
+    step at its start, k1 of its second half step at its middle, and k1 of
+    the next step at its end.  At a vertex the next step's k1 holds the
+    next segment's gamma', and since X is a real multiple of gamma' it is
+    turned onto the step's own segment by the ratio of the two, so every
+    node's increments stay along gamma' within a segment, as the flow's do.
+    The last step has no next step: if it has such nodes, the last call's
+    k1 takes the grid's last column at t = 1 in a row that would otherwise
+    repeat another, one more state for the guard and min_chi to see.  So
+    dense output costs no field call: the loop keeps each k1 and first half
+    step, and `_dense_output` writes every such node in one pass after it.
 
     One field call per stage evaluates every row of a stacked state of
     three rows.  Call j stacks step j's full step and first half step (rows
@@ -419,16 +500,13 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
     first step, so gamma's point and gamma' at every stage time are
     computed in one pass; the loop binds each call's views of them once.
     The stage states, k1..k4 and the field's workspaces (one for the three
-    rows, one for k1's two) are allocated once, every field call takes the
-    field's fast path (`FlowField.__call__`), and every stage writes into
-    the buffers with the operations, in the order, of z + (h/2) k1 and
-    z + (h/6) (k1 + 2 k2 + 2 k3 + k4).
+    rows, one for k1's two) are allocated once, every field call of a step
+    takes the field's fast path (`FlowField.__call__`), and every stage
+    writes into the buffers with the operations, in the order, of
+    z + (h/2) k1 and z + (h/6) (k1 + 2 k2 + 2 k3 + k4).
     """
-    # steps start at each segment's even intervals (counted from the segment's
-    # first, which searchsorted finds) and end where the next step starts
-    first = np.searchsorted(seg_of_step, seg_of_step)
-    starts = np.flatnonzero((np.arange(len(seg_of_step)) - first) % 2 == 0)
-    ends = np.append(starts[1:], len(seg_of_step))
+    starts, ends = _flow_steps(seg_of_step, per_step)
+    counts = ends - starts
     n = len(starts)
     h = t_nodes[ends] - t_nodes[starts]
     ts, hs = np.empty((n + 1, 3)), np.empty((n + 1, 3))
@@ -440,6 +518,10 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
     for a in (ts, hs, segs):  # the repeated rows of the first and last calls
         a[0, 2], a[-1, :2] = a[0, 1], a[-1, 2]
     stage_ts = np.stack([ts, ts + 0.5 * hs, ts + hs])  # k1, k2 and k3, k4
+    dense = counts.max() > 2  # nodes inside a step that no step lands on
+    end_k1 = counts[-1] > 2  # the last call's k1 also takes the last column
+    if end_k1:
+        stage_ts[0, -1, 1] = t_nodes[-1]
     # gamma's point and gamma' with an axis for the row's points
     g = field.gamma.points_at(stage_ts, segs)[..., None]
     dg = field.gamma_prime(segs)[..., None]
@@ -452,6 +534,8 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
     # k1 once per distinct start: rows 1 and 2, with a workspace of their own
     Z_k1, k1_k1 = Z[1:], k1[1:]
     work_k1 = field.workspace(Z_k1.shape)
+    if dense:  # k1 at each step's start and the end, a first half step and its k1
+        k_node, z_mid, k_mid = (np.empty((m, H.shape[0]), dtype=complex) for m in (n + 1, n, n))
     # the centre trajectory is frozen exactly, and the top row rides gamma
     H[0, 1:], H[-1, 1:] = 0.0, field.gamma.points_at(t_nodes[1:])
 
@@ -462,9 +546,16 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
     calls = zip(stage_ts[0, :, 1:], zip(g[0, :, 1:], dg[:, 1:]), stage_ts[1], zip(g[1], dg),
                 stage_ts[2], zip(g[2], dg), hc_half, hc, hc_sixth)
     for j, (t1, at1, t_mid, at_mid, t4, at4, h_half, h_full, h_sixth) in enumerate(calls):
-        Z[0] = Z[1] = H[:, starts[j]] if j < n else Z[2]
+        Z[0] = Z[1] = H[:, starts[j]] if j < n else H[:, -1] if end_k1 else Z[2]
         # every call is positional, as a wrapped field (a tracer's) may take them
         field(Z_k1, t1, None, at1, k1_k1, work_k1)
+        if dense:
+            k_node[j] = k1[1]
+            if j:
+                z_mid[j - 1], k_mid[j - 1] = Z[2], k1[2]
+        if j == n and end_k1:  # rows 0 and 1 repeat row 2 again
+            Z[0] = Z[1] = Z[2]
+            k1[1] = k1[2]
         k1[0] = k1[1]
         for k_in, k_out in ((k1, k2), (k2, k3)):
             np.multiply(h_half, k_in, out=st)
@@ -485,9 +576,17 @@ def _rk4_stacked(field: FlowField, H: np.ndarray, t_nodes, seg_of_step) -> float
             np.subtract(H[:, ends[j - 1]], st[2], out=gaps[j - 1])
         if j < n:
             H[1:-1, ends[j]] = st[0, 1:-1]
-            if ends[j] - starts[j] == 2:
-                H[1:-1, starts[j] + 1] = st[1, 1:-1]
+            if counts[j] % 2 == 0:
+                H[1:-1, starts[j] + counts[j] // 2] = st[1, 1:-1]
             Z[2] = st[1]
+    if dense:
+        # X is a real multiple of gamma', so at a vertex the next step's k1
+        # turns onto the step's own segment by the ratio of their gamma'
+        dg_step = dg[1:, 2, 0]
+        turn = np.ones(n, dtype=complex)
+        vertex = dg_step[:-1] != dg_step[1:]
+        turn[:-1][vertex] = dg_step[:-1][vertex] / dg_step[1:][vertex]
+        _dense_output(H, t_nodes, starts, ends, ts[1:, 2], z_mid, k_node, k_mid, turn)
     return float(np.max(np.abs(gaps))) * 16.0 / 15.0
 
 
@@ -514,7 +613,8 @@ class ValidationReport:
     split summing to at most the working level.
     min_chi: smallest flow denominator met during integration and on the
     grid nodes.
-    richardson_error: the grid's estimate for one two-interval RK4 step.
+    richardson_error: the grid's estimate for one RK4 step (of up to two
+    intervals on deform's grids).
     """
 
     endpoint_error: float

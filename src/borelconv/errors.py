@@ -22,15 +22,17 @@ class ChiGuardError(BorelConvError):
     too close to a point of the plain sum set at the working level.  The
     caller should reroute the path or lower the level.
 
+    `stage` is the check that refused, "flow", as for a ToleranceError;
     `t` is the flow time at which the guard tripped, `value` the smallest
     denominator met there and `bound` the guard it fell to.  One stacked
-    RK4 call holds a two-interval step and the second half of the step
-    before it (`deformation._rk4_stacked`), so `t` is a stage time of the
-    first call that trips, up to one step past where single-state steps of
-    the same scheme would stop."""
+    RK4 call holds a step and the second half of the step before it
+    (`deformation._rk4_stacked`), so `t` is a stage time of the first call
+    that trips, up to one step past where single-state steps of the same
+    scheme would stop."""
 
     def __init__(self, message: str, t: float, value: float, bound: float):
         super().__init__(message)
+        self.stage = "flow"
         self.t = t
         self.value = value
         self.bound = bound

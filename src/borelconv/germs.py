@@ -42,7 +42,14 @@ from .cells import (
     _split_cells,
     _SubCells,
 )
-from .deformation import DeformationGrid, _check_integer, _check_real, mirror, seed_levels
+from .deformation import (
+    CONVOLVE_STEP_INTERVALS,
+    DeformationGrid,
+    _check_integer,
+    _check_real,
+    mirror,
+    seed_levels,
+)
 from .deformation import _deform as deform  # the core, under the name the benchmark times
 from .errors import PreconditionError, ToleranceError
 from .filtered_set import POINT_TOL, FilteredSet
@@ -685,11 +692,16 @@ def _estimate_columns(phi: Germ, psi: Germ, grid: DeformationGrid, js: np.ndarra
 
 def _grid(gamma: Path, set_a: FilteredSet, set_b: FilteredSet, fine: FilteredSet,
           cfg: ConvolveConfig) -> DeformationGrid:
-    """The grid of gamma at cfg.level, else at the midpoint of seed+gamma's admissible levels."""
+    """The grid of gamma at cfg.level, else at the midpoint of seed+gamma's
+    admissible levels, with one RK4 step per CONVOLVE_STEP_INTERVALS time
+    intervals and dense output between: a value depends on its column only
+    through the column's homotopy class, so the flow needs only contours
+    that pass the proofs, not RK4 accuracy at every node."""
     levels = seed_levels(gamma, fine)
     iv = levels[1]
     level = cfg.level if cfg.level is not None else 0.5 * (iv.lower + iv.upper)
-    return deform(gamma, set_a, set_b, level, cfg.n_s, cfg.n_t, None, None, levels)
+    return deform(gamma, set_a, set_b, level, cfg.n_s, cfg.n_t, None, None, levels,
+                  CONVOLVE_STEP_INTERVALS)
 
 
 def _trace(gamma: Path, grid: DeformationGrid, first: int, values: np.ndarray,
@@ -708,8 +720,13 @@ def convolve_along(phi: Germ, psi: Germ, gamma: Path, set_a: FilteredSet,
     Builds the deformation grid for (gamma, set_a, set_b) at the working
     level (midpoint of the admissible interval of seed+gamma against the
     fine sum when not configured), then integrates every time column, in
-    blocks of about BLOCK_NODES quadrature nodes.  The radius estimates in
-    the returned trace are feasibility radii against the fine sum.
+    blocks of about BLOCK_NODES quadrature nodes.  The grid has `deform`'s
+    time nodes but one RK4 step per up to CONVOLVE_STEP_INTERVALS of them,
+    with dense output between (`_grid`); the values agree with those on
+    `deform`'s own grid within the quadrature's error, since a value
+    depends on its column only through the column's homotopy class.  The
+    radius estimates in the returned trace are feasibility radii against
+    the fine sum.
     """
     cfg = cfg or ConvolveConfig()
     fine = set_a.fine_sum(set_b)
@@ -807,6 +824,8 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
     circle.  The report also carries an estimate of the values' quadrature
     error (`ProbeReport.cell_error_rel`).
 
+    The loop's grid is built as `convolve_along`'s (`_grid`: one RK4 step
+    per up to CONVOLVE_STEP_INTERVALS time intervals, dense output between).
     Each loop column passes once the checks that prove its quadrature
     nodes (`_column_frames`), for every germ kind.  The circle's columns
     are integrated with the estimate; of the route's, only the last, by
@@ -822,9 +841,9 @@ def singularity_probe(phi: Germ, psi: Germ, set_a: FilteredSet,
         # pair's closed form within 1e-12 of the values' scale at radius 0.2
         # and 0.1.  A cubic on the wrong side of a singular point is refused
         # (ToleranceError), not split.  n_t 64 is a floor (the pole pair's
-        # loops take 65-93 steps): the circle's 16 equal sides get equal
-        # step counts, which makes the trapezoid rule of ring_rel converge
-        # geometrically.
+        # loops take 65-93 time intervals, in 19-38 RK4 steps): the circle's
+        # 16 equal sides get equal interval counts, which makes the
+        # trapezoid rule of ring_rel converge geometrically.
         cfg = ConvolveConfig(n_s=64, n_t=64, n_q=16)
     candidate = _finite(candidate, "candidate")
     seed = None if seed is None else _finite(seed, "seed")

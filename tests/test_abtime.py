@@ -22,3 +22,9 @@ def test_same_checkout_on_both_sides_gives_equal_digests(workload):
     assert all(t > 0.0 for t in res["median_s"])
     assert res["ratio"][1] <= res["ratio"][0] <= res["ratio"][2]
     assert res["digests"][0] == res["digests"][1]
+    # each side's field calls, counted through its own FlowField.__call__
+    assert res["field_calls"][0] == res["field_calls"][1] > 0
+    lines = load_abtime().report(res)
+    for side, calls in zip(("old", "new"), res["field_calls"]):
+        assert any(line.startswith(f"{side}:") and f"field calls per op {calls} " in line
+                   for line in lines)

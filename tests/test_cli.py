@@ -9,7 +9,9 @@ from borelconv.jsonio import (CSV_BLOCK_ROWS, ParseError, atomic_write, dumps, g
                               grid_csv_rows, load_json, set_from_doc, write_csv)
 
 from conftest import sets_equal
-from borelconv import ConvolveConfig, FilteredSet, Germ, Path, deform, mirror
+from borelconv import (ChiGuardError, ConvolveConfig, FilteredSet, Germ, Path, convolve_along,
+                       deform, mirror)
+from borelconv.deformation import CONVOLVE_STEP_INTERVALS
 from borelconv.germs import singularity_probe
 
 
@@ -92,6 +94,26 @@ def test_exit_4_on_flow_guard(tmp_path):
     code = main(["deform", g, a, b, "--level", "2.2", "--ns", "16",
                  "--nt", "64", "--eps-den", "0.01", "-o", str(outdir)])
     assert code == 4
+
+
+def test_flow_guard_through_deform_and_convolve_has_stage_flow_and_exit_4(tmp_path):
+    # the configuration above, and gamma 5e-9 from A's entry, within the
+    # default guard 1e-8 |gamma|, for convolve (which takes no --eps-den)
+    a_set, empty = FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [], 6.0)
+    with pytest.raises(ChiGuardError) as got:
+        deform(Path([0.25, 1 + 1e-3j, 1.75]), a_set, empty, 2.2, n_s=16, n_t=64, eps_den=0.01)
+    assert got.value.stage == "flow"
+    near = Path([0.25, 1 + 5e-9j, 1.75])
+    cfg = ConvolveConfig(level=2.2, n_s=16, n_t=64, n_q=8)
+    with pytest.raises(ChiGuardError) as got:
+        convolve_along(Germ.pole(3), Germ.pole(3), near, a_set, empty, cfg)
+    assert got.value.stage == "flow" and got.value.value <= got.value.bound
+    phi = write(tmp_path / "phi.json", {"kind": "pole", "a": [3.0, 0.0]})
+    a = write(tmp_path / "a.json", set_doc([(1 + 0j, 1.0)], 6.0))
+    b = write(tmp_path / "b.json", set_doc([], 6.0))
+    g = write(tmp_path / "g.json", path_doc([0.25, 1 + 5e-9j, 1.75]))
+    assert main(["convolve", phi, phi, g, a, b, "--level", "2.2", "--ns", "16", "--nt", "64",
+                 "--nq", "8", "-o", str(tmp_path / "out")]) == 4
 
 
 def test_exit_5_on_length_tolerance(tmp_path):
@@ -420,7 +442,7 @@ def test_convolve_with_probe(tmp_path, capsys):
     probe = convolve_with_probe(tmp_path)
     assert set(probe) == {"candidate", "radius", "classification", "defect_rel", "ring_rel",
                           "tol_mono", "cell_error_rel", "cells_split", "split_depth", "level",
-                          "n_s", "n_t", "n_q"}
+                          "n_s", "n_t", "n_q", "flow_steps"}
     assert probe["classification"] == "regular"
     assert probe["tol_mono"] == 1e-4
     assert 0.0 <= probe["cell_error_rel"] <= 1e-5
@@ -429,6 +451,9 @@ def test_convolve_with_probe(tmp_path, capsys):
     rep = singularity_probe(Germ.pole(1), Germ.pole(2), FilteredSet(0, [(1, 1.0)], 6.0),
                             FilteredSet(0, [(2, 2.0)], 6.0), 1.5, 0.2, seed=0.25)
     assert (probe["n_s"], probe["n_t"], probe["n_q"]) == (64, rep.trace.grid.n_t, 16)
+    # the loop grid's RK4 steps, one per up to CONVOLVE_STEP_INTERVALS intervals
+    assert probe["flow_steps"] == rep.trace.grid.flow_steps
+    assert probe["n_t"] / CONVOLVE_STEP_INTERVALS <= probe["flow_steps"] < probe["n_t"] / 2
     assert 64 < probe["n_t"] < 64 + len(rep.loop.seg_lengths)
     assert (probe["cell_error_rel"], probe["cells_split"], probe["split_depth"]) == (
         rep.cell_error_rel, rep.cells_split, rep.split_depth)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from borelconv import (
     ChiGuardError,
+    ConvolveConfig,
     DeformationGrid,
     FilteredSet,
     FlowField,
@@ -18,7 +19,13 @@ from borelconv import (
     mirror,
     validate,
 )
-from borelconv.deformation import _rk4_stacked, _t_nodes_for, row_nodes
+from borelconv.deformation import (
+    CONVOLVE_STEP_INTERVALS,
+    _flow_steps,
+    _rk4_stacked,
+    _t_nodes_for,
+    row_nodes,
+)
 from conftest import CURVED_GAMMA
 
 
@@ -171,25 +178,32 @@ def count_calls(monkeypatch, field):
     return calls
 
 
-def single_state_steps(field, Z0, t_nodes, seg_of_step):
+def single_state_steps(field, Z0, t_nodes, seg_of_step, ends=None):
     """The paired scheme, one single-state RK4 step at a time: from each
-    node, a full step over two intervals of the same segment (one at a
-    segment's odd end) and a first half step, stored at the node between,
-    then the second half step from the first half.  Returns the grid (the
-    centre frozen at 0, the top row on gamma) and the Richardson estimate."""
+    step's start node, a full step to its end node and a first half step,
+    stored at the node between when the step spans an even number of
+    intervals, then the second half step from the first half.  The steps
+    end at the nodes `ends`; by default each takes two intervals of a
+    segment (one at a segment's odd end).  Returns the grid (the centre
+    frozen at 0, the top row on gamma, and a column no step stores left
+    unset) and the Richardson estimate."""
     n_t = len(t_nodes) - 1
     want = np.empty((len(Z0), n_t + 1), dtype=complex)
     want[:, 0] = Z0
     want[0, 1:], want[-1, 1:] = 0.0, field.gamma.points_at(t_nodes[1:])
     want_rich, j = 0.0, 0
+    step_ends = None if ends is None else iter(ends)
     while j < n_t:
         seg = int(seg_of_step[j])
-        end = j + 2 if j + 1 < n_t and seg_of_step[j + 1] == seg else j + 1
+        if step_ends is None:
+            end = j + 2 if j + 1 < n_t and seg_of_step[j + 1] == seg else j + 1
+        else:
+            end = int(next(step_ends))
         t0, h = t_nodes[j], t_nodes[end] - t_nodes[j]
         z_full = rk4_step(field, want[:, j], t0, h, seg)
         z_half = rk4_step(field, want[:, j], t0, h / 2, seg)
-        if end == j + 2:
-            want[1:-1, j + 1] = z_half[1:-1]
+        if (end - j) % 2 == 0:
+            want[1:-1, j + (end - j) // 2] = z_half[1:-1]
         z_half = rk4_step(field, z_half, t0 + h / 2, h / 2, seg)
         want[1:-1, end] = z_full[1:-1]
         want_rich = max(want_rich, float(np.max(np.abs(want[:, end] - z_half))) * 16.0 / 15.0)
@@ -220,6 +234,91 @@ def test_rk4_pair_bits_equal_two_steps(monkeypatch):
     assert H.tobytes() == want.tobytes()
     assert rich == want_rich and rich > 0.0
     assert stacked.min_chi == stepped.min_chi
+
+
+@pytest.mark.parametrize("n_t", [8, 31, 32, 64, 97])
+@pytest.mark.parametrize("per_step", [1, 2, 3, 8])
+def test_flow_steps_cut_each_segment_into_near_equal_steps(n_t, per_step):
+    gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j, 0.1 + 0.35j])
+    _, seg_of_step = _t_nodes_for(gamma, n_t)
+    starts, ends = _flow_steps(seg_of_step, per_step)
+    assert starts[0] == 0 and ends[-1] == len(seg_of_step)
+    assert starts[1:].tobytes() == ends[:-1].tobytes()
+    # no step crosses a vertex, and every vertex ends one
+    assert np.all(seg_of_step[starts] == seg_of_step[ends - 1])
+    assert set(np.cumsum(np.bincount(seg_of_step))) <= set(ends)
+    for k, n_k in enumerate(np.bincount(seg_of_step)):
+        counts = (ends - starts)[seg_of_step[starts] == k]
+        assert len(counts) == math.ceil(n_k / per_step) and counts.sum() == n_k
+        # near-equal, the longer first
+        assert counts.max() - counts.min() <= 1 and np.all(np.diff(counts) <= 0)
+    if per_step == 2:  # the paired scheme
+        assert len(starts) == paired_steps(seg_of_step)
+
+
+def hermite_reference(field, z0, z1, t0, t1, seg, ts):
+    """Cubic Hermite between two states, with the field on segment seg as
+    their derivatives, at the times ts: one column per time."""
+    d0, d1 = (t1 - t0) * field(z0, t0, seg), (t1 - t0) * field(z1, t1, seg)
+    s = (np.asarray(ts) - t0) / (t1 - t0)
+    cols = [(2 * x**3 - 3 * x**2 + 1) * z0 + (x**3 - 2 * x**2 + x) * d0
+            + (3 * x**2 - 2 * x**3) * z1 + (x**3 - x**2) * d1 for x in s]
+    return np.array(cols).T
+
+
+def test_convolution_grid_steps_equal_single_state_steps(monkeypatch):
+    # a convolution's grid takes one step per CONVOLVE_STEP_INTERVALS
+    # intervals: 5 to 7 on these segments, odd and even
+    from borelconv import germs
+
+    gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j, 0.1 + 0.35j])
+    a, b = FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [(2, 2.0)], 6.0)
+    calls = []
+    call = FlowField.__call__
+    monkeypatch.setattr(FlowField, "__call__",
+                        lambda self, *args: calls.append(1) or call(self, *args))
+    cfg = ConvolveConfig(level=2.5, n_s=16, n_t=64)
+    grid = germs._grid(gamma, a, b, a.fine_sum(b), cfg)
+    monkeypatch.undo()
+    t_nodes, seg_of_step = _t_nodes_for(gamma, 64)
+    starts, ends = _flow_steps(seg_of_step, CONVOLVE_STEP_INTERVALS)
+    counts = ends - starts
+    assert sorted(set(counts % 2)) == [0, 1] and counts.max() > 2
+    assert grid.t_nodes.tobytes() == t_nodes.tobytes()
+    # four calls a step and four for the last call, whose k1 also takes the
+    # last column for the dense output of the last step
+    assert grid.flow_steps == len(starts) and len(calls) == 4 * len(starts) + 4
+    stepped = field_for(gamma, a, b, 2.5)
+    want, want_rich = single_state_steps(stepped, grid.H[:, 0], t_nodes, seg_of_step, ends)
+    # every step end and stored middle has the bits of single-state steps
+    stored = np.concatenate([[0], ends, (starts + counts // 2)[counts % 2 == 0]])
+    assert grid.H[:, stored].tobytes() == want[:, stored].tobytes()
+    assert grid.richardson_error == want_rich > 0.0
+    assert grid.min_chi <= stepped.min_chi
+    assert grid.H[0].tobytes() == np.zeros(grid.n_t + 1, dtype=complex).tobytes()
+    assert grid.H[-1].tobytes() == grid.gamma_values().tobytes()
+    # the nodes between are cubic Hermite between the nearest two of the
+    # step's start, middle and end, with the field on the step's segment
+    scale = float(np.max(np.abs(grid.H)))
+    for s, e, c in zip(starts, ends, counts):
+        seg, h = int(seg_of_step[s]), t_nodes[e] - t_nodes[s]
+        t_mid = t_nodes[s] + h / 2
+        z_mid = rk4_step(stepped, grid.H[:, s], t_nodes[s], h / 2, seg)
+        for nodes, (z0, t0), (z1, t1) in (
+                (range(s + 1, s + (c + 1) // 2), (grid.H[:, s], t_nodes[s]), (z_mid, t_mid)),
+                (range(s + c // 2 + 1, e), (z_mid, t_mid), (grid.H[:, e], t_nodes[e]))):
+            if len(nodes):
+                ref = hermite_reference(stepped, z0, z1, t0, t1, seg, t_nodes[list(nodes)])
+                assert np.max(np.abs(grid.H[1:-1, list(nodes)] - ref[1:-1])) <= 1e-14 * scale
+    assert validate(grid).passed
+
+
+def test_deform_grid_counts_its_steps():
+    gamma = Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j])
+    a, b = FilteredSet(0, [(1, 1.0)], 6.0), FilteredSet(0, [(2, 2.0)], 6.0)
+    grid = deform(gamma, a, b, 2.5, n_s=16, n_t=64)
+    assert grid.flow_steps == paired_steps(_t_nodes_for(gamma, 64)[1])
+    assert deform(Path([0.25]), a, b, 2.5, n_s=16, n_t=16).flow_steps == 0
 
 
 def test_stored_middle_node_is_one_single_state_step_from_the_node_before():

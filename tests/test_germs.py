@@ -675,6 +675,44 @@ def test_convolve_along_default_grid_matches_continued_closed_form(vertices):
     assert np.max(np.abs(tr.values - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+SERIES_PAIR = (Germ.series([1.0] * 48, 1.0), Germ.series([0.5 ** (k + 1) for k in range(48)], 2.0))
+ORACLE_PAIRS = {
+    "pole*pole": (Germ.pole(1), Germ.pole(2)),
+    "log*pole": (Germ.log_pole(1), Germ.pole(2)),
+    "log*log": (Germ.log_pole(1), Germ.log_pole(2)),
+    "series*series": SERIES_PAIR,
+}
+
+
+def oracle_gamma(shape, pair):
+    """A straight, a five-vertex and a probe-loop gamma; the series pair's
+    loop stays inside its discs, the others' detours around 1."""
+    if shape == "straight":
+        return Path([0.25, 0.6 + 0.2j])
+    if shape == "five-vertex":
+        return Path([0.25, 0.4 + 0.1j, 0.5 + 0.3j, 0.3 + 0.45j, 0.1 + 0.35j])
+    candidate, radius = (0.45, 0.1) if pair == "series*series" else (1.5, 0.2)
+    return singularity_probe(Germ.pole(1), Germ.pole(2), *pole_pair_sets(), candidate, radius).loop
+
+
+@pytest.mark.parametrize("shape", ["straight", "five-vertex", "probe-loop"])
+@pytest.mark.parametrize("pair", sorted(ORACLE_PAIRS))
+def test_convolve_along_matches_convolve_at_on_deforms_own_grid(pair, shape):
+    # Cauchy: a value depends on its column only through the column's
+    # homotopy class, so convolve_along on its grid (one RK4 step per
+    # CONVOLVE_STEP_INTERVALS intervals, dense output between) gives the
+    # values of convolve_at on deform's grid (one step per two intervals)
+    phi, psi = ORACLE_PAIRS[pair]
+    gamma, (a, b) = oracle_gamma(shape, pair), pole_pair_sets()
+    cfg = ConvolveConfig(n_s=64, n_t=64, n_q=16)
+    tr = convolve_along(phi, psi, gamma, a, b, cfg)
+    grid = deform(gamma, a, b, tr.grid.level, cfg.n_s, cfg.n_t)
+    assert grid.t_nodes.tobytes() == tr.ts.tobytes()
+    assert tr.grid.flow_steps < grid.flow_steps
+    want = convolve_at(phi, psi, grid, np.arange(grid.n_t + 1), cfg=cfg)
+    assert np.all(np.abs(tr.values - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
 def test_convolve_rejects_disallowed_gamma():
     a, b = pole_pair_sets()
     with pytest.raises(PreconditionError):

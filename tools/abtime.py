@@ -14,10 +14,12 @@ the benchmark of the same name at its full size:
   64 x 64 x 8.
 
 After one op of each as a warm-up, it prints each side's median op time,
-the paired ratio NEW / OLD (its median and quartiles), the number of pairs
-NEW was faster in, and a SHA-256 digest of every output of each side's ops
-(the values' bytes and the reports' floats as exact hex), equal when the
-two sides keep each other's bits.
+its field calls per op (the warm-up's calls of that side's
+`FlowField.__call__`, counted only then), the paired ratio NEW / OLD (its
+median and quartiles), the number of pairs NEW was faster in, and a
+SHA-256 digest of every output of each side's ops (the values' bytes and
+the reports' floats as exact hex), equal when the two sides keep each
+other's bits.
 
 Pairs run moments apart see the same phase of a host whose speed drifts,
 so the ratio sizes a change on such a host; the benchmark's own pairs of
@@ -43,7 +45,9 @@ SIZES = {"full": (None, (64, 64, 8)), "tiny": ((64, 64, 8), (16, 16, 4))}
 
 
 def load(checkout: str, name: str):
-    """The package in checkout/src/borelconv, imported as `name`."""
+    """The package in checkout/src/borelconv, imported afresh as `name`."""
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]  # an earlier load's modules, which the import would reuse
     pkg = os.path.join(os.path.abspath(checkout), "src", "borelconv")
     spec = importlib.util.spec_from_file_location(
         name, os.path.join(pkg, "__init__.py"), submodule_search_locations=[pkg])
@@ -92,14 +96,30 @@ def series_op(bc, size: str):
 WORKLOADS = {"probe": probe_op, "series": series_op}
 
 
+def field_calls(bc, op) -> int:
+    """Run op once, counting the calls of package bc's FlowField.__call__."""
+    cls, calls = bc.deformation.FlowField, []
+    call = cls.__call__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return call(self, *args, **kwargs)
+
+    cls.__call__ = counted
+    try:
+        op()
+    finally:
+        cls.__call__ = call
+    return len(calls)
+
+
 def compare(old: str, new: str, workload: str = "probe", pairs: int = PAIRS,
             size: str = "full") -> dict:
     """Alternate ops of the two checkouts; the times, ratios and digests."""
-    ops = [WORKLOADS[workload](load(path, f"borelconv_ab_{side}"), size)
-           for side, path in (("old", old), ("new", new))]
+    packages = [load(path, f"borelconv_ab_{side}") for side, path in (("old", old), ("new", new))]
+    ops = [WORKLOADS[workload](bc, size) for bc in packages]
     digests = [hashlib.sha256(), hashlib.sha256()]
-    for op in ops:  # warm-up, not timed
-        op()
+    calls = [field_calls(bc, op) for bc, op in zip(packages, ops)]  # warm-up, not timed
     times = np.empty((pairs, 2))
     for k in range(pairs):
         for side in ((0, 1) if k % 2 == 0 else (1, 0)):
@@ -110,6 +130,7 @@ def compare(old: str, new: str, workload: str = "probe", pairs: int = PAIRS,
     ratio = times[:, 1] / times[:, 0]
     return {
         "median_s": np.median(times, axis=0).tolist(),
+        "field_calls": calls,
         "ratio": np.percentile(ratio, [50, 25, 75]).tolist(),
         "wins": int(np.count_nonzero(ratio < 1.0)),
         "pairs": pairs,
@@ -123,14 +144,20 @@ def main(argv=None) -> int:
     parser.add_argument("new")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="probe")
     args = parser.parse_args(argv)
-    res = compare(args.old, args.new, args.workload)
-    for side, median, digest in zip(("old", "new"), res["median_s"], res["digests"]):
-        print(f"{side}: median {median * 1e3:.3f} ms  digest {digest}")
-    mid, lo, hi = res["ratio"]
-    print(f"new/old: median {mid:.3f} (IQR {lo:.3f}-{hi:.3f}), "
-          f"new faster in {res['wins']} of {res['pairs']} pairs")
-    print("digests " + ("equal" if res["digests"][0] == res["digests"][1] else "DIFFER"))
+    print("\n".join(report(compare(args.old, args.new, args.workload))))
     return 0
+
+
+def report(res: dict) -> list[str]:
+    """The lines main prints for a result of `compare`."""
+    lines = [f"{side}: median {median * 1e3:.3f} ms  field calls per op {calls}  digest {digest}"
+             for side, median, calls, digest in zip(
+                 ("old", "new"), res["median_s"], res["field_calls"], res["digests"])]
+    mid, lo, hi = res["ratio"]
+    lines.append(f"new/old: median {mid:.3f} (IQR {lo:.3f}-{hi:.3f}), "
+                 f"new faster in {res['wins']} of {res['pairs']} pairs")
+    lines.append("digests " + ("equal" if res["digests"][0] == res["digests"][1] else "DIFFER"))
+    return lines
 
 
 if __name__ == "__main__":
