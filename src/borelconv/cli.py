@@ -4,6 +4,9 @@ deformation runs and convolutions over JSON inputs.
 Exit codes: 0 ok, 2 parse error, 3 precondition violation, 4 flow
 denominator guard, 5 tolerance failure.  Outputs are deterministic
 (17 significant digits) and written atomically.
+
+Each command imports only the layers it runs: the set algebra, path and
+glimpse commands never load the deformation, germ, cell or drawing modules.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 import os
 import sys
 
-from . import deformation, germs, jsonio, viz
+from . import jsonio
 from .errors import ChiGuardError, PreconditionError, ToleranceError
 from .filtered_set import POINT_TOL, glimpsed, glimpsed_by_filtration
 from .paths import admissible_levels, distance_to_set
@@ -36,13 +39,31 @@ def _finite_pair(text: str) -> complex:
     return complex(re, im)
 
 
+class _Parser(argparse.ArgumentParser):
+    """The command-line parser.  The convolve command's grid options default
+    to `ConvolveConfig`'s fields, read only when that command is parsed, so
+    that the other commands never import the germ layer."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if args.command == "convolve":
+            from .germs import ConvolveConfig
+
+            cfg = ConvolveConfig()
+            for option, field in (("level", "level"), ("ns", "n_s"), ("nt", "n_t"), ("nq", "n_q")):
+                if getattr(args, option) is None:
+                    setattr(args, option, getattr(cfg, field))
+        return args, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="borelconv",
         description="filtered-set algebra, allowed paths, contour deformation "
                     "and germ convolution in the Borel plane",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    # the commands' own parsers are plain ones; _Parser fills in convolve's defaults
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     p = sub.add_parser("set-op", help="filtered-set algebra")
     p.add_argument("op", choices=["union", "sum", "fine-sum", "saturate"])
@@ -80,11 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("gamma")
     p.add_argument("set_a")
     p.add_argument("set_b")
-    cfg = germs.ConvolveConfig()  # the library's defaults
-    p.add_argument("--level", type=_finite_float, default=cfg.level)
-    p.add_argument("--ns", type=int, default=cfg.n_s)
-    p.add_argument("--nt", type=int, default=cfg.n_t)
-    p.add_argument("--nq", type=int, default=cfg.n_q)
+    p.add_argument("--level", type=_finite_float)
+    p.add_argument("--ns", type=int)
+    p.add_argument("--nt", type=int)
+    p.add_argument("--nq", type=int)
     p.add_argument("--probe", type=_finite_pair, default=None,
                    help="re,im of a candidate singularity to classify")
     p.add_argument("--probe-radius", type=_finite_float, default=0.1)
@@ -148,6 +168,8 @@ def _cmd_glimpse(args) -> int:
 
 
 def _cmd_deform(args) -> int:
+    from . import deformation, viz
+
     gamma = jsonio.path_from_doc(jsonio.load_json(args.gamma))
     set_a = jsonio.set_from_doc(jsonio.load_json(args.set_a))
     set_b = jsonio.set_from_doc(jsonio.load_json(args.set_b))
@@ -167,6 +189,8 @@ def _cmd_deform(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
+    from . import germs
+
     phi = jsonio.germ_from_doc(jsonio.load_json(args.phi))
     psi = jsonio.germ_from_doc(jsonio.load_json(args.psi))
     gamma = jsonio.path_from_doc(jsonio.load_json(args.gamma))

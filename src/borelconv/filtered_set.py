@@ -42,23 +42,40 @@ def _outside_disc(dist, level):
     return dist > level * (1.0 + 1e-12) + 1e-15
 
 
-def _dedupe_points(points: np.ndarray, levels: np.ndarray, centre: complex):
-    """Cluster points within POINT_TOL, keeping the min level per cluster.
+def _tolerance_cells(points: np.ndarray):
+    """Split `points` into cells, any two points of different cells more
+    than POINT_TOL apart.  Groups start where the sorted real parts jump by
+    more than POINT_TOL, and a group is cut where its sorted imaginary parts
+    do.  Returns (members, starts): cell k holds the indices
+    members[starts[k]:starts[k + 1]], in ascending order."""
+    n = len(points)
+    by_re = np.argsort(points.real, kind="stable")
+    group = np.empty(n, dtype=np.intp)
+    group[by_re] = np.concatenate(([0], np.cumsum(np.diff(points.real[by_re]) > POINT_TOL)))
+    by_im = np.lexsort((points.imag, group))
+    cut = (np.diff(group[by_im]) != 0) | (np.diff(points.imag[by_im]) > POINT_TOL)
+    cell = np.empty(n, dtype=np.intp)
+    cell[by_im] = np.concatenate(([0], np.cumsum(cut)))
+    members = np.argsort(cell, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(cell))[:-1]))
+    return members, starts
 
-    Sort-sweep on the real part; clusters are tiny for the data sizes we
-    handle (sums of at most a few dozen generators).  A cluster is the
-    points within POINT_TOL of its first point in (re, im) order, and keeps
-    that point unless it lies outside the disc of the cluster's level; it
-    then keeps the point that came with that level, which can lie within
-    POINT_TOL of another cluster's point, so the kept points are clustered
-    again.
+
+def _sweep(points: np.ndarray, levels: np.ndarray, centre: complex):
+    """The sequential clustering rule, over points in (re, im) order.
+
+    A cluster is the points within POINT_TOL of its first point, each point
+    joining the latest cluster within reach.  It keeps the min level, and
+    keeps its first point unless that lies outside the disc of the cluster's
+    level; it then keeps the point that came with that level.  Returns the
+    kept points, their levels, and whether any cluster kept a point other
+    than its first.
     """
-    order = np.lexsort((points.imag, points.real))
     firsts: list[complex] = []
     out_pts: list[complex] = []
     out_lvl: list[float] = []
     moved = False
-    for p, lv in zip(points[order].tolist(), levels[order].tolist()):
+    for p, lv in zip(points.tolist(), levels.tolist()):
         merged = False
         for k in range(len(firsts) - 1, -1, -1):
             if p.real - firsts[k].real > POINT_TOL:
@@ -75,8 +92,41 @@ def _dedupe_points(points: np.ndarray, levels: np.ndarray, centre: complex):
             firsts.append(p)
             out_pts.append(p)
             out_lvl.append(lv)
-    points, levels = np.array(out_pts, dtype=complex), np.array(out_lvl, dtype=float)
-    return _dedupe_points(points, levels, centre) if moved else (points, levels)
+    return np.array(out_pts, dtype=complex), np.array(out_lvl, dtype=float), moved
+
+
+def _dedupe_points(points: np.ndarray, levels: np.ndarray, centre: complex):
+    """Cluster points within POINT_TOL, keeping the min level per cluster,
+    by the rule of `_sweep` over the points in (re, im) order.
+
+    The sweep runs only where it is needed.  A tolerance cell whose points
+    all lie within POINT_TOL of its first is one cluster of the sweep, and
+    is resolved by array reductions; only the points of the other cells are
+    swept.  A kept point that moved can lie within POINT_TOL of another
+    cluster's point of its cell, so after a move the swept cells' kept
+    points are clustered again; a point kept by a one-cluster cell lies more
+    than POINT_TOL from every other cell and is final.
+    """
+    n = len(points)
+    if n < 2 or (np.diff(np.sort(points.real)) > POINT_TOL).all():
+        return points, levels  # every point a cluster of its own
+    order = np.lexsort((points.imag, points.real))
+    points, levels = points[order], levels[order]
+    members, starts = _tolerance_cells(points)
+    counts = np.diff(np.append(starts, n))
+    first = members[starts]  # a cell's first point in (re, im) order
+    pts, lvl = points[members], levels[members]
+    one = np.logical_and.reduceat(
+        _modulus(pts - np.repeat(points[first], counts)) <= POINT_TOL, starts)
+    lowest = np.minimum.reduceat(lvl, starts)
+    holder = np.minimum.reduceat(np.where(lvl == np.repeat(lowest, counts), members, n), starts)
+    outside = _outside_disc(_modulus(points[first] - centre), lowest)
+    kept = np.where(outside, holder, first)[one]
+    swept = np.sort(members[~np.repeat(one, counts)])
+    rest_pts, rest_lvl, moved = _sweep(points[swept], levels[swept], centre)
+    if moved:
+        rest_pts, rest_lvl = _dedupe_points(rest_pts, rest_lvl, centre)
+    return np.concatenate((points[kept], rest_pts)), np.concatenate((lowest[one], rest_lvl))
 
 
 class FilteredSet:
@@ -251,11 +301,9 @@ class FilteredSet:
     __hash__ = None
 
 
-def _same_entries(a: FilteredSet, b: FilteredSet) -> bool:
-    """Equal entry lists up to order: points within 1e-9, levels within 1e-12."""
-    ea, eb = a.entries, b.entries
-    if len(ea) != len(eb):
-        return False
+def _greedy_match(ea, eb) -> bool:
+    """Whether each (point, level) of `ea`, in order, finds an unused one of
+    `eb` within POINT_TOL and a level within 1e-12, the first in `eb`'s order."""
     used = [False] * len(eb)
     for p, lv in ea:
         for k, (q, lw) in enumerate(eb):
@@ -263,6 +311,38 @@ def _same_entries(a: FilteredSet, b: FilteredSet) -> bool:
                 used[k] = True
                 break
         else:
+            return False
+    return True
+
+
+def _same_entries(a: FilteredSet, b: FilteredSet) -> bool:
+    """Equal entry lists up to order: points within 1e-9, levels within 1e-12.
+
+    The entries of a and b match within their tolerance cells only.  A cell
+    holding one entry of each compares that pair; a cell holding more entries
+    of one set than of the other cannot match; the others are matched by
+    `_greedy_match`.
+    """
+    n = len(a.levels)
+    if n != len(b.levels):
+        return False
+    if not n:
+        return True
+    points, levels = np.append(a.points, b.points), np.append(a.levels, b.levels)
+    members, starts = _tolerance_cells(points)
+    counts = np.diff(np.append(starts, 2 * n))
+    if (2 * np.add.reduceat(members < n, starts) != counts).any():
+        return False
+    pair = starts[counts == 2]
+    i, j = members[pair], members[pair + 1]  # a's, then b's
+    if not ((_modulus(points[i] - points[j]) <= POINT_TOL)
+            & (np.abs(levels[i] - levels[j]) <= np.maximum(LEVEL_TOL, LEVEL_TOL * levels[i]))).all():
+        return False
+    for s, c in zip(starts[counts > 2].tolist(), counts[counts > 2].tolist()):
+        cell = members[s:s + c]
+        ia, ib = cell[cell < n], cell[cell >= n]
+        if not _greedy_match(list(zip(points[ia].tolist(), levels[ia].tolist())),
+                             list(zip(points[ib].tolist(), levels[ib].tolist()))):
             return False
     return True
 

@@ -18,13 +18,16 @@ import math
 import os
 import tempfile
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BorelConvError
 from .filtered_set import FilteredSet
-from .germs import ContinuationTrace, Germ
 from .paths import Path
+
+if TYPE_CHECKING:  # the germ layer is imported only by the functions that build germs
+    from .germs import ContinuationTrace, Germ
 
 
 # CSV rows formatted and written at a time: the text and the Python floats
@@ -38,7 +41,7 @@ class ParseError(BorelConvError):
 
 def _finite(x):
     """x (a float or a float array) unchanged; raises if any value is not finite."""
-    if not np.isfinite(x).all():
+    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
         raise ValueError("non-finite float in output document")
     return x
 
@@ -195,6 +198,8 @@ def germ_to_doc(germ: Germ) -> dict:
 
 
 def germ_from_doc(doc) -> Germ:
+    from .germs import Germ
+
     # a missing field reads as None, which each converter rejects
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("germ document needs a kind")

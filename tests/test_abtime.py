@@ -28,3 +28,14 @@ def test_same_checkout_on_both_sides_gives_equal_digests(workload):
     for side, calls in zip(("old", "new"), res["field_calls"]):
         assert any(line.startswith(f"{side}:") and f"field calls per op {calls} " in line
                    for line in lines)
+
+
+def test_cli_batch_of_one_checkout_against_itself_gives_equal_digests():
+    res = load_abtime().compare(ROOT, ROOT, "cli", pairs=1, size="tiny")
+    assert res["pairs"] == 1 and res["digests"][0] == res["digests"][1]
+    assert res["files_differ"] == []
+    assert list(res["commands"]) == ["fine-sum", "path-check", "glimpse", "deform", "convolve",
+                                     "saturate", "walk path-check"]
+    assert all(t > 0.0 for times in res["commands"].values() for t in times)
+    lines = load_abtime().report(res)
+    assert lines[-1] == "digests equal" and any(line.startswith("  saturate: old ") for line in lines)

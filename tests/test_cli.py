@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -417,6 +420,27 @@ def test_convolve_defaults_are_the_library_defaults():
     assert cfg == ConvolveConfig()
 
 
+def test_convolve_runs_on_the_library_defaults(tmp_path, monkeypatch):
+    from borelconv import germs
+
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def capture(phi, psi, gamma, set_a, set_b, cfg):
+        seen.append(cfg)
+        raise Stop
+
+    monkeypatch.setattr(germs, "convolve_along", capture)
+    one = write(tmp_path / "one.json", {"kind": "poly", "coeffs": [[1.0, 0.0]]})
+    t = write(tmp_path / "t.json", set_doc([], 5.0))
+    g = write(tmp_path / "g.json", path_doc([0.2, 0.6]))
+    with pytest.raises(Stop):
+        main(["convolve", one, one, g, t, t, "-o", str(tmp_path / "out")])
+    assert seen == [ConvolveConfig()]
+
+
 def run_convolve_with_probe(tmp_path, candidate="1.5,0", radius="0.2"):
     """Exit code and output directory of `convolve --probe` on the pole
     pair (1.5 at radius 0.2 by default)."""
@@ -571,6 +595,17 @@ def test_write_csv_refuses_non_finite_before_writing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64(-math.inf)])
+def test_dumps_refuses_non_finite_floats(bad):
+    with pytest.raises(ValueError):
+        dumps({"x": [1.0, bad]})
+
+
+def test_dumps_writes_17_digits_of_python_and_numpy_floats():
+    assert dumps({"x": [0.1, np.float64(1 / 3)], "n": np.int64(2)}) == (
+        '{"x": [0.10000000000000001, 0.33333333333333331], "n": 2}\n')
+
+
 def test_atomic_write_failing_mid_stream_keeps_the_old_file(tmp_path):
     out = tmp_path / "t.txt"
     out.write_text("old\n")
@@ -603,3 +638,47 @@ def test_germ_roundtrip():
     for g in (Germ.poly([1, 2j]), Germ.pole(1.5), Germ.log_pole(-2j),
               Germ.series([0.5, 0.25], 1.5)):
         assert germ_from_doc(germ_to_doc(g)) == g
+
+
+# -- import boundaries --------------------------------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+HEAVY = {"borelconv.germs", "borelconv.deformation", "borelconv.cells", "borelconv.viz"}
+
+
+def modules_after(code, *argv):
+    """The borelconv modules loaded by `code` run in a fresh interpreter."""
+    code = f"import json, sys; {code}; print(json.dumps([m for m in sys.modules if m.startswith('borelconv')]))"
+    out = subprocess.run([sys.executable, "-c", code, *argv], check=True,
+                         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("command", ["set-op", "path-check", "glimpse"])
+def test_light_commands_load_no_flow_germ_cell_or_drawing_layer(tmp_path, command):
+    a = write(tmp_path / "a.json", set_doc([(1 + 0j, 1.0)], 6.0))
+    lam = write(tmp_path / "lam.json", path_doc([0, 0.5]))
+    argv = {"set-op": ["set-op", "saturate", a],
+            "path-check": ["path-check", lam, a, "--csv", str(tmp_path / "lam.csv")],
+            "glimpse": ["glimpse", a, "--theta", "0", "--verify"]}[command]
+    argv += ["-o", str(tmp_path / "out.json")]
+    loaded = modules_after("from borelconv.cli import main; assert main(sys.argv[1:]) == 0", *argv)
+    assert "borelconv.cli" in loaded and not loaded & HEAVY
+    assert (tmp_path / "out.json").exists()
+
+
+def test_public_names_resolve_lazily():
+    assert modules_after("import borelconv") == {"borelconv"}
+    # a submodule is an attribute before anything imported it
+    assert "borelconv.deformation" in modules_after("import borelconv; borelconv.deformation.FlowField")
+    loaded = modules_after("from borelconv import *; import borelconv; "
+                           "assert all(globals()[n] is getattr(borelconv, n) for n in borelconv.__all__)")
+    assert HEAVY - loaded == {"borelconv.viz"}
+    import borelconv
+
+    for name in borelconv.__all__:
+        value = getattr(borelconv, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    assert borelconv.__all__ == sorted(borelconv.__all__) and len(borelconv.__all__) == 36
+    with pytest.raises(AttributeError):
+        borelconv.no_such_name

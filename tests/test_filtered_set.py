@@ -14,6 +14,7 @@ from borelconv import (
     glimpsed_sum_points,
     seen,
 )
+from borelconv import filtered_set
 from borelconv.filtered_set import POINT_TOL
 from conftest import (
     check_algebra_against_decompositions,
@@ -120,6 +121,124 @@ def test_set_rebuilt_from_its_entries_is_the_same(draws):
     assert (gaps > POINT_TOL).all()
     assert FilteredSet(0, s.entries, 3.0).entries == s.entries
     assert s.union(FilteredSet(0, [], 3.0)).entries == s.entries
+
+
+# -- tolerance cells against the sequential rule ------------------------------
+
+
+def dedupe_reference(points, levels, centre):
+    """The sequential rule over every point, clustered again after a move."""
+    order = np.lexsort((points.imag, points.real))
+    pts, lvl, moved = filtered_set._sweep(points[order], levels[order], centre)
+    return dedupe_reference(pts, lvl, centre) if moved else (pts, lvl)
+
+
+def same_entries_reference(a, b):
+    return len(a.entries) == len(b.entries) and filtered_set._greedy_match(a.entries, b.entries)
+
+
+def canonical(points, levels):
+    """The bytes of (point, level) pairs in the set's (level, re, im) order."""
+    order = np.lexsort((points.imag, points.real, levels))
+    return points[order].tobytes(), levels[order].tobytes()
+
+
+# near-duplicates, chains that link points beyond POINT_TOL, exact POINT_TOL
+# gaps (k * POINT_TOL - j * POINT_TOL is exact for k, j in 0..2), diagonal
+# steps within POINT_TOL in each part but not in modulus, and gaps beyond it
+STEPS = (1e-15, 0.6 * POINT_TOL, POINT_TOL, 1.2 * POINT_TOL, 1.5 * POINT_TOL)
+DIRECTIONS = (1, 1j, -1, cmath.exp(0.25j * math.pi), cmath.exp(-0.6j * math.pi))
+BASES = (1.0, 1.0 + 0.5j, -0.7j, 1.0 + 1.2 * POINT_TOL)
+
+
+@st.composite
+def clouds(draw):
+    """Clusters of points around a few shared bases: levels on the rim of
+    each point's disc (so a lower level can move a cluster's point) or one
+    level tied across the cluster.  With the centre at 3 the first point of
+    a cluster in (re, im) order is often its farthest."""
+    centre = draw(st.sampled_from((-1.0, 3.0)))
+    pts, lvls = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        grid = draw(st.booleans())
+        base, step = draw(st.sampled_from(BASES)), draw(st.sampled_from(STEPS))
+        u = draw(st.sampled_from(DIRECTIONS))
+        tie = draw(st.sampled_from((None, 2.0)))
+        for k in range(draw(st.integers(1, 5))):
+            if grid:  # exact POINT_TOL gaps in both parts
+                p = complex(draw(st.integers(0, 2)) * POINT_TOL, draw(st.integers(0, 2)) * POINT_TOL)
+            else:
+                p = base + k * step * u
+            slack = draw(st.sampled_from((0.0, 1e-12, 3e-10, 1e-9)))
+            pts.append(p)
+            lvls.append(tie if tie is not None else abs(p - centre) * (1.0 + slack))
+    order = draw(st.permutations(range(len(pts))))
+    return np.array(pts, dtype=complex)[order], np.array(lvls)[order], centre
+
+
+@settings(max_examples=300, deadline=None)
+@given(clouds())
+@example(cloud=(np.array([1 + 1e-15, 1, 1 - 1e-15], dtype=complex), np.array([2.0, 2.0, 2.0]), -1.0))
+@example(cloud=(np.array([0, POINT_TOL, 2 * POINT_TOL, 2 * POINT_TOL * 1j], dtype=complex),
+                np.array([1.0, 1.0 - 1e-9, 1.0, 0.5]), -1.0))
+# the first point lies outside the disc of the lower level the second brings
+@example(cloud=(np.array([-1 - 4e-10, -1], dtype=complex), np.array([1 + 4e-10, 1.0]), 0.0))
+def test_dedupe_matches_the_sequential_rule(cloud):
+    points, levels, centre = cloud
+    got = filtered_set._dedupe_points(points, levels, centre)
+    assert canonical(*got) == canonical(*dedupe_reference(points, levels, centre))
+
+
+@st.composite
+def set_pairs(draw):
+    """A set and a copy with some points moved by up to 1.5 POINT_TOL,
+    some levels by up to 2e-12 relative, and maybe one entry more."""
+    points, _, _ = draw(clouds())
+    a = FilteredSet(-1, [(p, abs(p + 1) * 1.01 + 0.01) for p in points.tolist()], 4.0)
+    moved = []
+    for p, lv in a.entries:
+        dp = draw(st.sampled_from((0.0, 0.0, 1e-15, 0.6 * POINT_TOL, 1.2 * POINT_TOL, 1.5 * POINT_TOL)))
+        dl = draw(st.sampled_from((0.0, 0.0, 5e-13, 2e-12)))
+        moved.append((p + dp * draw(st.sampled_from(DIRECTIONS)), lv * (1.0 + dl)))
+    if draw(st.booleans()):
+        moved.append((2.0, 3.5))
+    return a, FilteredSet(-1, moved, 4.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_pairs())
+def test_same_entries_matches_the_greedy_rule(pair):
+    a, b = pair
+    assert filtered_set._same_entries(a, b) == same_entries_reference(a, b)
+    assert filtered_set._same_entries(b, a) == same_entries_reference(b, a)
+
+
+def test_same_entries_on_cells_the_greedy_rule_decides():
+    # a's two points, 1.8 POINT_TOL apart, share a cell through b's points
+    a = FilteredSet(0, [(1, 1.5), (1 + 1.8 * POINT_TOL, 1.5)], 4.0)
+    b = FilteredSet(0, [(1 + 0.9 * POINT_TOL, 1.5), (1 + 2.7 * POINT_TOL, 1.5)], 4.0)
+    c = FilteredSet(0, [(1 + 0.9 * POINT_TOL, 1.5), (3.0, 3.5)], 4.0)
+    # one point each in a cell, within POINT_TOL in each part but not in modulus
+    d = FilteredSet(0, [(1, 1.5)], 4.0)
+    e = FilteredSet(0, [(1 + 1.2 * POINT_TOL * cmath.exp(0.25j * math.pi), 1.5)], 4.0)
+    for x, y in ((a, b), (b, a), (a, c), (c, a), (a, a), (d, e), (e, d)):
+        assert filtered_set._same_entries(x, y) == same_entries_reference(x, y)
+    # the greedy rule pairs a's first point with b's first, then a's second with
+    # b's second, 0.9 POINT_TOL away
+    assert filtered_set._same_entries(a, b)
+    assert not filtered_set._same_entries(a, c)
+    assert not filtered_set._same_entries(d, e)
+
+
+def test_saturated_lattice_keeps_the_sequential_rule_bits(monkeypatch):
+    lattice = [(cmath.exp(2j * math.pi * k / 3), 1.0) for k in range(3)] + [(1.5j, 1.5)]
+    got = FilteredSet(0, lattice, 16.0).saturate()
+    monkeypatch.setattr(filtered_set, "_dedupe_points", dedupe_reference)
+    monkeypatch.setattr(filtered_set, "_same_entries", same_entries_reference)
+    want = FilteredSet(0, lattice, 16.0).saturate()
+    assert len(got.levels) == 1495
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.levels.tobytes() == want.levels.tobytes()
 
 
 # -- level_of -----------------------------------------------------------------

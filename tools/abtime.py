@@ -1,25 +1,31 @@
-"""Time two checkouts of borelconv against each other in one process.
+"""Time two checkouts of borelconv against each other.
 
 Usage:
-    python tools/abtime.py OLD NEW [--workload probe|series]
+    python tools/abtime.py OLD NEW [--workload probe|series|cli] [--pairs N]
 
-Imports the package from OLD/src and NEW/src under two names of its own,
-side by side in this process, and runs one op of each in turn, the side
-that goes first alternating from pair to pair.  An op is the workload of
-the benchmark of the same name at its full size:
+Runs one op of each checkout in turn, the side that goes first alternating
+from pair to pair.  An op is the workload of the benchmark of the same name
+at its full size:
 
 * probe: the criterion-7 sweep, the pole pair pole(1), pole(2) probed at
   candidates 1.0 .. 3.0, radius 0.2, on `singularity_probe`'s default grid;
 * series: `convolve_along` of two 48-term series along [0.25, 0.5] at
-  64 x 64 x 8.
+  64 x 64 x 8;
+* cli: the README command-line sequence (without the probe) and then
+  `set-op saturate` of a lattice and `path-check` of a walk against it,
+  each command a child `python -m borelconv.cli` run on OLD/src or NEW/src.
+
+For probe and series it imports the package from OLD/src and NEW/src under
+two names of its own, side by side in this process, and counts each side's
+field calls per op (the warm-up's calls of that side's
+`FlowField.__call__`).  For cli it also prints each command's median time.
 
 After one op of each as a warm-up, it prints each side's median op time,
-its field calls per op (the warm-up's calls of that side's
-`FlowField.__call__`, counted only then), the paired ratio NEW / OLD (its
-median and quartiles), the number of pairs NEW was faster in, and a
-SHA-256 digest of every output of each side's ops (the values' bytes and
-the reports' floats as exact hex), equal when the two sides keep each
-other's bits.
+the paired ratio NEW / OLD (its median and quartiles), the number of pairs
+NEW was faster in, and a SHA-256 digest of every output of each side's ops
+(the values' bytes and the reports' floats as exact hex, or the bytes of
+every file the batch writes), equal when the two sides keep each other's
+bits; when they differ, the files that differ are named.
 
 Pairs run moments apart see the same phase of a host whose speed drifts,
 so the ratio sizes a change on such a host; the benchmark's own pairs of
@@ -31,8 +37,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import json
+import math
 import os
+import shutil
+import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -42,6 +53,9 @@ CANDIDATES = (1.0, 1.5, 2.0, 2.5, 3.0)
 SERIES_TERMS = 48
 # (probe grid or None for the default, series grid) per size
 SIZES = {"full": (None, (64, 64, 8)), "tiny": ((64, 64, 8), (16, 16, 4))}
+# (deform n_s, n_t; convolve n_s, n_t, n_q; saturated lattice's horizon) per size
+CLI_SIZES = {"full": (("64", "512"), ("128", "256", "16"), 16.0),
+             "tiny": (("16", "32"), ("16", "32", "8"), 6.0)}
 
 
 def load(checkout: str, name: str):
@@ -96,6 +110,78 @@ def series_op(bc, size: str):
 WORKLOADS = {"probe": probe_op, "series": series_op}
 
 
+def _set_doc(entries, horizon):
+    return {"centre": [0, 0], "horizon": horizon,
+            "entries": [{"z": [z.real, z.imag], "level": lv} for z, lv in entries]}
+
+
+def cli_batch(workdir: str, size: str):
+    """Writes the batch's inputs into workdir: returns its commands, each a
+    (name, argv) pair, and the files they write."""
+    (ns, nt), (cs, ct, cq), horizon = CLI_SIZES[size]
+    lattice = [(complex(math.cos(2 * math.pi * k / 3), math.sin(2 * math.pi * k / 3)), 1.0)
+               for k in range(3)] + [(1.5j, 1.5)]
+    inputs = {"a.json": _set_doc([(1, 1.0)], 6.0), "b.json": _set_doc([(2, 2.0)], 6.0),
+              "gamma.json": {"vertices": [[0.25, 0], [0.5, 0]]},
+              "lam.json": {"vertices": [[0, 0], [0.5, 0]]},
+              "phi.json": {"kind": "pole", "a": [1, 0]},
+              "lattice.json": _set_doc(lattice, horizon),
+              "walk.json": {"vertices": [[0, 0], [0.3, 0.1], [0.6, 0.45], [0.2, 0.7], [-0.3, 0.4]]}}
+    os.makedirs(workdir, exist_ok=True)
+    for name, doc in inputs.items():
+        with open(os.path.join(workdir, name), "w") as f:
+            json.dump(doc, f)
+    commands = [
+        ("fine-sum", ["set-op", "fine-sum", "a.json", "b.json", "-o", "fine.json"]),
+        ("path-check", ["path-check", "lam.json", "fine.json", "-o", "check.json",
+                        "--csv", "lam.csv"]),
+        ("glimpse", ["glimpse", "a.json", "--theta", "0", "--verify", "-o", "glimpse.json"]),
+        ("deform", ["deform", "gamma.json", "a.json", "b.json", "--level", "2.5",
+                    "--ns", ns, "--nt", nt, "-o", "deform_out"]),
+        ("convolve", ["convolve", "phi.json", "phi.json", "gamma.json", "a.json", "a.json",
+                      "--ns", cs, "--nt", ct, "--nq", cq, "-o", "conv_out"]),
+        ("saturate", ["set-op", "saturate", "lattice.json", "-o", "saturated.json"]),
+        ("walk path-check", ["path-check", "walk.json", "saturated.json", "-o", "walk_check.json"]),
+    ]
+    outputs = ["fine.json", "check.json", "lam.csv", "glimpse.json", "deform_out/grid.csv",
+               "deform_out/report.json", "deform_out/overlay.svg", "conv_out/trace.csv",
+               "saturated.json", "walk_check.json"]
+    return commands, outputs
+
+
+def cli_op(checkout: str, size: str, workdir: str):
+    """One batch of checkout's command line, each command a child process in
+    workdir: returns the op, which returns the SHA-256 digests of the files
+    written, adds their bytes to the op's `digests` (one per file) and
+    appends the commands' times to its `command_times`."""
+    commands, outputs = cli_batch(workdir, size)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+
+    def op():
+        for name in outputs:  # a command that writes nothing must not pass
+            if os.path.exists(os.path.join(workdir, name)):
+                os.remove(os.path.join(workdir, name))
+        times = []
+        for _, argv in commands:
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-m", "borelconv.cli", *argv], cwd=workdir, env=env,
+                           stdout=subprocess.DEVNULL, check=True)
+            times.append(time.perf_counter() - t0)
+        op.command_times.append(times)
+        out = []
+        for name in outputs:
+            with open(os.path.join(workdir, name), "rb") as f:
+                blob = f.read()
+            op.digests[name].update(blob)
+            out.append(hashlib.sha256(blob).digest())
+        return b"".join(out)
+
+    op.names = [name for name, _ in commands]
+    op.digests = {name: hashlib.sha256() for name in outputs}
+    op.command_times = []
+    return op
+
+
 def field_calls(bc, op) -> int:
     """Run op once, counting the calls of package bc's FlowField.__call__."""
     cls, calls = bc.deformation.FlowField, []
@@ -116,10 +202,38 @@ def field_calls(bc, op) -> int:
 def compare(old: str, new: str, workload: str = "probe", pairs: int = PAIRS,
             size: str = "full") -> dict:
     """Alternate ops of the two checkouts; the times, ratios and digests."""
+    if workload == "cli":
+        return compare_cli(old, new, pairs, size)
     packages = [load(path, f"borelconv_ab_{side}") for side, path in (("old", old), ("new", new))]
     ops = [WORKLOADS[workload](bc, size) for bc in packages]
-    digests = [hashlib.sha256(), hashlib.sha256()]
     calls = [field_calls(bc, op) for bc, op in zip(packages, ops)]  # warm-up, not timed
+    return dict(_alternate(ops, pairs), field_calls=calls)
+
+
+def compare_cli(old: str, new: str, pairs: int = PAIRS, size: str = "full") -> dict:
+    """`compare` for the cli workload, with each command's median time and
+    the output files whose bytes differ."""
+    workdir = tempfile.mkdtemp(prefix="abtime-cli-")
+    try:
+        ops = [cli_op(path, size, os.path.join(workdir, side))
+               for side, path in (("old", old), ("new", new))]
+        for op in ops:  # warm-up, not timed
+            op()
+            op.command_times.clear()
+        res = _alternate(ops, pairs)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    medians = np.median([op.command_times for op in ops], axis=1)  # side x command
+    res["commands"] = dict(zip(ops[0].names, medians.T.tolist()))
+    res["files_differ"] = [name for name, d in ops[0].digests.items()
+                           if d.digest() != ops[1].digests[name].digest()]
+    return res
+
+
+def _alternate(ops, pairs: int) -> dict:
+    """Time `pairs` pairs of the two ops, the side that goes first
+    alternating, and digest each side's outputs."""
+    digests = [hashlib.sha256(), hashlib.sha256()]
     times = np.empty((pairs, 2))
     for k in range(pairs):
         for side in ((0, 1) if k % 2 == 0 else (1, 0)):
@@ -130,7 +244,6 @@ def compare(old: str, new: str, workload: str = "probe", pairs: int = PAIRS,
     ratio = times[:, 1] / times[:, 0]
     return {
         "median_s": np.median(times, axis=0).tolist(),
-        "field_calls": calls,
         "ratio": np.percentile(ratio, [50, 25, 75]).tolist(),
         "wins": int(np.count_nonzero(ratio < 1.0)),
         "pairs": pairs,
@@ -142,21 +255,29 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old")
     parser.add_argument("new")
-    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="probe")
+    parser.add_argument("--workload", choices=sorted(WORKLOADS) + ["cli"], default="probe")
+    parser.add_argument("--pairs", type=int, default=PAIRS)
     args = parser.parse_args(argv)
-    print("\n".join(report(compare(args.old, args.new, args.workload))))
+    print("\n".join(report(compare(args.old, args.new, args.workload, args.pairs))))
     return 0
 
 
 def report(res: dict) -> list[str]:
     """The lines main prints for a result of `compare`."""
-    lines = [f"{side}: median {median * 1e3:.3f} ms  field calls per op {calls}  digest {digest}"
-             for side, median, calls, digest in zip(
-                 ("old", "new"), res["median_s"], res["field_calls"], res["digests"])]
+    lines = []
+    for k, side in enumerate(("old", "new")):
+        calls = f"  field calls per op {res['field_calls'][k]}" if "field_calls" in res else ""
+        lines.append(f"{side}: median {res['median_s'][k] * 1e3:.3f} ms{calls}  "
+                     f"digest {res['digests'][k]}")
+    for name, (t_old, t_new) in res.get("commands", {}).items():
+        lines.append(f"  {name}: old {t_old * 1e3:.1f} ms  new {t_new * 1e3:.1f} ms")
     mid, lo, hi = res["ratio"]
     lines.append(f"new/old: median {mid:.3f} (IQR {lo:.3f}-{hi:.3f}), "
                  f"new faster in {res['wins']} of {res['pairs']} pairs")
-    lines.append("digests " + ("equal" if res["digests"][0] == res["digests"][1] else "DIFFER"))
+    if res["digests"][0] == res["digests"][1]:
+        lines.append("digests equal")
+    else:
+        lines.append("digests DIFFER" + "".join(f" {name}" for name in res.get("files_differ", [])))
     return lines
 
 
