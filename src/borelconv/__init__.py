@@ -41,3 +41,7 @@ def __getattr__(name):
         if exc.name != f"{__name__}.{name}":
             raise
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -34,8 +34,10 @@ def test_cli_batch_of_one_checkout_against_itself_gives_equal_digests():
     res = load_abtime().compare(ROOT, ROOT, "cli", pairs=1, size="tiny")
     assert res["pairs"] == 1 and res["digests"][0] == res["digests"][1]
     assert res["files_differ"] == []
-    assert list(res["commands"]) == ["fine-sum", "path-check", "glimpse", "deform", "convolve",
-                                     "saturate", "walk path-check"]
+    assert list(res["commands"]) == [
+        "set-op fine-sum a.json", "path-check lam.json", "glimpse a.json", "deform gamma.json",
+        "convolve phi.json", "set-op saturate lattice.json", "path-check walk.json"]
     assert all(t > 0.0 for times in res["commands"].values() for t in times)
     lines = load_abtime().report(res)
-    assert lines[-1] == "digests equal" and any(line.startswith("  saturate: old ") for line in lines)
+    assert lines[-1] == "digests equal" and any(line.startswith("  set-op saturate lattice.json: old ")
+                                               for line in lines)

@@ -669,6 +669,9 @@ def test_light_commands_load_no_flow_germ_cell_or_drawing_layer(tmp_path, comman
 
 def test_public_names_resolve_lazily():
     assert modules_after("import borelconv") == {"borelconv"}
+    # dir lists the public names without importing them
+    assert modules_after("import borelconv; "
+                         "assert set(borelconv.__all__) <= set(dir(borelconv))") == {"borelconv"}
     # a submodule is an attribute before anything imported it
     assert "borelconv.deformation" in modules_after("import borelconv; borelconv.deformation.FlowField")
     loaded = modules_after("from borelconv import *; import borelconv; "

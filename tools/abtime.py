@@ -1,19 +1,21 @@
 """Time two checkouts of borelconv against each other.
 
 Usage:
-    python tools/abtime.py OLD NEW [--workload probe|series|cli] [--pairs N]
+    python tools/abtime.py OLD NEW [--workload probe|series|cli]
 
 Runs one op of each checkout in turn, the side that goes first alternating
-from pair to pair.  An op is the workload of the benchmark of the same name
-at its full size:
+from pair to pair, for 60 pairs (20 of the slower cli op).  An op is the
+workload of the benchmark of the same name at its full size:
 
 * probe: the criterion-7 sweep, the pole pair pole(1), pole(2) probed at
   candidates 1.0 .. 3.0, radius 0.2, on `singularity_probe`'s default grid;
 * series: `convolve_along` of two 48-term series along [0.25, 0.5] at
   64 x 64 x 8;
-* cli: the README command-line sequence (without the probe) and then
-  `set-op saturate` of a lattice and `path-check` of a walk against it,
-  each command a child `python -m borelconv.cli` run on OLD/src or NEW/src.
+* cli: the commands of perfbench's `CliBatch` at seed 0 (the README
+  command-line sequence without the probe, then `set-op saturate` of a
+  lattice and `path-check` of a walk against it), each command a child
+  `python -m borelconv.cli` run on OLD/src or NEW/src and waited for
+  without a timeout.
 
 For probe and series it imports the package from OLD/src and NEW/src under
 two names of its own, side by side in this process, and counts each side's
@@ -35,10 +37,10 @@ runs (perfbench) remain its proof.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib.util
-import json
-import math
+import itertools
 import os
 import shutil
 import subprocess
@@ -48,14 +50,13 @@ import time
 
 import numpy as np
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 60
+CLI_PAIRS = 20
 CANDIDATES = (1.0, 1.5, 2.0, 2.5, 3.0)
 SERIES_TERMS = 48
 # (probe grid or None for the default, series grid) per size
 SIZES = {"full": (None, (64, 64, 8)), "tiny": ((64, 64, 8), (16, 16, 4))}
-# (deform n_s, n_t; convolve n_s, n_t, n_q; saturated lattice's horizon) per size
-CLI_SIZES = {"full": (("64", "512"), ("128", "256", "16"), 16.0),
-             "tiny": (("16", "32"), ("16", "32", "8"), 6.0)}
 
 
 def load(checkout: str, name: str):
@@ -110,74 +111,56 @@ def series_op(bc, size: str):
 WORKLOADS = {"probe": probe_op, "series": series_op}
 
 
-def _set_doc(entries, horizon):
-    return {"centre": [0, 0], "horizon": horizon,
-            "entries": [{"z": [z.real, z.imag], "level": lv} for z, lv in entries]}
+@functools.cache
+def _workloads():
+    """perfbench/workloads.py of this checkout, which imports borelconv
+    from this checkout's src."""
+    src = os.path.join(ROOT, "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    spec = importlib.util.spec_from_file_location(
+        "abtime_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def cli_batch(workdir: str, size: str):
-    """Writes the batch's inputs into workdir: returns its commands, each a
-    (name, argv) pair, and the files they write."""
-    (ns, nt), (cs, ct, cq), horizon = CLI_SIZES[size]
-    lattice = [(complex(math.cos(2 * math.pi * k / 3), math.sin(2 * math.pi * k / 3)), 1.0)
-               for k in range(3)] + [(1.5j, 1.5)]
-    inputs = {"a.json": _set_doc([(1, 1.0)], 6.0), "b.json": _set_doc([(2, 2.0)], 6.0),
-              "gamma.json": {"vertices": [[0.25, 0], [0.5, 0]]},
-              "lam.json": {"vertices": [[0, 0], [0.5, 0]]},
-              "phi.json": {"kind": "pole", "a": [1, 0]},
-              "lattice.json": _set_doc(lattice, horizon),
-              "walk.json": {"vertices": [[0, 0], [0.3, 0.1], [0.6, 0.45], [0.2, 0.7], [-0.3, 0.4]]}}
-    os.makedirs(workdir, exist_ok=True)
-    for name, doc in inputs.items():
-        with open(os.path.join(workdir, name), "w") as f:
-            json.dump(doc, f)
-    commands = [
-        ("fine-sum", ["set-op", "fine-sum", "a.json", "b.json", "-o", "fine.json"]),
-        ("path-check", ["path-check", "lam.json", "fine.json", "-o", "check.json",
-                        "--csv", "lam.csv"]),
-        ("glimpse", ["glimpse", "a.json", "--theta", "0", "--verify", "-o", "glimpse.json"]),
-        ("deform", ["deform", "gamma.json", "a.json", "b.json", "--level", "2.5",
-                    "--ns", ns, "--nt", nt, "-o", "deform_out"]),
-        ("convolve", ["convolve", "phi.json", "phi.json", "gamma.json", "a.json", "a.json",
-                      "--ns", cs, "--nt", ct, "--nq", cq, "-o", "conv_out"]),
-        ("saturate", ["set-op", "saturate", "lattice.json", "-o", "saturated.json"]),
-        ("walk path-check", ["path-check", "walk.json", "saturated.json", "-o", "walk_check.json"]),
-    ]
-    outputs = ["fine.json", "check.json", "lam.csv", "glimpse.json", "deform_out/grid.csv",
-               "deform_out/report.json", "deform_out/overlay.svg", "conv_out/trace.csv",
-               "saturated.json", "walk_check.json"]
-    return commands, outputs
+def _label(argv) -> str:
+    """A command's name: its words up to its first file, and that file's name."""
+    words = list(itertools.takewhile(lambda arg: not os.path.isabs(arg), argv))
+    return " ".join(words + [os.path.basename(argv[len(words)])])
 
 
 def cli_op(checkout: str, size: str, workdir: str):
-    """One batch of checkout's command line, each command a child process in
-    workdir: returns the op, which returns the SHA-256 digests of the files
-    written, adds their bytes to the op's `digests` (one per file) and
-    appends the commands' times to its `command_times`."""
-    commands, outputs = cli_batch(workdir, size)
+    """One batch of checkout's command line, perfbench's `CliBatch` with its
+    inputs in workdir and each command a child process: returns the op,
+    which returns the SHA-256 digests of the files written, adds their bytes
+    to the op's `digests` (one per file) and appends the commands' times to
+    its `command_times`."""
+    batch = _workloads().CliBatch(0, size, workdir)
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
 
     def op():
-        for name in outputs:  # a command that writes nothing must not pass
-            if os.path.exists(os.path.join(workdir, name)):
-                os.remove(os.path.join(workdir, name))
+        for path in batch.outputs:  # a command that writes nothing must not pass
+            if os.path.exists(path):
+                os.remove(path)
         times = []
-        for _, argv in commands:
+        for argv in batch.commands:
             t0 = time.perf_counter()
-            subprocess.run([sys.executable, "-m", "borelconv.cli", *argv], cwd=workdir, env=env,
+            subprocess.run([sys.executable, "-m", "borelconv.cli", *argv], env=env,
                            stdout=subprocess.DEVNULL, check=True)
             times.append(time.perf_counter() - t0)
         op.command_times.append(times)
         out = []
-        for name in outputs:
-            with open(os.path.join(workdir, name), "rb") as f:
+        for path, digest in zip(batch.outputs, op.digests.values()):
+            with open(path, "rb") as f:
                 blob = f.read()
-            op.digests[name].update(blob)
+            digest.update(blob)
             out.append(hashlib.sha256(blob).digest())
         return b"".join(out)
 
-    op.names = [name for name, _ in commands]
-    op.digests = {name: hashlib.sha256() for name in outputs}
+    op.names = [_label(argv) for argv in batch.commands]
+    op.digests = {os.path.relpath(path, workdir): hashlib.sha256() for path in batch.outputs}
     op.command_times = []
     return op
 
@@ -199,18 +182,20 @@ def field_calls(bc, op) -> int:
     return len(calls)
 
 
-def compare(old: str, new: str, workload: str = "probe", pairs: int = PAIRS,
+def compare(old: str, new: str, workload: str = "probe", pairs: int | None = None,
             size: str = "full") -> dict:
-    """Alternate ops of the two checkouts; the times, ratios and digests."""
+    """Alternate ops of the two checkouts, PAIRS pairs of them (CLI_PAIRS
+    for cli) unless pairs is given; the times, ratios and digests."""
     if workload == "cli":
-        return compare_cli(old, new, pairs, size)
+        return compare_cli(old, new, CLI_PAIRS if pairs is None else pairs, size)
+    pairs = PAIRS if pairs is None else pairs
     packages = [load(path, f"borelconv_ab_{side}") for side, path in (("old", old), ("new", new))]
     ops = [WORKLOADS[workload](bc, size) for bc in packages]
     calls = [field_calls(bc, op) for bc, op in zip(packages, ops)]  # warm-up, not timed
     return dict(_alternate(ops, pairs), field_calls=calls)
 
 
-def compare_cli(old: str, new: str, pairs: int = PAIRS, size: str = "full") -> dict:
+def compare_cli(old: str, new: str, pairs: int, size: str) -> dict:
     """`compare` for the cli workload, with each command's median time and
     the output files whose bytes differ."""
     workdir = tempfile.mkdtemp(prefix="abtime-cli-")
@@ -256,9 +241,8 @@ def main(argv=None) -> int:
     parser.add_argument("old")
     parser.add_argument("new")
     parser.add_argument("--workload", choices=sorted(WORKLOADS) + ["cli"], default="probe")
-    parser.add_argument("--pairs", type=int, default=PAIRS)
     args = parser.parse_args(argv)
-    print("\n".join(report(compare(args.old, args.new, args.workload, args.pairs))))
+    print("\n".join(report(compare(args.old, args.new, args.workload))))
     return 0
 
 
